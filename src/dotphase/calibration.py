@@ -13,8 +13,6 @@ from enum import Enum
 
 from .errors import DomainError, ValidationError
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class ElectroOpticParams:
@@ -77,7 +75,7 @@ def time_to_phase(T: float, eo: ElectroOpticParams) -> tuple[float, float]:
     if T < 0:
         raise DomainError(f"duration must be >= 0, got {T}")
     phi1 = eo.rate * T / 2.0
-    varphi = (phi1 - math.pi / 2) / TWO_PI
+    varphi = (phi1 - math.pi / 2) / math.tau
     if not (0.0 <= varphi < 1.0):
         raise DomainError(
             f"duration encodes varphi = {varphi:.6g} outside [0, 1); "
@@ -90,12 +88,12 @@ def phase_to_time(varphi: float, eo: ElectroOpticParams) -> float:
     """Exact inverse of time_to_phase."""
     if not (0.0 <= varphi < 1.0):
         raise DomainError(f"varphi must lie in [0, 1), got {varphi}")
-    return (TWO_PI * varphi + math.pi / 2) * 2.0 / eo.rate
+    return (math.tau * varphi + math.pi / 2) * 2.0 / eo.rate
 
 
 def phase_resolution_time(m: int, eo: ElectroOpticParams) -> float:
     """Duration quantization step for an m-bit estimate (one grid spacing)."""
-    return TWO_PI / 2 ** m * 2.0 / eo.rate
+    return math.tau / 2 ** m * 2.0 / eo.rate
 
 
 def clock_total_time(T: float, O: int, h: int) -> float:
@@ -140,6 +138,9 @@ def calibrate_clock(
     comparison_mode: ComparisonMode = ComparisonMode.DEVIATION,
 ) -> ClockCalibration:
     """Full calibration record for one measured duration."""
+    for name, value in (("T", T), ("T_ideal", T_ideal), ("eta_percent", eta_percent)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     T_total = clock_total_time(T, O, h)
     verdict, eta_prime = calibration_verdict(
         T_total, T_ideal, eta_percent, comparison_mode

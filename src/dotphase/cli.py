@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -23,12 +24,10 @@ import numpy as np
 from . import __version__
 from . import calibration as cal
 from . import pulses, qpe
+from . import statevector as sv
 from .errors import NumericalInvariantError, ValidationError
 
-TWO_PI = 2.0 * math.pi
 OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
-
-IDEAL_HADAMARD = qpe.IDEAL_HADAMARD
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +43,7 @@ def parse_angle(text) -> float:
     t = str(text).strip().lower()
     try:
         if t.endswith("turn"):
-            return float(t[:-4]) * TWO_PI
+            return float(t[:-4]) * math.tau
         if t.endswith("rad"):
             return float(t[:-3])
         return float(t)
@@ -52,13 +51,25 @@ def parse_angle(text) -> float:
         raise ValidationError(f"cannot parse angle {text!r}") from None
 
 
+def _as_int(value) -> int:
+    """Integer config value; a bool or a non-integral number is refused
+    instead of being truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _as_bool(value) -> bool:
+    """Boolean config value: only JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _parse_int_list(text) -> list[int]:
-    if isinstance(text, list):
-        return [int(x) for x in text]
-    try:
-        return [int(x) for x in str(text).split(",") if x.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"cannot parse integer list {text!r}") from None
+    if not isinstance(text, list):
+        text = [x for x in str(text).split(",") if x.strip() != ""]
+    return [_as_int(x) for x in text]
 
 
 def _parse_angle_list(text) -> list[float]:
@@ -73,22 +84,22 @@ _REQUIRED = object()
 
 _SCHEMAS = {
     "estimate": {
-        "m": (int, _REQUIRED),
+        "m": (_as_int, _REQUIRED),
         "phase_rad": (parse_angle, _REQUIRED),
         "mode": (str, "ideal"),
-        "shots": (int, 0),
-        "seed": (int, 0),
-        "include_target": (bool, False),
-        "full_distribution": (bool, False),
+        "shots": (_as_int, 0),
+        "seed": (_as_int, 0),
+        "include_target": (_as_bool, False),
+        "full_distribution": (_as_bool, False),
         "format": (str, "json"),
     },
     "sweep": {
         "m_values": (_parse_int_list, _REQUIRED),
-        "n": (int, _REQUIRED),
+        "n": (_as_int, _REQUIRED),
         "phases_rad": (_parse_angle_list, None),
-        "random_phases": (int, None),
+        "random_phases": (_as_int, None),
         "mode": (str, "ideal"),
-        "seed": (int, 0),
+        "seed": (_as_int, 0),
         "format": (str, "json"),
     },
     "pulse-fit": {
@@ -99,8 +110,8 @@ _SCHEMAS = {
     "calibrate-clock": {
         "duration_s": (float, None),
         "varphi": (float, None),
-        "total_scales": (int, _REQUIRED),
-        "elapsed_scales": (int, _REQUIRED),
+        "total_scales": (_as_int, _REQUIRED),
+        "elapsed_scales": (_as_int, _REQUIRED),
         "t_ideal_s": (float, _REQUIRED),
         "eta_percent": (float, 100.0),
         "comparison_mode": (str, "deviation"),
@@ -123,7 +134,7 @@ _SCHEMAS = {
         "coherence_time_s": (float, 10.0),
         "single_gate_time_s": (float, 3e-7),
         "two_gate_time_s": (float, 1e-4),
-        "n_qubits": (int, None),
+        "n_qubits": (_as_int, None),
         "format": (str, "json"),
     },
 }
@@ -233,13 +244,11 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
                 raise ValidationError(f"missing required parameter {key!r}")
             resolved[key] = default
             continue
-        resolved[key] = coerce(value)
+        try:
+            resolved[key] = coerce(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad value for {key!r}: {exc}") from None
     return resolved
-
-
-def _cdist(frac_a: float, frac_b: float) -> float:
-    d = abs(frac_a - frac_b) % 1.0
-    return min(d, 1.0 - d)
 
 
 def cmd_estimate(cfg: dict) -> tuple[dict, list]:
@@ -256,32 +265,28 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
     results: dict = {"m": m, "true_phase_rad": phi}
     if config.shots == 0:
         j = int(np.argmax(dist.probs))
-        phi_hat = TWO_PI * j / 2 ** m
+        phi_hat = math.tau * j / 2 ** m
         results.update(
             readout_integer=j,
             readout_bits=[int(b) for b in format(j, f"0{m}b")],
             estimated_phase_rad=phi_hat,
             eta_percent=phi_hat / phi * 100.0,
-            abs_error_turns=_cdist(phi_hat / TWO_PI, phi / TWO_PI),
+            abs_error_turns=float(
+                qpe.circular_distance(phi_hat / math.tau, phi / math.tau)
+            ),
             max_probability=float(dist.probs[j]),
         )
     else:
-        shot_rows = []
-        counts: dict = {}
-        for i in range(config.shots):
-            rng = np.random.default_rng(qpe.shot_seed(config.seed, i))
-            j = int(rng.choice(2 ** m, p=dist.probs / dist.probs.sum()))
-            counts[j] = counts.get(j, 0) + 1
-            shot_rows.append(TWO_PI * j / 2 ** m)
+        seeds = [qpe.shot_seed(config.seed, i) for i in range(config.shots)]
+        draws = sv.sample(dist.probs, seeds).tolist()
+        shot_rows = [math.tau * j / 2 ** m for j in draws]
         results.update(
             shots=config.shots,
             estimates_rad=shot_rows,
             eta_percent=[e / phi * 100.0 for e in shot_rows],
-            counts={str(k): v for k, v in sorted(counts.items())},
+            counts={str(k): v for k, v in sorted(Counter(draws).items())},
         )
-    if cfg["full_distribution"]:
-        results["distribution"] = [float(p) for p in dist.probs]
-    elif 2 ** m <= 4096 and config.shots == 0:
+    if cfg["full_distribution"] or (2 ** m <= 4096 and config.shots == 0):
         results["distribution"] = [float(p) for p in dist.probs]
     return results, []
 
@@ -301,12 +306,12 @@ def cmd_sweep(cfg: dict) -> tuple[dict, list]:
         phis = cfg["phases_rad"]
     elif cfg["random_phases"]:
         rng = np.random.default_rng(cfg["seed"])
-        phis = [float(p) or TWO_PI
-                for p in rng.uniform(0.0, TWO_PI, cfg["random_phases"])]
+        phis = [float(p) or math.tau
+                for p in rng.uniform(0.0, math.tau, cfg["random_phases"])]
     else:
         raise ValidationError("provide --phases or --random-phases")
     for p in phis:
-        if not (0.0 < p <= TWO_PI):
+        if not (0.0 < p <= math.tau):
             raise ValidationError(f"phase {p} outside (0, 2*pi]")
     rows = []
     for m in m_values:
@@ -342,7 +347,7 @@ def _resolve_pulse_target(cfg: dict):
         raise ValidationError(f"unknown preset {preset!r}")
     if name == "hadamard":
         prescribed = pulses.single_pulse_unitary(pulses.hadamard_pulse_params())
-        return IDEAL_HADAMARD, ("hadamard", prescribed, IDEAL_HADAMARD)
+        return qpe.IDEAL_HADAMARD, ("hadamard", prescribed, qpe.IDEAL_HADAMARD)
     if name == "pulse-hadamard":
         return pulses.single_pulse_unitary(pulses.hadamard_pulse_params()), None
     phi = parse_angle(arg) if arg else None

@@ -17,12 +17,6 @@ from scipy.optimize import minimize
 
 from .errors import DimensionError, DomainError, ValidationError
 
-TWO_PI = 2.0 * math.pi
-
-# eV*s; used when an expression mixes meV energies with absolute times
-HBAR_EV_S = 6.582119569e-16
-
-
 @dataclass(frozen=True)
 class PulseSpec:
     """Rabi angle (Omega*t) and laser phase of one resonant pulse, radians."""
@@ -36,11 +30,11 @@ class PulseSpec:
 
     @property
     def canonical_rabi_angle(self) -> float:
-        return self.rabi_angle % TWO_PI
+        return self.rabi_angle % math.tau
 
     @property
     def canonical_phase(self) -> float:
-        return self.phase % TWO_PI
+        return self.phase % math.tau
 
 
 class Quantity(NamedTuple):
@@ -57,6 +51,8 @@ class PhysicalParams:
     Energies in meV, cavity coupling in MHz, times in seconds.
     """
 
+    # no formula reads omega1; it stays because existing configs and reports
+    # send it (the feasibility subcommand's omega1_mev key)
     omega1: float = 1e-4          # meV
     omega2: float = 0.1           # meV
     omega_c: float = 300.0        # MHz
@@ -66,15 +62,12 @@ class PhysicalParams:
     coherence_time: float = 10.0  # s
     single_gate_time: float = 3e-7  # s
     two_gate_time: float = 1e-4   # s
-    e_g: float = 0.0              # meV
-    e_e: float = 1000.0           # meV
-    e_i: float = 990.0            # meV
 
     def __post_init__(self):
         for name in (
             "omega1", "omega2", "omega_c", "delta", "tunneling_t",
             "level_split_delta", "coherence_time", "single_gate_time",
-            "two_gate_time", "e_g", "e_e", "e_i",
+            "two_gate_time",
         ):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
@@ -192,11 +185,12 @@ def fit_pulse(
     if target.shape != (2, 2):
         raise DimensionError("target must be 2x2")
     dev = np.max(np.abs(target.conj().T @ target - np.eye(2)))
-    if dev > 1e-10:
+    # written so that a NaN deviation fails too
+    if not dev <= 1e-10:
         raise ValidationError(f"target is not unitary (deviation {dev:.3e})")
 
-    npts = int(math.ceil(TWO_PI / grid_step))
-    grid = np.arange(npts) * (TWO_PI / npts)
+    npts = int(math.ceil(math.tau / grid_step))
+    grid = np.arange(npts) * (math.tau / npts)
     tr = _pulse_overlap_grid(target, grid, grid)
     # argmax of |tr| = argmin of distance; first flat index wins, which is
     # the smallest theta then smallest phi by construction
@@ -215,7 +209,7 @@ def fit_pulse(
         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
     )
     best = res.x if res.fun <= objective(x0) else x0
-    spec = PulseSpec(float(best[0]) % TWO_PI, float(best[1]) % TWO_PI)
+    spec = PulseSpec(float(best[0]) % math.tau, float(best[1]) % math.tau)
     return spec, float(objective(best))
 
 

@@ -10,7 +10,7 @@ The readout integer is j = sum_i phi_i 2^{m-i}, so the estimate is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,13 +21,13 @@ from .errors import (
     DomainError,
     ValidationError,
 )
+# benchmarks/spans.py patches all three names here, so all stay imported
 from .pulses import (
     hadamard_pulse_params,
     phase_gate_pulse_params,
     single_pulse_unitary,
 )
 
-TWO_PI = 2.0 * math.pi
 MAX_REGISTER = 20
 
 IDEAL_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
@@ -48,7 +48,6 @@ class QpeConfig:
 
     m: int
     true_phase_phi: float
-    n: int | None = None
     gate_mode: GateMode = GateMode.IDEAL
     include_target_qubit: bool = False
     shots: int = 0
@@ -57,11 +56,7 @@ class QpeConfig:
     def __post_init__(self):
         if not (1 <= self.m <= MAX_REGISTER):
             raise ValidationError(f"m must be in [1, {MAX_REGISTER}], got {self.m}")
-        if self.n is None:
-            self.n = self.m
-        if not (1 <= self.n <= self.m):
-            raise ValidationError(f"n must be in [1, m], got {self.n}")
-        if not (0.0 < self.true_phase_phi <= TWO_PI):
+        if not (0.0 < self.true_phase_phi <= math.tau):
             raise ValidationError(
                 f"true phase must lie in (0, 2*pi], got {self.true_phase_phi}"
             )
@@ -99,7 +94,11 @@ def _hadamard_gate(mode: GateMode) -> np.ndarray:
 
 
 def _phase_gate(theta: float, mode: GateMode, power: int = 1) -> np.ndarray:
-    """theta phase gate, optionally raised to an integer power (diagonal)."""
+    """theta phase gate, optionally raised to an integer power (diagonal).
+
+    Known defect: pulse-literal mode raises the rounded pulse entries to the
+    power, so for powers from about 2^14 the gate can drift past
+    UNITARY_TOL and the run stops with "gate is not unitary"."""
     if mode == GateMode.IDEAL:
         return np.diag([1.0, np.exp(1j * power * theta)]).astype(np.complex128)
     # pulse realization is diag(-e^{-i theta}, e^{i theta})
@@ -185,6 +184,7 @@ def inverse_qft(
 
 
 def bit_reverse(j: int, m: int) -> int:
+    """m-bit reversal of j; tests keep it as the readout-order reference."""
     out = 0
     for _ in range(m):
         out = (out << 1) | (j & 1)
@@ -196,7 +196,7 @@ def estimate_from_bits(register_bits: tuple, true_phase: float) -> PhaseEstimate
     """Turn register-order detector bits into a phase estimate."""
     readout = tuple(reversed(register_bits))
     frac = sum(b / 2 ** (i + 1) for i, b in enumerate(readout))
-    phi_hat = TWO_PI * frac
+    phi_hat = math.tau * frac
     return PhaseEstimate(
         bits=readout,
         estimated_phase=phi_hat,
@@ -216,13 +216,15 @@ def exact_distribution(
     m: int, phi: float, gate_mode: GateMode = GateMode.IDEAL
 ) -> OutcomeDistribution:
     """Full readout distribution of the protocol, no sampling."""
-    state = prepare_register(m, gate_mode)
-    state = apply_phase_kicks(state, phi, m, gate_mode)
-    state = inverse_qft(state, m, gate_mode)
-    register_probs = sv.probabilities(state)
-    probs = np.empty(2 ** m)
-    for j in range(2 ** m):
-        probs[j] = register_probs[bit_reverse(j, m)]
+    state = apply_phase_kicks(prepare_register(m, gate_mode), phi, m, gate_mode)
+    return _readout(inverse_qft(state, m, gate_mode), m)
+
+
+def _readout(state: sv.QuantumState, m: int) -> OutcomeDistribution:
+    """Distribution of the readout integer over molecules 1..m: the register
+    marginal with its bit order reversed (molecule 1 holds the last bit)."""
+    register = sv.register_probabilities(state, m)
+    probs = register.reshape((2,) * m).transpose().reshape(-1)
     return OutcomeDistribution(m=m, probs=probs)
 
 
@@ -237,6 +239,13 @@ def success_probability_bound(m: int, n: int) -> float:
     return 1.0 - 1.0 / (2 ** (m - n + 1) - 4)
 
 
+def circular_distance(frac_a, frac_b):
+    """Distance between turn fractions on the unit circle, in [0, 1/2];
+    elementwise for arrays."""
+    d = np.abs(frac_a - frac_b) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
 def empirical_success(
     m: int, n: int, phi: float, gate_mode: GateMode = GateMode.IDEAL
 ) -> float:
@@ -244,10 +253,7 @@ def empirical_success(
     if m < n:
         raise DomainError(f"need m >= n, got m={m}, n={n}")
     dist = exact_distribution(m, phi, gate_mode)
-    frac = (phi / TWO_PI) % 1.0
-    j = np.arange(2 ** m)
-    d = np.abs(j / 2 ** m - frac) % 1.0
-    d = np.minimum(d, 1.0 - d)
+    d = circular_distance(np.arange(2 ** m) / 2 ** m, (phi / math.tau) % 1.0)
     return float(dist.probs[d < 0.5 ** n].sum())
 
 
@@ -256,23 +262,27 @@ def kick_equivalence_check(m: int, phi: float) -> float:
     (m+1)-qubit controlled-phase construction with the target held in |1>."""
     if m > 10:
         raise ValidationError("kick equivalence check limited to m <= 10")
-    # (a) single-qubit kicks on m qubits
     a = apply_phase_kicks(prepare_register(m), phi, m)
     a_full = np.kron(a.amplitudes, np.array([0.0, 1.0]))  # append target |1>
+    b = _controlled_kick_state(m, phi, IDEAL_HADAMARD)
+    return float(abs(np.vdot(a_full, b.amplitudes)))
 
-    # (b) explicit controlled-phase gates onto the (m+1)th molecule
-    b = sv.new_state(m + 1)
+
+def _controlled_kick_state(m: int, phi: float, h: np.ndarray) -> sv.QuantumState:
+    """Molecules 1..m after the Hadamard step ``h`` plus an explicit target
+    molecule m+1 in |1>, after controlled-phase kicks e^{i 2^{m-j} phi} from
+    each molecule j onto the target."""
     flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    b = sv.apply_1q(b, m + 1, flip)
+    state = sv.apply_1q(sv.new_state(m + 1), m + 1, flip)
     for q in range(1, m + 1):
-        b = sv.apply_1q(b, q, IDEAL_HADAMARD)
+        state = sv.apply_1q(state, q, h)
     for j in range(1, m + 1):
         reps = 2 ** (m - j)
         cphase = np.diag([1.0, 1.0, 1.0, np.exp(1j * reps * phi)]).astype(
             np.complex128
         )
-        b = sv.apply_2q(b, j, m + 1, cphase)
-    return float(abs(np.vdot(a_full, b.amplitudes)))
+        state = sv.apply_2q(state, j, m + 1, cphase)
+    return state
 
 
 def shot_seed(seed: int, shot_index: int) -> int:
@@ -288,34 +298,13 @@ def run_final_state(config: QpeConfig) -> sv.QuantumState:
     still acts on molecules 1..m only.
     """
     m, phi, mode = config.m, config.true_phase_phi, config.gate_mode
-    if not config.include_target_qubit:
-        state = prepare_register(m, mode)
-        state = apply_phase_kicks(state, phi, m, mode)
-        return inverse_qft(state, m, mode)
-    state = sv.new_state(m + 1)
-    flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    state = sv.apply_1q(state, m + 1, flip)
-    h = _hadamard_gate(mode)
-    for q in range(1, m + 1):
-        state = sv.apply_1q(state, q, h)
-    for j in range(1, m + 1):
-        reps = 2 ** (m - j)
-        cphase = np.diag([1.0, 1.0, 1.0, np.exp(1j * reps * phi)]).astype(
-            np.complex128
-        )
-        state = sv.apply_2q(state, j, m + 1, cphase)
+    if config.include_target_qubit:
+        state = _controlled_kick_state(m, phi, _hadamard_gate(mode))
+    else:
+        state = apply_phase_kicks(prepare_register(m, mode), phi, m, mode)
     return inverse_qft(state, m, mode)
 
 
 def readout_distribution(config: QpeConfig) -> OutcomeDistribution:
     """Exact readout distribution for a config, honoring the target-qubit flag."""
-    if not config.include_target_qubit:
-        return exact_distribution(config.m, config.true_phase_phi, config.gate_mode)
-    state = run_final_state(config)
-    m = config.m
-    # marginalize the target molecule (last tensor factor)
-    reg = (np.abs(state.amplitudes.reshape(2 ** m, 2)) ** 2).sum(axis=1)
-    probs = np.empty(2 ** m)
-    for j in range(2 ** m):
-        probs[j] = reg[bit_reverse(j, m)]
-    return OutcomeDistribution(m=m, probs=probs)
+    return _readout(run_final_state(config), config.m)

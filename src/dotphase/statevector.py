@@ -72,13 +72,14 @@ def _require_unitary(gate: np.ndarray, dim: int) -> np.ndarray:
     if gate.shape != (dim, dim):
         raise DimensionError(f"expected {dim}x{dim} gate, got shape {gate.shape}")
     dev = np.max(np.abs(gate.conj().T @ gate - np.eye(dim)))
-    if dev > UNITARY_TOL:
+    # written so that a NaN deviation fails too
+    if not dev <= UNITARY_TOL:
         raise ValidationError(f"gate is not unitary (deviation {dev:.3e})")
     return gate
 
 
 def _check_norm(state: QuantumState) -> QuantumState:
-    if abs(state.norm() - 1.0) > NORM_TOL:
+    if not abs(state.norm() - 1.0) <= NORM_TOL:
         raise NumericalInvariantError(
             f"state norm drifted to {state.norm():.15f}"
         )
@@ -93,16 +94,21 @@ def _qubit_axis(state: QuantumState, qubit_index: int) -> int:
     return qubit_index - 1
 
 
+def _apply(state: QuantumState, axes: list, gate: np.ndarray) -> QuantumState:
+    """Contract a unitary on the tensor factors ``axes`` (its row order)."""
+    k = len(axes)
+    gate = _require_unitary(gate, 2 ** k).reshape((2,) * (2 * k))
+    psi = state.amplitudes.reshape((2,) * state.num_factors)
+    psi = np.tensordot(gate, psi, axes=(list(range(k, 2 * k)), axes))
+    psi = np.moveaxis(psi, list(range(k)), axes)
+    # tensordot returned a new array, so the state can own it without a copy
+    out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(-1))
+    return _check_norm(out)
+
+
 def apply_1q(state: QuantumState, qubit_index: int, gate: np.ndarray) -> QuantumState:
     """Apply a 2x2 unitary to the indexed qubit (1-based)."""
-    gate = _require_unitary(gate, 2)
-    axis = _qubit_axis(state, qubit_index)
-    n = state.num_factors
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.tensordot(gate, psi, axes=([1], [axis]))
-    psi = np.moveaxis(psi, 0, axis)
-    out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(-1).copy())
-    return _check_norm(out)
+    return _apply(state, [_qubit_axis(state, qubit_index)], gate)
 
 
 def apply_2q(
@@ -111,16 +117,8 @@ def apply_2q(
     """Apply a 4x4 unitary to the ordered (control, target) qubit pair."""
     if control_index == target_index:
         raise DimensionError("control and target must be distinct")
-    gate = _require_unitary(gate, 4)
-    ax_c = _qubit_axis(state, control_index)
-    ax_t = _qubit_axis(state, target_index)
-    n = state.num_factors
-    psi = state.amplitudes.reshape((2,) * n)
-    g = gate.reshape(2, 2, 2, 2)
-    psi = np.tensordot(g, psi, axes=([2, 3], [ax_c, ax_t]))
-    psi = np.moveaxis(psi, [0, 1], [ax_c, ax_t])
-    out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(-1).copy())
-    return _check_norm(out)
+    axes = [_qubit_axis(state, control_index), _qubit_axis(state, target_index)]
+    return _apply(state, axes, gate)
 
 
 def apply_qubit_cavity(
@@ -129,24 +127,42 @@ def apply_qubit_cavity(
     """Apply a 4x4 unitary on (qubit, cavity), basis order {g0, g1, e0, e1}."""
     if not state.has_cavity:
         raise ConfigurationError("state has no cavity mode")
-    gate = _require_unitary(gate, 4)
-    ax_q = _qubit_axis(state, qubit_index)
-    ax_c = state.num_factors - 1
-    n = state.num_factors
-    psi = state.amplitudes.reshape((2,) * n)
-    g = gate.reshape(2, 2, 2, 2)
-    psi = np.tensordot(g, psi, axes=([2, 3], [ax_q, ax_c]))
-    psi = np.moveaxis(psi, [0, 1], [ax_q, ax_c])
-    out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(-1).copy())
-    return _check_norm(out)
+    axes = [_qubit_axis(state, qubit_index), state.num_factors - 1]
+    return _apply(state, axes, gate)
 
 
 def probabilities(state: QuantumState) -> np.ndarray:
     """Born-rule probability for every basis state (cavity dimension included)."""
     probs = np.abs(state.amplitudes) ** 2
-    if abs(probs.sum() - 1.0) > NORM_TOL:
+    if not abs(probs.sum() - 1.0) <= NORM_TOL:
         raise NumericalInvariantError(f"probabilities sum to {probs.sum():.15f}")
     return probs
+
+
+def register_probabilities(state: QuantumState, m: int) -> np.ndarray:
+    """Born-rule marginal of qubits 1..m, indexed with qubit 1 as the most
+    significant bit; later qubits and the cavity are summed out."""
+    if not (1 <= m <= state.num_qubits):
+        raise DimensionError(f"register size {m} out of range 1..{state.num_qubits}")
+    return probabilities(state).reshape(2 ** m, -1).sum(axis=1)
+
+
+def sample(probs: np.ndarray, seeds) -> np.ndarray:
+    """One outcome index per seed, drawn from ``probs`` after normalising it.
+
+    Each draw is one uniform from a fresh PCG64 stream for its seed, looked
+    up in a CDF built once: the same index, bit for bit, that numpy's
+    ``Generator.choice`` draws with ``p=probs / probs.sum()`` for that seed.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    total = probs.sum()
+    # written so that NaN entries fail too
+    if not (np.all(probs >= 0.0) and 0.0 < total < np.inf):
+        raise NumericalInvariantError(f"cannot sample: bad probabilities (sum {total})")
+    cdf = np.cumsum(probs / total)
+    cdf /= cdf[-1]
+    draws = [np.random.default_rng(seed).random() for seed in seeds]
+    return np.searchsorted(cdf, draws, side="right")
 
 
 def measure_all(state: QuantumState, seed: int) -> MeasurementRecord:
@@ -157,12 +173,7 @@ def measure_all(state: QuantumState, seed: int) -> MeasurementRecord:
     """
     m = state.num_qubits
     cav = 2 if state.has_cavity else 1
-    pattern_probs = (
-        np.abs(state.amplitudes.reshape(2 ** m, cav)) ** 2
-    ).sum(axis=1)
-    pattern_probs = pattern_probs / pattern_probs.sum()
-    rng = np.random.default_rng(seed)
-    outcome = int(rng.choice(2 ** m, p=pattern_probs))
+    outcome = int(sample(register_probabilities(state, m), [seed])[0])
     bits = tuple((outcome >> (m - 1 - i)) & 1 for i in range(m))
 
     collapsed_amps = np.zeros_like(state.amplitudes)

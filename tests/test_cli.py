@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import math
 
@@ -264,3 +266,90 @@ class TestExitCodes:
         code, _, err = run_cli(["estimate", "--m", "3", "--phase", "1.0"], capsys)
         assert code == 2
         assert "invariant" in err
+
+
+# sha256 of json.dumps(results, sort_keys=True) for ideal-mode configs: replay
+# of an unchanged config must stay byte-identical, so any change to a result
+# bit in the gate kernel, readout order or shot sampler fails here
+GOLDEN_RESULTS = [
+    (["estimate", "--m", "6", "--phase", "0.3", "--shots", "0"],
+     "e0bf44c203f131727fc508493829e6f9eec32f9f8dbdd8453947a7baf81b75d6"),
+    (["estimate", "--m", "12", "--phase", "0.3", "--shots", "0"],
+     "775051224a1d60aa8d25452c9526fd6c74b0817544a2800492238c6a84968770"),
+    (["estimate", "--m", "14", "--phase", "4.2", "--shots", "0"],
+     "fb94e813a30fb7befe86cd97fad2ad432a57fea10963b7900fa4842e98cca9ac"),
+    (["estimate", "--m", "6", "--phase", "1.1", "--shots", "0", "--include-target"],
+     "6735a746881818d3a534cfc5f28011992def45c78e1d5c905352246271fec176"),
+    (["estimate", "--m", "8", "--phase", "1.1", "--shots", "300", "--seed", "3"],
+     "dffa6b37f5c5920ef60bec35579a8a7115cc293f552e5eb24e3e993afb219517"),
+    (["estimate", "--m", "8", "--phase", "1.1", "--shots", "300", "--seed", "3",
+      "--include-target"],
+     "dffa6b37f5c5920ef60bec35579a8a7115cc293f552e5eb24e3e993afb219517"),
+    (["estimate", "--m", "8", "--phase", "1.1", "--shots", "300", "--seed", "3",
+      "--full-distribution"],
+     "690ab4b4df2209722f2cf66ab97e208dd6d9860a64377dd6747eedfe7a4b9f20"),
+    (["estimate", "--m", "5", "--phase", "2.0", "--shots", "50", "--seed", "11",
+      "--include-target", "--full-distribution"],
+     "406e580971fcc28515acd8e3e07d78c4d9b8551ccefa04726fbab66c8ad3af19"),
+    (["sweep", "--m-values", "5,7", "--n", "3", "--random-phases", "4", "--seed", "2"],
+     "dc1612eb8a8482cd718f0b8fd749050f32006bb691c028dfd4a9dbe134d94811"),
+    (["sweep", "--m-values", "6", "--n", "2", "--phases", "0.1,0.3turn,2.5rad"],
+     "20590c910ccae8b57ca6a898af743e16411ffb67d6a8164bb99ae01917b1898e"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_RESULTS)
+def test_results_match_golden_digest(args, digest):
+    buf = io.StringIO()
+    assert cli.run(args, stdout=buf) == 0
+    results = json.loads(buf.getvalue())["results"]
+    text = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pulse-fit", "--matrix", "1,0,0,0,0,0,nan,0"],
+            ["calibrate-clock", "--duration", "nan", "--total-scales", "60",
+             "--elapsed-scales", "60", "--t-ideal", "1.0"],
+            ["calibrate-clock", "--duration", "1.0", "--total-scales", "60",
+             "--elapsed-scales", "60", "--t-ideal", "inf"],
+        ],
+    )
+    def test_non_finite_input_exits_1(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == "" and "error" in err
+
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"include_target": "false"}, "include_target"),
+            ({"full_distribution": 1}, "full_distribution"),
+            ({"m": 3.9}, "'m'"),
+            ({"m": True}, "'m'"),
+            ({"shots": 2.5}, "shots"),
+            ({"seed": [1]}, "seed"),
+        ],
+    )
+    def test_estimate_config_types_are_strict(self, capsys, tmp_path, values, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 3, "phase_rad": 1.0, **values}))
+        code, _, err = run_cli(["estimate", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert key in err
+
+    def test_integral_float_is_an_integer(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 3.0, "phase_rad": 1.0}))
+        report = run_json(["estimate", "--config", str(cfg)], capsys)
+        assert report["config"]["m"] == 3 and isinstance(report["config"]["m"], int)
+
+    def test_sweep_m_values_reject_fractions(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m_values": [5, 6.5], "n": 2, "phases_rad": [1.0]}))
+        code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "6.5" in err

@@ -6,6 +6,7 @@ import pytest
 from dotphase import qpe
 from dotphase import statevector as sv
 from dotphase.errors import BoundUndefinedError, DomainError, ValidationError
+from dotphase.pulses import phase_gate_pulse_params, single_pulse_unitary
 from dotphase.qpe import GateMode
 
 TWO_PI = 2 * math.pi
@@ -116,6 +117,24 @@ class TestInverseQft:
         assert np.max(np.abs(rev @ circuit - dft_dagger)) < 1e-10
 
 
+class TestPhaseGate:
+    def test_pulse_literal_matches_prescribed_pulse(self):
+        for phi in np.random.default_rng(3).uniform(-TWO_PI, TWO_PI, 50):
+            pulse = single_pulse_unitary(phase_gate_pulse_params(phi))
+            gate = qpe._phase_gate(phi, GateMode.PULSE_LITERAL)
+            assert np.max(np.abs(gate - pulse)) <= 1e-15
+
+
+class TestReadoutOrder:
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_reorder_matches_bit_reverse_loop(self, m):
+        phi = 1.234
+        state = qpe.run_final_state(qpe.QpeConfig(m=m, true_phase_phi=phi))
+        register = sv.probabilities(state)
+        loop = np.array([register[qpe.bit_reverse(j, m)] for j in range(2 ** m)])
+        assert np.array_equal(qpe.exact_distribution(m, phi).probs, loop)
+
+
 class TestMeasureAndEstimate:
     def test_deterministic_case(self):
         m, phi = 3, TWO_PI * 5 / 8
@@ -221,8 +240,6 @@ class TestConfigAndSeeds:
             qpe.QpeConfig(m=3, true_phase_phi=0.0)
         with pytest.raises(ValidationError):
             qpe.QpeConfig(m=3, true_phase_phi=TWO_PI + 0.1)
-        with pytest.raises(ValidationError):
-            qpe.QpeConfig(m=3, n=4, true_phase_phi=1.0)
 
     def test_shot_seed_mixing(self):
         seeds = [qpe.shot_seed(42, i) for i in range(100)]

@@ -8,6 +8,7 @@ from dotphase.errors import (
     CapacityError,
     ConfigurationError,
     DimensionError,
+    NumericalInvariantError,
     ValidationError,
 )
 from dotphase.pulses import PulseSpec, cavity_pulse_unitary, single_pulse_unitary
@@ -145,7 +146,30 @@ class TestProbabilities:
         assert np.allclose(sv.probabilities(state), [0.5, 0.5])
 
 
+class TestSample:
+    def test_matches_generator_choice(self):
+        rng = np.random.default_rng(17)
+        for m in range(1, 15):
+            raw = rng.random(2 ** m) ** rng.integers(1, 6)
+            p = raw / raw.sum()
+            seeds = [int(s) for s in rng.integers(0, 2 ** 63, size=40)]
+            oracle = [np.random.default_rng(s).choice(len(p), p=p) for s in seeds]
+            assert sv.sample(p, seeds).tolist() == oracle
+
+    @pytest.mark.parametrize(
+        "probs", [[0.5, math.nan], [1.5, -0.5], [0.0, 0.0], [math.inf, 0.0]]
+    )
+    def test_rejects_invalid_probabilities(self, probs):
+        with pytest.raises(NumericalInvariantError):
+            sv.sample(np.array(probs), [0])
+
+
 class TestMeasureAll:
+    def test_rejects_unnormalised_state(self):
+        state = sv.QuantumState(1, False, np.array([1, 1], dtype=complex))
+        with pytest.raises(NumericalInvariantError):
+            sv.measure_all(state, 0)
+
     def test_basis_state_deterministic(self):
         amps = np.zeros(8, dtype=complex)
         amps[0b011] = 1.0
