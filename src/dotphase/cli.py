@@ -18,6 +18,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_angle(text) -> float:
     """Angle in radians; accepts a bare number, 'Xrad', or 'Xturn' (2*pi*X)."""
-    if isinstance(text, (int, float)):
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
         return float(text)
     t = str(text).strip().lower()
     try:
@@ -59,6 +60,19 @@ def _as_int(value) -> int:
     return int(value)
 
 
+def _as_count(value) -> int:
+    n = _as_int(value)
+    if n < 0:
+        raise ValidationError(f"expected a non-negative integer, got {value!r}")
+    return n
+
+
+def _as_float(value) -> float:
+    if isinstance(value, bool):
+        raise ValidationError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _as_bool(value) -> bool:
     """Boolean config value: only JSON true or false."""
     if not isinstance(value, bool):
@@ -66,77 +80,99 @@ def _as_bool(value) -> bool:
     return value
 
 
-def _parse_int_list(text) -> list[int]:
-    if not isinstance(text, list):
-        text = [x for x in str(text).split(",") if x.strip() != ""]
-    return [_as_int(x) for x in text]
+def _choice(*allowed):
+    def coerce(value):
+        if value not in allowed:
+            raise ValidationError(f"expected one of {', '.join(allowed)}; got {value!r}")
+        return value
+    return coerce
 
 
-def _parse_angle_list(text) -> list[float]:
-    if isinstance(text, list):
-        return [parse_angle(x) for x in text]
-    return [parse_angle(x) for x in str(text).split(",") if x.strip() != ""]
+def _list_of(coerce):
+    """A JSON list, or a comma-separated string whose empty items are skipped."""
+    def parse(value) -> list:
+        if not isinstance(value, list):
+            value = [x for x in str(value).split(",") if x.strip() != ""]
+        return [coerce(x) for x in value]
+    return parse
 
 
-# Per-subcommand config keys: name -> (coercer, default). ``required`` keys
-# use the _REQUIRED sentinel. Unknown file keys are rejected.
+class _Key(NamedTuple):
+    coerce: Callable
+    default: object = None
+    flag: str | None = None  # when not --key-with-dashes
+    help: str | None = None
+
+
+# Per subcommand: (help, {config key: _Key}), the only declaration of a key.
+# build_parser makes the flags from it; a flag passes its raw string (True for
+# a boolean key), so flag and file values go through the same coercer.
+# Required keys default to _REQUIRED. Unknown file keys are rejected.
 _REQUIRED = object()
+_MODE = _Key(_choice("ideal", "pulse-literal"), "ideal")
+_SEED = _Key(_as_count, 0)
+_JSON = _Key(_choice("json"), "json")
 
 _SCHEMAS = {
-    "estimate": {
-        "m": (_as_int, _REQUIRED),
-        "phase_rad": (parse_angle, _REQUIRED),
-        "mode": (str, "ideal"),
-        "shots": (_as_int, 0),
-        "seed": (_as_int, 0),
-        "include_target": (_as_bool, False),
-        "full_distribution": (_as_bool, False),
-        "format": (str, "json"),
-    },
-    "sweep": {
-        "m_values": (_parse_int_list, _REQUIRED),
-        "n": (_as_int, _REQUIRED),
-        "phases_rad": (_parse_angle_list, None),
-        "random_phases": (_as_int, None),
-        "mode": (str, "ideal"),
-        "seed": (_as_int, 0),
-        "format": (str, "json"),
-    },
-    "pulse-fit": {
-        "preset": (str, None),
-        "matrix": (lambda t: [float(x) for x in (t.split(",") if isinstance(t, str) else t)], None),
-        "format": (str, "json"),
-    },
-    "calibrate-clock": {
-        "duration_s": (float, None),
-        "varphi": (float, None),
-        "total_scales": (_as_int, _REQUIRED),
-        "elapsed_scales": (_as_int, _REQUIRED),
-        "t_ideal_s": (float, _REQUIRED),
-        "eta_percent": (float, 100.0),
-        "comparison_mode": (str, "deviation"),
-        "varpi": (float, 2 * math.pi * 1e10),
-        "n0": (float, 1.51),
-        "n_vac": (float, 1.0),
-        "r63": (float, 10.6e-12),
-        "e_field": (float, 1e6),
-        "v": (float, 1.9854e8),
-        "c": (float, 299792458.0),
-        "format": (str, "json"),
-    },
-    "feasibility": {
-        "omega1_mev": (float, 1e-4),
-        "omega2_mev": (float, 0.1),
-        "omega_c_mhz": (float, 300.0),
-        "delta_mev": (float, 1.0),
-        "tunneling_t_mev": (float, 0.01),
-        "level_split_delta_mev": (float, 10.0),
-        "coherence_time_s": (float, 10.0),
-        "single_gate_time_s": (float, 3e-7),
-        "two_gate_time_s": (float, 1e-4),
-        "n_qubits": (_as_int, None),
-        "format": (str, "json"),
-    },
+    "estimate": ("run one phase-estimation experiment", {
+        "m": _Key(_as_int, _REQUIRED),
+        "phase_rad": _Key(parse_angle, _REQUIRED, "--phase",
+                          "true phase: radians, 'Xrad', or 'Xturn'"),
+        "mode": _MODE,
+        "shots": _Key(_as_int, 0),
+        "seed": _SEED,
+        "include_target": _Key(_as_bool, False),
+        "full_distribution": _Key(_as_bool, False),
+        "format": _JSON,
+    }),
+    "sweep": ("tabulate empirical success against the bound", {
+        "m_values": _Key(_list_of(_as_int), _REQUIRED, help="comma list, e.g. 5,6,7"),
+        "n": _Key(_as_int, _REQUIRED),
+        "phases_rad": _Key(_list_of(parse_angle), None, "--phases",
+                           "comma list of angles (radians/'rad'/'turn')"),
+        "random_phases": _Key(_as_count, None,
+                              help="draw this many uniform phases instead of a list"),
+        "mode": _MODE,
+        "seed": _SEED,
+        "format": _Key(_choice("json", "csv"), "json"),
+    }),
+    "pulse-fit": ("fit pulse parameters to a target 2x2 gate", {
+        "preset": _Key(str, help="hadamard | phase:PHI | pulse-hadamard | pulse-phase:PHI"),
+        "matrix": _Key(_list_of(_as_float),
+                       help="8 comma-separated reals, row-major re,im pairs"),
+        "format": _JSON,
+    }),
+    "calibrate-clock": ("judge a clock from a phase-encoded duration", {
+        "duration_s": _Key(_as_float, None, "--duration", "measured duration T in seconds"),
+        "varphi": _Key(_as_float,
+                       help="estimated turn fraction in [0,1) instead of --duration"),
+        "total_scales": _Key(_as_int, _REQUIRED),
+        "elapsed_scales": _Key(_as_int, _REQUIRED),
+        "t_ideal_s": _Key(_as_float, _REQUIRED, "--t-ideal"),
+        "eta_percent": _Key(_as_float, 100.0),
+        "comparison_mode": _Key(_choice("literal", "deviation"), "deviation"),
+        "varpi": _Key(_as_float, 2 * math.pi * 1e10),
+        "n0": _Key(_as_float, 1.51),
+        "n_vac": _Key(_as_float, 1.0),
+        "r63": _Key(_as_float, 10.6e-12),
+        "e_field": _Key(_as_float, 1e6),
+        "v": _Key(_as_float, 1.9854e8),
+        "c": _Key(_as_float, 299792458.0),
+        "format": _JSON,
+    }),
+    "feasibility": ("device feasibility arithmetic", {
+        "omega1_mev": _Key(_as_float, 1e-4, "--omega1"),
+        "omega2_mev": _Key(_as_float, 0.1, "--omega2"),
+        "omega_c_mhz": _Key(_as_float, 300.0, "--omega-c"),
+        "delta_mev": _Key(_as_float, 1.0, "--delta"),
+        "tunneling_t_mev": _Key(_as_float, 0.01, "--tunneling-t"),
+        "level_split_delta_mev": _Key(_as_float, 10.0, "--level-split"),
+        "coherence_time_s": _Key(_as_float, 10.0, "--coherence-time"),
+        "single_gate_time_s": _Key(_as_float, 3e-7, "--single-gate-time"),
+        "two_gate_time_s": _Key(_as_float, 1e-4, "--two-gate-time"),
+        "n_qubits": _Key(_as_int),
+        "format": _JSON,
+    }),
 }
 
 
@@ -144,108 +180,47 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dotphase", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for command, (help_text, schema) in _SCHEMAS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--output", help="write the report here instead of stdout")
-        return p
-
-    p = add("estimate", "run one phase-estimation experiment")
-    p.add_argument("--m", type=int)
-    p.add_argument("--phase", dest="phase_rad",
-                   help="true phase: radians, 'Xrad', or 'Xturn'")
-    p.add_argument("--mode", choices=["ideal", "pulse-literal"])
-    p.add_argument("--shots", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--include-target", dest="include_target",
-                   action="store_const", const=True)
-    p.add_argument("--full-distribution", dest="full_distribution",
-                   action="store_const", const=True)
-    p.add_argument("--format", choices=["json"])
-
-    p = add("sweep", "tabulate empirical success against the bound")
-    p.add_argument("--m-values", dest="m_values", help="comma list, e.g. 5,6,7")
-    p.add_argument("--n", type=int)
-    p.add_argument("--phases", dest="phases_rad",
-                   help="comma list of angles (radians/'rad'/'turn')")
-    p.add_argument("--random-phases", dest="random_phases", type=int,
-                   help="draw this many uniform phases instead of a list")
-    p.add_argument("--mode", choices=["ideal", "pulse-literal"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=["json", "csv"])
-
-    p = add("pulse-fit", "fit pulse parameters to a target 2x2 gate")
-    p.add_argument("--preset",
-                   help="hadamard | phase:PHI | pulse-hadamard | pulse-phase:PHI")
-    p.add_argument("--matrix",
-                   help="8 comma-separated reals, row-major re,im pairs")
-    p.add_argument("--format", choices=["json"])
-
-    p = add("calibrate-clock", "judge a clock from a phase-encoded duration")
-    p.add_argument("--duration", dest="duration_s", type=float,
-                   help="measured duration T in seconds")
-    p.add_argument("--varphi", type=float,
-                   help="estimated turn fraction in [0,1) instead of --duration")
-    p.add_argument("--total-scales", dest="total_scales", type=int)
-    p.add_argument("--elapsed-scales", dest="elapsed_scales", type=int)
-    p.add_argument("--t-ideal", dest="t_ideal_s", type=float)
-    p.add_argument("--eta-percent", dest="eta_percent", type=float)
-    p.add_argument("--comparison-mode", dest="comparison_mode",
-                   choices=["literal", "deviation"])
-    for flag, dest in (
-        ("--varpi", "varpi"), ("--n0", "n0"), ("--n-vac", "n_vac"),
-        ("--r63", "r63"), ("--e-field", "e_field"), ("--v", "v"), ("--c", "c"),
-    ):
-        p.add_argument(flag, dest=dest, type=float)
-    p.add_argument("--format", choices=["json"])
-
-    p = add("feasibility", "device feasibility arithmetic")
-    for flag, dest in (
-        ("--omega1", "omega1_mev"), ("--omega2", "omega2_mev"),
-        ("--omega-c", "omega_c_mhz"), ("--delta", "delta_mev"),
-        ("--tunneling-t", "tunneling_t_mev"),
-        ("--level-split", "level_split_delta_mev"),
-        ("--coherence-time", "coherence_time_s"),
-        ("--single-gate-time", "single_gate_time_s"),
-        ("--two-gate-time", "two_gate_time_s"),
-    ):
-        p.add_argument(flag, dest=dest, type=float)
-    p.add_argument("--n-qubits", dest="n_qubits", type=int)
-    p.add_argument("--format", choices=["json"])
-
+        for key, spec in schema.items():
+            flag = spec.flag or "--" + key.replace("_", "-")
+            if spec.coerce is _as_bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            else:
+                p.add_argument(flag, dest=key, help=spec.help)
     return parser
 
 
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
     """Merge flags over config-file values over defaults; reject unknown keys."""
-    schema = _SCHEMAS[command]
+    schema = _SCHEMAS[command][1]
     file_values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except ValueError as exc:
+                raise ValidationError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ValidationError("config file must hold a JSON object")
-        for key in file_values:
-            if key == "command":
-                if file_values[key] != command:
-                    raise ValidationError(
-                        f"config file is for {file_values[key]!r}, not {command!r}"
-                    )
-            elif key not in schema:
+        for key, value in file_values.items():
+            if key == "command" and value != command:
+                raise ValidationError(f"config file is for {value!r}, not {command!r}")
+            if key not in schema and key != "command":
                 raise ValidationError(f"unknown config key {key!r}")
     resolved = {"command": command}
-    for key, (coerce, default) in schema.items():
-        value = getattr(args, key, None)
-        if value is None and key in file_values:
-            value = file_values[key]
+    for key, spec in schema.items():
+        flag = getattr(args, key, None)
+        value = file_values.get(key) if flag is None else flag
         if value is None:
-            if default is _REQUIRED:
+            if spec.default is _REQUIRED:
                 raise ValidationError(f"missing required parameter {key!r}")
-            resolved[key] = default
+            resolved[key] = spec.default
             continue
         try:
-            resolved[key] = coerce(value)
+            resolved[key] = spec.coerce(value)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad value for {key!r}: {exc}") from None
     return resolved
@@ -480,9 +455,7 @@ def run(argv=None, stdout=None) -> int:
         "versions": {"artifact": __version__},
         "timing": {"wall_seconds": elapsed},
     }
-    if cfg.get("format") == "csv":
-        if args.command != "sweep":
-            raise ValidationError("csv output is only available for sweep")
+    if cfg["format"] == "csv":
         text = _sweep_csv(results)
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -499,15 +472,12 @@ def run(argv=None, stdout=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalInvariantError as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -232,6 +233,10 @@ class TestConfigFileAndReplay:
             ["sweep", "--m-values", "5,6", "--n", "3", "--random-phases", "5",
              "--seed", "4"],
             ["feasibility", "--n-qubits", "100"],
+            ["pulse-fit", "--preset", "phase:0.3turn"],
+            ["calibrate-clock", "--varphi", "0.625", "--total-scales", "10",
+             "--elapsed-scales", "9", "--t-ideal", "1.0", "--comparison-mode",
+             "literal", "--eta-percent", "90"],
         ],
     )
     def test_replay_from_echoed_config(self, capsys, tmp_path, args):
@@ -353,3 +358,118 @@ class TestRejectedInputs:
         code, _, err = run_cli(["sweep", "--config", str(cfg)], capsys)
         assert code == 1
         assert "6.5" in err
+
+
+# Every flag of every subcommand, as flag -> config key. The parser is built
+# from cli._SCHEMAS, so a schema edit that renames or drops a flag fails here.
+COMMON_FLAGS = {"-h": "help", "--help": "help", "--config": "config", "--output": "output"}
+FLAGS = {
+    "estimate": {
+        "--m": "m", "--phase": "phase_rad", "--mode": "mode", "--shots": "shots",
+        "--seed": "seed", "--include-target": "include_target",
+        "--full-distribution": "full_distribution", "--format": "format",
+    },
+    "sweep": {
+        "--m-values": "m_values", "--n": "n", "--phases": "phases_rad",
+        "--random-phases": "random_phases", "--mode": "mode", "--seed": "seed",
+        "--format": "format",
+    },
+    "pulse-fit": {"--preset": "preset", "--matrix": "matrix", "--format": "format"},
+    "calibrate-clock": {
+        "--duration": "duration_s", "--varphi": "varphi",
+        "--total-scales": "total_scales", "--elapsed-scales": "elapsed_scales",
+        "--t-ideal": "t_ideal_s", "--eta-percent": "eta_percent",
+        "--comparison-mode": "comparison_mode", "--varpi": "varpi", "--n0": "n0",
+        "--n-vac": "n_vac", "--r63": "r63", "--e-field": "e_field", "--v": "v",
+        "--c": "c", "--format": "format",
+    },
+    "feasibility": {
+        "--omega1": "omega1_mev", "--omega2": "omega2_mev",
+        "--omega-c": "omega_c_mhz", "--delta": "delta_mev",
+        "--tunneling-t": "tunneling_t_mev", "--level-split": "level_split_delta_mev",
+        "--coherence-time": "coherence_time_s",
+        "--single-gate-time": "single_gate_time_s",
+        "--two-gate-time": "two_gate_time_s", "--n-qubits": "n_qubits",
+        "--format": "format",
+    },
+}
+
+
+def test_flag_spellings_are_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(FLAGS)
+    for command, p in sub.choices.items():
+        got = {flag: a.dest for a in p._actions for flag in a.option_strings}
+        assert got == {**COMMON_FLAGS, **FLAGS[command]}, command
+
+
+# the smallest valid config file of each subcommand
+BASE_CONFIG = {
+    "estimate": {"m": 3, "phase_rad": 1.0},
+    "sweep": {"m_values": [5], "n": 3, "phases_rad": [1.0]},
+    "pulse-fit": {"preset": "hadamard"},
+    "calibrate-clock": {"duration_s": 1.0, "total_scales": 60,
+                        "elapsed_scales": 60, "t_ideal_s": 1.0},
+    "feasibility": {},
+}
+
+
+def run_config(command, values, capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG[command], **values}))
+    return run_cli([command, "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize(
+    "command, values, key",
+    [
+        ("estimate", {"mode": "bogus"}, "mode"),
+        ("sweep", {"mode": "bogus"}, "mode"),
+        ("calibrate-clock", {"comparison_mode": "bogus"}, "comparison_mode"),
+        ("feasibility", {"format": "xml"}, "format"),
+        ("sweep", {"format": "xml"}, "format"),
+        ("estimate", {"format": "csv"}, "format"),
+        ("pulse-fit", {"format": "csv"}, "format"),
+        ("estimate", {"phase_rad": True}, "phase_rad"),
+        ("sweep", {"phases_rad": [1.0, False]}, "phases_rad"),
+        ("calibrate-clock", {"varpi": True}, "varpi"),
+        ("feasibility", {"delta_mev": True}, "delta_mev"),
+        ("pulse-fit", {"preset": None, "matrix": [True, 0, 0, 0, 0, 0, 1, 0]}, "matrix"),
+    ],
+)
+def test_file_values_pass_the_flag_checks(capsys, tmp_path, command, values, key):
+    code, out, err = run_config(command, values, capsys, tmp_path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and repr(key) in err
+
+
+NEGATIVE_COUNTS = [
+    ("estimate", {"m": 3, "phase_rad": 1.0, "shots": 2, "seed": -1}, "seed"),
+    ("sweep", {"m_values": "5", "n": 3, "random_phases": 2, "seed": -1}, "seed"),
+    ("sweep", {"m_values": "5", "n": 3, "random_phases": -3}, "random_phases"),
+]
+
+
+@pytest.mark.parametrize("via", ["flags", "file"])
+@pytest.mark.parametrize("command, values, key", NEGATIVE_COUNTS)
+def test_negative_seed_and_count_exit_1(capsys, tmp_path, via, command, values, key):
+    if via == "file":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        args = [command, "--config", str(cfg)]
+    else:
+        flag = {"phase_rad": "--phase"}  # the one key here not spelt --key-with-dashes
+        args = [command] + [x for k, v in values.items()
+                            for x in (flag.get(k, "--" + k.replace("_", "-")), str(v))]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and repr(key) in err
+
+
+def test_malformed_config_file_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"m": 3, "phase_rad": 1.0,')
+    code, out, err = run_cli(["estimate", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "JSON" in err
