@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import asdict
 from typing import Callable, NamedTuple
 
@@ -29,6 +28,9 @@ from . import statevector as sv
 from .errors import NumericalInvariantError, ValidationError
 
 OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
+# Random sweep phases: each one is a full exact distribution per m value and
+# a row of the report.
+MAX_RANDOM_PHASES = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +67,15 @@ def _as_count(value) -> int:
     if n < 0:
         raise ValidationError(f"expected a non-negative integer, got {value!r}")
     return n
+
+
+def _count_upto(cap: int):
+    def coerce(value) -> int:
+        n = _as_count(value)
+        if n > cap:
+            raise ValidationError(f"expected at most {cap}, got {n}")
+        return n
+    return coerce
 
 
 def _as_float(value) -> float:
@@ -119,7 +130,7 @@ _SCHEMAS = {
         "phase_rad": _Key(parse_angle, _REQUIRED, "--phase",
                           "true phase: radians, 'Xrad', or 'Xturn'"),
         "mode": _MODE,
-        "shots": _Key(_as_int, 0),
+        "shots": _Key(_count_upto(qpe.MAX_SHOTS), 0),
         "seed": _SEED,
         "include_target": _Key(_as_bool, False),
         "full_distribution": _Key(_as_bool, False),
@@ -130,7 +141,7 @@ _SCHEMAS = {
         "n": _Key(_as_int, _REQUIRED),
         "phases_rad": _Key(_list_of(parse_angle), None, "--phases",
                            "comma list of angles (radians/'rad'/'turn')"),
-        "random_phases": _Key(_as_count, None,
+        "random_phases": _Key(_count_upto(MAX_RANDOM_PHASES), None,
                               help="draw this many uniform phases instead of a list"),
         "mode": _MODE,
         "seed": _SEED,
@@ -252,14 +263,14 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
             max_probability=float(dist.probs[j]),
         )
     else:
-        seeds = [qpe.shot_seed(config.seed, i) for i in range(config.shots)]
-        draws = sv.sample(dist.probs, seeds).tolist()
-        shot_rows = [math.tau * j / 2 ** m for j in draws]
+        draws = sv.sample(dist.probs, qpe.shot_seeds(config.seed, config.shots))
+        estimates = math.tau * draws / 2 ** m
+        outcomes, counts = np.unique(draws, return_counts=True)
         results.update(
             shots=config.shots,
-            estimates_rad=shot_rows,
-            eta_percent=[e / phi * 100.0 for e in shot_rows],
-            counts={str(k): v for k, v in sorted(Counter(draws).items())},
+            estimates_rad=estimates.tolist(),
+            eta_percent=(estimates / phi * 100.0).tolist(),
+            counts=dict(zip(map(str, outcomes.tolist()), counts.tolist())),
         )
     if cfg["full_distribution"] or (2 ** m <= 4096 and config.shots == 0):
         results["distribution"] = [float(p) for p in dist.probs]
@@ -455,10 +466,14 @@ def run(argv=None, stdout=None) -> int:
         "versions": {"artifact": __version__},
         "timing": {"wall_seconds": elapsed},
     }
+    # the last gate before output: a non-finite number is an internal fault,
+    # and would not be valid JSON either
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalInvariantError(f"non-finite number in the report: {exc}") from None
     if cfg["format"] == "csv":
         text = _sweep_csv(results)
-    else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     path = _output_path(getattr(args, "output", None))
     if path:
         with open(path, "w") as fh:

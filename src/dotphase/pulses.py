@@ -184,6 +184,8 @@ def fit_pulse(
     target = np.asarray(target, dtype=np.complex128)
     if target.shape != (2, 2):
         raise DimensionError("target must be 2x2")
+    if not np.all(np.isfinite(target)):
+        raise ValidationError("target has a non-finite entry")
     dev = np.max(np.abs(target.conj().T @ target - np.eye(2)))
     # written so that a NaN deviation fails too
     if not dev <= 1e-10:

@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _pcg
 from . import statevector as sv
 from .errors import (
     BoundUndefinedError,
@@ -29,6 +30,14 @@ from .pulses import (
 )
 
 MAX_REGISTER = 20
+# Shots per experiment: every shot is a seed, a draw and two entries of the
+# JSON report (about 50 bytes), so a million shots already make ~50 MB.
+MAX_SHOTS = 1_000_000
+# Runs of up to this many shots derive their seeds with one shot_seed call
+# per shot (about 13 us each, so under 1 ms a run), which keeps each shot
+# visible to a tracer that wraps shot_seed, as benchmarks/spans.py does;
+# larger runs take the array pass in shot_seeds.
+SHOT_SEED_LOOP_MAX = 64
 
 IDEAL_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 CNOT = np.array(
@@ -60,8 +69,8 @@ class QpeConfig:
             raise ValidationError(
                 f"true phase must lie in (0, 2*pi], got {self.true_phase_phi}"
             )
-        if self.shots < 0:
-            raise ValidationError("shots must be >= 0")
+        if not (0 <= self.shots <= MAX_SHOTS):
+            raise ValidationError(f"shots must be in [0, {MAX_SHOTS}], got {self.shots}")
         self.gate_mode = GateMode(self.gate_mode)
 
 
@@ -288,6 +297,19 @@ def _controlled_kick_state(m: int, phi: float, h: np.ndarray) -> sv.QuantumState
 def shot_seed(seed: int, shot_index: int) -> int:
     """Deterministic per-shot seed so parallel and serial runs agree."""
     return int(np.random.SeedSequence([seed, shot_index]).generate_state(1)[0])
+
+
+def shot_seeds(seed: int, n: int) -> np.ndarray:
+    """``shot_seed(seed, i)`` for i = 0..n-1, as a uint32 array.
+
+    Above SHOT_SEED_LOOP_MAX shots the seeds come from one array pass over
+    the entropy words ``[seed words..., i]`` of every shot."""
+    if n <= SHOT_SEED_LOOP_MAX:
+        return np.array([shot_seed(seed, i) for i in range(n)], dtype=np.uint32)
+    seed_words, _ = _pcg.int_words(np.array([seed], dtype=object))
+    entropy = np.concatenate([np.repeat(seed_words, n, axis=1),
+                              np.arange(n, dtype=np.uint32)[None]])
+    return _pcg.generate_state(entropy, 1)[0]
 
 
 def run_final_state(config: QpeConfig) -> sv.QuantumState:

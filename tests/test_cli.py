@@ -272,6 +272,13 @@ class TestExitCodes:
         assert code == 2
         assert "invariant" in err
 
+    def test_non_finite_result_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "feasibility",
+                            lambda cfg: ({"gamma": float("nan")}, []))
+        code, out, err = run_cli(["feasibility"], capsys)
+        assert code == 2 and out == ""
+        assert "invariant" in err and "NaN" not in out
+
 
 # sha256 of json.dumps(results, sort_keys=True) for ideal-mode configs: replay
 # of an unchanged config must stay byte-identical, so any change to a result
@@ -317,6 +324,7 @@ class TestRejectedInputs:
         "args",
         [
             ["pulse-fit", "--matrix", "1,0,0,0,0,0,nan,0"],
+            ["pulse-fit", "--matrix", "1,0,0,0,0,0,inf,0"],
             ["calibrate-clock", "--duration", "nan", "--total-scales", "60",
              "--elapsed-scales", "60", "--t-ideal", "1.0"],
             ["calibrate-clock", "--duration", "1.0", "--total-scales", "60",
@@ -463,6 +471,21 @@ def test_negative_seed_and_count_exit_1(capsys, tmp_path, via, command, values, 
         args = [command] + [x for k, v in values.items()
                             for x in (flag.get(k, "--" + k.replace("_", "-")), str(v))]
     code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "command, flags, key",
+    [
+        ("estimate", ["--m", "3", "--phase", "1.0", "--shots", str(qpe.MAX_SHOTS + 1)],
+         "shots"),
+        ("sweep", ["--m-values", "5", "--n", "3",
+                   "--random-phases", str(cli.MAX_RANDOM_PHASES + 1)], "random_phases"),
+    ],
+)
+def test_counts_above_their_cap_exit_1(capsys, command, flags, key):
+    code, out, err = run_cli([command] + flags, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and repr(key) in err
 

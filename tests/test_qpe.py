@@ -247,6 +247,16 @@ class TestConfigAndSeeds:
         assert seeds == [qpe.shot_seed(42, i) for i in range(100)]
         assert qpe.shot_seed(42, 0) != qpe.shot_seed(43, 0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 130 + 7])
+    def test_shot_seeds_match_shot_seed(self, seed):
+        loop = [qpe.shot_seed(seed, i) for i in range(3000)]
+        for n in (1, qpe.SHOT_SEED_LOOP_MAX, qpe.SHOT_SEED_LOOP_MAX + 1, 3000):
+            assert qpe.shot_seeds(seed, n).tolist() == loop[:n]
+
+    def test_shots_cap(self):
+        with pytest.raises(ValidationError, match="shots"):
+            qpe.QpeConfig(m=3, true_phase_phi=1.0, shots=qpe.MAX_SHOTS + 1)
+
     def test_include_target_qubit_same_distribution(self):
         phi = 1.37
         base = qpe.exact_distribution(3, phi)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dotphase import _pcg
 from dotphase import statevector as sv
 from dotphase.errors import (
     CapacityError,
@@ -157,11 +158,54 @@ class TestSample:
             assert sv.sample(p, seeds).tolist() == oracle
 
     @pytest.mark.parametrize(
+        "n", [sv.SAMPLE_BATCH_MIN - 1, sv.SAMPLE_BATCH_MIN, sv.SAMPLE_BATCH_MIN + 1]
+    )
+    def test_same_draws_either_side_of_the_batch_constant(self, n):
+        p = np.random.default_rng(n).random(64)
+        seeds = [7, 2 ** 32 + 5, 2 ** 130 + 7] + list(range(100, 100 + n - 3))
+        oracle = [np.random.default_rng(s).choice(len(p), p=p / p.sum()) for s in seeds]
+        assert sv.sample(p, seeds).tolist() == oracle
+        assert sv.sample(p, np.array(seeds[3:], dtype=np.uint32)).tolist() == oracle[3:]
+        alone = [int(sv.sample(p, [s])[0]) for s in seeds]
+        assert alone == oracle
+
+    @pytest.mark.parametrize(
         "probs", [[0.5, math.nan], [1.5, -0.5], [0.0, 0.0], [math.inf, 0.0]]
     )
     def test_rejects_invalid_probabilities(self, probs):
         with pytest.raises(NumericalInvariantError):
             sv.sample(np.array(probs), [0])
+
+
+class TestArrayPass:
+    """_pcg against numpy's own SeedSequence and Generator, the oracle."""
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_generate_state_matches_seed_sequence(self, length):
+        rng = np.random.default_rng(length)
+        entropy = rng.integers(0, 2 ** 32, size=(length, 30), dtype=np.uint64)
+        got = _pcg.generate_state(entropy.astype(np.uint32), 8)
+        for col in range(30):
+            words = [int(w) for w in entropy[:, col]]
+            assert got[:, col].tolist() == (
+                np.random.SeedSequence(words).generate_state(8).tolist())
+
+    def test_first_uniforms_match_generator(self):
+        seeds = np.random.default_rng(3).integers(0, 2 ** 32, 20_000, dtype=np.uint64)
+        oracle = [np.random.default_rng(int(s)).random() for s in seeds]
+        assert _pcg.first_uniforms(seeds).tolist() == oracle
+
+    def test_seeds_of_every_length_in_one_batch(self):
+        seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 + 3, 2 ** 96 + 1,
+                 2 ** 128 - 1, 2 ** 128, 2 ** 130 + 7, 2 ** 200 + 11, 2 ** 130 + 8]
+        oracle = [np.random.default_rng(s).random() for s in seeds]
+        assert _pcg.first_uniforms(np.array(seeds, dtype=object)).tolist() == oracle
+
+    def test_rejects_what_numpy_rejects(self):
+        with pytest.raises(ValueError):
+            _pcg.first_uniforms(np.array([3, -1]))
+        with pytest.raises(TypeError):
+            _pcg.first_uniforms(np.array([1.5]))
 
 
 class TestMeasureAll:
