@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionError, DomainError, ValidationError
 
@@ -181,6 +180,10 @@ def fit_pulse(
     refinement; ties broken toward the smallest rabi angle, then phase.
     Always returns the best point found, even when the residual is large.
     """
+    # imported here: scipy.optimize takes most of the package's import
+    # time, and only pulse fitting needs it
+    from scipy.optimize import minimize
+
     target = np.asarray(target, dtype=np.complex128)
     if target.shape != (2, 2):
         raise DimensionError("target must be 2x2")

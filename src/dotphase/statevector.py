@@ -100,15 +100,51 @@ def _qubit_axis(state: QuantumState, qubit_index: int) -> int:
 
 
 def _apply(state: QuantumState, axes: list, gate: np.ndarray) -> QuantumState:
-    """Contract a unitary on the tensor factors ``axes`` (its row order)."""
+    """Apply a unitary on the tensor factors ``axes`` (its row order).
+
+    A gate with one nonzero entry per row (diagonal, CNOT, X) moves whole
+    slabs of the state; any other gate is contracted with ``tensordot``.
+    Both give the same bits: BLAS rounds each product once and adds the
+    exact zeros of the other terms, as ``_apply_monomial`` does. A gate
+    that leaves fewer than two other factors always takes ``tensordot``:
+    BLAS multiplies such small matrices with kernels that round otherwise.
+    """
     k = len(axes)
-    gate = _require_unitary(gate, 2 ** k).reshape((2,) * (2 * k))
+    gate = _require_unitary(gate, 2 ** k)
     psi = state.amplitudes.reshape((2,) * state.num_factors)
-    psi = np.tensordot(gate, psi, axes=(list(range(k, 2 * k)), axes))
-    psi = np.moveaxis(psi, list(range(k)), axes)
-    # tensordot returned a new array, so the state can own it without a copy
+    if psi.ndim - k >= 2 and np.count_nonzero(gate) == 2 ** k:
+        psi = _apply_monomial(psi, axes, gate)
+    else:
+        psi = np.tensordot(gate.reshape((2,) * (2 * k)), psi,
+                           axes=(list(range(k, 2 * k)), axes))
+        psi = np.moveaxis(psi, list(range(k)), axes)
+    # both paths return a new array, so the state can own it without a copy
     out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(-1))
     return _check_norm(out)
+
+
+def _apply_monomial(psi: np.ndarray, axes: list, gate: np.ndarray) -> np.ndarray:
+    """Unitary ``gate`` with a single nonzero ``d`` in each row: output slab
+    ``row`` is ``d`` times input slab ``col``, where a slab fixes the factors
+    ``axes`` to the bits of a gate index. The product is taken as
+    ``src * d.real + src * 1j * d.imag``, which rounds like BLAS's ``zgemm``;
+    numpy's complex ``src * d`` differs from it in the last bit."""
+    k = len(axes)
+    slabs = []
+    for c in range(2 ** k):
+        index = [slice(None)] * psi.ndim
+        for pos, axis in enumerate(axes):
+            index[axis] = (c >> (k - 1 - pos)) & 1
+        slabs.append(tuple(index))
+    out = np.empty_like(psi)
+    for row, col in zip(*np.nonzero(gate)):
+        src, dst, d = psi[slabs[col]], out[slabs[row]], gate[row, col]
+        if d == 1:
+            dst[...] = src
+        else:
+            np.multiply(src, d.real, out=dst)
+            dst += src * complex(0.0, d.imag)
+    return out
 
 
 def apply_1q(state: QuantumState, qubit_index: int, gate: np.ndarray) -> QuantumState:

@@ -3,9 +3,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dotphase
 from dotphase import cli, qpe
 from dotphase.errors import NumericalInvariantError
 
@@ -280,7 +284,7 @@ class TestExitCodes:
         assert "invariant" in err and "NaN" not in out
 
 
-# sha256 of json.dumps(results, sort_keys=True) for ideal-mode configs: replay
+# sha256 of json.dumps(results, sort_keys=True) for fixed configs: replay
 # of an unchanged config must stay byte-identical, so any change to a result
 # bit in the gate kernel, readout order or shot sampler fails here
 GOLDEN_RESULTS = [
@@ -307,7 +311,32 @@ GOLDEN_RESULTS = [
      "dc1612eb8a8482cd718f0b8fd749050f32006bb691c028dfd4a9dbe134d94811"),
     (["sweep", "--m-values", "6", "--n", "2", "--phases", "0.1,0.3turn,2.5rad"],
      "20590c910ccae8b57ca6a898af743e16411ffb67d6a8164bb99ae01917b1898e"),
+    # pulse-literal mode: diagonal pulse phase gates and pulse Hadamards
+    (["estimate", "--m", "6", "--phase", "0.3", "--shots", "0",
+      "--mode", "pulse-literal"],
+     "ec51597d7581133c37d07256cb5fc35f4932fd8c15813cad1bff3fe5703cab0f"),
+    (["estimate", "--m", "10", "--phase", "1.1", "--shots", "0",
+      "--mode", "pulse-literal"],
+     "002efa28dec041f47a6bdf8f54457681cad928767bf16f2d618847c4f667610d"),
+    (["estimate", "--m", "14", "--phase", "4.2", "--shots", "0",
+      "--mode", "pulse-literal"],
+     "13c080fe1552329dddb60283e072d654f5049e6695f036bc3afd291e91e4015f"),
+    (["estimate", "--m", "7", "--phase", "2.0", "--shots", "0",
+      "--mode", "pulse-literal", "--include-target"],
+     "0f295f63f07acb2db2c96eedc16a0a3635cd0af431c03793df185a58ab6d1f2b"),
+    (["sweep", "--m-values", "5,8", "--n", "3", "--random-phases", "4", "--seed", "2",
+      "--mode", "pulse-literal"],
+     "3f81aeff06787776534a633f5156f96d604ffaee9d37b8c1abb2774361f4ad97"),
 ]
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # only pulse-fit needs the optimiser; every other start-up skips it
+    src = os.path.dirname(os.path.dirname(dotphase.__file__))
+    code = ("import sys, dotphase.cli; dotphase.cli.build_parser(); "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN_RESULTS)

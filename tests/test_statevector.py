@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -302,3 +303,89 @@ class TestInvariants:
             full = np.kron(full, v @ u if pos == q else np.eye(2))
         expected = full @ state.amplitudes
         assert np.max(np.abs(stepped.amplitudes - expected)) < 1e-12
+
+
+def tensordot_apply(state, axes, gate):
+    """Reference contraction of the gate on tensor factors ``axes`` through
+    BLAS, the path that dense gates take."""
+    k = len(axes)
+    g = np.asarray(gate, dtype=np.complex128).reshape((2,) * (2 * k))
+    psi = state.amplitudes.reshape((2,) * state.num_factors)
+    psi = np.tensordot(g, psi, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(psi, list(range(k)), axes).reshape(-1)
+
+
+class TestStructuredKernel:
+    """Diagonal and 0/1-permutation gates skip the BLAS contraction; every
+    result must equal the contraction bit for bit."""
+
+    @staticmethod
+    def gates(rng):
+        theta = rng.uniform(0, 2 * math.pi)
+        one = {
+            "ideal phase": np.diag([1, np.exp(1j * theta)]),
+            "pulse phase": np.diag([-np.exp(-1j * theta), np.exp(1j * theta)]),
+            "flip": X,
+            "phased flip": np.array([[0, np.exp(1j * theta)], [1j, 0]]),
+            "hadamard": H,
+        }
+        two = {
+            "random diagonal": np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, 4))),
+            "cnot": CNOT,
+            "phased permutation": np.eye(4)[[2, 0, 3, 1]]
+            * np.exp(1j * rng.uniform(0, 2 * math.pi, 4))[:, None],
+            "dense": random_unitary(4, rng),
+        }
+        return one, two
+
+    @pytest.mark.parametrize(
+        "factors, cavity",
+        [(f, c) for f in range(1, 13) for c in (False, True) if f > c],
+    )
+    def test_matches_tensordot_bit_for_bit(self, factors, cavity):
+        rng = np.random.default_rng(100 * factors + cavity)
+        dim = 2 ** factors
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = sv.QuantumState(factors - cavity, cavity, amps / np.linalg.norm(amps))
+        one, two = self.gates(rng)
+        for name, gate in one.items():
+            for axis in range(factors):
+                got = sv._apply(state, [axis], gate).amplitudes
+                assert np.array_equal(got, tensordot_apply(state, [axis], gate)), (
+                    name, axis)
+        for name, gate in two.items():
+            for axes in itertools.permutations(range(factors), 2):
+                got = sv._apply(state, list(axes), gate).amplitudes
+                assert np.array_equal(got, tensordot_apply(state, list(axes), gate)), (
+                    name, axes)
+
+    def test_input_state_untouched(self):
+        rng = np.random.default_rng(9)
+        state = random_state(6, rng)
+        before = state.amplitudes.copy()
+        sv.apply_2q(state, 2, 5, CNOT)
+        sv.apply_1q(state, 4, np.diag([1, 1j]))
+        assert np.array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("m", [1, 8])
+    @pytest.mark.parametrize(
+        "gate, message",
+        [(np.diag([1, 2]), r"gate is not unitary \(deviation 3\.000e\+00\)"),
+         (np.diag([1, math.nan]), r"gate is not unitary \(deviation nan\)"),
+         (np.array([[0, 2], [1, 0]]), r"gate is not unitary \(deviation 3\.000e\+00\)")],
+    )
+    def test_non_unitary_gate_rejected(self, m, gate, message):
+        with pytest.raises(ValidationError, match=message):
+            sv.apply_1q(sv.new_state(m), 1, gate)
+
+    @pytest.mark.parametrize("m", [2, 8])
+    def test_unnormalised_state_rejected(self, m):
+        amps = np.zeros(2 ** m, dtype=complex)
+        amps[:2] = 1.0
+        state = sv.QuantumState(m, False, amps)
+        for apply in (lambda: sv.apply_1q(state, 1, np.diag([1, 1j])),
+                      lambda: sv.apply_2q(state, 1, 2, CNOT),
+                      lambda: sv.apply_1q(state, 1, H)):
+            with pytest.raises(NumericalInvariantError,
+                               match=r"state norm drifted to 1\.414213562373"):
+                apply()
