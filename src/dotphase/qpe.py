@@ -9,6 +9,7 @@ The readout integer is j = sum_i phi_i 2^{m-i}, so the estimate is
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -102,17 +103,24 @@ def _hadamard_gate(mode: GateMode) -> np.ndarray:
     return single_pulse_unitary(hadamard_pulse_params())
 
 
+@functools.lru_cache(maxsize=1024)
 def _phase_gate(theta: float, mode: GateMode, power: int = 1) -> np.ndarray:
     """theta phase gate, optionally raised to an integer power (diagonal).
+
+    Memoised: the inverse QFT asks for the same few angles again and again.
+    Every caller shares the cached array, so it is read-only.
 
     Known defect: pulse-literal mode raises the rounded pulse entries to the
     power, so for powers from about 2^14 the gate can drift past
     UNITARY_TOL and the run stops with "gate is not unitary"."""
     if mode == GateMode.IDEAL:
-        return np.diag([1.0, np.exp(1j * power * theta)]).astype(np.complex128)
-    # pulse realization is diag(-e^{-i theta}, e^{i theta})
-    base = single_pulse_unitary(phase_gate_pulse_params(theta))
-    return np.diag([base[0, 0] ** power, base[1, 1] ** power]).astype(np.complex128)
+        gate = np.diag([1.0, np.exp(1j * power * theta)]).astype(np.complex128)
+    else:
+        # pulse realization is diag(-e^{-i theta}, e^{i theta})
+        base = single_pulse_unitary(phase_gate_pulse_params(theta))
+        gate = np.diag([base[0, 0] ** power, base[1, 1] ** power]).astype(np.complex128)
+    gate.flags.writeable = False
+    return gate
 
 
 def prepare_register(m: int, gate_mode: GateMode = GateMode.IDEAL) -> sv.QuantumState:

@@ -6,6 +6,8 @@ The cavity Fock space is truncated to {0, 1}.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,18 @@ GENERATOR_ID = "numpy-pcg64"
 # default_rng(seed).random() (about 18 us) per seed; the array pass costs
 # about 0.2 ms even for one seed, so it wins from about 11-16 seeds on.
 SAMPLE_BATCH_MIN = 16
+# A diagonal one-qubit gate whose axis leaves runs of 2 to LONG_RUN_MAX
+# contiguous amplitudes in each slab takes _apply_long_run: numpy's cost per
+# run makes such slabs slower than a pass over the whole state in rows of at
+# least LONG_RUN_TILE amplitudes. The last axis (runs of 1) stays on the
+# slabs, which numpy walks as one strided run.
+LONG_RUN_MAX = 2 ** 10
+LONG_RUN_TILE = 256
+# Largest block, in amplitudes, of the split complex product: its temporary
+# stays in cache, and no gate allocates more than its output state. A block
+# holds whole rows of the long-run pass, so SPLIT_BLOCK is at least
+# LONG_RUN_TILE and 2 * LONG_RUN_MAX.
+SPLIT_BLOCK = 2 ** 12
 
 
 @dataclass
@@ -46,7 +60,9 @@ class QuantumState:
         return 2 ** self.num_factors
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        # one pass over the amplitudes; np.linalg.norm takes two strided
+        # passes, one over the real and one over the imaginary parts
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.num_qubits, self.has_cavity, self.amplitudes.copy())
@@ -76,11 +92,18 @@ def _require_unitary(gate: np.ndarray, dim: int) -> np.ndarray:
     gate = np.asarray(gate, dtype=np.complex128)
     if gate.shape != (dim, dim):
         raise DimensionError(f"expected {dim}x{dim} gate, got shape {gate.shape}")
-    dev = np.max(np.abs(gate.conj().T @ gate - np.eye(dim)))
+    dev = np.abs(gate.conj().T @ gate - _identity(dim)).max()
     # written so that a NaN deviation fails too
     if not dev <= UNITARY_TOL:
         raise ValidationError(f"gate is not unitary (deviation {dev:.3e})")
     return gate
+
+
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 def _check_norm(state: QuantumState) -> QuantumState:
@@ -113,38 +136,96 @@ def _apply(state: QuantumState, axes: list, gate: np.ndarray) -> QuantumState:
     gate = _require_unitary(gate, 2 ** k)
     psi = state.amplitudes.reshape((2,) * state.num_factors)
     if psi.ndim - k >= 2 and np.count_nonzero(gate) == 2 ** k:
-        psi = _apply_monomial(psi, axes, gate)
+        if k == 1 and gate[0, 1] == 0 and 2 <= 2 ** (psi.ndim - 1 - axes[0]) <= LONG_RUN_MAX:
+            psi = _apply_long_run(psi, axes[0], gate.diagonal())
+        else:
+            psi = _apply_monomial(psi, axes, gate)
     else:
         psi = np.tensordot(gate.reshape((2,) * (2 * k)), psi,
                            axes=(list(range(k, 2 * k)), axes))
         psi = np.moveaxis(psi, list(range(k)), axes)
-    # both paths return a new array, so the state can own it without a copy
+    # every path returns a new array, so the state can own it without a copy
     out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(-1))
     return _check_norm(out)
 
 
-def _apply_monomial(psi: np.ndarray, axes: list, gate: np.ndarray) -> np.ndarray:
-    """Unitary ``gate`` with a single nonzero ``d`` in each row: output slab
-    ``row`` is ``d`` times input slab ``col``, where a slab fixes the factors
-    ``axes`` to the bits of a gate index. The product is taken as
-    ``src * d.real + src * 1j * d.imag``, which rounds like BLAS's ``zgemm``;
-    numpy's complex ``src * d`` differs from it in the last bit."""
+@functools.cache
+def _slabs(ndim: int, axes: tuple) -> tuple:
+    """Index of each slab of a ``(2,) * ndim`` tensor that fixes the factors
+    ``axes`` to the bits of a gate index, first axis most significant."""
     k = len(axes)
     slabs = []
     for c in range(2 ** k):
-        index = [slice(None)] * psi.ndim
+        index = [slice(None)] * ndim
         for pos, axis in enumerate(axes):
             index[axis] = (c >> (k - 1 - pos)) & 1
         slabs.append(tuple(index))
-    out = np.empty_like(psi)
+    return tuple(slabs)
+
+
+def _apply_monomial(psi: np.ndarray, axes: list, gate: np.ndarray) -> np.ndarray:
+    """Unitary ``gate`` with a single nonzero ``d`` in each row: output slab
+    ``row`` is ``d`` times input slab ``col``. The output starts as a copy of
+    the input, so only the slabs whose entry is not a diagonal 1 are
+    rewritten. The product is taken as ``src * d.real + src * 1j * d.imag``,
+    which rounds like BLAS's ``zgemm``; numpy's complex ``src * d`` differs
+    from it in the last bit."""
+    slabs = _slabs(psi.ndim, tuple(axes))
+    out = psi.copy()
     for row, col in zip(*np.nonzero(gate)):
-        src, dst, d = psi[slabs[col]], out[slabs[row]], gate[row, col]
+        d = gate[row, col]
+        if d == 1 and row == col:
+            continue
+        src, dst = psi[slabs[col]], out[slabs[row]]
         if d == 1:
             dst[...] = src
         else:
-            np.multiply(src, d.real, out=dst)
-            dst += src * complex(0.0, d.imag)
+            _multiply_split(src, d.real, complex(0.0, d.imag), dst)
     return out
+
+
+def _apply_long_run(psi: np.ndarray, axis: int, d: np.ndarray) -> np.ndarray:
+    """Diagonal one-qubit gate ``diag(d)`` on a trailing ``axis``, whose
+    slabs have inner runs of a few amplitudes only: the whole state is
+    multiplied, in rows of at least LONG_RUN_TILE amplitudes, by the pattern
+    of ``d`` along the axis. As in ``_apply_monomial`` the pattern is split
+    into a pure-real and a pure-imaginary multiplier, so each component of
+    the product is rounded once, as ``zgemm`` rounds it; an entry ``d == 1``
+    gives the input back up to the sign of an exact zero."""
+    run = 2 ** (psi.ndim - 1 - axis)
+    parts = np.zeros((2, 2), dtype=np.complex128)
+    parts[0].real = d.real
+    parts[1].imag = d.imag
+    tile = max(2 * run, min(LONG_RUN_TILE, psi.size))
+    parts = np.tile(np.repeat(parts, run, axis=1), (1, tile // (2 * run)))
+    rows = psi.reshape(-1, parts.shape[1])
+    out = np.empty_like(rows)
+    _multiply_split(rows, parts[0], parts[1], out)
+    return out.reshape(psi.shape)
+
+
+def _multiply_split(src: np.ndarray, re, im, dst: np.ndarray) -> None:
+    """``dst = src * re + src * im`` with ``re`` pure real and ``im`` pure
+    imaginary, block by block along the leading axes of ``src``: no block
+    holds more than SPLIT_BLOCK amplitudes, and neither does the one
+    temporary, which a full-size product would make as large as ``src``."""
+    tmp = np.empty(min(SPLIT_BLOCK, src.size), dtype=np.complex128)
+
+    def blocks(s, d):
+        per = s.size // s.shape[0]
+        if per > SPLIT_BLOCK:
+            for i in range(s.shape[0]):
+                yield from blocks(s[i], d[i])
+        else:
+            step = SPLIT_BLOCK // per
+            for i in range(0, s.shape[0], step):
+                yield s[i:i + step], d[i:i + step]
+
+    for s, d in blocks(src, dst):
+        t = tmp[:s.size].reshape(s.shape)
+        np.multiply(s, re, out=d)
+        np.multiply(s, im, out=t)
+        d += t
 
 
 def apply_1q(state: QuantumState, qubit_index: int, gate: np.ndarray) -> QuantumState:

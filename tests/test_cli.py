@@ -276,6 +276,14 @@ class TestExitCodes:
         assert code == 2
         assert "invariant" in err
 
+    def test_pulse_literal_m16_unitarity_defect(self, capsys):
+        # the known pulse-literal defect (qpe._phase_gate): the memoised
+        # gate must fail exactly as a freshly built one does
+        code, out, err = run_cli(["estimate", "--m", "16", "--mode", "pulse-literal",
+                                  "--phase", "0.3", "--shots", "0"], capsys)
+        assert code == 1 and out == ""
+        assert "gate is not unitary" in err
+
     def test_non_finite_result_exits_2(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._HANDLERS, "feasibility",
                             lambda cfg: ({"gamma": float("nan")}, []))

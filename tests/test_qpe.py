@@ -124,6 +124,21 @@ class TestPhaseGate:
             gate = qpe._phase_gate(phi, GateMode.PULSE_LITERAL)
             assert np.max(np.abs(gate - pulse)) <= 1e-15
 
+    def test_cached_gate_is_read_only(self):
+        gate = qpe._phase_gate(0.7, GateMode.IDEAL)
+        assert qpe._phase_gate(0.7, GateMode.IDEAL) is gate
+        with pytest.raises(ValueError):
+            gate[1, 1] = 1.0
+
+    @pytest.mark.parametrize("mode", list(GateMode))
+    def test_cached_gate_equals_a_fresh_one(self, mode):
+        for k in range(14):
+            for theta in (0.3, 2.0, -math.pi / 8):
+                qpe._phase_gate(theta, mode, power=2 ** k)
+                cached = qpe._phase_gate(theta, mode, power=2 ** k)
+                fresh = qpe._phase_gate.__wrapped__(theta, mode, power=2 ** k)
+                assert np.array_equal(cached, fresh), (theta, k)
+
 
 class TestReadoutOrder:
     @pytest.mark.parametrize("m", [1, 2, 5, 8])

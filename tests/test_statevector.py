@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dotphase import _pcg
+from dotphase import _pcg, cli
 from dotphase import statevector as sv
 from dotphase.errors import (
     CapacityError,
@@ -178,6 +178,51 @@ class TestSample:
             sv.sample(np.array(probs), [0])
 
 
+class TestNorm:
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_matches_linalg_norm(self, m):
+        # both sum 2^(m+1) squares, in different orders: the difference is
+        # rounding, which grows with the length of the sum (about 10 ulp at
+        # m = 16); NORM_TOL is 1e-10
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            state = random_state(m, rng)
+            assert abs(state.norm() - np.linalg.norm(state.amplitudes)) <= (
+                4 * m * np.finfo(np.float64).eps)
+
+    def test_non_contiguous_amplitudes(self):
+        rng = np.random.default_rng(12)
+        backing = rng.normal(size=2 ** 13) + 1j * rng.normal(size=2 ** 13)
+        backing[::2] /= np.linalg.norm(backing[::2])
+        state = sv.QuantumState(12, False, backing[::2])
+        with pytest.raises(ValueError):
+            state.amplitudes.view(np.float64)
+        assert abs(state.norm() - 1.0) <= 1e-15
+        contiguous = sv.QuantumState(12, False, state.amplitudes.copy())
+        for axes, gate in (([0], np.diag([1, 1j])), ([10], np.diag([1, 1j])),
+                           ([11], np.diag([1, 1j])),
+                           ([3, 9], CNOT), ([5], H)):
+            assert np.array_equal(sv._apply(state, axes, gate).amplitudes,
+                                  sv._apply(contiguous, axes, gate).amplitudes)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, complex(0, math.inf),
+                complex(math.nan, 0), complex(math.inf, math.nan)])
+    def test_non_finite_amplitudes_fail_the_check(self, bad):
+        amps = np.full(2 ** 12, 2 ** -6, dtype=np.complex128)
+        amps[77] = bad
+        state = sv.QuantumState(12, False, amps)
+        with pytest.raises(NumericalInvariantError):
+            sv._check_norm(state)
+        # the slab, long-run and tensordot paths all end in the check; inf
+        # times an exact zero warns on the way, which is not what is tested
+        for axes, gate in (([0], np.diag([1, 1j])), ([10], np.diag([1, 1j])),
+                           ([11], np.diag([1, 1j])),
+                           ([3, 9], CNOT), ([5], H)):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalInvariantError):
+                sv._apply(state, axes, gate)
+
+
 class TestArrayPass:
     """_pcg against numpy's own SeedSequence and Generator, the oracle."""
 
@@ -340,9 +385,14 @@ class TestStructuredKernel:
 
     @pytest.mark.parametrize(
         "factors, cavity",
-        [(f, c) for f in range(1, 13) for c in (False, True) if f > c],
+        [(f, c) for f in range(1, 15) for c in (False, True) if f > c],
     )
     def test_matches_tensordot_bit_for_bit(self, factors, cavity):
+        # np.array_equal takes -0.0 == 0.0: the long-run path may flip the
+        # sign of an exact zero, which changes no probability. Every axis is
+        # tested with one-qubit gates, so both sides of LONG_RUN_MAX are, and
+        # at 14 factors slabs of more than SPLIT_BLOCK amplitudes. Above 12
+        # factors two-qubit gates are tested on the last 6 axes only
         rng = np.random.default_rng(100 * factors + cavity)
         dim = 2 ** factors
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -354,7 +404,7 @@ class TestStructuredKernel:
                 assert np.array_equal(got, tensordot_apply(state, [axis], gate)), (
                     name, axis)
         for name, gate in two.items():
-            for axes in itertools.permutations(range(factors), 2):
+            for axes in itertools.permutations(range(max(0, factors - 6), factors), 2):
                 got = sv._apply(state, list(axes), gate).amplitudes
                 assert np.array_equal(got, tensordot_apply(state, list(axes), gate)), (
                     name, axes)
@@ -389,3 +439,43 @@ class TestStructuredKernel:
             with pytest.raises(NumericalInvariantError,
                                match=r"state norm drifted to 1\.414213562373"):
                 apply()
+
+
+class TestNormCheckFires:
+    """A kernel whose output is off by one part in 10^9 on one slab must
+    still be stopped by the norm check that ends every gate."""
+
+    @pytest.fixture
+    def corrupted(self, monkeypatch):
+        calls = []
+
+        def corrupt(kernel):
+            def scaled(*args):
+                out = kernel(*args)
+                out.reshape(2, -1)[0] *= 1 + 1e-9
+                calls.append(kernel.__name__)
+                return out
+            return scaled
+
+        for name in ("_apply_monomial", "_apply_long_run"):
+            monkeypatch.setattr(sv, name, corrupt(getattr(sv, name)))
+        return calls
+
+    @pytest.mark.parametrize(
+        "axes, gate, kernel",
+        [([0], np.diag([1, 1j]), "_apply_monomial"),
+         ([10], np.diag([1, 1j]), "_apply_long_run"),
+         ([2, 7], CNOT, "_apply_monomial")],
+    )
+    def test_apply_raises(self, corrupted, axes, gate, kernel):
+        state = random_state(12, np.random.default_rng(13))
+        with pytest.raises(NumericalInvariantError, match="state norm drifted"):
+            sv._apply(state, axes, gate)
+        assert corrupted == [kernel]
+
+    def test_estimate_exits_2(self, corrupted, capsys):
+        code = cli.main(["estimate", "--m", "12", "--phase", "0.3", "--shots", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "state norm drifted" in captured.err
+        assert corrupted
