@@ -206,26 +206,19 @@ def _apply_long_run(psi: np.ndarray, axis: int, d: np.ndarray) -> np.ndarray:
 
 def _multiply_split(src: np.ndarray, re, im, dst: np.ndarray) -> None:
     """``dst = src * re + src * im`` with ``re`` pure real and ``im`` pure
-    imaginary, block by block along the leading axes of ``src``: no block
-    holds more than SPLIT_BLOCK amplitudes, and neither does the one
-    temporary, which a full-size product would make as large as ``src``."""
-    tmp = np.empty(min(SPLIT_BLOCK, src.size), dtype=np.complex128)
-
-    def blocks(s, d):
-        per = s.size // s.shape[0]
-        if per > SPLIT_BLOCK:
-            for i in range(s.shape[0]):
-                yield from blocks(s[i], d[i])
-        else:
-            step = SPLIT_BLOCK // per
-            for i in range(0, s.shape[0], step):
-                yield s[i:i + step], d[i:i + step]
-
-    for s, d in blocks(src, dst):
-        t = tmp[:s.size].reshape(s.shape)
+    imaginary, block by block along the leading axes of ``src``: no block,
+    and so no temporary, holds more than SPLIT_BLOCK amplitudes, where a
+    full-size product would make one as large as ``src``."""
+    per = src.size // src.shape[0]
+    if per > SPLIT_BLOCK:
+        for s, d in zip(src, dst):
+            _multiply_split(s, re, im, d)
+        return
+    step = SPLIT_BLOCK // per
+    for i in range(0, src.shape[0], step):
+        s, d = src[i:i + step], dst[i:i + step]
         np.multiply(s, re, out=d)
-        np.multiply(s, im, out=t)
-        d += t
+        d += s * im
 
 
 def apply_1q(state: QuantumState, qubit_index: int, gate: np.ndarray) -> QuantumState:
