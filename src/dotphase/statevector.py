@@ -31,15 +31,13 @@ GENERATOR_ID = "numpy-pcg64"
 SAMPLE_BATCH_MIN = 16
 # A diagonal one-qubit gate whose axis leaves runs of 2 to LONG_RUN_MAX
 # contiguous amplitudes in each slab takes _apply_long_run: numpy's cost per
-# run makes such slabs slower than a pass over the whole state in rows of at
-# least LONG_RUN_TILE amplitudes. The last axis (runs of 1) stays on the
-# slabs, which numpy walks as one strided run.
+# run makes such slabs slower than a pass over the whole state in long rows.
+# The last axis (runs of 1) stays on the slabs, which numpy walks as one
+# strided run.
 LONG_RUN_MAX = 2 ** 10
-LONG_RUN_TILE = 256
 # Largest block, in amplitudes, of the split complex product: its temporary
-# stays in cache, and no gate allocates more than its output state. A block
-# holds whole rows of the long-run pass, so SPLIT_BLOCK is at least
-# LONG_RUN_TILE and 2 * LONG_RUN_MAX.
+# stays in cache, and no gate allocates more than its output state. It is
+# also the row length of the long-run pass, so at least 2 * LONG_RUN_MAX.
 SPLIT_BLOCK = 2 ** 12
 
 
@@ -101,6 +99,7 @@ def _require_unitary(gate: np.ndarray, dim: int) -> np.ndarray:
 
 @functools.cache
 def _identity(dim: int) -> np.ndarray:
+    """Shared read-only identity for the unitarity check."""
     eye = np.eye(dim)
     eye.flags.writeable = False
     return eye
@@ -126,18 +125,21 @@ def _apply(state: QuantumState, axes: list, gate: np.ndarray) -> QuantumState:
     """Apply a unitary on the tensor factors ``axes`` (its row order).
 
     A gate with one nonzero entry per row (diagonal, CNOT, X) moves whole
-    slabs of the state; any other gate is contracted with ``tensordot``.
-    Both give the same bits: BLAS rounds each product once and adds the
-    exact zeros of the other terms, as ``_apply_monomial`` does. A gate
-    that leaves fewer than two other factors always takes ``tensordot``:
-    BLAS multiplies such small matrices with kernels that round otherwise.
+    slabs of the state, or, if it is a diagonal one-qubit gate whose slabs
+    hold short runs of amplitudes, multiplies the whole state by a pattern;
+    any other gate is contracted with ``tensordot``. All give the same bits:
+    BLAS rounds each product once and adds the exact zeros of the other
+    terms, as the split products of ``_multiply_split`` do. A gate that
+    leaves fewer than two other factors always takes ``tensordot``: BLAS
+    multiplies such small matrices with kernels that round otherwise.
     """
     k = len(axes)
     gate = _require_unitary(gate, 2 ** k)
     psi = state.amplitudes.reshape((2,) * state.num_factors)
     if psi.ndim - k >= 2 and np.count_nonzero(gate) == 2 ** k:
-        if k == 1 and gate[0, 1] == 0 and 2 <= 2 ** (psi.ndim - 1 - axes[0]) <= LONG_RUN_MAX:
-            psi = _apply_long_run(psi, axes[0], gate.diagonal())
+        run = 2 ** (psi.ndim - 1 - axes[0])
+        if k == 1 and gate[0, 1] == 0 and 2 <= run <= LONG_RUN_MAX:
+            psi = _apply_long_run(psi, run, gate.diagonal())
         else:
             psi = _apply_monomial(psi, axes, gate)
     else:
@@ -184,23 +186,23 @@ def _apply_monomial(psi: np.ndarray, axes: list, gate: np.ndarray) -> np.ndarray
     return out
 
 
-def _apply_long_run(psi: np.ndarray, axis: int, d: np.ndarray) -> np.ndarray:
-    """Diagonal one-qubit gate ``diag(d)`` on a trailing ``axis``, whose
-    slabs have inner runs of a few amplitudes only: the whole state is
-    multiplied, in rows of at least LONG_RUN_TILE amplitudes, by the pattern
-    of ``d`` along the axis. As in ``_apply_monomial`` the pattern is split
-    into a pure-real and a pure-imaginary multiplier, so each component of
-    the product is rounded once, as ``zgemm`` rounds it; an entry ``d == 1``
-    gives the input back up to the sign of an exact zero."""
-    run = 2 ** (psi.ndim - 1 - axis)
+def _apply_long_run(psi: np.ndarray, run: int, d: np.ndarray) -> np.ndarray:
+    """Diagonal one-qubit gate ``diag(d)`` on the axis whose slabs hold runs
+    of ``run`` contiguous amplitudes: the whole state is multiplied, in rows
+    of SPLIT_BLOCK amplitudes (or all of a smaller state), by the pattern
+    ``d[0]`` ``run`` times then ``d[1]`` ``run`` times, repeated. As in
+    ``_apply_monomial`` the pattern is split into a pure-real and a
+    pure-imaginary multiplier, so each component of the product is rounded
+    once, as ``zgemm`` rounds it; an entry ``d == 1`` gives its amplitudes
+    back up to the sign of an exact zero."""
     parts = np.zeros((2, 2), dtype=np.complex128)
     parts[0].real = d.real
     parts[1].imag = d.imag
-    tile = max(2 * run, min(LONG_RUN_TILE, psi.size))
-    parts = np.tile(np.repeat(parts, run, axis=1), (1, tile // (2 * run)))
-    rows = psi.reshape(-1, parts.shape[1])
+    tile = min(SPLIT_BLOCK, psi.size)
+    re, im = np.tile(np.repeat(parts, run, axis=1), tile // (2 * run))
+    rows = psi.reshape(-1, tile)
     out = np.empty_like(rows)
-    _multiply_split(rows, parts[0], parts[1], out)
+    _multiply_split(rows, re, im, out)
     return out.reshape(psi.shape)
 
 
