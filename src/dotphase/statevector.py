@@ -36,8 +36,9 @@ SAMPLE_BATCH_MIN = 16
 # strided run.
 LONG_RUN_MAX = 2 ** 10
 # Largest block, in amplitudes, of the split complex product: its temporary
-# stays in cache, and no gate allocates more than its output state. It is
-# also the row length of the long-run pass, so at least 2 * LONG_RUN_MAX.
+# stays in cache, and no gate allocates a second state besides its output.
+# It is also the row length of the long-run pass, so at least
+# 2 * LONG_RUN_MAX.
 SPLIT_BLOCK = 2 ** 12
 
 
