@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,10 @@ LONG_RUN_MAX = 2 ** 10
 # It is also the row length of the long-run pass, so at least
 # 2 * LONG_RUN_MAX.
 SPLIT_BLOCK = 2 ** 12
+# Entries of each per-gate and per-layout memo: the protocol uses a few
+# dozen distinct gates and layouts, and a bound keeps a run that makes many
+# distinct gates (pulse fits, random unitaries) from growing the process.
+PLAN_CACHE = 256
 
 
 @dataclass
@@ -87,15 +92,51 @@ def new_state(m: int, with_cavity: bool = False) -> QuantumState:
     return QuantumState(m, with_cavity, amps)
 
 
-def _require_unitary(gate: np.ndarray, dim: int) -> np.ndarray:
+class _Plan(NamedTuple):
+    """What one distinct gate needs at every call: its unitarity deviation
+    and the structured kernels' inputs."""
+
+    dev: float
+    # (row, col, re, im) per nonzero that is not a diagonal 1, if the gate
+    # has one nonzero per row; otherwise None
+    entries: tuple | None
+    # pure-real and pure-imaginary multipliers of a diagonal 2x2, else None
+    diagonal: np.ndarray | None
+
+
+def _require_unitary(gate: np.ndarray, dim: int) -> _Plan:
     gate = np.asarray(gate, dtype=np.complex128)
     if gate.shape != (dim, dim):
         raise DimensionError(f"expected {dim}x{dim} gate, got shape {gate.shape}")
-    dev = np.abs(gate.conj().T @ gate - _identity(dim)).max()
+    # keyed on the gate's values, so a gate edited in place is judged anew
+    plan = _gate_plan(gate.tobytes(), dim)
     # written so that a NaN deviation fails too
-    if not dev <= UNITARY_TOL:
-        raise ValidationError(f"gate is not unitary (deviation {dev:.3e})")
-    return gate
+    if not plan.dev <= UNITARY_TOL:
+        raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
+    return plan
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _gate_plan(raw: bytes, dim: int) -> _Plan:
+    """Unitarity deviation and kernel plan of the ``dim`` x ``dim`` complex
+    gate whose C-order bytes are ``raw``; read-only, shared by every call
+    with the same gate."""
+    gate = np.frombuffer(raw, dtype=np.complex128).reshape(dim, dim)
+    dev = np.abs(gate.conj().T @ gate - _identity(dim)).max()
+    if np.count_nonzero(gate) != dim:
+        return _Plan(dev, None, None)
+    entries = []
+    for row, col in zip(*np.nonzero(gate)):
+        d = gate[row, col]
+        if not (d == 1 and row == col):
+            entries.append((int(row), int(col), d.real, complex(0.0, d.imag)))
+    diagonal = None
+    if dim == 2 and gate[0, 1] == 0:
+        diagonal = np.zeros((2, 2), dtype=np.complex128)
+        diagonal[0].real = gate.diagonal().real
+        diagonal[1].imag = gate.diagonal().imag
+        diagonal.flags.writeable = False
+    return _Plan(dev, tuple(entries), diagonal)
 
 
 @functools.cache
@@ -128,31 +169,32 @@ def _apply(state: QuantumState, axes: list, gate: np.ndarray) -> QuantumState:
     A gate with one nonzero entry per row (diagonal, CNOT, X) moves whole
     slabs of the state, or, if it is a diagonal one-qubit gate whose slabs
     hold short runs of amplitudes, multiplies the whole state by a pattern;
-    any other gate is contracted with ``tensordot``. All give the same bits:
-    BLAS rounds each product once and adds the exact zeros of the other
-    terms, as the split products of ``_multiply_split`` do. A gate that
-    leaves fewer than two other factors always takes ``tensordot``: BLAS
-    multiplies such small matrices with kernels that round otherwise.
+    any other gate is contracted by ``_apply_dense`` in the one BLAS call
+    that ``np.tensordot`` makes. All give the same bits: BLAS rounds each
+    product once and adds the exact zeros of the other terms, as the split
+    products of ``_multiply_split`` do. A gate that leaves fewer than two
+    other factors is always contracted: BLAS multiplies such small matrices
+    with kernels that round otherwise. The unitarity verdict and the kernel's
+    inputs are worked out once per distinct gate (``_gate_plan``).
     """
     k = len(axes)
-    gate = _require_unitary(gate, 2 ** k)
+    gate = np.asarray(gate, dtype=np.complex128)
+    plan = _require_unitary(gate, 2 ** k)
     psi = state.amplitudes.reshape((2,) * state.num_factors)
-    if psi.ndim - k >= 2 and np.count_nonzero(gate) == 2 ** k:
+    if psi.ndim - k >= 2 and plan.entries is not None:
         run = 2 ** (psi.ndim - 1 - axes[0])
-        if k == 1 and gate[0, 1] == 0 and 2 <= run <= LONG_RUN_MAX:
-            psi = _apply_long_run(psi, run, gate.diagonal())
+        if plan.diagonal is not None and 2 <= run <= LONG_RUN_MAX:
+            psi = _apply_long_run(psi, run, plan.diagonal)
         else:
-            psi = _apply_monomial(psi, axes, gate)
+            psi = _apply_monomial(psi, axes, plan.entries)
     else:
-        psi = np.tensordot(gate.reshape((2,) * (2 * k)), psi,
-                           axes=(list(range(k, 2 * k)), axes))
-        psi = np.moveaxis(psi, list(range(k)), axes)
+        psi = _apply_dense(psi, axes, gate)
     # every path returns a new array, so the state can own it without a copy
     out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(-1))
     return _check_norm(out)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=PLAN_CACHE)
 def _slabs(ndim: int, axes: tuple) -> tuple:
     """Index of each slab of a ``(2,) * ndim`` tensor that fixes the factors
     ``axes`` to the bits of a gate index, first axis most significant."""
@@ -166,45 +208,72 @@ def _slabs(ndim: int, axes: tuple) -> tuple:
     return tuple(slabs)
 
 
-def _apply_monomial(psi: np.ndarray, axes: list, gate: np.ndarray) -> np.ndarray:
-    """Unitary ``gate`` with a single nonzero ``d`` in each row: output slab
-    ``row`` is ``d`` times input slab ``col``. The output starts as a copy of
-    the input, so only the slabs whose entry is not a diagonal 1 are
-    rewritten. The product is taken as ``src * d.real + src * 1j * d.imag``,
-    which rounds like BLAS's ``zgemm``; numpy's complex ``src * d`` differs
-    from it in the last bit."""
+def _apply_monomial(psi: np.ndarray, axes: list, entries: tuple) -> np.ndarray:
+    """Unitary gate with a single nonzero ``d`` in each row, given as its
+    ``(row, col, d.real, 1j * d.imag)`` entries other than diagonal 1s:
+    output slab ``row`` is ``d`` times input slab ``col``. The output starts
+    as a copy of the input, so only the listed slabs are rewritten. The
+    product is taken as ``src * d.real + src * 1j * d.imag``, which rounds
+    like BLAS's ``zgemm``; numpy's complex ``src * d`` differs from it in the
+    last bit."""
     slabs = _slabs(psi.ndim, tuple(axes))
     out = psi.copy()
-    for row, col in zip(*np.nonzero(gate)):
-        d = gate[row, col]
-        if d == 1 and row == col:
-            continue
+    for row, col, re, im in entries:
         src, dst = psi[slabs[col]], out[slabs[row]]
-        if d == 1:
+        if re == 1 and im == 0:
             dst[...] = src
         else:
-            _multiply_split(src, d.real, complex(0.0, d.imag), dst)
+            _multiply_split(src, re, im, dst)
     return out
 
 
-def _apply_long_run(psi: np.ndarray, run: int, d: np.ndarray) -> np.ndarray:
+def _apply_long_run(psi: np.ndarray, run: int, diagonal: np.ndarray) -> np.ndarray:
     """Diagonal one-qubit gate ``diag(d)`` on the axis whose slabs hold runs
     of ``run`` contiguous amplitudes: the whole state is multiplied, in rows
     of SPLIT_BLOCK amplitudes (or all of a smaller state), by the pattern
     ``d[0]`` ``run`` times then ``d[1]`` ``run`` times, repeated. As in
     ``_apply_monomial`` the pattern is split into a pure-real and a
-    pure-imaginary multiplier, so each component of the product is rounded
-    once, as ``zgemm`` rounds it; an entry ``d == 1`` gives its amplitudes
-    back up to the sign of an exact zero."""
-    parts = np.zeros((2, 2), dtype=np.complex128)
-    parts[0].real = d.real
-    parts[1].imag = d.imag
+    pure-imaginary multiplier, the rows of ``diagonal``, so each component
+    of the product is rounded once, as ``zgemm`` rounds it; an entry
+    ``d == 1`` gives its amplitudes back up to the sign of an exact zero."""
     tile = min(SPLIT_BLOCK, psi.size)
-    re, im = np.tile(np.repeat(parts, run, axis=1), tile // (2 * run))
+    re, im = np.take(diagonal, _run_index(run, tile), axis=1)
     rows = psi.reshape(-1, tile)
     out = np.empty_like(rows)
     _multiply_split(rows, re, im, out)
     return out.reshape(psi.shape)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _run_index(run: int, tile: int) -> np.ndarray:
+    """0 ``run`` times then 1 ``run`` times, repeated to ``tile`` entries:
+    which diagonal entry multiplies each amplitude of a long-run row."""
+    index = np.tile(np.repeat(np.arange(2, dtype=np.uint8), run), tile // (2 * run))
+    index.flags.writeable = False
+    return index
+
+
+def _apply_dense(psi: np.ndarray, axes: list, gate: np.ndarray) -> np.ndarray:
+    """Contract the complex ``gate`` with the factors ``axes`` of ``psi``:
+    the ``np.dot`` call that ``np.tensordot`` makes, on the same operands,
+    without its argument handling. Those are the gate in the caller's
+    layout, which BLAS may read transposed (and then, as a matrix-vector
+    product, round otherwise than a copy), and the state with its gate axes
+    moved first, flattened to ``(2^k, rest)``. Returns a C-contiguous
+    array. The reordered copy of the state is freed before the result is
+    reordered back, so no more than two state-sized temporaries coexist."""
+    order, back = _dense_axes(psi.ndim, tuple(axes))
+    out = np.dot(gate, psi.transpose(order).reshape(len(gate), -1))
+    return np.ascontiguousarray(out.reshape(psi.shape).transpose(back))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _dense_axes(ndim: int, axes: tuple) -> tuple:
+    """Axis order that puts ``axes`` first, as ``np.tensordot`` orders its
+    second operand, and the order that undoes it."""
+    order = axes + tuple(a for a in range(ndim) if a not in axes)
+    back = tuple(order.index(a) for a in range(ndim))
+    return order, back
 
 
 def _multiply_split(src: np.ndarray, re, im, dst: np.ndarray) -> None:

@@ -429,6 +429,31 @@ class TestStructuredKernel:
         with pytest.raises(ValidationError, match=message):
             sv.apply_1q(sv.new_state(m), 1, gate)
 
+    @pytest.mark.parametrize("factors", range(1, 13))
+    def test_gate_layouts_match_tensordot_bit_for_bit(self, factors):
+        # BLAS reads a Fortran-order gate transposed, and a matrix-vector
+        # product (a gate on every factor) then rounds otherwise than on a
+        # C-order copy, so the gate must reach np.dot as tensordot hands it
+        rng = np.random.default_rng(200 + factors)
+        amps = rng.normal(size=2 ** factors) + 1j * rng.normal(size=2 ** factors)
+        state = sv.QuantumState(factors, False, amps / np.linalg.norm(amps))
+        u2, u4 = random_unitary(2, rng), random_unitary(4, rng)
+        q4 = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        layouts = {
+            1: {"int": np.array([[0, 1], [1, 0]]), "float": H.real.copy(),
+                "fortran": np.asfortranarray(u2), "reversed": u2[::-1, ::-1]},
+            2: {"int": CNOT.real.astype(int), "float": q4,
+                "fortran": np.asfortranarray(u4), "reversed": u4[::-1, ::-1]},
+        }
+        for k, gates in layouts.items():
+            if k > factors:
+                continue
+            for axes in ([*range(k)], [*range(factors - k, factors)]):
+                for name, gate in gates.items():
+                    got = sv._apply(state, axes, gate).amplitudes
+                    assert np.array_equal(got, tensordot_apply(state, axes, gate)), (
+                        name, axes)
+
     @pytest.mark.parametrize("m", [2, 8])
     def test_unnormalised_state_rejected(self, m):
         amps = np.zeros(2 ** m, dtype=complex)
@@ -440,6 +465,34 @@ class TestStructuredKernel:
             with pytest.raises(NumericalInvariantError,
                                match=r"state norm drifted to 1\.414213562373"):
                 apply()
+
+
+class TestGatePlanMemo:
+    """The unitarity verdict and kernel plan are memoised on the gate's
+    bytes: a gate edited in place is judged again, a rejected gate stays
+    rejected, and the memo stays bounded."""
+
+    def test_gate_edited_in_place_is_checked_again(self):
+        gate = np.diag([1, np.exp(0.7j)])
+        state = sv.new_state(3)
+        sv.apply_1q(state, 2, gate)
+        gate[...] = np.diag([1, 2])
+        with pytest.raises(ValidationError,
+                           match=r"gate is not unitary \(deviation 3\.000e\+00\)"):
+            sv.apply_1q(state, 2, gate)
+
+    def test_nan_gate_rejected_every_call(self):
+        gate = np.diag([1, math.nan])
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=r"deviation nan"):
+                sv.apply_1q(sv.new_state(3), 1, gate)
+
+    def test_memo_stays_bounded(self):
+        state = sv.new_state(3)
+        for theta in np.random.default_rng(14).uniform(0, 2 * math.pi, 10_000):
+            state = sv.apply_1q(state, 2, np.diag([1, np.exp(1j * theta)]))
+        info = sv._gate_plan.cache_info()
+        assert info.currsize <= info.maxsize == sv.PLAN_CACHE
 
 
 class TestNormCheckFires:
@@ -458,7 +511,7 @@ class TestNormCheckFires:
                 return out
             return scaled
 
-        for name in ("_apply_monomial", "_apply_long_run"):
+        for name in ("_apply_monomial", "_apply_long_run", "_apply_dense"):
             monkeypatch.setattr(sv, name, corrupt(getattr(sv, name)))
         return calls
 
@@ -466,7 +519,8 @@ class TestNormCheckFires:
         "axes, gate, kernel",
         [([0], np.diag([1, 1j]), "_apply_monomial"),
          ([10], np.diag([1, 1j]), "_apply_long_run"),
-         ([2, 7], CNOT, "_apply_monomial")],
+         ([2, 7], CNOT, "_apply_monomial"),
+         ([3], H, "_apply_dense")],
     )
     def test_apply_raises(self, corrupted, axes, gate, kernel):
         state = random_state(12, np.random.default_rng(13))
