@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ValidationError
 
+# Spacing of fit_pulse's coarse grid over (rabi angle, phase), radians
+FIT_GRID_STEP = math.pi / 256
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Rabi angle (Omega*t) and laser phase of one resonant pulse, radians."""
@@ -30,10 +34,6 @@ class PulseSpec:
     @property
     def canonical_rabi_angle(self) -> float:
         return self.rabi_angle % math.tau
-
-    @property
-    def canonical_phase(self) -> float:
-        return self.phase % math.tau
 
 
 class Quantity(NamedTuple):
@@ -171,9 +171,7 @@ def _pulse_overlap_grid(target: np.ndarray, thetas: np.ndarray, phis: np.ndarray
     return np.abs(tr)
 
 
-def fit_pulse(
-    target: np.ndarray, grid_step: float = math.pi / 256
-) -> tuple[PulseSpec, float]:
+def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
     """Best single-pulse parameters reproducing ``target`` up to global phase.
 
     Deterministic coarse grid over [0, 2pi)^2 followed by Nelder-Mead
@@ -194,7 +192,7 @@ def fit_pulse(
     if not dev <= 1e-10:
         raise ValidationError(f"target is not unitary (deviation {dev:.3e})")
 
-    npts = int(math.ceil(math.tau / grid_step))
+    npts = int(math.ceil(math.tau / FIT_GRID_STEP))
     grid = np.arange(npts) * (math.tau / npts)
     tr = _pulse_overlap_grid(target, grid, grid)
     # argmax of |tr| = argmin of distance; first flat index wins, which is
@@ -248,7 +246,14 @@ def max_qubits(coherence_time: float, two_gate_time: float) -> int:
     """Largest n whose protocol time fits inside the coherence budget."""
     if coherence_time <= 0 or two_gate_time <= 0:
         raise DomainError("times must be positive")
-    n = max(1, int((1 + math.sqrt(1 + 8 * coherence_time / two_gate_time)) / 2))
+    ratio = 8 * coherence_time / two_gate_time
+    # written so that NaN fails too; an infinite ratio has no integer n
+    if not ratio < math.inf:
+        raise DomainError(
+            f"coherence time {coherence_time:g} s over two-qubit gate time "
+            f"{two_gate_time:g} s is too large a ratio to count qubits"
+        )
+    n = max(1, int((1 + math.sqrt(1 + ratio)) / 2))
     while protocol_time(n + 1, two_gate_time) <= coherence_time:
         n += 1
     while n > 1 and protocol_time(n, two_gate_time) > coherence_time:

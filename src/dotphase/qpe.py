@@ -160,17 +160,14 @@ def controlled_phase_sequence(theta: float) -> list[SequenceStep]:
 
 
 def sequence_unitary(theta: float) -> np.ndarray:
-    """4x4 composite of the five-gate sequence on the ordered (j, k) pair."""
-    total = np.eye(4, dtype=np.complex128)
-    eye = np.eye(2, dtype=np.complex128)
-    for step in controlled_phase_sequence(theta):
-        if step.kind == "cnot":
-            g = CNOT
-        else:
-            u = np.diag([1.0, np.exp(1j * step.angle)])
-            g = np.kron(u, eye) if step.slot == "j" else np.kron(eye, u)
-        total = g @ total
-    return total
+    """4x4 composite of the five-gate sequence on the ordered (j, k) pair:
+    column c is what ``_apply_sequence`` (ideal mode) makes of basis state c
+    of a two-qubit register."""
+    basis = np.eye(4, dtype=np.complex128)
+    return np.column_stack([
+        _apply_sequence(sv.QuantumState(2, False, basis[c]), 1, 2, theta,
+                        GateMode.IDEAL).amplitudes
+        for c in range(4)])
 
 
 def _apply_sequence(

@@ -41,9 +41,12 @@ LONG_RUN_MAX = 2 ** 10
 # It is also the row length of the long-run pass, so at least
 # 2 * LONG_RUN_MAX.
 SPLIT_BLOCK = 2 ** 12
-# Entries of each per-gate and per-layout memo: the protocol uses a few
-# dozen distinct gates and layouts, and a bound keeps a run that makes many
-# distinct gates (pulse fits, random unitaries) from growing the process.
+# Entries of each memo, _gate_plan (per distinct gate) and _layout (per
+# state shape and axis set). An ideal sweep over m = 8-10 with 12 phases
+# uses 140 gates and 136 layouts, and m = 5-10 uses 200 layouts; estimates
+# at m = 15-17 use 409, so that memo refills, but building all 409 takes
+# about 6 ms against about 300 ms per call. The bound keeps a run that makes
+# many distinct gates (random phases, pulse fits) from growing the process.
 PLAN_CACHE = 256
 
 
@@ -104,25 +107,13 @@ class _Plan(NamedTuple):
     diagonal: np.ndarray | None
 
 
-def _require_unitary(gate: np.ndarray, dim: int) -> _Plan:
-    gate = np.asarray(gate, dtype=np.complex128)
-    if gate.shape != (dim, dim):
-        raise DimensionError(f"expected {dim}x{dim} gate, got shape {gate.shape}")
-    # keyed on the gate's values, so a gate edited in place is judged anew
-    plan = _gate_plan(gate.tobytes(), dim)
-    # written so that a NaN deviation fails too
-    if not plan.dev <= UNITARY_TOL:
-        raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
-    return plan
-
-
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _gate_plan(raw: bytes, dim: int) -> _Plan:
     """Unitarity deviation and kernel plan of the ``dim`` x ``dim`` complex
     gate whose C-order bytes are ``raw``; read-only, shared by every call
     with the same gate."""
     gate = np.frombuffer(raw, dtype=np.complex128).reshape(dim, dim)
-    dev = np.abs(gate.conj().T @ gate - _identity(dim)).max()
+    dev = np.abs(gate.conj().T @ gate - np.eye(dim)).max()
     if np.count_nonzero(gate) != dim:
         return _Plan(dev, None, None)
     entries = []
@@ -139,12 +130,44 @@ def _gate_plan(raw: bytes, dim: int) -> _Plan:
     return _Plan(dev, tuple(entries), diagonal)
 
 
-@functools.cache
-def _identity(dim: int) -> np.ndarray:
-    """Shared read-only identity for the unitarity check."""
-    eye = np.eye(dim)
-    eye.flags.writeable = False
-    return eye
+class _Layout(NamedTuple):
+    """What every call on one axis set of one state shape needs."""
+
+    # np.tensordot's order of the state's axes, gate axes first, and its inverse
+    order: tuple
+    back: tuple
+    # index of each slab, the gate axes fixed to a gate index's bits (first
+    # axis most significant); None if fewer than two other factors are left
+    slabs: tuple | None
+    # for one axis with runs of 2 to LONG_RUN_MAX, 0 ``run`` times then 1
+    # ``run`` times over a long-run row: which diagonal entry multiplies
+    # each amplitude; else None
+    run_index: np.ndarray | None
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _layout(ndim: int, axes: tuple) -> _Layout:
+    """Read-only layout of a gate on the factors ``axes`` of a
+    ``(2,) * ndim`` tensor, shared by every call with the same key."""
+    k = len(axes)
+    order = axes + tuple(a for a in range(ndim) if a not in axes)
+    back = tuple(order.index(a) for a in range(ndim))
+    slabs = run_index = None
+    if ndim - k >= 2:
+        slabs = []
+        for c in range(2 ** k):
+            index = [slice(None)] * ndim
+            for pos, axis in enumerate(axes):
+                index[axis] = (c >> (k - 1 - pos)) & 1
+            slabs.append(tuple(index))
+        slabs = tuple(slabs)
+    run = 2 ** (ndim - 1 - axes[0])
+    if k == 1 and 2 <= run <= LONG_RUN_MAX:
+        tile = min(SPLIT_BLOCK, 2 ** ndim)
+        run_index = np.repeat(np.arange(2, dtype=np.uint8), run)
+        run_index = np.tile(run_index, tile // (2 * run))
+        run_index.flags.writeable = False
+    return _Layout(order, back, slabs, run_index)
 
 
 def _check_norm(state: QuantumState) -> QuantumState:
@@ -166,49 +189,42 @@ def _qubit_axis(state: QuantumState, qubit_index: int) -> int:
 def _apply(state: QuantumState, axes: list, gate: np.ndarray) -> QuantumState:
     """Apply a unitary on the tensor factors ``axes`` (its row order).
 
-    A gate with one nonzero entry per row (diagonal, CNOT, X) moves whole
-    slabs of the state, or, if it is a diagonal one-qubit gate whose slabs
-    hold short runs of amplitudes, multiplies the whole state by a pattern;
-    any other gate is contracted by ``_apply_dense`` in the one BLAS call
-    that ``np.tensordot`` makes. All give the same bits: BLAS rounds each
-    product once and adds the exact zeros of the other terms, as the split
-    products of ``_multiply_split`` do. A gate that leaves fewer than two
-    other factors is always contracted: BLAS multiplies such small matrices
-    with kernels that round otherwise. The unitarity verdict and the kernel's
-    inputs are worked out once per distinct gate (``_gate_plan``).
+    A gate that leaves fewer than two other factors, or has more than one
+    nonzero entry in a row, is contracted by ``_apply_dense`` in the one
+    BLAS call that ``np.tensordot`` makes: BLAS multiplies such small
+    matrices with kernels that round otherwise than the split products. A
+    diagonal one-qubit gate whose axis leaves runs of 2 to LONG_RUN_MAX
+    amplitudes in each slab multiplies the whole state by a pattern
+    (``_apply_long_run``). Any other gate with one nonzero per row
+    (diagonal, CNOT, X) moves whole slabs (``_apply_monomial``). All give
+    the same bits: BLAS rounds each product once and adds the exact zeros
+    of the other terms, as the split products of ``_multiply_split`` do.
+    The unitarity verdict and the kernels' inputs are worked out once per
+    distinct gate (``_gate_plan``) and once per axis set (``_layout``).
     """
-    k = len(axes)
+    dim = 2 ** len(axes)
     gate = np.asarray(gate, dtype=np.complex128)
-    plan = _require_unitary(gate, 2 ** k)
+    if gate.shape != (dim, dim):
+        raise DimensionError(f"expected {dim}x{dim} gate, got shape {gate.shape}")
+    # keyed on the gate's values, so a gate edited in place is judged anew
+    plan = _gate_plan(gate.tobytes(), dim)
+    # written so that a NaN deviation fails too
+    if not plan.dev <= UNITARY_TOL:
+        raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
     psi = state.amplitudes.reshape((2,) * state.num_factors)
-    if psi.ndim - k >= 2 and plan.entries is not None:
-        run = 2 ** (psi.ndim - 1 - axes[0])
-        if plan.diagonal is not None and 2 <= run <= LONG_RUN_MAX:
-            psi = _apply_long_run(psi, run, plan.diagonal)
-        else:
-            psi = _apply_monomial(psi, axes, plan.entries)
+    layout = _layout(psi.ndim, tuple(axes))
+    if layout.slabs is None or plan.entries is None:
+        psi = _apply_dense(psi, layout.order, layout.back, gate)
+    elif plan.diagonal is not None and layout.run_index is not None:
+        psi = _apply_long_run(psi, layout.run_index, plan.diagonal)
     else:
-        psi = _apply_dense(psi, axes, gate)
+        psi = _apply_monomial(psi, layout.slabs, plan.entries)
     # every path returns a new array, so the state can own it without a copy
     out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(-1))
     return _check_norm(out)
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE)
-def _slabs(ndim: int, axes: tuple) -> tuple:
-    """Index of each slab of a ``(2,) * ndim`` tensor that fixes the factors
-    ``axes`` to the bits of a gate index, first axis most significant."""
-    k = len(axes)
-    slabs = []
-    for c in range(2 ** k):
-        index = [slice(None)] * ndim
-        for pos, axis in enumerate(axes):
-            index[axis] = (c >> (k - 1 - pos)) & 1
-        slabs.append(tuple(index))
-    return tuple(slabs)
-
-
-def _apply_monomial(psi: np.ndarray, axes: list, entries: tuple) -> np.ndarray:
+def _apply_monomial(psi: np.ndarray, slabs: tuple, entries: tuple) -> np.ndarray:
     """Unitary gate with a single nonzero ``d`` in each row, given as its
     ``(row, col, d.real, 1j * d.imag)`` entries other than diagonal 1s:
     output slab ``row`` is ``d`` times input slab ``col``. The output starts
@@ -216,7 +232,6 @@ def _apply_monomial(psi: np.ndarray, axes: list, entries: tuple) -> np.ndarray:
     product is taken as ``src * d.real + src * 1j * d.imag``, which rounds
     like BLAS's ``zgemm``; numpy's complex ``src * d`` differs from it in the
     last bit."""
-    slabs = _slabs(psi.ndim, tuple(axes))
     out = psi.copy()
     for row, col, re, im in entries:
         src, dst = psi[slabs[col]], out[slabs[row]]
@@ -227,53 +242,37 @@ def _apply_monomial(psi: np.ndarray, axes: list, entries: tuple) -> np.ndarray:
     return out
 
 
-def _apply_long_run(psi: np.ndarray, run: int, diagonal: np.ndarray) -> np.ndarray:
+def _apply_long_run(
+    psi: np.ndarray, run_index: np.ndarray, diagonal: np.ndarray
+) -> np.ndarray:
     """Diagonal one-qubit gate ``diag(d)`` on the axis whose slabs hold runs
-    of ``run`` contiguous amplitudes: the whole state is multiplied, in rows
-    of SPLIT_BLOCK amplitudes (or all of a smaller state), by the pattern
-    ``d[0]`` ``run`` times then ``d[1]`` ``run`` times, repeated. As in
-    ``_apply_monomial`` the pattern is split into a pure-real and a
-    pure-imaginary multiplier, the rows of ``diagonal``, so each component
-    of the product is rounded once, as ``zgemm`` rounds it; an entry
-    ``d == 1`` gives its amplitudes back up to the sign of an exact zero."""
-    tile = min(SPLIT_BLOCK, psi.size)
-    re, im = np.take(diagonal, _run_index(run, tile), axis=1)
-    rows = psi.reshape(-1, tile)
+    of contiguous amplitudes: the whole state is multiplied, in rows of
+    SPLIT_BLOCK amplitudes (or all of a smaller state), by the pattern
+    ``run_index`` picks from ``d``. As in ``_apply_monomial`` the pattern is
+    split into a pure-real and a pure-imaginary multiplier, the rows of
+    ``diagonal``, so each component of the product is rounded once, as
+    ``zgemm`` rounds it; an entry ``d == 1`` gives its amplitudes back up
+    to the sign of an exact zero."""
+    re, im = np.take(diagonal, run_index, axis=1)
+    rows = psi.reshape(-1, run_index.size)
     out = np.empty_like(rows)
     _multiply_split(rows, re, im, out)
     return out.reshape(psi.shape)
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE)
-def _run_index(run: int, tile: int) -> np.ndarray:
-    """0 ``run`` times then 1 ``run`` times, repeated to ``tile`` entries:
-    which diagonal entry multiplies each amplitude of a long-run row."""
-    index = np.tile(np.repeat(np.arange(2, dtype=np.uint8), run), tile // (2 * run))
-    index.flags.writeable = False
-    return index
-
-
-def _apply_dense(psi: np.ndarray, axes: list, gate: np.ndarray) -> np.ndarray:
-    """Contract the complex ``gate`` with the factors ``axes`` of ``psi``:
+def _apply_dense(
+    psi: np.ndarray, order: tuple, back: tuple, gate: np.ndarray
+) -> np.ndarray:
+    """Contract the complex ``gate`` with the factors ``order`` puts first:
     the ``np.dot`` call that ``np.tensordot`` makes, on the same operands,
     without its argument handling. Those are the gate in the caller's
     layout, which BLAS may read transposed (and then, as a matrix-vector
-    product, round otherwise than a copy), and the state with its gate axes
-    moved first, flattened to ``(2^k, rest)``. Returns a C-contiguous
-    array. The reordered copy of the state is freed before the result is
-    reordered back, so no more than two state-sized temporaries coexist."""
-    order, back = _dense_axes(psi.ndim, tuple(axes))
+    product, round otherwise than a copy), and the state reordered by
+    ``order``, flattened to ``(2^k, rest)``. That copy is freed before the
+    result is reordered back by ``back`` into a C-contiguous array, so no
+    more than two state-sized temporaries coexist."""
     out = np.dot(gate, psi.transpose(order).reshape(len(gate), -1))
     return np.ascontiguousarray(out.reshape(psi.shape).transpose(back))
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE)
-def _dense_axes(ndim: int, axes: tuple) -> tuple:
-    """Axis order that puts ``axes`` first, as ``np.tensordot`` orders its
-    second operand, and the order that undoes it."""
-    order = axes + tuple(a for a in range(ndim) if a not in axes)
-    back = tuple(order.index(a) for a in range(ndim))
-    return order, back
 
 
 def _multiply_split(src: np.ndarray, re, im, dst: np.ndarray) -> None:

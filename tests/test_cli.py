@@ -205,6 +205,13 @@ class TestFeasibility:
         code, _, _ = run_cli(["feasibility", "--delta", "0"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [("--two-gate-time", "1e-320"),
+                                             ("--coherence-time", "1e308")])
+    def test_time_ratio_too_large(self, capsys, flag, value):
+        code, out, err = run_cli(["feasibility", flag, value], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: coherence time") and "two-qubit gate time" in err
+
 
 class TestConfigFileAndReplay:
     def test_config_file_with_flag_override(self, capsys, tmp_path):

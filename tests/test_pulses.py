@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,13 @@ class TestFeasibility:
     def test_max_qubits_positive_inputs(self):
         with pytest.raises(DomainError):
             max_qubits(0.0, 1e-4)
+
+    @pytest.mark.parametrize("coherence, tau", [(10.0, 1e-320), (1e308, 1e-4),
+                                                (math.nan, 1e-4)])
+    def test_max_qubits_ratio_too_large(self, coherence, tau):
+        names = f"coherence time {coherence:g} s over two-qubit gate time {tau:g} s"
+        with pytest.raises(DomainError, match=re.escape(names)):
+            max_qubits(coherence, tau)
 
     def test_report_flags_over_budget(self):
         pp = PhysicalParams()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dotphase import _pcg, cli
+from dotphase import _pcg, cli, qpe
 from dotphase import statevector as sv
 from dotphase.errors import (
     CapacityError,
@@ -493,6 +493,68 @@ class TestGatePlanMemo:
             state = sv.apply_1q(state, 2, np.diag([1, np.exp(1j * theta)]))
         info = sv._gate_plan.cache_info()
         assert info.currsize <= info.maxsize == sv.PLAN_CACHE
+        # 330 ordered pairs on 2-10 qubits: more axis sets than the bound
+        for m in range(2, 11):
+            state = sv.new_state(m)
+            for pair in itertools.permutations(range(1, m + 1), 2):
+                state = sv.apply_2q(state, *pair, CNOT)
+        info = sv._layout.cache_info()
+        assert info.currsize <= info.maxsize == sv.PLAN_CACHE
+
+
+def record_kernels(monkeypatch, scale=1.0):
+    """Wrap each gate kernel so that it records its name on every call and
+    scales the first half of its output by ``scale``; returns the record."""
+    calls = []
+
+    def wrap(kernel):
+        def recorded(*args):
+            out = kernel(*args)
+            out.reshape(2, -1)[0] *= scale
+            calls.append(kernel.__name__)
+            return out
+        return recorded
+
+    for name in ("_apply_monomial", "_apply_long_run", "_apply_dense"):
+        monkeypatch.setattr(sv, name, wrap(getattr(sv, name)))
+    return calls
+
+
+class TestKernelDispatch:
+    """Each gate call runs the kernel that ``_apply``'s docstring names: the
+    contraction when fewer than two other factors are left or the gate has
+    more than one nonzero in a row; the long-run pass for a diagonal
+    one-qubit gate whose axis leaves runs of 2 to LONG_RUN_MAX amplitudes;
+    the slab kernel otherwise."""
+
+    @staticmethod
+    def expected(factors, axes, gate):
+        if factors - len(axes) < 2 or np.any(np.count_nonzero(gate, axis=1) != 1):
+            return "_apply_dense"
+        run = 2 ** (factors - 1 - axes[0])
+        if len(axes) == 1 and gate[0, 1] == 0 and 2 <= run <= sv.LONG_RUN_MAX:
+            return "_apply_long_run"
+        return "_apply_monomial"
+
+    @pytest.mark.parametrize("cavity", [False, True])
+    def test_rule(self, monkeypatch, cavity):
+        calls = record_kernels(monkeypatch)
+        rng = np.random.default_rng(15)
+        one = [qpe._phase_gate(0.3, qpe.GateMode.IDEAL),
+               qpe._phase_gate(0.3, qpe.GateMode.PULSE_LITERAL), X, H]
+        two = [CNOT, np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, 4))),
+               random_unitary(4, rng)]
+        for factors in range(1 + cavity, 15):
+            state = sv.QuantumState(factors - cavity, cavity,
+                                    np.eye(1, 2 ** factors, dtype=complex)[0])
+            cases = [([axis], gate) for axis in range(factors) for gate in one]
+            if factors <= 12:
+                cases += [(list(axes), gate) for gate in two
+                          for axes in itertools.permutations(range(factors), 2)]
+            for axes, gate in cases:
+                calls.clear()
+                sv._apply(state, axes, gate)
+                assert calls == [self.expected(factors, axes, gate)], (factors, axes)
 
 
 class TestNormCheckFires:
@@ -501,19 +563,7 @@ class TestNormCheckFires:
 
     @pytest.fixture
     def corrupted(self, monkeypatch):
-        calls = []
-
-        def corrupt(kernel):
-            def scaled(*args):
-                out = kernel(*args)
-                out.reshape(2, -1)[0] *= 1 + 1e-9
-                calls.append(kernel.__name__)
-                return out
-            return scaled
-
-        for name in ("_apply_monomial", "_apply_long_run", "_apply_dense"):
-            monkeypatch.setattr(sv, name, corrupt(getattr(sv, name)))
-        return calls
+        return record_kernels(monkeypatch, scale=1 + 1e-9)
 
     @pytest.mark.parametrize(
         "axes, gate, kernel",
