@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -187,7 +188,10 @@ _SCHEMAS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on the first call and reused by every later one:
+    parse_args fills a fresh namespace, so no flag carries over."""
     parser = _Parser(prog="dotphase", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -452,6 +456,61 @@ def _output_path(path: str | None) -> str | None:
     return path
 
 
+@functools.cache
+def _encoder(inner: str):
+    """The C encoder for a container without nested containers, its items
+    split by ',' + inner."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False,
+                            separators=("," + inner, ": ")).encode
+
+
+def _encode(obj, inner: str) -> str:
+    try:
+        return _encoder(inner)(obj)
+    except ValueError:
+        # the C encoder's message omits the value; the Python one names it
+        json.dumps(obj, indent=2, allow_nan=False)
+        raise
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), byte for
+    byte: a list of floats formats each distinct value once, any other
+    container without nested containers is one C-encoder call, and the rest
+    recurse."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _encode(obj, indent)
+    inner = indent + "  "
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not isinstance(obj, dict) and set(map(type, obj)) == {float}:
+        # the int64 view keeps -0.0 apart from 0.0
+        bits, index = np.unique(np.array(obj).view(np.int64), return_inverse=True)
+        floats = bits.view(np.float64)
+        if not np.isfinite(floats).all():
+            _encode(obj, inner)  # raises, naming the value
+        texts = list(map(float.__repr__, floats.tolist()))
+        return ("[" + inner + ("," + inner).join(map(texts.__getitem__, index.tolist()))
+                + indent + "]")
+    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        text = _encode(obj, inner)
+        return text[0] + inner + text[1:-1] + indent + text[-1]
+    if isinstance(obj, dict):
+        parts = []
+        for key, value in sorted(obj.items()):
+            if isinstance(key, str):
+                text = _encode(key, inner)
+            elif isinstance(key, (int, float)) or key is None:
+                # json writes such a key as the string of its JSON text
+                text = '"' + _encode(key, inner) + '"'
+            else:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            parts.append(text + ": " + _dumps(value, inner))
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    return ("[" + inner + ("," + inner).join(_dumps(v, inner) for v in obj)
+            + indent + "]")
+
+
 def run(argv=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
     args = build_parser().parse_args(argv)
@@ -469,7 +528,7 @@ def run(argv=None, stdout=None) -> int:
     # the last gate before output: a non-finite number is an internal fault,
     # and would not be valid JSON either
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _dumps(report) + "\n"
     except ValueError as exc:
         raise NumericalInvariantError(f"non-finite number in the report: {exc}") from None
     if cfg["format"] == "csv":

@@ -253,12 +253,19 @@ def max_qubits(coherence_time: float, two_gate_time: float) -> int:
             f"coherence time {coherence_time:g} s over two-qubit gate time "
             f"{two_gate_time:g} s is too large a ratio to count qubits"
         )
-    n = max(1, int((1 + math.sqrt(1 + ratio)) / 2))
-    while protocol_time(n + 1, two_gate_time) <= coherence_time:
-        n += 1
-    while n > 1 and protocol_time(n, two_gate_time) > coherence_time:
-        n -= 1
-    return n
+    # protocol_time is non-decreasing in n, but near 2**53 and above a unit
+    # step can leave it unchanged, so bisect from the float estimate: lo
+    # fits, hi does not
+    lo, hi = 1, 2 * int((1 + math.sqrt(1 + ratio)) / 2) + 2
+    while protocol_time(hi, two_gate_time) <= coherence_time:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if protocol_time(mid, two_gate_time) <= coherence_time:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def feasibility_report(pp: PhysicalParams, n: int | None = None) -> FeasibilityReport:

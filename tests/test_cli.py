@@ -212,6 +212,17 @@ class TestFeasibility:
         assert code == 1 and out == ""
         assert err.startswith("error: coherence time") and "two-qubit gate time" in err
 
+    def test_huge_finite_time_ratio_returns(self):
+        # a 30 s timeout turns a hang in max_qubits into a failure
+        src = os.path.dirname(os.path.dirname(dotphase.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dotphase.cli", "feasibility",
+             "--coherence-time", "1e307", "--two-gate-time", "1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=30)
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestConfigFileAndReplay:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -540,3 +551,116 @@ def test_malformed_config_file_exits_1(capsys, tmp_path):
     code, out, err = run_cli(["estimate", "--config", str(cfg)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "JSON" in err
+
+
+def json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+def report_of(args, monkeypatch) -> tuple[dict, str]:
+    """The report object cli.run serialises, and the text it writes."""
+    reports = []
+    dumps = cli._dumps
+
+    def spy(obj, *rest):
+        if not rest:
+            reports.append(obj)
+        return dumps(obj, *rest)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    buf = io.StringIO()
+    assert cli.run(args, stdout=buf) == 0
+    monkeypatch.setattr(cli, "_dumps", dumps)
+    [report] = reports
+    return report, buf.getvalue()
+
+
+# one config per subcommand beyond the golden ones, the csv sweep among them
+SUBCOMMAND_CONFIGS = [
+    ["estimate", "--m", "12", "--phase", "0.3", "--shots", "4000", "--seed", "5"],
+    ["sweep", "--m-values", "5,6", "--n", "3", "--random-phases", "3", "--seed", "1",
+     "--format", "csv"],
+    ["pulse-fit", "--preset", "phase:0.3turn"],
+    ["pulse-fit", "--matrix", "0,0,1,0,1,0,0,0"],
+    ["calibrate-clock", "--varphi", "0.625", "--total-scales", "10",
+     "--elapsed-scales", "9", "--t-ideal", "1.0"],
+    ["feasibility", "--n-qubits", "450"],
+]
+
+
+class TestSerialiser:
+    @pytest.mark.parametrize(
+        "args", [args for args, _ in GOLDEN_RESULTS] + SUBCOMMAND_CONFIGS)
+    def test_report_matches_json_dumps(self, monkeypatch, args):
+        report, text = report_of(args, monkeypatch)
+        assert cli._dumps(report) == json_dumps(report)
+        if report["config"]["format"] == "json":
+            assert text == json_dumps(report) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ({},)},
+        (1, 2.5, "x"), [(), (0.5,), [[1.0, [2.0]]]],
+        [-0.0, 0.0, -0.0, 5e-324, 1e16, 1.7976931348623157e308, 1e16, 0.1],
+        [True, False, 1, 1.0, 0, None, -2.5],
+        {"b": None, "a": [None, True]},
+        {"\u00e9t\u00e9": "\u2603\U0001d11e", "tab\t": ["\"q\"", "\x00"]},
+        [2 ** 64 + 1, -(2 ** 70), {"big": 3 ** 50}],
+        {"z": {"y": [{"x": [1, [2, [3.0]]]}]}, "a": 1},
+        {1: "int", 2.5: "float"}, {"outer": {True: [1], 3: [3], 2.5: [0]}},
+        {"outer": {None: [2]}, "leaf": {None: 1}},
+        1.5, -0.0, "text", None, 2 ** 100,
+    ])
+    def test_matches_json_dumps(self, obj):
+        assert cli._dumps(obj) == json_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [{"a": {(1, 2): []}}, {"a": {(1, 2): 1}},
+                                     {"a": {(math.nan,): []}}])
+    def test_tuple_key_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json_dumps(obj)
+        with pytest.raises(TypeError):
+            cli._dumps(obj)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("wrap", [
+        lambda x: x,
+        lambda x: [x],
+        lambda x: [1.0, x, 2.0],
+        lambda x: [1, x],
+        lambda x: {"a": x},
+        lambda x: {"a": {"b": [1.0, x]}},
+        lambda x: {"a": [{"b": x}], "c": [1]},
+        lambda x: {"a": {x: 1}},
+        lambda x: ({"a": (x,)},),
+    ])
+    def test_non_finite_raises_naming_the_value(self, bad, wrap):
+        with pytest.raises(ValueError, match=f"not JSON compliant: {bad!r}"):
+            cli._dumps(wrap(bad))
+
+
+class TestParserReuse:
+    CALLS = [
+        ["estimate", "--m", "5", "--phase", "2.0", "--shots", "20", "--seed", "4",
+         "--include-target", "--full-distribution"],
+        ["sweep", "--m-values", "5,6", "--n", "3", "--random-phases", "2", "--seed", "1"],
+        ["estimate", "--m", "5", "--phase", "2.0", "--shots", "20", "--seed", "4"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_flag_carries_over(self, monkeypatch):
+        reused = []
+        for args in self.CALLS:
+            buf = io.StringIO()
+            assert cli.run(args, stdout=buf) == 0
+            reused.append(json.loads(buf.getvalue()))
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        for args, report in zip(self.CALLS, reused):
+            buf = io.StringIO()
+            assert cli.run(args, stdout=buf) == 0
+            fresh = json.loads(buf.getvalue())
+            assert report["config"] == fresh["config"]
+            assert report["results"] == fresh["results"]
+        plain = reused[2]["config"]
+        assert not plain["include_target"] and not plain["full_distribution"]

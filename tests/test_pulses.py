@@ -227,6 +227,13 @@ class TestFeasibility:
         assert max_qubits(1e-4, 1e-4) == 2
         assert max_qubits(5e-5, 1e-4) == 1
 
+    @pytest.mark.parametrize("coherence, tau", [(1e307, 1.0), (1e300, 1e-7),
+                                                (2.0 ** 106, 1.0), (1.0, 1.0)])
+    def test_max_qubits_is_the_largest_fit(self, coherence, tau):
+        # near and above 2**53 a unit step of n can leave protocol_time equal
+        n = max_qubits(coherence, tau)
+        assert protocol_time(n, tau) <= coherence < protocol_time(n + 1, tau)
+
     def test_max_qubits_positive_inputs(self):
         with pytest.raises(DomainError):
             max_qubits(0.0, 1e-4)
