@@ -459,9 +459,15 @@ def _output_path(path: str | None) -> str | None:
 @functools.cache
 def _encoder(inner: str):
     """The C encoder for a container without nested containers, its items
-    split by ',' + inner."""
-    return json.JSONEncoder(sort_keys=True, allow_nan=False,
-                            separators=("," + inner, ": ")).encode
+    split by ',' + inner. It is built once per separator, where
+    ``JSONEncoder.encode`` builds a new one on every call; such a container
+    cannot be circular, so it keeps no markers."""
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan: JSONEncoder.iterencode's arguments
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", "," + inner, True, False, False)
+    return lambda obj: "".join(encode(obj, 0))
 
 
 def _encode(obj, inner: str) -> str:

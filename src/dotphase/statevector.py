@@ -36,17 +36,19 @@ SAMPLE_BATCH_MIN = 16
 # The last axis (runs of 1) stays on the slabs, which numpy walks as one
 # strided run.
 LONG_RUN_MAX = 2 ** 10
-# Largest block, in amplitudes, of the split complex product: its temporary
-# stays in cache, and no gate allocates a second state besides its output.
-# It is also the row length of the long-run pass, so at least
+# Largest block, in amplitudes, of the split complex product and of a slab
+# rotation: their temporaries stay in cache, and a diagonal or permutation
+# gate allocates no state-sized array but the one copy of a state it may not
+# overwrite. It is also the row length of the long-run pass, so at least
 # 2 * LONG_RUN_MAX.
 SPLIT_BLOCK = 2 ** 12
 # Entries of each memo, _gate_plan (per distinct gate) and _layout (per
 # state shape and axis set). An ideal sweep over m = 8-10 with 12 phases
 # uses 140 gates and 136 layouts, and m = 5-10 uses 200 layouts; estimates
-# at m = 15-17 use 409, so that memo refills, but building all 409 takes
-# about 6 ms against about 300 ms per call. The bound keeps a run that makes
-# many distinct gates (random phases, pulse fits) from growing the process.
+# at m = 15-17 use 409, so that memo refills, but the 393 layouts a 24-call
+# round of them rebuilds take about 3 ms against about 60 ms per call. The
+# bound keeps a run that makes many distinct gates (random phases, pulse
+# fits) from growing the process.
 PLAN_CACHE = 256
 
 
@@ -100,9 +102,12 @@ class _Plan(NamedTuple):
     and the structured kernels' inputs."""
 
     dev: float
-    # (row, col, re, im) per nonzero that is not a diagonal 1, if the gate
-    # has one nonzero per row; otherwise None
-    entries: tuple | None
+    # if the gate has one nonzero d per row: its cycles of slabs, each a pair
+    # (rows, factors) in which slab rows[i] becomes factors[i] times slab
+    # rows[i + 1] (the last one times slab rows[0]), a factor being
+    # (d.real, 1j * d.imag), or None for d == 1; diagonal 1s are left out.
+    # Otherwise None
+    cycles: tuple | None
     # pure-real and pure-imaginary multipliers of a diagonal 2x2, else None
     diagonal: np.ndarray | None
 
@@ -116,18 +121,28 @@ def _gate_plan(raw: bytes, dim: int) -> _Plan:
     dev = np.abs(gate.conj().T @ gate - np.eye(dim)).max()
     if np.count_nonzero(gate) != dim:
         return _Plan(dev, None, None)
-    entries = []
-    for row, col in zip(*np.nonzero(gate)):
-        d = gate[row, col]
-        if not (d == 1 and row == col):
-            entries.append((int(row), int(col), d.real, complex(0.0, d.imag)))
+    # column of each row's nonzero: a permutation in any gate that passes
+    # the unitarity check, the only gates a kernel sees
+    col = (np.flatnonzero(gate) % dim).tolist()
+    cycles, seen = [], set()
+    for start in range(dim):
+        rows, factors, row = [], [], start
+        while row not in seen:
+            seen.add(row)
+            d = complex(gate[row, col[row]])
+            rows.append(row)
+            factors.append(None if d == 1 else (d.real, complex(0.0, d.imag)))
+            row = col[row]
+        # a start on an earlier cycle gives none; a diagonal 1 needs none
+        if rows and factors != [None]:
+            cycles.append((tuple(rows), tuple(factors)))
     diagonal = None
     if dim == 2 and gate[0, 1] == 0:
         diagonal = np.zeros((2, 2), dtype=np.complex128)
         diagonal[0].real = gate.diagonal().real
         diagonal[1].imag = gate.diagonal().imag
         diagonal.flags.writeable = False
-    return _Plan(dev, tuple(entries), diagonal)
+    return _Plan(dev, tuple(cycles), diagonal)
 
 
 class _Layout(NamedTuple):
@@ -186,20 +201,25 @@ def _qubit_axis(state: QuantumState, qubit_index: int) -> int:
     return qubit_index - 1
 
 
-def _apply(state: QuantumState, axes: list, gate: np.ndarray) -> QuantumState:
+def _apply(
+    state: QuantumState, axes: list, gate: np.ndarray, in_place: bool = False
+) -> QuantumState:
     """Apply a unitary on the tensor factors ``axes`` (its row order).
 
     A gate that leaves fewer than two other factors, or has more than one
     nonzero entry in a row, is contracted by ``_apply_dense`` in the one
-    BLAS call that ``np.tensordot`` makes: BLAS multiplies such small
-    matrices with kernels that round otherwise than the split products. A
-    diagonal one-qubit gate whose axis leaves runs of 2 to LONG_RUN_MAX
-    amplitudes in each slab multiplies the whole state by a pattern
-    (``_apply_long_run``). Any other gate with one nonzero per row
-    (diagonal, CNOT, X) moves whole slabs (``_apply_monomial``). All give
+    BLAS call that ``np.tensordot`` makes, into a new array: BLAS
+    multiplies such small matrices with kernels that round otherwise than
+    the split products. The other kernels overwrite the state they are
+    given: a diagonal one-qubit gate whose axis leaves runs of 2 to
+    LONG_RUN_MAX amplitudes in each slab multiplies the whole state by a
+    pattern (``_apply_long_run``), and any other gate with one nonzero per
+    row (diagonal, CNOT, X) rotates whole slabs (``_apply_monomial``).
+    They work on the caller's amplitudes only with ``in_place`` and a
+    C-contiguous writeable array; otherwise on one copy of them. All give
     the same bits: BLAS rounds each product once and adds the exact zeros
-    of the other terms, as the split products of ``_multiply_split`` do.
-    The unitarity verdict and the kernels' inputs are worked out once per
+    of the other terms, as the split products of ``_product`` do. The
+    unitarity verdict and the kernels' inputs are worked out once per
     distinct gate (``_gate_plan``) and once per axis set (``_layout``).
     """
     dim = 2 ** len(axes)
@@ -213,51 +233,61 @@ def _apply(state: QuantumState, axes: list, gate: np.ndarray) -> QuantumState:
         raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
     psi = state.amplitudes.reshape((2,) * state.num_factors)
     layout = _layout(psi.ndim, tuple(axes))
-    if layout.slabs is None or plan.entries is None:
+    if layout.slabs is None or plan.cycles is None:
         psi = _apply_dense(psi, layout.order, layout.back, gate)
-    elif plan.diagonal is not None and layout.run_index is not None:
-        psi = _apply_long_run(psi, layout.run_index, plan.diagonal)
     else:
-        psi = _apply_monomial(psi, layout.slabs, plan.entries)
-    # every path returns a new array, so the state can own it without a copy
+        if not (in_place and psi.flags.carray):
+            psi = psi.copy()
+        if plan.diagonal is not None and layout.run_index is not None:
+            psi = _apply_long_run(psi, layout.run_index, plan.diagonal)
+        else:
+            psi = _apply_monomial(psi, layout.slabs, plan.cycles)
+    # psi is C-contiguous, so the flat view shares its memory
     out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(-1))
     return _check_norm(out)
 
 
-def _apply_monomial(psi: np.ndarray, slabs: tuple, entries: tuple) -> np.ndarray:
+def _apply_monomial(psi: np.ndarray, slabs: tuple, cycles: tuple) -> np.ndarray:
     """Unitary gate with a single nonzero ``d`` in each row, given as its
-    ``(row, col, d.real, 1j * d.imag)`` entries other than diagonal 1s:
-    output slab ``row`` is ``d`` times input slab ``col``. The output starts
-    as a copy of the input, so only the listed slabs are rewritten. The
-    product is taken as ``src * d.real + src * 1j * d.imag``, which rounds
-    like BLAS's ``zgemm``; numpy's complex ``src * d`` differs from it in the
-    last bit."""
-    out = psi.copy()
-    for row, col, re, im in entries:
-        src, dst = psi[slabs[col]], out[slabs[row]]
-        if re == 1 and im == 0:
-            dst[...] = src
-        else:
-            _multiply_split(src, re, im, dst)
-    return out
+    ``cycles`` (see ``_Plan``): each slab on a cycle is overwritten with
+    ``d`` times the next one, so slabs whose entry is a diagonal 1 are not
+    touched. Each cycle is rotated block by block through one temporary
+    block, which holds the first slab's block until the last entry reads
+    it; a cycle of one entry scales its slab. The product is taken as
+    ``src * d.real + src * 1j * d.imag``, which rounds like BLAS's
+    ``zgemm``; numpy's complex ``src * d`` differs from it in the last bit.
+    Returns ``psi``."""
+    for rows, factors in cycles:
+        for block in _blocks([psi[slabs[row]] for row in rows]):
+            if len(block) == 1:
+                _product(block[0], *factors[0], block[0])
+                continue
+            # the first slab's block is overwritten first and read last, so
+            # the last entry reads a copy of it
+            block.append(block[0].copy())
+            for i, factor in enumerate(factors):
+                if factor is None:
+                    block[i][...] = block[i + 1]
+                else:
+                    _product(block[i + 1], *factor, block[i])
+    return psi
 
 
 def _apply_long_run(
     psi: np.ndarray, run_index: np.ndarray, diagonal: np.ndarray
 ) -> np.ndarray:
     """Diagonal one-qubit gate ``diag(d)`` on the axis whose slabs hold runs
-    of contiguous amplitudes: the whole state is multiplied, in rows of
-    SPLIT_BLOCK amplitudes (or all of a smaller state), by the pattern
-    ``run_index`` picks from ``d``. As in ``_apply_monomial`` the pattern is
-    split into a pure-real and a pure-imaginary multiplier, the rows of
-    ``diagonal``, so each component of the product is rounded once, as
-    ``zgemm`` rounds it; an entry ``d == 1`` gives its amplitudes back up
-    to the sign of an exact zero."""
+    of contiguous amplitudes: the C-contiguous ``psi`` is multiplied in
+    place, in rows of SPLIT_BLOCK amplitudes (or all of a smaller state),
+    by the pattern ``run_index`` picks from ``d``. As in ``_apply_monomial``
+    the pattern is split into a pure-real and a pure-imaginary multiplier,
+    the rows of ``diagonal``, so each component of the product is rounded
+    once, as ``zgemm`` rounds it; an entry ``d == 1`` gives its amplitudes
+    back up to the sign of an exact zero. Returns ``psi``."""
     re, im = np.take(diagonal, run_index, axis=1)
-    rows = psi.reshape(-1, run_index.size)
-    out = np.empty_like(rows)
-    _multiply_split(rows, re, im, out)
-    return out.reshape(psi.shape)
+    for [rows] in _blocks([psi.reshape(-1, run_index.size)]):
+        _product(rows, re, im, rows)
+    return psi
 
 
 def _apply_dense(
@@ -275,36 +305,55 @@ def _apply_dense(
     return np.ascontiguousarray(out.reshape(psi.shape).transpose(back))
 
 
-def _multiply_split(src: np.ndarray, re, im, dst: np.ndarray) -> None:
-    """``dst = src * re + src * im`` with ``re`` pure real and ``im`` pure
-    imaginary, block by block along the leading axes of ``src``: no block,
-    and so no temporary, holds more than SPLIT_BLOCK amplitudes, where a
-    full-size product would make one as large as ``src``."""
-    per = src.size // src.shape[0]
+def _blocks(views: list) -> list:
+    """Matching blocks of the same-shaped ``views``, cut along their leading
+    axes so that no block holds more than SPLIT_BLOCK amplitudes: a
+    temporary the size of a block stays in cache, where one the size of a
+    view could be as large as the state."""
+    first = views[0]
+    if first.size <= SPLIT_BLOCK:
+        return [views]
+    per = first.size // len(first)
     if per > SPLIT_BLOCK:
-        for s, d in zip(src, dst):
-            _multiply_split(s, re, im, d)
-        return
+        return [block for parts in zip(*views) for block in _blocks(list(parts))]
     step = SPLIT_BLOCK // per
-    for i in range(0, src.shape[0], step):
-        s, d = src[i:i + step], dst[i:i + step]
-        np.multiply(s, re, out=d)
-        d += s * im
+    return [[v[i:i + step] for v in views] for i in range(0, len(first), step)]
 
 
-def apply_1q(state: QuantumState, qubit_index: int, gate: np.ndarray) -> QuantumState:
-    """Apply a 2x2 unitary to the indexed qubit (1-based)."""
-    return _apply(state, [_qubit_axis(state, qubit_index)], gate)
+def _product(src: np.ndarray, re, im, dst: np.ndarray) -> None:
+    """``dst = src * re + src * im`` with ``re`` pure real and ``im`` pure
+    imaginary; ``dst`` may be ``src`` itself, since ``src * im`` is taken
+    before ``dst`` is written."""
+    t = src * im
+    np.multiply(src, re, out=dst)
+    dst += t
+
+
+def apply_1q(
+    state: QuantumState, qubit_index: int, gate: np.ndarray, *, in_place: bool = False
+) -> QuantumState:
+    """Apply a 2x2 unitary to the indexed qubit (1-based).
+
+    With ``in_place`` a diagonal or permutation gate may overwrite the
+    state's amplitudes, so pass it only for a state no one else holds;
+    either way use the returned state."""
+    return _apply(state, [_qubit_axis(state, qubit_index)], gate, in_place)
 
 
 def apply_2q(
-    state: QuantumState, control_index: int, target_index: int, gate: np.ndarray
+    state: QuantumState,
+    control_index: int,
+    target_index: int,
+    gate: np.ndarray,
+    *,
+    in_place: bool = False,
 ) -> QuantumState:
-    """Apply a 4x4 unitary to the ordered (control, target) qubit pair."""
+    """Apply a 4x4 unitary to the ordered (control, target) qubit pair;
+    ``in_place`` as in ``apply_1q``."""
     if control_index == target_index:
         raise DimensionError("control and target must be distinct")
     axes = [_qubit_axis(state, control_index), _qubit_axis(state, target_index)]
-    return _apply(state, axes, gate)
+    return _apply(state, axes, gate, in_place)
 
 
 def apply_qubit_cavity(

@@ -597,6 +597,14 @@ class TestSerialiser:
         if report["config"]["format"] == "json":
             assert text == json_dumps(report) + "\n"
 
+    def test_long_sweep_report_matches_json_dumps(self, monkeypatch):
+        # every row is a flat dict written by the cached C encoder
+        args = ["sweep", "--m-values", "5", "--n", "3", "--random-phases", "2000",
+                "--seed", "2"]
+        report, text = report_of(args, monkeypatch)
+        assert len(report["results"]["rows"]) == 2000
+        assert text == json_dumps(report) + "\n"
+
     @pytest.mark.parametrize("obj", [
         {}, [], (), {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ({},)},
         (1, 2.5, "x"), [(), (0.5,), [[1.0, [2.0]]]],

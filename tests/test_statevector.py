@@ -467,6 +467,117 @@ class TestStructuredKernel:
                 apply()
 
 
+def monomial_gates(rng):
+    """4x4 gates with one nonzero per row and non-unit phases: a 3-cycle
+    with a fixed point, two 4-cycles and a pair of 2-cycles, each once with
+    random phases and once with every other entry exactly 1."""
+    gates = {}
+    for perm in ([1, 2, 0, 3], [0, 3, 1, 2], [1, 2, 3, 0], [2, 3, 1, 0], [1, 0, 3, 2]):
+        phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
+        for name, d in (("phased", phases), ("half ones", np.where([1, 0, 1, 0], 1, phases))):
+            gate = np.zeros((4, 4), dtype=complex)
+            gate[np.arange(4), perm] = d
+            gates[f"{name} {perm}"] = gate
+    return gates
+
+
+class TestInPlace:
+    """With ``in_place`` the slab and long-run kernels overwrite the state
+    they are given, and must still equal the contraction bit for bit; the
+    default leaves the caller's amplitudes as they were."""
+
+    @staticmethod
+    def check(state, axes, gate):
+        work = sv.QuantumState(state.num_qubits, state.has_cavity,
+                               state.amplitudes.copy())
+        got = sv._apply(work, axes, gate, in_place=True).amplitudes
+        assert np.array_equal(got, tensordot_apply(state, axes, gate)), axes
+        dense = TestKernelDispatch.expected(state.num_factors, axes, gate) == "_apply_dense"
+        assert np.shares_memory(got, work.amplitudes) is not dense, axes
+
+    @pytest.mark.parametrize(
+        "factors, cavity",
+        [(f, c) for f in range(1, 13) for c in (False, True) if f > c],
+    )
+    def test_matches_tensordot_bit_for_bit(self, factors, cavity):
+        rng = np.random.default_rng(300 + 2 * factors + cavity)
+        amps = rng.normal(size=2 ** factors) + 1j * rng.normal(size=2 ** factors)
+        state = sv.QuantumState(factors - cavity, cavity, amps / np.linalg.norm(amps))
+        one, two = TestStructuredKernel.gates(rng)
+        two.update(monomial_gates(rng))
+        for gate in one.values():
+            for axis in range(factors):
+                self.check(state, [axis], gate)
+        for gate in two.values():
+            for axes in itertools.permutations(range(factors), 2):
+                self.check(state, list(axes), gate)
+
+    @pytest.mark.parametrize("factors", [14, 15])
+    def test_blocks_of_large_slabs(self, factors):
+        # slabs of more than SPLIT_BLOCK amplitudes are cut into blocks, at
+        # 15 factors over two leading axes
+        rng = np.random.default_rng(400 + factors)
+        state = random_state(factors, rng)
+        one, two = TestStructuredKernel.gates(rng)
+        for gate in one.values():
+            for axis in range(factors):
+                self.check(state, [axis], gate)
+        ends = [0, 1, factors // 2, factors - 2, factors - 1]
+        for gate in [CNOT, *monomial_gates(rng).values()]:
+            for axes in itertools.permutations(ends, 2):
+                self.check(state, list(axes), gate)
+
+    def test_default_leaves_input_bytes(self):
+        rng = np.random.default_rng(16)
+        one, two = TestStructuredKernel.gates(rng)
+        two.update(monomial_gates(rng))
+        for m in (3, 8, 14):
+            state = random_state(m, rng)
+            before = state.amplitudes.tobytes()
+            for gate in one.values():
+                for q in range(1, m + 1):
+                    sv.apply_1q(state, q, gate)
+            for gate in two.values():
+                for pair in [(1, 2), (m, 1), (m - 1, m), (2, m)]:
+                    sv.apply_2q(state, *pair, gate)
+            assert state.amplitudes.tobytes() == before
+
+    @pytest.mark.parametrize("mode", list(qpe.GateMode))
+    @pytest.mark.parametrize("m", [3, 12, 14])
+    def test_protocol_leaves_input_bytes(self, m, mode):
+        state = random_state(m, np.random.default_rng(m))
+        before = state.amplitudes.tobytes()
+        qpe.apply_phase_kicks(state, 2.0, m, mode)
+        qpe.inverse_qft(state, m, mode)
+        qpe._apply_sequence(state, 1, m, 0.7, mode)
+        assert state.amplitudes.tobytes() == before
+
+    def test_unowned_buffers_are_copied(self):
+        # a read-only or strided array cannot be overwritten in place, so
+        # in_place falls back to one copy and the input stays as it was
+        amps = random_state(8, np.random.default_rng(17)).amplitudes
+        read_only = amps.copy()
+        read_only.flags.writeable = False
+        strided = np.repeat(amps, 2)[::2]
+        for buf in (read_only, strided):
+            state = sv.QuantumState(8, False, buf)
+            before = buf.tobytes()
+            got = sv.apply_1q(state, 3, np.diag([1, 1j]), in_place=True)
+            assert np.array_equal(got.amplitudes,
+                                  tensordot_apply(state, [2], np.diag([1, 1j])))
+            got = sv.apply_2q(state, 2, 8, CNOT, in_place=True)
+            assert np.array_equal(got.amplitudes, tensordot_apply(state, [1, 7], CNOT))
+            assert buf.tobytes() == before
+
+    def test_in_place_is_keyword_only(self):
+        # the gate stays the last positional argument of every gate call
+        state = sv.new_state(3)
+        with pytest.raises(TypeError):
+            sv.apply_1q(state, 1, X, True)
+        with pytest.raises(TypeError):
+            sv.apply_2q(state, 1, 2, CNOT, True)
+
+
 class TestGatePlanMemo:
     """The unitarity verdict and kernel plan are memoised on the gate's
     bytes: a gate edited in place is judged again, a rejected gate stays
@@ -584,3 +695,29 @@ class TestNormCheckFires:
         assert code == 2 and captured.out == ""
         assert "state norm drifted" in captured.err
         assert corrupted
+
+    @pytest.mark.parametrize("nth", [1, 60, 140])
+    def test_in_place_diagonal_product_exits_2(self, monkeypatch, capsys, nth):
+        # the nth product a diagonal entry makes in place (the first is a
+        # kick, the 140th a phase gate late in the inverse QFT, on a state
+        # the protocol owns) is off by one part in 10^9
+        calls = []
+        product = sv._product
+
+        def corrupted(src, re, im, dst):
+            product(src, re, im, dst)
+            if dst is src:
+                calls.append(len(calls) + 1)
+                if len(calls) == nth:
+                    dst *= 1 + 1e-9
+
+        monkeypatch.setattr(sv, "_product", corrupted)
+        with pytest.raises(NumericalInvariantError, match="state norm drifted"):
+            qpe.exact_distribution(10, 0.3)
+        assert calls[-1] == nth
+        calls.clear()
+        code = cli.main(["estimate", "--m", "10", "--phase", "0.3", "--shots", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "state norm drifted" in captured.err
+        assert calls[-1] == nth
