@@ -461,7 +461,12 @@ def _encoder(inner: str):
     """The C encoder for a container without nested containers, its items
     split by ',' + inner. It is built once per separator, where
     ``JSONEncoder.encode`` builds a new one on every call; such a container
-    cannot be circular, so it keeps no markers."""
+    cannot be circular, so it keeps no markers. Without the ``_json``
+    accelerator it is ``JSONEncoder.encode``, which falls back to the
+    pure-Python encoder."""
+    if json.encoder.c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, allow_nan=False,
+                                separators=("," + inner, ": ")).encode
     # markers, default, string encoder, indent, key and item separators,
     # sort_keys, skipkeys, allow_nan: JSONEncoder.iterencode's arguments
     encode = json.encoder.c_make_encoder(

@@ -128,7 +128,7 @@ def prepare_register(m: int, gate_mode: GateMode = GateMode.IDEAL) -> sv.Quantum
     state = sv.new_state(m)
     h = _hadamard_gate(gate_mode)
     for q in range(1, m + 1):
-        state = sv.apply_1q(state, q, h, in_place=True)
+        state = sv.apply_1q(state, q, h)
     return state
 
 
@@ -174,19 +174,17 @@ def sequence_unitary(theta: float) -> np.ndarray:
 
 
 def _apply_sequence(
-    state: sv.QuantumState, j: int, k: int, theta: float, mode: GateMode,
-    in_place: bool = False,
+    state: sv.QuantumState, j: int, k: int, theta: float, mode: GateMode
 ) -> sv.QuantumState:
-    """The five gates on the pair (j, k). Only with ``in_place`` may the
-    first one overwrite ``state``; the later ones overwrite what it returns."""
+    """The five gates on the pair (j, k). They may overwrite ``state``,
+    which every caller owns."""
     for step in controlled_phase_sequence(theta):
         if step.kind == "cnot":
-            state = sv.apply_2q(state, j, k, CNOT, in_place=in_place)
+            state = sv.apply_2q(state, j, k, CNOT, in_place=True)
         else:
             target = j if step.slot == "j" else k
             state = sv.apply_1q(state, target, _phase_gate(step.angle, mode),
-                                in_place=in_place)
-        in_place = True
+                                in_place=True)
     return state
 
 
@@ -195,15 +193,15 @@ def inverse_qft(
 ) -> sv.QuantumState:
     """Inverse-QFT schedule: Hadamard on molecule 1, then for each molecule
     r = 2..m the controlled-phase sequences U_{s,r} (theta = pi / 2^{r-s+1})
-    followed by a Hadamard on r. ``state`` itself is not written: the
-    first Hadamard returns a new state, which the later gates overwrite."""
+    followed by a Hadamard on r. ``state`` itself is not written: each
+    Hadamard returns a new state, which the sequences after it overwrite."""
     h = _hadamard_gate(gate_mode)
     state = sv.apply_1q(state, 1, h)
     for r in range(2, m + 1):
         for s in range(1, r):
             state = _apply_sequence(state, s, r, math.pi / 2 ** (r - s + 1),
-                                    gate_mode, in_place=True)
-        state = sv.apply_1q(state, r, h, in_place=True)
+                                    gate_mode)
+        state = sv.apply_1q(state, r, h)
     return state
 
 
@@ -297,10 +295,10 @@ def _controlled_kick_state(m: int, phi: float, h: np.ndarray) -> sv.QuantumState
     molecule m+1 in |1>, after controlled-phase kicks e^{i 2^{m-j} phi} from
     each molecule j onto the target."""
     flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    # the state is made here, so every gate may overwrite it
+    # the state is made here, so the flip and the kicks may overwrite it
     state = sv.apply_1q(sv.new_state(m + 1), m + 1, flip, in_place=True)
     for q in range(1, m + 1):
-        state = sv.apply_1q(state, q, h, in_place=True)
+        state = sv.apply_1q(state, q, h)
     for j in range(1, m + 1):
         reps = 2 ** (m - j)
         cphase = np.diag([1.0, 1.0, 1.0, np.exp(1j * reps * phi)]).astype(

@@ -645,6 +645,21 @@ class TestSerialiser:
         with pytest.raises(ValueError, match=f"not JSON compliant: {bad!r}"):
             cli._dumps(wrap(bad))
 
+    def test_without_c_accelerator(self, monkeypatch):
+        # an interpreter without _json has no c_make_encoder
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        cli._encoder.cache_clear()
+        try:
+            report, _ = report_of(["sweep", "--m-values", "5,6", "--n", "3",
+                                   "--random-phases", "3", "--seed", "2"],
+                                  monkeypatch)
+            for obj in [report, {"b": None, "a": [1, "x", 2.5]}, (1, -0.0)]:
+                assert cli._dumps(obj) == json_dumps(obj)
+            with pytest.raises(ValueError, match="not JSON compliant: nan"):
+                cli._dumps({"a": [1, math.nan]})
+        finally:
+            cli._encoder.cache_clear()
+
 
 class TestParserReuse:
     CALLS = [

@@ -549,7 +549,6 @@ class TestInPlace:
         before = state.amplitudes.tobytes()
         qpe.apply_phase_kicks(state, 2.0, m, mode)
         qpe.inverse_qft(state, m, mode)
-        qpe._apply_sequence(state, 1, m, 0.7, mode)
         assert state.amplitudes.tobytes() == before
 
     def test_unowned_buffers_are_copied(self):
