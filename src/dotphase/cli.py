@@ -29,8 +29,8 @@ from . import statevector as sv
 from .errors import NumericalInvariantError, ValidationError
 
 OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
-# Random sweep phases: each one is a full exact distribution per m value and
-# a row of the report.
+# Random sweep phases: each one is a row of an exact-distribution stack per
+# m value (qpe.exact_distributions) and a row of the report.
 MAX_RANDOM_PHASES = 10_000
 
 
@@ -139,7 +139,7 @@ _SCHEMAS = {
     }),
     "sweep": ("tabulate empirical success against the bound", {
         "m_values": _Key(_list_of(_as_int), _REQUIRED, help="comma list, e.g. 5,6,7"),
-        "n": _Key(_as_int, _REQUIRED),
+        "n": _Key(_as_count, _REQUIRED),
         "phases_rad": _Key(_list_of(parse_angle), None, "--phases",
                            "comma list of angles (radians/'rad'/'turn')"),
         "random_phases": _Key(_count_upto(MAX_RANDOM_PHASES), None,
@@ -288,6 +288,7 @@ def cmd_sweep(cfg: dict) -> tuple[dict, list]:
     if not m_values:
         raise ValidationError("m_values must be nonempty")
     for m in m_values:
+        qpe.check_register(m)
         if m < n + 2:
             raise ValidationError(
                 f"m = {m} gives an undefined bound; need m >= n + 2 = {n + 2}"
@@ -306,16 +307,14 @@ def cmd_sweep(cfg: dict) -> tuple[dict, list]:
     rows = []
     for m in m_values:
         bound = qpe.success_probability_bound(m, n)
-        for phi in phis:
-            rows.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "phi_rad": phi,
-                    "empirical_success": qpe.empirical_success(m, n, phi, mode),
-                    "bound": bound,
-                }
-            )
+        # one batch of distributions at a time, so memory stays bounded
+        per = qpe.batch_size(m)
+        for start in range(0, len(phis), per):
+            batch = phis[start:start + per]
+            for phi, probs in zip(batch, qpe.exact_distributions(m, batch, mode)):
+                rows.append({"m": m, "n": n, "phi_rad": phi,
+                             "empirical_success": qpe.window_mass(probs, n, phi),
+                             "bound": bound})
     return {"rows": rows}, []
 
 

@@ -20,6 +20,7 @@ from . import _pcg
 from . import statevector as sv
 from .errors import (
     BoundUndefinedError,
+    CapacityError,
     DomainError,
     ValidationError,
 )
@@ -39,12 +40,24 @@ MAX_SHOTS = 1_000_000
 # visible to a tracer that wraps shot_seed, as benchmarks/spans.py does;
 # larger runs take the array pass in shot_seeds.
 SHOT_SEED_LOOP_MAX = 64
+# Amplitudes one inverse QFT of exact_distributions carries: it stacks the
+# registers of up to BATCH_AMPLITUDES >> m phases (1 MiB of state), so every
+# gate serves them all at once; from m = 16 on each phase runs alone.
+BATCH_AMPLITUDES = 2 ** 16
 
 IDEAL_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
     dtype=np.complex128,
 )
+
+
+def check_register(m: int) -> int:
+    """``m``, once it is a register size the simulator takes: 1 to
+    MAX_REGISTER."""
+    if not (1 <= m <= MAX_REGISTER):
+        raise CapacityError(f"m must be in [1, {MAX_REGISTER}], got {m}")
+    return m
 
 
 class GateMode(str, Enum):
@@ -64,8 +77,7 @@ class QpeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (1 <= self.m <= MAX_REGISTER):
-            raise ValidationError(f"m must be in [1, {MAX_REGISTER}], got {self.m}")
+        check_register(self.m)
         if not (0.0 < self.true_phase_phi <= math.tau):
             raise ValidationError(
                 f"true phase must lie in (0, 2*pi], got {self.true_phase_phi}"
@@ -238,20 +250,46 @@ def exact_distribution(
     m: int, phi: float, gate_mode: GateMode = GateMode.IDEAL
 ) -> OutcomeDistribution:
     """Full readout distribution of the protocol, no sampling."""
-    state = apply_phase_kicks(prepare_register(m, gate_mode), phi, m, gate_mode)
-    return _readout(inverse_qft(state, m, gate_mode), m)
+    return OutcomeDistribution(m=m, probs=exact_distributions(m, [phi], gate_mode)[0])
+
+
+def exact_distributions(
+    m: int, phis, gate_mode: GateMode = GateMode.IDEAL
+) -> np.ndarray:
+    """Readout distribution of the protocol for each phase of ``phis``, one
+    row per phase, no sampling. The register is prepared once; the kicked
+    registers of up to ``batch_size(m)`` phases are stacked and go through
+    one inverse QFT, whose gates act on every row alike, so each row has
+    the bits that phase's run alone would give."""
+    check_register(m)
+    prepared = prepare_register(m, gate_mode)
+    per = batch_size(m)
+    out = np.empty((len(phis), 2 ** m))
+    for start in range(0, len(phis), per):
+        stack = np.stack([apply_phase_kicks(prepared, phi, m, gate_mode).amplitudes
+                          for phi in phis[start:start + per]])
+        state = inverse_qft(sv.QuantumState(m, False, stack), m, gate_mode)
+        out[start:start + len(stack)] = _readout(state, m).probs
+    return out
+
+
+def batch_size(m: int) -> int:
+    """Phases that exact_distributions stacks at register size ``m``."""
+    return max(1, BATCH_AMPLITUDES >> m)
 
 
 def _readout(state: sv.QuantumState, m: int) -> OutcomeDistribution:
     """Distribution of the readout integer over molecules 1..m: the register
-    marginal with its bit order reversed (molecule 1 holds the last bit)."""
+    marginal with its bit order reversed (molecule 1 holds the last bit);
+    of a stack, one row per state."""
     register = sv.register_probabilities(state, m)
-    probs = register.reshape((2,) * m).transpose().reshape(-1)
-    return OutcomeDistribution(m=m, probs=probs)
+    rows = register.reshape((-1,) + (2,) * m).transpose(0, *range(m, 0, -1))
+    return OutcomeDistribution(m=m, probs=rows.reshape(register.shape))
 
 
 def success_probability_bound(m: int, n: int) -> float:
     """Chance the m-bit estimate lands within 1/2^n: 1 - 1/(2^{m-n+1} - 4)."""
+    _check_accuracy(n)
     if m <= n:
         raise DomainError(f"need m > n, got m={m}, n={n}")
     if m == n + 1:
@@ -268,15 +306,27 @@ def circular_distance(frac_a, frac_b):
     return np.minimum(d, 1.0 - d)
 
 
+def _check_accuracy(n: int) -> None:
+    if n < 0:
+        raise DomainError(f"need n >= 0 accuracy bits, got n={n}")
+
+
 def empirical_success(
     m: int, n: int, phi: float, gate_mode: GateMode = GateMode.IDEAL
 ) -> float:
     """Probability mass of readouts within circular distance 1/2^n of phi."""
+    _check_accuracy(n)
     if m < n:
         raise DomainError(f"need m >= n, got m={m}, n={n}")
-    dist = exact_distribution(m, phi, gate_mode)
-    d = circular_distance(np.arange(2 ** m) / 2 ** m, (phi / math.tau) % 1.0)
-    return float(dist.probs[d < 0.5 ** n].sum())
+    return window_mass(exact_distribution(m, phi, gate_mode).probs, n, phi)
+
+
+def window_mass(probs: np.ndarray, n: int, phi: float) -> float:
+    """Mass of the readout distribution ``probs`` (over 2^m outcomes) within
+    circular distance 1/2^n of phi."""
+    size = len(probs)
+    d = circular_distance(np.arange(size) / size, (phi / math.tau) % 1.0)
+    return float(probs[d < 0.5 ** n].sum())
 
 
 def kick_equivalence_check(m: int, phi: float) -> float:

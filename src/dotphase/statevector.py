@@ -3,6 +3,10 @@
 Basis convention: qubit 1 is the most significant bit of the basis index;
 the cavity mode, when present, occupies the least significant position.
 The cavity Fock space is truncated to {0, 1}.
+
+A state may also hold a stack of P states of the same shape, as a
+``(P, dim)`` amplitude array: every gate acts on each row, and every row
+must keep its own unit norm.
 """
 from __future__ import annotations
 
@@ -44,21 +48,24 @@ LONG_RUN_MAX = 2 ** 10
 SPLIT_BLOCK = 2 ** 12
 # Entries of each memo, _gate_plan (per distinct gate) and _layout (per
 # state shape and axis set). An ideal sweep over m = 8-10 with 12 phases
-# uses 140 gates and 136 layouts, and m = 5-10 uses 200 layouts; estimates
-# at m = 15-17 use 409, so that memo refills, but the 393 layouts a 24-call
-# round of them rebuilds take about 3 ms against about 60 ms per call. The
-# bound keeps a run that makes many distinct gates (random phases, pulse
-# fits) from growing the process.
+# makes 923 gate calls, each inverse QFT on one stack of all 12 phases,
+# with 140 gates (120 of them kicks) and 136 layouts; m = 5-10 makes 1405
+# calls with 200 layouts. Estimates at m = 15-17 use 409 layouts, so that
+# memo refills, but the 393 layouts a 24-call round of them rebuilds take
+# about 3 ms against about 60 ms per call. The bound keeps a run that makes
+# many distinct gates (random phases, pulse fits) from growing the process.
 PLAN_CACHE = 256
 
 
 @dataclass
 class QuantumState:
-    """Amplitude vector over ``num_qubits`` qubits and an optional cavity mode."""
+    """Amplitude vector over ``num_qubits`` qubits and an optional cavity
+    mode, or a stack of them (see the module docstring)."""
 
     num_qubits: int
     has_cavity: bool
-    amplitudes: np.ndarray  # complex128, length 2**num_qubits * (2 if cavity)
+    # complex128, length 2**num_qubits * (2 if cavity); (P, that) for a stack
+    amplitudes: np.ndarray
 
     @property
     def num_factors(self) -> int:
@@ -69,9 +76,9 @@ class QuantumState:
         return 2 ** self.num_factors
 
     def norm(self) -> float:
-        # one pass over the amplitudes; np.linalg.norm takes two strided
-        # passes, one over the real and one over the imaginary parts
-        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
+        """Norm of a single state (of a stack, the root of its rows'
+        squared norms summed)."""
+        return _norm(self.amplitudes)
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.num_qubits, self.has_cavity, self.amplitudes.copy())
@@ -152,7 +159,10 @@ class _Layout(NamedTuple):
     order: tuple
     back: tuple
     # index of each slab, the gate axes fixed to a gate index's bits (first
-    # axis most significant); None if fewer than two other factors are left
+    # axis most significant); it starts at the first gate axis, after a
+    # ``...`` that covers the axes before it and a stack's axis (numpy
+    # takes a short index faster). None if fewer than two other factors
+    # are left
     slabs: tuple | None
     # for one axis with runs of 2 to LONG_RUN_MAX, 0 ``run`` times then 1
     # ``run`` times over a long-run row: which diagonal entry multiplies
@@ -163,21 +173,23 @@ class _Layout(NamedTuple):
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _layout(ndim: int, axes: tuple) -> _Layout:
     """Read-only layout of a gate on the factors ``axes`` of a
-    ``(2,) * ndim`` tensor, shared by every call with the same key."""
+    ``(2,) * ndim`` tensor or a stack of them, shared by every call with
+    the same key."""
     k = len(axes)
     order = axes + tuple(a for a in range(ndim) if a not in axes)
     back = tuple(order.index(a) for a in range(ndim))
     slabs = run_index = None
     if ndim - k >= 2:
-        slabs = []
+        slabs, first = [], min(axes)
         for c in range(2 ** k):
-            index = [slice(None)] * ndim
+            index = [slice(None)] * (ndim - first)
             for pos, axis in enumerate(axes):
-                index[axis] = (c >> (k - 1 - pos)) & 1
-            slabs.append(tuple(index))
+                index[axis - first] = (c >> (k - 1 - pos)) & 1
+            slabs.append((Ellipsis, *index))
         slabs = tuple(slabs)
     run = 2 ** (ndim - 1 - axes[0])
     if k == 1 and 2 <= run <= LONG_RUN_MAX:
+        # a row never straddles two states of a stack: the tile divides 2^ndim
         tile = min(SPLIT_BLOCK, 2 ** ndim)
         run_index = np.repeat(np.arange(2, dtype=np.uint8), run)
         run_index = np.tile(run_index, tile // (2 * run))
@@ -185,11 +197,19 @@ def _layout(ndim: int, axes: tuple) -> _Layout:
     return _Layout(order, back, slabs, run_index)
 
 
+def _norm(amps: np.ndarray) -> float:
+    # one pass over the amplitudes; np.linalg.norm takes two strided
+    # passes, one over the real and one over the imaginary parts
+    return math.sqrt(np.vdot(amps, amps).real)
+
+
 def _check_norm(state: QuantumState) -> QuantumState:
-    if not abs(state.norm() - 1.0) <= NORM_TOL:
-        raise NumericalInvariantError(
-            f"state norm drifted to {state.norm():.15f}"
-        )
+    """``state``, once each of its rows has unit norm."""
+    amps = state.amplitudes
+    for row in amps if amps.ndim > 1 else (amps,):
+        norm = _norm(row)
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise NumericalInvariantError(f"state norm drifted to {norm:.15f}")
     return state
 
 
@@ -221,6 +241,9 @@ def _apply(
     of the other terms, as the split products of ``_product`` do. The
     unitarity verdict and the kernels' inputs are worked out once per
     distinct gate (``_gate_plan``) and once per axis set (``_layout``).
+
+    On a stack the structured kernels make one pass over all its rows and
+    the contraction runs row by row; each row's norm is checked.
     """
     dim = 2 ** len(axes)
     gate = np.asarray(gate, dtype=np.complex128)
@@ -231,8 +254,9 @@ def _apply(
     # written so that a NaN deviation fails too
     if not plan.dev <= UNITARY_TOL:
         raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
-    psi = state.amplitudes.reshape((2,) * state.num_factors)
-    layout = _layout(psi.ndim, tuple(axes))
+    amps, ndim = state.amplitudes, state.num_factors
+    psi = amps.reshape(amps.shape[:-1] + (2,) * ndim)
+    layout = _layout(ndim, tuple(axes))
     if layout.slabs is None or plan.cycles is None:
         psi = _apply_dense(psi, layout.order, layout.back, gate)
     else:
@@ -243,7 +267,7 @@ def _apply(
         else:
             psi = _apply_monomial(psi, layout.slabs, plan.cycles)
     # psi is C-contiguous, so the flat view shares its memory
-    out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(-1))
+    out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(amps.shape))
     return _check_norm(out)
 
 
@@ -293,8 +317,19 @@ def _apply_long_run(
 def _apply_dense(
     psi: np.ndarray, order: tuple, back: tuple, gate: np.ndarray
 ) -> np.ndarray:
-    """Contract the complex ``gate`` with the factors ``order`` puts first:
-    the ``np.dot`` call that ``np.tensordot`` makes, on the same operands,
+    """Contract the complex ``gate`` with the factors ``order`` puts first
+    (``_contract``), a stack one row at a time: each row then gets the bits
+    its state alone would, where one BLAS call over the stack rounds
+    otherwise."""
+    if psi.ndim == len(order):
+        return _contract(psi, order, back, gate)
+    return np.stack([_contract(row, order, back, gate) for row in psi])
+
+
+def _contract(
+    psi: np.ndarray, order: tuple, back: tuple, gate: np.ndarray
+) -> np.ndarray:
+    """The ``np.dot`` call that ``np.tensordot`` makes, on the same operands,
     without its argument handling. Those are the gate in the caller's
     layout, which BLAS may read transposed (and then, as a matrix-vector
     product, round otherwise than a copy), and the state reordered by
@@ -367,19 +402,23 @@ def apply_qubit_cavity(
 
 
 def probabilities(state: QuantumState) -> np.ndarray:
-    """Born-rule probability for every basis state (cavity dimension included)."""
+    """Born-rule probability for every basis state (cavity dimension
+    included); of a stack, one row per state, each summing to one."""
     probs = np.abs(state.amplitudes) ** 2
-    if not abs(probs.sum() - 1.0) <= NORM_TOL:
-        raise NumericalInvariantError(f"probabilities sum to {probs.sum():.15f}")
+    for total in np.atleast_1d(probs.sum(axis=-1)):
+        if not abs(total - 1.0) <= NORM_TOL:
+            raise NumericalInvariantError(f"probabilities sum to {total:.15f}")
     return probs
 
 
 def register_probabilities(state: QuantumState, m: int) -> np.ndarray:
     """Born-rule marginal of qubits 1..m, indexed with qubit 1 as the most
-    significant bit; later qubits and the cavity are summed out."""
+    significant bit; later qubits and the cavity are summed out. Of a
+    stack, one row per state."""
     if not (1 <= m <= state.num_qubits):
         raise DimensionError(f"register size {m} out of range 1..{state.num_qubits}")
-    return probabilities(state).reshape(2 ** m, -1).sum(axis=1)
+    probs = probabilities(state)
+    return probs.reshape(probs.shape[:-1] + (2 ** m, -1)).sum(axis=-1)
 
 
 def sample(probs: np.ndarray, seeds) -> np.ndarray:

@@ -109,6 +109,27 @@ class TestSweep:
         assert code == 1
         assert "m >= n + 2" in err
 
+    @pytest.mark.parametrize("m_values", [str(qpe.MAX_REGISTER + 1), "5,0",
+                                          f"5,{qpe.MAX_REGISTER + 1}"])
+    def test_register_cap(self, capsys, monkeypatch, m_values):
+        # refused before any m is simulated, as estimate refuses it
+        monkeypatch.setattr(qpe, "prepare_register", None)
+        code, out, err = run_cli(
+            ["sweep", "--m-values", m_values, "--n", "0", "--phases", "1.0"], capsys)
+        assert code == 1 and out == ""
+        assert f"m must be in [1, {qpe.MAX_REGISTER}]" in err
+
+    def test_chunks_match_one_phase_at_a_time(self, capsys):
+        # 40 phases cross a batch at m = 11; each row is the window
+        # empirical_success takes of that phase's own distribution
+        report = run_json(["sweep", "--m-values", "5,11", "--n", "3",
+                           "--random-phases", "40", "--seed", "2"], capsys)
+        rows = report["results"]["rows"]
+        assert qpe.batch_size(11) < 40 and len(rows) == 80
+        for row in rows:
+            assert row["empirical_success"] == qpe.empirical_success(
+                row["m"], 3, row["phi_rad"])
+
     def test_representable_phase_all_ones(self, capsys):
         report = run_json(
             ["sweep", "--m-values", "5,6", "--n", "3", "--phases", "0.375turn"],
@@ -511,6 +532,7 @@ NEGATIVE_COUNTS = [
     ("estimate", {"m": 3, "phase_rad": 1.0, "shots": 2, "seed": -1}, "seed"),
     ("sweep", {"m_values": "5", "n": 3, "random_phases": 2, "seed": -1}, "seed"),
     ("sweep", {"m_values": "5", "n": 3, "random_phases": -3}, "random_phases"),
+    ("sweep", {"m_values": "5", "n": -4, "random_phases": 2}, "n"),
 ]
 
 

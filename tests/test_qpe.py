@@ -194,6 +194,58 @@ class TestExactDistribution:
         assert (dist.probs >= -1e-15).all()
 
 
+class TestExactDistributions:
+    """A stack of phases shares one inverse QFT; each row must still be the
+    distribution of its phase alone, byte for byte."""
+
+    @pytest.mark.parametrize("mode", list(GateMode))
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_rows_match_single_phases(self, m, mode):
+        rng = np.random.default_rng(40 + m)
+        phis = [float(p) for p in TWO_PI - rng.uniform(0.0, TWO_PI, 12)]
+        for count in (1, 5, 12):
+            got = qpe.exact_distributions(m, phis[:count], mode)
+            assert got.shape == (count, 2 ** m)
+            for phi, row in zip(phis, got):
+                alone = qpe.exact_distribution(m, phi, mode).probs
+                assert row.tobytes() == alone.tobytes(), (count, phi)
+        # the unstacked path of estimate, which never forms a stack
+        for phi, row in zip(phis, got):
+            config = qpe.QpeConfig(m=m, true_phase_phi=phi, gate_mode=mode)
+            assert row.tobytes() == qpe.readout_distribution(config).probs.tobytes()
+
+    @pytest.mark.parametrize("mode", list(GateMode))
+    def test_phases_beyond_one_batch(self, mode):
+        m = 12
+        count = qpe.batch_size(m) + 3
+        phis = [float(p) for p in np.random.default_rng(60).uniform(0.1, TWO_PI, count)]
+        got = qpe.exact_distributions(m, phis, mode)
+        assert qpe.batch_size(m) * 2 ** m <= qpe.BATCH_AMPLITUDES < count * 2 ** m
+        for phi, row in zip(phis, got):
+            assert row.tobytes() == qpe.exact_distribution(m, phi, mode).probs.tobytes()
+
+    def test_batch_size(self):
+        assert qpe.batch_size(5) * 2 ** 5 == qpe.BATCH_AMPLITUDES
+        assert qpe.batch_size(16) == qpe.batch_size(qpe.MAX_REGISTER) == 1
+
+    def test_no_phases(self):
+        assert qpe.exact_distributions(4, []).shape == (0, 16)
+
+    @pytest.mark.parametrize("m", [0, qpe.MAX_REGISTER + 1])
+    def test_register_cap(self, m, monkeypatch):
+        monkeypatch.setattr(qpe, "prepare_register", None)  # no simulation
+        with pytest.raises(ValidationError, match="m must be in"):
+            qpe.exact_distributions(m, [1.0])
+
+    def test_window_mass_matches_empirical_success(self):
+        rng = np.random.default_rng(61)
+        phis = [float(p) for p in rng.uniform(0.1, TWO_PI, 7)]
+        rows = qpe.exact_distributions(7, phis)
+        for n in (0, 2, 4):
+            for phi, probs in zip(phis, rows):
+                assert qpe.window_mass(probs, n, phi) == qpe.empirical_success(7, n, phi)
+
+
 class TestSuccessBound:
     def test_values(self):
         assert qpe.success_probability_bound(5, 3) == pytest.approx(0.75)
@@ -206,6 +258,15 @@ class TestSuccessBound:
     def test_domain(self):
         with pytest.raises(DomainError):
             qpe.success_probability_bound(3, 3)
+
+    @pytest.mark.parametrize("n", [-1, -4])
+    def test_negative_accuracy_bits(self, n):
+        # m - n + 1 would be large and the "bound" close to 1 for a window
+        # wider than the whole circle
+        with pytest.raises(DomainError, match="n >= 0"):
+            qpe.success_probability_bound(5, n)
+        with pytest.raises(DomainError, match="n >= 0"):
+            qpe.empirical_success(5, n, 1.0)
 
 
 class TestEmpiricalSuccess:

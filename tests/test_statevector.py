@@ -720,3 +720,110 @@ class TestNormCheckFires:
         assert code == 2 and captured.out == ""
         assert "state norm drifted" in captured.err
         assert calls[-1] == nth
+
+
+def stack_of(factors, rng, count=5):
+    rows = [random_state(factors, rng).amplitudes for _ in range(count)]
+    return sv.QuantumState(factors, False, np.stack(rows))
+
+
+class TestStack:
+    """A ``(P, dim)`` stack runs the kernel a single state of its shape
+    runs, once over all rows; each row must come out with the bytes its
+    state alone gets."""
+
+    @pytest.mark.parametrize("factors", [1, 2, 3, 6, 11, 13, 14])
+    def test_rows_match_single_states(self, monkeypatch, factors):
+        calls = record_kernels(monkeypatch)
+        rng = np.random.default_rng(500 + factors)
+        stack = stack_of(factors, rng)
+        one, two = TestStructuredKernel.gates(rng)
+        cases = [([axis], gate) for gate in one.values() for axis in range(factors)]
+        paired = range(max(0, factors - 4), factors)
+        cases += [(list(axes), gate) for gate in [*two.values(), *monomial_gates(rng).values()]
+                  for axes in itertools.permutations(paired, 2)]
+        seen = set()
+        for axes, gate in cases:
+            calls.clear()
+            got = sv._apply(stack, axes, gate).amplitudes
+            kernel = TestKernelDispatch.expected(factors, axes, gate)
+            assert calls == [kernel], (axes, calls)
+            seen.add(kernel)
+            assert got.shape == stack.amplitudes.shape
+            for row, amps in zip(got, stack.amplitudes):
+                alone = sv._apply(sv.QuantumState(factors, False, amps), axes, gate)
+                assert row.tobytes() == alone.amplitudes.tobytes(), (axes, kernel)
+        # the dense fallback at 1 and 2 factors; from 3 on the long-run pass
+        # and the slab kernel on the last axis as well
+        assert seen == ({"_apply_dense"} if factors <= 2 else
+                        {"_apply_dense", "_apply_long_run", "_apply_monomial"})
+
+    def test_in_place_overwrites_the_stack(self):
+        stack = stack_of(6, np.random.default_rng(520))
+        before = stack.amplitudes.copy()
+        got = sv.apply_1q(stack, 3, np.diag([1, 1j]), in_place=True)
+        assert np.shares_memory(got.amplitudes, stack.amplitudes)
+        assert not np.array_equal(stack.amplitudes, before)
+
+    def test_probabilities_per_row(self):
+        stack = stack_of(5, np.random.default_rng(521), count=3)
+        probs = sv.register_probabilities(stack, 5)
+        assert probs.shape == (3, 32)
+        for row, amps in zip(probs, stack.amplitudes):
+            alone = sv.register_probabilities(sv.QuantumState(5, False, amps), 5)
+            assert row.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize(
+        "gate, message",
+        [(np.diag([1, 2]), r"gate is not unitary \(deviation 3\.000e\+00\)"),
+         (np.array([[0, 2], [1, 0]]), r"gate is not unitary \(deviation 3\.000e\+00\)")],
+    )
+    def test_non_unitary_gate_rejected(self, gate, message):
+        stack = stack_of(8, np.random.default_rng(522))
+        with pytest.raises(ValidationError, match=message):
+            sv.apply_1q(stack, 1, gate)
+
+
+def skew_two_rows(monkeypatch, kernel, nth, delta=1e-8):
+    """Wrap ``kernel`` so that on its ``nth`` call on a stack of three or
+    more rows (a single state's leading axis has length 2) it scales the
+    squared norm of row 0 by 1 + delta and of row 1 by 1 - delta: the
+    stack's total norm stays put, so only a check of every row sees it.
+    Returns the list of the wrapper's stack calls."""
+    calls = []
+    original = getattr(sv, kernel)
+
+    def skewed(*args):
+        out = original(*args)
+        if out.shape[0] > 2:
+            calls.append(kernel)
+            if len(calls) == nth:
+                rows = out.reshape(out.shape[0], -1)
+                rows[0] *= math.sqrt(1 + delta)
+                rows[1] *= math.sqrt(1 - delta)
+        return out
+
+    monkeypatch.setattr(sv, kernel, skewed)
+    return calls
+
+
+class TestStackNormCheck:
+    """One drifting row of a stack ends the run, though the other rows
+    keep the stack's total norm."""
+
+    @pytest.mark.parametrize("kernel", ["_apply_monomial", "_apply_long_run",
+                                        "_apply_dense"])
+    def test_exact_distributions_raise(self, monkeypatch, kernel):
+        calls = skew_two_rows(monkeypatch, kernel, nth=3)
+        with pytest.raises(NumericalInvariantError, match="state norm drifted"):
+            qpe.exact_distributions(8, [0.3, 1.1, 2.9, 4.0, 5.5])
+        assert len(calls) == 3
+
+    def test_sweep_exits_2(self, monkeypatch, capsys):
+        calls = skew_two_rows(monkeypatch, "_apply_monomial", nth=40)
+        code = cli.main(["sweep", "--m-values", "6,8", "--n", "3",
+                         "--random-phases", "5", "--seed", "4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "state norm drifted" in captured.err
+        assert len(calls) == 40
