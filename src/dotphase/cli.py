@@ -29,8 +29,9 @@ from . import statevector as sv
 from .errors import NumericalInvariantError, ValidationError
 
 OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
-# Random sweep phases: each one is a row of an exact-distribution stack per
-# m value (qpe.exact_distributions) and a row of the report.
+# Random sweep phases: each one is a row of the stack that
+# qpe.exact_distributions kicks (one call per molecule) and transforms per
+# m value, and a row of the report.
 MAX_RANDOM_PHASES = 10_000
 
 

@@ -145,15 +145,23 @@ def prepare_register(m: int, gate_mode: GateMode = GateMode.IDEAL) -> sv.Quantum
 
 
 def apply_phase_kicks(
-    state: sv.QuantumState, phi: float, m: int, gate_mode: GateMode = GateMode.IDEAL
+    state: sv.QuantumState, phi, m: int, gate_mode: GateMode = GateMode.IDEAL
 ) -> sv.QuantumState:
     """Write e^{i 2^{m-j} phi} onto molecule j's relative phase, j = 1..m.
+
+    A stack takes a sequence ``phi`` of one phase per row, and each molecule
+    is kicked in one call over every row (``sv.apply_1q_diagonals``), which
+    gives each row the bits its phase alone gets from ``sv.apply_1q``.
     ``state`` itself is not written: the first kick returns a new state,
     which the later kicks overwrite."""
     for j in range(1, m + 1):
         reps = 2 ** (m - j)
-        state = sv.apply_1q(state, j, _phase_gate(phi, gate_mode, power=reps),
-                            in_place=j > 1)
+        if state.amplitudes.ndim == 1:
+            state = sv.apply_1q(state, j, _phase_gate(phi, gate_mode, power=reps),
+                                in_place=j > 1)
+        else:
+            entries = [_phase_gate(p, gate_mode, power=reps).diagonal() for p in phi]
+            state = sv.apply_1q_diagonals(state, j, entries, in_place=j > 1)
     return state
 
 
@@ -257,19 +265,21 @@ def exact_distributions(
     m: int, phis, gate_mode: GateMode = GateMode.IDEAL
 ) -> np.ndarray:
     """Readout distribution of the protocol for each phase of ``phis``, one
-    row per phase, no sampling. The register is prepared once; the kicked
-    registers of up to ``batch_size(m)`` phases are stacked and go through
-    one inverse QFT, whose gates act on every row alike, so each row has
-    the bits that phase's run alone would give."""
+    row per phase, no sampling. The register is prepared once; batches of
+    up to ``batch_size(m)`` phases are kicked as one stack of that register,
+    one call per molecule, and go through one inverse QFT, whose gates act
+    on every row alike, so each row has the bits that phase's run alone
+    would give."""
     check_register(m)
-    prepared = prepare_register(m, gate_mode)
+    prepared = prepare_register(m, gate_mode).amplitudes
     per = batch_size(m)
     out = np.empty((len(phis), 2 ** m))
     for start in range(0, len(phis), per):
-        stack = np.stack([apply_phase_kicks(prepared, phi, m, gate_mode).amplitudes
-                          for phi in phis[start:start + per]])
-        state = inverse_qft(sv.QuantumState(m, False, stack), m, gate_mode)
-        out[start:start + len(stack)] = _readout(state, m).probs
+        batch = phis[start:start + per]
+        # the first kick copies the read-only rows of the broadcast register
+        stack = sv.QuantumState(m, False, np.broadcast_to(prepared, (len(batch), 2 ** m)))
+        state = inverse_qft(apply_phase_kicks(stack, batch, m, gate_mode), m, gate_mode)
+        out[start:start + len(batch)] = _readout(state, m).probs
     return out
 
 

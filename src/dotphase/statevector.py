@@ -48,9 +48,11 @@ LONG_RUN_MAX = 2 ** 10
 SPLIT_BLOCK = 2 ** 12
 # Entries of each memo, _gate_plan (per distinct gate) and _layout (per
 # state shape and axis set). An ideal sweep over m = 8-10 with 12 phases
-# makes 923 gate calls, each inverse QFT on one stack of all 12 phases,
-# with 140 gates (120 of them kicks) and 136 layouts; m = 5-10 makes 1405
-# calls with 200 layouts. Estimates at m = 15-17 use 409 layouts, so that
+# makes 626 gate calls, each on one stack of all 12 phases: 599 through
+# _apply with 20 distinct gates, and 27 kicks (one per molecule, through
+# apply_1q_diagonals), which judge their diagonals row by row and plan
+# none; they use 136 layouts. m = 5-10 makes 910 calls with 200 layouts,
+# and the same 20 gates. Estimates at m = 15-17 use 409 layouts, so that
 # memo refills, but the 393 layouts a 24-call round of them rebuilds take
 # about 3 ms against about 60 ms per call. The bound keeps a run that makes
 # many distinct gates (random phases, pulse fits) from growing the process.
@@ -78,7 +80,7 @@ class QuantumState:
     def norm(self) -> float:
         """Norm of a single state (of a stack, the root of its rows'
         squared norms summed)."""
-        return _norm(self.amplitudes)
+        return math.sqrt(_squared_norms(self.amplitudes).sum())
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.num_qubits, self.has_cavity, self.amplitudes.copy())
@@ -152,6 +154,14 @@ def _gate_plan(raw: bytes, dim: int) -> _Plan:
     return _Plan(dev, tuple(cycles), diagonal)
 
 
+def _diagonal_deviations(entries: np.ndarray) -> np.ndarray:
+    """Unitarity deviation of ``diag(entries[p])`` for each row ``p``: the
+    diagonal of g^H g - 1, whose entries are rounded as the matrix product
+    of ``_gate_plan`` rounds them, so each equals that gate's plan ``dev``
+    bit for bit."""
+    return np.abs(entries.conj() * entries - 1.0).max(axis=1)
+
+
 class _Layout(NamedTuple):
     """What every call on one axis set of one state shape needs."""
 
@@ -197,19 +207,30 @@ def _layout(ndim: int, axes: tuple) -> _Layout:
     return _Layout(order, back, slabs, run_index)
 
 
-def _norm(amps: np.ndarray) -> float:
-    # one pass over the amplitudes; np.linalg.norm takes two strided
-    # passes, one over the real and one over the imaginary parts
-    return math.sqrt(np.vdot(amps, amps).real)
+def _squared_norms(amps: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a stack (of a single state, a 0-d
+    array), in one pass over the real view of the amplitudes: one call
+    for the whole stack, where np.vdot takes one per row, and faster than
+    np.vdot on a single state too."""
+    real = np.ascontiguousarray(amps).view(np.float64)
+    return np.vecdot(real, real)
 
 
 def _check_norm(state: QuantumState) -> QuantumState:
     """``state``, once each of its rows has unit norm."""
-    amps = state.amplitudes
-    for row in amps if amps.ndim > 1 else (amps,):
-        norm = _norm(row)
+    squares = _squared_norms(state.amplitudes)
+    if squares.ndim == 0:
+        norm = math.sqrt(squares)
+        # written so that a NaN norm fails too
         if not abs(norm - 1.0) <= NORM_TOL:
             raise NumericalInvariantError(f"state norm drifted to {norm:.15f}")
+        return state
+    norms = np.sqrt(squares)
+    ok = np.abs(norms - 1.0) <= NORM_TOL
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise NumericalInvariantError(
+            f"state norm drifted to {norms[row]:.15f} in row {row} of the stack")
     return state
 
 
@@ -307,10 +328,39 @@ def _apply_long_run(
     the pattern is split into a pure-real and a pure-imaginary multiplier,
     the rows of ``diagonal``, so each component of the product is rounded
     once, as ``zgemm`` rounds it; an entry ``d == 1`` gives its amplitudes
-    back up to the sign of an exact zero. Returns ``psi``."""
-    re, im = np.take(diagonal, run_index, axis=1)
-    for [rows] in _blocks([psi.reshape(-1, run_index.size)]):
-        _product(rows, re, im, rows)
+    back up to the sign of an exact zero. A ``diagonal`` of shape
+    ``(2, P, 2)`` gives each state of a ``P``-row stack its own ``d``.
+    Returns ``psi``."""
+    re, im = np.take(diagonal, run_index[None], axis=-1)
+    # a row never straddles two states, so each state's rows take its pattern
+    rows = psi.reshape(re.shape[:-2] + (-1, run_index.size))
+    for block, block_re, block_im in _blocks([rows, re, im]):
+        _product(block, block_re, block_im, block)
+    return psi
+
+
+def _apply_row_diagonals(
+    psi: np.ndarray, slabs: tuple, entries: np.ndarray, split: np.ndarray
+) -> np.ndarray:
+    """Diagonal one-qubit gate ``diag(entries[p])`` on row ``p`` of the
+    stack ``psi``, slab by slab as ``_apply_monomial`` scales a slab: the
+    slab of gate index ``c`` in row ``p`` is overwritten with its product
+    with ``split[:, p, c]`` (pure-real and pure-imaginary parts), and left
+    untouched where ``entries[p, c] == 1``, as a single state's slab is.
+    Returns ``psi``."""
+    for c, slab in enumerate(slabs):
+        moved = entries[:, c] != 1
+        if not moved.any():
+            continue
+        # only the rows whose entry moves them, which is all of them but
+        # for phases whose kick is an exact 1
+        rows = psi if moved.all() else psi[moved]
+        view = rows[slab]
+        factors = [f[moved, c].reshape((-1,) + (1,) * (view.ndim - 1)) for f in split]
+        for block, block_re, block_im in _blocks([view, *factors]):
+            _product(block, block_re, block_im, block)
+        if rows is not psi:
+            psi[moved] = rows
     return psi
 
 
@@ -341,18 +391,23 @@ def _contract(
 
 
 def _blocks(views: list) -> list:
-    """Matching blocks of the same-shaped ``views``, cut along their leading
-    axes so that no block holds more than SPLIT_BLOCK amplitudes: a
-    temporary the size of a block stays in cache, where one the size of a
-    view could be as large as the state."""
+    """Matching blocks of ``views``, cut along their leading axes so that no
+    block holds more than SPLIT_BLOCK amplitudes: a temporary the size of a
+    block stays in cache, where one the size of a view could be as large as
+    the state. The other views have the first one's shape, or one that
+    broadcasts to it: a view of length 1 on an axis that is cut goes whole
+    into each block, so a multiplier per state of a stack follows its
+    state's blocks."""
     first = views[0]
     if first.size <= SPLIT_BLOCK:
         return [views]
     per = first.size // len(first)
     if per > SPLIT_BLOCK:
-        return [block for parts in zip(*views) for block in _blocks(list(parts))]
+        return [block for i in range(len(first))
+                for block in _blocks([v[i] if len(v) > 1 else v[0] for v in views])]
     step = SPLIT_BLOCK // per
-    return [[v[i:i + step] for v in views] for i in range(0, len(first), step)]
+    return [[v[i:i + step] if len(v) > 1 else v for v in views]
+            for i in range(0, len(first), step)]
 
 
 def _product(src: np.ndarray, re, im, dst: np.ndarray) -> None:
@@ -373,6 +428,50 @@ def apply_1q(
     state's amplitudes, so pass it only for a state no one else holds;
     either way use the returned state."""
     return _apply(state, [_qubit_axis(state, qubit_index)], gate, in_place)
+
+
+def apply_1q_diagonals(
+    state: QuantumState, qubit_index: int, entries: np.ndarray, *, in_place: bool = False
+) -> QuantumState:
+    """Apply the diagonal 2x2 unitary ``diag(entries[p])`` to the indexed
+    qubit of row ``p`` of a stack, for a ``(P, 2)`` array ``entries``.
+
+    One call serves every row, where ``apply_1q`` would take one call and
+    one ``_gate_plan`` entry per row, and each row gets the bits
+    ``apply_1q`` gives it with its own gate: the same kernel, the same
+    split products and, below three factors, the same contraction. Each
+    row's unitarity deviation is the one ``_gate_plan`` finds for its gate,
+    and each row's norm is checked. ``in_place`` as in ``apply_1q``."""
+    axis = _qubit_axis(state, qubit_index)
+    amps, ndim = state.amplitudes, state.num_factors
+    entries = np.asarray(entries, dtype=np.complex128)
+    if amps.ndim != 2 or entries.shape != (len(amps), 2):
+        raise DimensionError(
+            f"expected a (P, 2) array of diagonals for a stack of P rows, "
+            f"got shape {entries.shape} for amplitudes of shape {amps.shape}")
+    dev = _diagonal_deviations(entries)
+    # written so that a NaN deviation fails too
+    ok = dev <= UNITARY_TOL
+    if not ok.all():
+        raise ValidationError(f"gate is not unitary (deviation {dev[np.argmin(ok)]:.3e})")
+    psi = amps.reshape(amps.shape[:-1] + (2,) * ndim)
+    layout = _layout(ndim, (axis,))
+    if layout.slabs is None:
+        psi = np.stack([_contract(row, layout.order, layout.back, np.diag(d))
+                        for row, d in zip(psi, entries)])
+    else:
+        if not (in_place and psi.flags.carray):
+            psi = psi.copy()
+        # pure-real and pure-imaginary multipliers, as _gate_plan splits them
+        split = np.zeros((2,) + entries.shape, dtype=np.complex128)
+        split[0].real = entries.real
+        split[1].imag = entries.imag
+        if layout.run_index is not None:
+            psi = _apply_long_run(psi, layout.run_index, split)
+        else:
+            psi = _apply_row_diagonals(psi, layout.slabs, entries, split)
+    return _check_norm(QuantumState(state.num_qubits, state.has_cavity,
+                                    psi.reshape(amps.shape)))
 
 
 def apply_2q(

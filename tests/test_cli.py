@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dotphase
@@ -322,6 +323,23 @@ class TestExitCodes:
                                   "--phase", "0.3", "--shots", "0"], capsys)
         assert code == 1 and out == ""
         assert "gate is not unitary" in err
+
+    def test_non_unitary_kick_in_a_sweep_exits_1(self, capsys, monkeypatch):
+        # one of 12 random phases gets a non-unitary kick diagonal; the other
+        # rows of its stack are fine, and the run still stops
+        target = float(np.random.default_rng(4).uniform(0.0, TWO_PI, 12)[7])
+        phase_gate = qpe._phase_gate
+
+        def broken(theta, mode, power=1):
+            if theta == target:
+                return np.diag([1.0, 1.5]).astype(complex)
+            return phase_gate(theta, mode, power)
+
+        monkeypatch.setattr(qpe, "_phase_gate", broken)
+        code, out, err = run_cli(["sweep", "--m-values", "5,8", "--n", "3",
+                                  "--random-phases", "12", "--seed", "4"], capsys)
+        assert code == 1 and out == ""
+        assert "gate is not unitary (deviation 1.250e+00)" in err
 
     def test_non_finite_result_exits_2(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._HANDLERS, "feasibility",

@@ -51,6 +51,24 @@ class TestPhaseKicks:
         kicked = qpe.apply_phase_kicks(qpe.prepare_register(m), phi, m)
         assert np.max(np.abs(kicked.amplitudes - eq5_state(m, phi))) < 1e-12
 
+    @pytest.mark.parametrize("mode", list(GateMode))
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_stack_matches_single_phases(self, m, mode):
+        # one call per molecule over the stack: the dense rows at m <= 2,
+        # then the long-run axes and the slabs of the last axis
+        rng = np.random.default_rng(70 + m)
+        phis = [float(p) for p in TWO_PI - rng.uniform(0.0, TWO_PI, 12)]
+        prepared = qpe.prepare_register(m, mode)
+        for count in (1, 5, 12):
+            stack = sv.QuantumState(m, False, np.stack([prepared.amplitudes] * count))
+            before = stack.amplitudes.tobytes()
+            kicked = qpe.apply_phase_kicks(stack, phis[:count], m, mode).amplitudes
+            assert kicked.shape == (count, 2 ** m)
+            assert stack.amplitudes.tobytes() == before
+            for phi, row in zip(phis, kicked):
+                alone = qpe.apply_phase_kicks(prepared, phi, m, mode).amplitudes
+                assert row.tobytes() == alone.tobytes(), (count, phi)
+
 
 class TestControlledPhaseSequence:
     @pytest.mark.parametrize(

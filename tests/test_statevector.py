@@ -827,3 +827,135 @@ class TestStackNormCheck:
         assert code == 2 and captured.out == ""
         assert "state norm drifted" in captured.err
         assert len(calls) == 40
+
+
+# a fixed table of kick phases; with powers 2^0 to 2^19 it makes pulse-literal
+# kick gates on both sides of UNITARY_TOL
+KICK_PHASES = (0.3, 1.0, 2.0, math.pi, 4.2, 5.9, 2 * math.pi, 1e-3)
+
+
+class TestRowDiagonals:
+    """``apply_1q_diagonals`` gives row p of a stack the verdict and the
+    bytes that ``apply_1q`` gives that row alone with ``diag(entries[p])``."""
+
+    @pytest.mark.parametrize("mode", list(qpe.GateMode))
+    def test_deviation_matches_gate_plan(self, mode):
+        gates = [qpe._phase_gate(phi, mode, power=2 ** k)
+                 for k in range(20) for phi in KICK_PHASES]
+        if mode == qpe.GateMode.IDEAL:
+            gates.append(qpe._phase_gate(math.nan, mode))
+        devs = sv._diagonal_deviations(np.array([g.diagonal() for g in gates]))
+        plans = np.array([sv._gate_plan(g.tobytes(), 2).dev for g in gates])
+        assert devs.tobytes() == plans.tobytes()
+        failing = np.count_nonzero(~(plans <= sv.UNITARY_TOL))
+        assert failing == (28 if mode == qpe.GateMode.PULSE_LITERAL else 1)
+
+    @pytest.mark.parametrize("phi, power, mode", [
+        (0.3, 2 ** 14, qpe.GateMode.PULSE_LITERAL),
+        (4.2, 2 ** 19, qpe.GateMode.PULSE_LITERAL),
+        (math.nan, 1, qpe.GateMode.IDEAL)])
+    def test_failing_row_fails_as_apply_1q(self, phi, power, mode):
+        gate = qpe._phase_gate(phi, mode, power=power)
+        fine = qpe._phase_gate(1.0, mode).diagonal()
+        stack = stack_of(6, np.random.default_rng(530))
+        entries = [fine, fine, gate.diagonal(), fine, fine]
+        with pytest.raises(ValidationError, match="gate is not unitary") as stacked:
+            sv.apply_1q_diagonals(stack, 2, entries)
+        with pytest.raises(ValidationError) as alone:
+            sv.apply_1q(sv.QuantumState(6, False, stack.amplitudes[2]), 2, gate)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("factors", [1, 2, 3, 6, 11, 13, 14])
+    def test_rows_match_apply_1q(self, monkeypatch, factors):
+        kernels = []
+        for name in ("_apply_long_run", "_apply_row_diagonals", "_contract"):
+            def recorded(*args, _kernel=getattr(sv, name), _name=name):
+                kernels.append(_name)
+                return _kernel(*args)
+            monkeypatch.setattr(sv, name, recorded)
+        rng = np.random.default_rng(540 + factors)
+        stack = stack_of(factors, rng)
+        # exact zeros of both signs, whose signs only a kernel that leaves a
+        # slab untouched keeps
+        stack.amplitudes.imag[:, ::4] = 0.0
+        stack.amplitudes.imag[:, 1::4] = -0.0
+        stack.amplitudes /= np.sqrt(sv._squared_norms(stack.amplitudes))[:, None]
+        entries = np.exp(1j * rng.uniform(0, 2 * math.pi, (5, 2)))
+        # exact 1s, which a single state's slab kernel leaves untouched: in
+        # one row, in one entry of every row, and in all of a row
+        entries[1, 1] = entries[:, 0] = 1
+        entries[3] = 1
+        for axis in range(factors):
+            for in_place in (False, True):
+                kernels.clear()
+                amps = stack.amplitudes.copy()
+                got = sv.apply_1q_diagonals(sv.QuantumState(factors, False, amps),
+                                            axis + 1, entries, in_place=in_place)
+                assert np.shares_memory(got.amplitudes, amps) == (
+                    in_place and kernels[0] != "_contract")
+                for row, before, d in zip(got.amplitudes, stack.amplitudes, entries):
+                    alone = sv.apply_1q(sv.QuantumState(factors, False, before),
+                                        axis + 1, np.diag(d))
+                    assert row.tobytes() == alone.amplitudes.tobytes(), (axis, d)
+                expected = TestKernelDispatch.expected(factors, [axis], np.diag(entries[0]))
+                assert kernels[0] == {"_apply_dense": "_contract",
+                                      "_apply_monomial": "_apply_row_diagonals"}.get(
+                                          expected, expected)
+
+    def test_shape_is_checked(self):
+        stack = stack_of(4, np.random.default_rng(531))
+        with pytest.raises(DimensionError):
+            sv.apply_1q_diagonals(stack, 1, np.ones((4, 2)))
+        with pytest.raises(DimensionError):
+            sv.apply_1q_diagonals(sv.QuantumState(4, False, stack.amplitudes[0]), 1,
+                                  np.ones((1, 2)))
+
+    def test_drifting_row_stops_the_call(self, monkeypatch):
+        calls = skew_two_rows(monkeypatch, "_apply_long_run", nth=1)
+        stack = stack_of(8, np.random.default_rng(532))
+        with pytest.raises(NumericalInvariantError, match="in row 0 of the stack"):
+            sv.apply_1q_diagonals(stack, 2, np.exp(1j * np.ones((5, 2))))
+        assert calls == ["_apply_long_run"]
+
+
+class TestNormCheckOfAStack:
+    """All rows of a stack are checked in one pass, each on its own; the
+    message names the norm of the first row that drifted, and its row."""
+
+    @staticmethod
+    def stack():
+        return stack_of(10, np.random.default_rng(550), count=12)
+
+    @staticmethod
+    def reported(error) -> float:
+        return float(str(error.value).split()[4])
+
+    def test_unit_rows_pass(self):
+        stack = self.stack()
+        assert sv._check_norm(stack) is stack
+
+    @pytest.mark.parametrize("row", [0, 6, 11])
+    def test_nan_amplitude_names_its_row(self, row):
+        stack = self.stack()
+        stack.amplitudes[row, 77] = math.nan
+        with pytest.raises(NumericalInvariantError,
+                           match=rf"^state norm drifted to nan in row {row} of the stack$"):
+            sv._check_norm(stack)
+
+    @pytest.mark.parametrize("delta", [1e-8, -1e-8])
+    def test_skew_of_the_last_row(self, delta):
+        stack = self.stack()
+        stack.amplitudes[11] *= math.sqrt(1 + delta)
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^state norm drifted to \S+ in row 11 of the stack$") as err:
+            sv._check_norm(stack)
+        assert self.reported(err) == pytest.approx(math.sqrt(1 + delta), abs=1e-15)
+
+    @pytest.mark.parametrize("delta", [1e-8, -1e-8])
+    def test_single_state_message(self, delta):
+        state = random_state(10, np.random.default_rng(551))
+        state.amplitudes *= math.sqrt(1 + delta)
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^state norm drifted to \S+$") as err:
+            sv._check_norm(state)
+        assert self.reported(err) == pytest.approx(math.sqrt(1 + delta), abs=1e-15)
