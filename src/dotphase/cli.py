@@ -332,9 +332,11 @@ def _resolve_pulse_target(cfg: dict):
             raise ValidationError("matrix needs 8 reals (row-major re,im pairs)")
         vals = [complex(matrix[k], matrix[k + 1]) for k in range(0, 8, 2)]
         return np.array(vals, dtype=np.complex128).reshape(2, 2), None
-    name, _, arg = preset.partition(":")
+    name, sep, arg = preset.partition(":")
     if name not in _PULSE_PRESETS:
         raise ValidationError(f"unknown preset {preset!r}")
+    if sep and name in ("hadamard", "pulse-hadamard"):
+        raise ValidationError(f"preset {name!r} takes no angle")
     if name == "hadamard":
         prescribed = pulses.single_pulse_unitary(pulses.hadamard_pulse_params())
         return qpe.IDEAL_HADAMARD, ("hadamard", prescribed, qpe.IDEAL_HADAMARD)

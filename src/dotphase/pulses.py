@@ -147,28 +147,60 @@ def gate_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"incompatible shapes {a.shape}, {b.shape}")
     dim = a.shape[0]
-    tr = np.trace(a.conj().T @ b)
+    tr = (a.conj().T @ b).trace()
     if abs(tr) < 1e-300:
         return math.sqrt(2.0 * dim)
     # evaluate at the optimal phase directly; the sqrt(2*dim - 2*|tr|) form
     # loses half the significant digits near zero
     z = np.conj(tr) / abs(tr)
-    return float(np.linalg.norm(a - z * b))
+    # the Frobenius norm as np.linalg.norm takes it, without its argument
+    # handling: the same two dot products, so the same bits
+    d = (a - z * b).ravel()
+    re, im = d.real, d.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+# Amplitudes per block of _pulse_overlap_grid: 2^14 complex values are
+# 256 KiB, so a block's two buffers stay in a core's L2 cache. Median time
+# of fit_pulse's 512 x 512 grid by rows per block, 150 interleaved calls
+# each on a 2-CPU Xeon (2 MiB L2 per core) with numpy 2.4.6: 8 rows 7.7 ms,
+# 16 rows 5.1 ms, 32 rows 4.8 ms, 64 rows 5.0 ms, 128 rows 5.7 ms, and
+# 10.5 ms for the whole grid as one expression.
+OVERLAP_BLOCK = 1 << 14
 
 
 def _pulse_overlap_grid(target: np.ndarray, thetas: np.ndarray, phis: np.ndarray):
-    """|trace(U(theta,phi)^dag target)| on a parameter grid, vectorized."""
+    """|trace(U(theta,phi)^dag target)| on a parameter grid, vectorized.
+
+    The trace is the sum of each U entry's conjugate times the matching
+    target entry. It is built a block of theta rows at a time in two
+    reused buffers, with the operations, operand order and broadcast shapes
+    of the whole-grid expression, so every value has the same bits; only
+    the returned float grid spans the whole grid.
+    """
     th = thetas[:, None]
     ph = phis[None, :]
     s, c = np.sin(th), np.cos(th)
-    # conj of each U entry times the matching target entry, summed
-    tr = (
-        np.conj(-1j * np.exp(-1j * ph) * s) * target[0, 0]
-        + c * target[1, 0]
-        + c * target[0, 1]
-        + np.conj(-1j * np.exp(1j * ph) * s) * target[1, 1]
-    )
-    return np.abs(tr)
+    u00 = -1j * np.exp(-1j * ph)
+    u11 = -1j * np.exp(1j * ph)
+    rows = max(1, OVERLAP_BLOCK // len(phis))
+    a = np.empty((rows, len(phis)), dtype=np.complex128)
+    b = np.empty_like(a)
+    out = np.empty((len(thetas), len(phis)))
+    for i in range(0, len(thetas), rows):
+        j = min(i + rows, len(thetas))
+        ab, bb = a[: j - i], b[: j - i]
+        np.multiply(u00, s[i:j], out=ab)
+        np.conjugate(ab, out=ab)
+        np.multiply(ab, target[0, 0], out=ab)
+        ab += c[i:j] * target[1, 0]
+        ab += c[i:j] * target[0, 1]
+        np.multiply(u11, s[i:j], out=bb)
+        np.conjugate(bb, out=bb)
+        np.multiply(bb, target[1, 1], out=bb)
+        ab += bb
+        np.abs(ab, out=out[i:j])
+    return out
 
 
 def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:

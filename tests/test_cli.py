@@ -392,6 +392,20 @@ GOLDEN_RESULTS = [
     (["sweep", "--m-values", "5,8", "--n", "3", "--random-phases", "4", "--seed", "2",
       "--mode", "pulse-literal"],
      "3f81aeff06787776534a633f5156f96d604ffaee9d37b8c1abb2774361f4ad97"),
+    # pulse fits: the coarse overlap grid's argmax and the Nelder-Mead path
+    (["pulse-fit", "--preset", "hadamard"],
+     "7bed055fb4dca8e15c0d11103be650f691cc549fc95bcb231f8ccef86fd62f4f"),
+    (["pulse-fit", "--preset", "pulse-phase:0.7"],
+     "a13fd5e647346397d51353e793c8aeb1fc39e229d66f10831556919b336d12e8"),
+    (["pulse-fit", "--preset", "phase:0.3turn"],
+     "6a5262be67ef5a9acb0fc37ba208af4c48fdb550e79f533666e1231bb3c7e60a"),
+    (["pulse-fit", "--matrix", "0.7071067811865476,0,0.7071067811865476,0,"
+      "0.7071067811865476,0,-0.7071067811865476,0"],
+     "4523d59b253cff6d20f49d29375e81322dda441055c8fb846bf14893056f96c9"),
+    (["pulse-fit", "--matrix", "0,0,1,0,1,0,0,0"],
+     "b32d0798422f4790be9f5553195f62a4bb9e532360ed41eeb51440d0da4b5097"),
+    (["pulse-fit", "--matrix", "0.6,0.0,0.0,0.8,0.0,0.8,0.6,0.0"],
+     "2048e7fcb779ecea493785fb60e2d276c6ef5aea5d6f9668ee87bf4f6dcf6a44"),
 ]
 
 
@@ -429,6 +443,20 @@ class TestRejectedInputs:
         code, out, err = run_cli(args, capsys)
         assert code == 1
         assert out == "" and "error" in err
+
+    @pytest.mark.parametrize(
+        "preset, name",
+        [
+            ("hadamard:0.3", "hadamard"),
+            ("hadamard:", "hadamard"),
+            ("pulse-hadamard:junk", "pulse-hadamard"),
+            ("pulse-hadamard:0.7", "pulse-hadamard"),
+        ],
+    )
+    def test_angle_on_angleless_preset_exits_1(self, capsys, preset, name):
+        code, out, err = run_cli(["pulse-fit", "--preset", preset], capsys)
+        assert code == 1 and out == ""
+        assert f"preset '{name}' takes no angle" in err
 
     @pytest.mark.parametrize(
         "values, key",

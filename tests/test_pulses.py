@@ -104,6 +104,35 @@ class TestPulseParams:
         assert p.canonical_rabi_angle == pytest.approx(math.pi)
 
 
+def _haar(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _reference_overlap_grid(target, thetas, phis):
+    # the overlap grid as one whole-array expression, which the blocked
+    # pulses._pulse_overlap_grid must reproduce bit for bit
+    th = thetas[:, None]
+    ph = phis[None, :]
+    s, c = np.sin(th), np.cos(th)
+    tr = (
+        np.conj(-1j * np.exp(-1j * ph) * s) * target[0, 0]
+        + c * target[1, 0]
+        + c * target[0, 1]
+        + np.conj(-1j * np.exp(1j * ph) * s) * target[1, 1]
+    )
+    return np.abs(tr)
+
+
+def _reference_distance(a, b):
+    tr = np.trace(a.conj().T @ b)
+    if abs(tr) < 1e-300:
+        return math.sqrt(2.0 * a.shape[0])
+    z = np.conj(tr) / abs(tr)
+    return float(np.linalg.norm(a - z * b))
+
+
 class TestGateDistance:
     def test_zero_on_self(self):
         rng = np.random.default_rng(13)
@@ -135,8 +164,95 @@ class TestGateDistance:
             assert gate_distance(a, b) == pytest.approx(gate_distance(b, a), abs=1e-12)
             assert gate_distance(a, c) <= gate_distance(a, b) + gate_distance(b, c) + 1e-9
 
+    def test_matches_linalg_norm_bitwise(self):
+        rng = np.random.default_rng(42)
+        pairs = [
+            (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+             rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            for _ in range(300)
+        ]
+        pairs += [
+            tuple(
+                cavity_pulse_unitary(PulseSpec(*rng.uniform(0, 2 * math.pi, 2)))
+                for _ in range(2)
+            )
+            for _ in range(300)
+        ]
+        for a, b in pairs:
+            got = gate_distance(a, b)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(_reference_distance(a, b)).tobytes()
+
+    def test_zero_trace_gives_exactly_two(self):
+        x = np.array([[0, 1], [1, 0]])
+        got = gate_distance(np.eye(2), x)
+        assert got == 2.0 and type(got) is float
+
+    def test_nan_entry_gives_nan(self):
+        a = np.eye(2, dtype=complex)
+        a[1, 0] = np.nan
+        # the optimal phase is NaN / NaN, which numpy flags as invalid
+        with np.errstate(invalid="ignore"):
+            got = gate_distance(a, np.eye(2))
+        assert math.isnan(got) and type(got) is float
+
+
+class TestOverlapGrid:
+    FIT_GRID = np.arange(512) * (math.tau / 512)
+
+    def grids(self, rng):
+        g = self.FIT_GRID
+        return [
+            (g, g),
+            (g[:511], g),
+            (rng.uniform(0, 7, 37), rng.uniform(-1, 7, 100)),
+            (g[:1], g),
+        ]
+
+    def targets(self, rng):
+        haar = [_haar(rng) for _ in range(4)]
+        pulse = [
+            np.exp(1j * rng.uniform(0, 6))
+            * single_pulse_unitary(PulseSpec(*rng.uniform(0, 2 * math.pi, 2)))
+            for _ in range(3)
+        ]
+        # ties: many grid points share the largest overlap
+        ties = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex), IDEAL_H]
+        return haar + pulse + ties
+
+    def test_blocked_grid_matches_whole_array_expression(self):
+        rng = np.random.default_rng(41)
+        for target in self.targets(rng):
+            for thetas, phis in self.grids(rng):
+                got = pulses._pulse_overlap_grid(target, thetas, phis)
+                want = _reference_overlap_grid(target, thetas, phis)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert np.argmax(got) == np.argmax(want)
+
+    def test_grid_spans_several_blocks(self):
+        # the fit grid is cut into blocks, and 511 rows leave a short last one
+        rows = pulses.OVERLAP_BLOCK // 512
+        assert 1 < rows < 511 and 511 % rows != 0
+
 
 class TestFitPulse:
+    def test_objective_goes_through_module_gate_distance(self, monkeypatch):
+        # the benchmark tracer counts objective evaluations by wrapping
+        # pulses.gate_distance, so fit_pulse must look it up on each call
+        calls = []
+        inner = pulses.gate_distance
+
+        def counting(a, b):
+            calls.append(1)
+            return inner(a, b)
+
+        monkeypatch.setattr(pulses, "gate_distance", counting)
+        target = 1j * single_pulse_unitary(PulseSpec(2.3, 0.4))
+        _, residual = fit_pulse(target)
+        assert residual < 1e-8
+        assert len(calls) >= 100
+
     def test_in_model_target(self):
         target = single_pulse_unitary(PulseSpec(math.pi / 5, 1.0))
         _, residual = fit_pulse(target)
