@@ -29,7 +29,7 @@ from . import statevector as sv
 from .errors import NumericalInvariantError, ValidationError
 
 OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
-# Random sweep phases: each one is a row of the stack that
+# Random sweep phases: each one is a row of a stack that
 # qpe.exact_distributions kicks (one call per molecule) and transforms per
 # m value, and a row of the report.
 MAX_RANDOM_PHASES = 10_000
@@ -294,21 +294,22 @@ def cmd_sweep(cfg: dict) -> tuple[dict, list]:
             raise ValidationError(
                 f"m = {m} gives an undefined bound; need m >= n + 2 = {n + 2}"
             )
-    if cfg["phases_rad"]:
-        phis = cfg["phases_rad"]
-    elif cfg["random_phases"]:
+    phis, count = cfg["phases_rad"], cfg["random_phases"]
+    if (phis is None) == (count is None):
+        raise ValidationError("give exactly one of --phases and --random-phases")
+    if phis is None:
         rng = np.random.default_rng(cfg["seed"])
-        phis = [float(p) or math.tau
-                for p in rng.uniform(0.0, math.tau, cfg["random_phases"])]
-    else:
-        raise ValidationError("provide --phases or --random-phases")
+        phis = [float(p) or math.tau for p in rng.uniform(0.0, math.tau, count)]
+    if not phis:
+        raise ValidationError("need at least one phase")
     for p in phis:
         if not (0.0 < p <= math.tau):
             raise ValidationError(f"phase {p} outside (0, 2*pi]")
     rows = []
     for m in m_values:
         bound = qpe.success_probability_bound(m, n)
-        # one batch of distributions at a time, so memory stays bounded
+        # the only batching of phases: each batch is one stack, so memory
+        # stays bounded
         per = qpe.batch_size(m)
         for start in range(0, len(phis), per):
             batch = phis[start:start + per]

@@ -17,10 +17,6 @@ class DimensionError(ValidationError):
     """Mismatched or invalid operator/state dimensions."""
 
 
-class ConfigurationError(ValidationError):
-    """Operation requires a feature the state/config does not have."""
-
-
 class DomainError(ValidationError):
     """Numeric argument outside the mathematical domain of a formula."""
 

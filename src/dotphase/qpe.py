@@ -40,7 +40,7 @@ MAX_SHOTS = 1_000_000
 # visible to a tracer that wraps shot_seed, as benchmarks/spans.py does;
 # larger runs take the array pass in shot_seeds.
 SHOT_SEED_LOOP_MAX = 64
-# Amplitudes one inverse QFT of exact_distributions carries: it stacks the
+# Amplitudes of one stack that sweep hands to exact_distributions: the
 # registers of up to BATCH_AMPLITUDES >> m phases (1 MiB of state), so every
 # gate serves them all at once; from m = 16 on each phase runs alone.
 BATCH_AMPLITUDES = 2 ** 16
@@ -96,7 +96,6 @@ class PhaseEstimate:
 
 @dataclass
 class OutcomeDistribution:
-    m: int
     probs: np.ndarray  # indexed by readout integer j
 
 
@@ -188,7 +187,7 @@ def sequence_unitary(theta: float) -> np.ndarray:
     of a two-qubit register."""
     basis = np.eye(4, dtype=np.complex128)
     return np.column_stack([
-        _apply_sequence(sv.QuantumState(2, False, basis[c]), 1, 2, theta,
+        _apply_sequence(sv.QuantumState(basis[c]), 1, 2, theta,
                         GateMode.IDEAL).amplitudes
         for c in range(4)])
 
@@ -258,33 +257,32 @@ def exact_distribution(
     m: int, phi: float, gate_mode: GateMode = GateMode.IDEAL
 ) -> OutcomeDistribution:
     """Full readout distribution of the protocol, no sampling."""
-    return OutcomeDistribution(m=m, probs=exact_distributions(m, [phi], gate_mode)[0])
+    return OutcomeDistribution(probs=exact_distributions(m, [phi], gate_mode)[0])
 
 
 def exact_distributions(
     m: int, phis, gate_mode: GateMode = GateMode.IDEAL
 ) -> np.ndarray:
     """Readout distribution of the protocol for each phase of ``phis``, one
-    row per phase, no sampling. The register is prepared once; batches of
-    up to ``batch_size(m)`` phases are kicked as one stack of that register,
-    one call per molecule, and go through one inverse QFT, whose gates act
-    on every row alike, so each row has the bits that phase's run alone
-    would give."""
+    row per phase, no sampling. The register is prepared once; all the
+    phases are kicked as one stack of it, one call per molecule, and go
+    through one inverse QFT, whose gates act on every row alike, so each
+    row has the bits that phase's run alone would give. The stack holds
+    ``len(phis) * 2^m`` amplitudes: callers bound it (sweep passes at most
+    ``batch_size(m)`` phases a call)."""
     check_register(m)
+    if len(phis) == 0:
+        return np.empty((0, 2 ** m))
     prepared = prepare_register(m, gate_mode).amplitudes
-    per = batch_size(m)
-    out = np.empty((len(phis), 2 ** m))
-    for start in range(0, len(phis), per):
-        batch = phis[start:start + per]
-        # the first kick copies the read-only rows of the broadcast register
-        stack = sv.QuantumState(m, False, np.broadcast_to(prepared, (len(batch), 2 ** m)))
-        state = inverse_qft(apply_phase_kicks(stack, batch, m, gate_mode), m, gate_mode)
-        out[start:start + len(batch)] = _readout(state, m).probs
-    return out
+    # the first kick copies the read-only rows of the broadcast register
+    stack = sv.QuantumState(np.broadcast_to(prepared, (len(phis), 2 ** m)))
+    state = inverse_qft(apply_phase_kicks(stack, phis, m, gate_mode), m, gate_mode)
+    return _readout(state, m).probs
 
 
 def batch_size(m: int) -> int:
-    """Phases that exact_distributions stacks at register size ``m``."""
+    """Phases that sweep stacks in one exact_distributions call at register
+    size ``m``."""
     return max(1, BATCH_AMPLITUDES >> m)
 
 
@@ -294,7 +292,7 @@ def _readout(state: sv.QuantumState, m: int) -> OutcomeDistribution:
     of a stack, one row per state."""
     register = sv.register_probabilities(state, m)
     rows = register.reshape((-1,) + (2,) * m).transpose(0, *range(m, 0, -1))
-    return OutcomeDistribution(m=m, probs=rows.reshape(register.shape))
+    return OutcomeDistribution(probs=rows.reshape(register.shape))
 
 
 def success_probability_bound(m: int, n: int) -> float:

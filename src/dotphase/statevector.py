@@ -1,11 +1,9 @@
-"""Dense state-vector core for a qubit register plus an optional cavity mode.
+"""Dense state-vector core for a qubit register.
 
-Basis convention: qubit 1 is the most significant bit of the basis index;
-the cavity mode, when present, occupies the least significant position.
-The cavity Fock space is truncated to {0, 1}.
+Basis convention: qubit 1 is the most significant bit of the basis index.
 
-A state may also hold a stack of P states of the same shape, as a
-``(P, dim)`` amplitude array: every gate acts on each row, and every row
+A state may also hold a stack of P states of the same size, as a
+``(P, 2^m)`` amplitude array: every gate acts on each row, and every row
 must keep its own unit norm.
 """
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 from . import _pcg
 from .errors import (
     CapacityError,
-    ConfigurationError,
     DimensionError,
     NumericalInvariantError,
     ValidationError,
@@ -61,21 +58,15 @@ PLAN_CACHE = 256
 
 @dataclass
 class QuantumState:
-    """Amplitude vector over ``num_qubits`` qubits and an optional cavity
-    mode, or a stack of them (see the module docstring)."""
+    """Amplitude vector over ``num_qubits`` qubits, or a stack of them (see
+    the module docstring)."""
 
-    num_qubits: int
-    has_cavity: bool
-    # complex128, length 2**num_qubits * (2 if cavity); (P, that) for a stack
+    # complex128, length 2**num_qubits; (P, that) for a stack
     amplitudes: np.ndarray
 
     @property
-    def num_factors(self) -> int:
-        return self.num_qubits + (1 if self.has_cavity else 0)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.num_factors
+    def num_qubits(self) -> int:
+        return self.amplitudes.shape[-1].bit_length() - 1
 
     def norm(self) -> float:
         """Norm of a single state (of a stack, the root of its rows'
@@ -83,12 +74,12 @@ class QuantumState:
         return math.sqrt(_squared_norms(self.amplitudes).sum())
 
     def copy(self) -> "QuantumState":
-        return QuantumState(self.num_qubits, self.has_cavity, self.amplitudes.copy())
+        return QuantumState(self.amplitudes.copy())
 
 
 @dataclass
 class MeasurementRecord:
-    """Outcome of measuring every qubit of the register (cavity untouched)."""
+    """Outcome of measuring every qubit of the register."""
 
     bits: tuple  # qubit 1 first
     collapsed: QuantumState
@@ -96,14 +87,13 @@ class MeasurementRecord:
     generator: str = GENERATOR_ID
 
 
-def new_state(m: int, with_cavity: bool = False) -> QuantumState:
-    """All-zeros computational basis state on m qubits (cavity in vacuum)."""
+def new_state(m: int) -> QuantumState:
+    """All-zeros computational basis state on m qubits."""
     if not (1 <= m <= MAX_QUBITS):
         raise CapacityError(f"qubit count must be in [1, {MAX_QUBITS}], got {m}")
-    dim = 2 ** (m + (1 if with_cavity else 0))
-    amps = np.zeros(dim, dtype=np.complex128)
+    amps = np.zeros(2 ** m, dtype=np.complex128)
     amps[0] = 1.0
-    return QuantumState(m, with_cavity, amps)
+    return QuantumState(amps)
 
 
 class _Plan(NamedTuple):
@@ -275,7 +265,7 @@ def _apply(
     # written so that a NaN deviation fails too
     if not plan.dev <= UNITARY_TOL:
         raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
-    amps, ndim = state.amplitudes, state.num_factors
+    amps, ndim = state.amplitudes, state.num_qubits
     psi = amps.reshape(amps.shape[:-1] + (2,) * ndim)
     layout = _layout(ndim, tuple(axes))
     if layout.slabs is None or plan.cycles is None:
@@ -288,8 +278,7 @@ def _apply(
         else:
             psi = _apply_monomial(psi, layout.slabs, plan.cycles)
     # psi is C-contiguous, so the flat view shares its memory
-    out = QuantumState(state.num_qubits, state.has_cavity, psi.reshape(amps.shape))
-    return _check_norm(out)
+    return _check_norm(QuantumState(psi.reshape(amps.shape)))
 
 
 def _apply_monomial(psi: np.ndarray, slabs: tuple, cycles: tuple) -> np.ndarray:
@@ -443,7 +432,7 @@ def apply_1q_diagonals(
     row's unitarity deviation is the one ``_gate_plan`` finds for its gate,
     and each row's norm is checked. ``in_place`` as in ``apply_1q``."""
     axis = _qubit_axis(state, qubit_index)
-    amps, ndim = state.amplitudes, state.num_factors
+    amps, ndim = state.amplitudes, state.num_qubits
     entries = np.asarray(entries, dtype=np.complex128)
     if amps.ndim != 2 or entries.shape != (len(amps), 2):
         raise DimensionError(
@@ -470,8 +459,7 @@ def apply_1q_diagonals(
             psi = _apply_long_run(psi, layout.run_index, split)
         else:
             psi = _apply_row_diagonals(psi, layout.slabs, entries, split)
-    return _check_norm(QuantumState(state.num_qubits, state.has_cavity,
-                                    psi.reshape(amps.shape)))
+    return _check_norm(QuantumState(psi.reshape(amps.shape)))
 
 
 def apply_2q(
@@ -493,16 +481,21 @@ def apply_2q(
 def apply_qubit_cavity(
     state: QuantumState, qubit_index: int, gate: np.ndarray
 ) -> QuantumState:
-    """Apply a 4x4 unitary on (qubit, cavity), basis order {g0, g1, e0, e1}."""
-    if not state.has_cavity:
-        raise ConfigurationError("state has no cavity mode")
-    axes = [_qubit_axis(state, qubit_index), state.num_factors - 1]
+    """Apply a 4x4 unitary on (qubit, cavity), basis order {g0, g1, e0, e1}.
+
+    The cavity, truncated to {0, 1}, is the register's last qubit, so m
+    molecules and their cavity are ``new_state(m + 1)``. A call is one gate:
+    it goes to ``_apply`` itself, not through ``apply_2q``."""
+    cavity = state.num_qubits
+    if qubit_index == cavity:
+        raise DimensionError(f"qubit {qubit_index} is the cavity, the last qubit")
+    axes = [_qubit_axis(state, qubit_index), _qubit_axis(state, cavity)]
     return _apply(state, axes, gate)
 
 
 def probabilities(state: QuantumState) -> np.ndarray:
-    """Born-rule probability for every basis state (cavity dimension
-    included); of a stack, one row per state, each summing to one."""
+    """Born-rule probability for every basis state; of a stack, one row per
+    state, each summing to one."""
     probs = np.abs(state.amplitudes) ** 2
     for total in np.atleast_1d(probs.sum(axis=-1)):
         if not abs(total - 1.0) <= NORM_TOL:
@@ -512,8 +505,8 @@ def probabilities(state: QuantumState) -> np.ndarray:
 
 def register_probabilities(state: QuantumState, m: int) -> np.ndarray:
     """Born-rule marginal of qubits 1..m, indexed with qubit 1 as the most
-    significant bit; later qubits and the cavity are summed out. Of a
-    stack, one row per state."""
+    significant bit; later qubits are summed out. Of a stack, one row per
+    state."""
     if not (1 <= m <= state.num_qubits):
         raise DimensionError(f"register size {m} out of range 1..{state.num_qubits}")
     probs = probabilities(state)
@@ -544,26 +537,24 @@ def sample(probs: np.ndarray, seeds) -> np.ndarray:
 
 
 def measure_all(state: QuantumState, seed: int) -> MeasurementRecord:
-    """Measure every qubit; the cavity factor is left untouched.
+    """Measure every qubit, collapsing the state onto one basis state.
 
-    The outcome is drawn from the register marginal with a seeded PCG64
-    stream, so identical seeds give identical records.
+    The outcome is drawn from the Born-rule probabilities with a seeded
+    PCG64 stream, so identical seeds give identical records.
     """
     m = state.num_qubits
-    cav = 2 if state.has_cavity else 1
-    outcome = int(sample(register_probabilities(state, m), [seed])[0])
+    outcome = int(sample(probabilities(state), [seed])[0])
     bits = tuple((outcome >> (m - 1 - i)) & 1 for i in range(m))
 
     collapsed_amps = np.zeros_like(state.amplitudes)
-    block = slice(outcome * cav, (outcome + 1) * cav)
-    collapsed_amps[block] = state.amplitudes[block]
+    collapsed_amps[outcome] = state.amplitudes[outcome]
     collapsed_amps /= np.linalg.norm(collapsed_amps)
-    collapsed = QuantumState(m, state.has_cavity, collapsed_amps)
-    return MeasurementRecord(bits=bits, collapsed=collapsed, seed_used=seed)
+    return MeasurementRecord(bits=bits, collapsed=QuantumState(collapsed_amps),
+                             seed_used=seed)
 
 
 def overlap(a: QuantumState, b: QuantumState) -> complex:
     """Inner product <a|b>."""
-    if a.dim != b.dim or a.num_qubits != b.num_qubits or a.has_cavity != b.has_cavity:
+    if a.amplitudes.shape != b.amplitudes.shape:
         raise DimensionError("states have different shapes")
     return complex(np.vdot(a.amplitudes, b.amplitudes))

@@ -61,9 +61,7 @@ def test_criterion_03_inverse_qft_oracle_equivalence():
         for k in range(n):
             basis = np.zeros(n, dtype=complex)
             basis[k] = 1.0
-            circuit[:, k] = qpe.inverse_qft(
-                sv.QuantumState(m, False, basis), m
-            ).amplitudes
+            circuit[:, k] = qpe.inverse_qft(sv.QuantumState(basis), m).amplitudes
         rev = np.zeros((n, n))
         for j in range(n):
             rev[j, qpe.bit_reverse(j, m)] = 1.0

@@ -598,6 +598,35 @@ def test_negative_seed_and_count_exit_1(capsys, tmp_path, via, command, values, 
     assert err.startswith("error:") and repr(key) in err
 
 
+# sweep takes its phases from exactly one of two sources, and needs at least one
+PHASE_SOURCES = [
+    ({"phases_rad": "1.0", "random_phases": 3},
+     "give exactly one of --phases and --random-phases"),
+    ({"phases_rad": "", "random_phases": 3},
+     "give exactly one of --phases and --random-phases"),
+    ({}, "give exactly one of --phases and --random-phases"),
+    ({"phases_rad": ""}, "need at least one phase"),
+    ({"random_phases": 0}, "need at least one phase"),
+]
+
+
+@pytest.mark.parametrize("via", ["flags", "file"])
+@pytest.mark.parametrize("values, message", PHASE_SOURCES)
+def test_sweep_takes_one_phase_source(capsys, tmp_path, via, values, message):
+    values = {"m_values": "5", "n": 2, **values}
+    if via == "file":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        args = ["sweep", "--config", str(cfg)]
+    else:
+        flag = {"phases_rad": "--phases"}
+        args = ["sweep"] + [x for k, v in values.items()
+                            for x in (flag.get(k, "--" + k.replace("_", "-")), str(v))]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command, flags, key",
     [

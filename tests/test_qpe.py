@@ -60,7 +60,7 @@ class TestPhaseKicks:
         phis = [float(p) for p in TWO_PI - rng.uniform(0.0, TWO_PI, 12)]
         prepared = qpe.prepare_register(m, mode)
         for count in (1, 5, 12):
-            stack = sv.QuantumState(m, False, np.stack([prepared.amplitudes] * count))
+            stack = sv.QuantumState(np.stack([prepared.amplitudes] * count))
             before = stack.amplitudes.tobytes()
             kicked = qpe.apply_phase_kicks(stack, phis[:count], m, mode).amplitudes
             assert kicked.shape == (count, 2 ** m)
@@ -99,14 +99,12 @@ class TestControlledPhaseSequence:
 
 class TestInverseQft:
     def test_single_qubit(self):
-        state = sv.QuantumState(
-            1, False, np.array([1, np.exp(1j * math.pi)]) / math.sqrt(2)
-        )
+        state = sv.QuantumState(np.array([1, np.exp(1j * math.pi)]) / math.sqrt(2))
         out = qpe.inverse_qft(state, 1)
         assert np.allclose(out.amplitudes, [0, 1], atol=1e-12)
 
     def test_m3_representable(self):
-        state = sv.QuantumState(3, False, eq5_state(3, TWO_PI * 5 / 8))
+        state = sv.QuantumState(eq5_state(3, TWO_PI * 5 / 8))
         out = qpe.inverse_qft(state, 3)
         probs = sv.probabilities(out)
         # register index 5 = bit-reversed readout 5 (palindromic)
@@ -124,9 +122,7 @@ class TestInverseQft:
         for k in range(n):
             basis = np.zeros(n, dtype=complex)
             basis[k] = 1.0
-            circuit[:, k] = qpe.inverse_qft(
-                sv.QuantumState(m, False, basis), m
-            ).amplitudes
+            circuit[:, k] = qpe.inverse_qft(sv.QuantumState(basis), m).amplitudes
         rev = np.zeros((n, n))
         for j in range(n):
             rev[j, qpe.bit_reverse(j, m)] = 1.0
@@ -234,6 +230,9 @@ class TestExactDistributions:
 
     @pytest.mark.parametrize("mode", list(GateMode))
     def test_phases_beyond_one_batch(self, mode):
+        # exact_distributions kicks all its phases as one stack, even one
+        # larger than sweep's batches: a row's bits do not depend on how
+        # many rows the stack has
         m = 12
         count = qpe.batch_size(m) + 3
         phis = [float(p) for p in np.random.default_rng(60).uniform(0.1, TWO_PI, count)]

@@ -8,7 +8,6 @@ from dotphase import _pcg, cli, qpe
 from dotphase import statevector as sv
 from dotphase.errors import (
     CapacityError,
-    ConfigurationError,
     DimensionError,
     NumericalInvariantError,
     ValidationError,
@@ -25,7 +24,7 @@ CNOT = np.array(
 def random_state(m, rng):
     amps = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
     amps /= np.linalg.norm(amps)
-    return sv.QuantumState(m, False, amps.astype(np.complex128))
+    return sv.QuantumState(amps.astype(np.complex128))
 
 
 def random_unitary(dim, rng):
@@ -39,10 +38,12 @@ class TestNewState:
         state = sv.new_state(1)
         assert np.allclose(state.amplitudes, [1, 0])
 
-    def test_with_cavity(self):
-        state = sv.new_state(2, with_cavity=True)
-        assert len(state.amplitudes) == 8
-        assert state.amplitudes[0] == 1
+    def test_num_qubits_comes_from_the_amplitudes(self):
+        for m in (1, 2, 3, 12):
+            state = sv.new_state(m)
+            assert state.num_qubits == m and len(state.amplitudes) == 2 ** m
+            stack = sv.QuantumState(np.zeros((3, 2 ** m), dtype=complex))
+            assert stack.num_qubits == m
 
     def test_normalized(self):
         assert sv.new_state(3).norm() == pytest.approx(1.0)
@@ -95,9 +96,7 @@ class TestApply2q:
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
     def test_diagonal_on_bell(self):
-        bell = sv.QuantumState(
-            2, False, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-        )
+        bell = sv.QuantumState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
         gate = np.diag([1, 1, 1, np.exp(-1j * math.pi / 2)])
         out = sv.apply_2q(bell, 1, 2, gate)
         expected = np.array([1, 0, 0, np.exp(-1j * math.pi / 2)]) / math.sqrt(2)
@@ -109,14 +108,17 @@ class TestApply2q:
 
 
 class TestQubitCavity:
+    """The cavity, truncated to {0, 1}, is the register's last qubit: m
+    molecules and their cavity are ``new_state(m + 1)``."""
+
     def test_zero_angle_is_identity(self):
-        state = sv.new_state(2, with_cavity=True)
+        state = sv.new_state(3)
         out = sv.apply_qubit_cavity(state, 1, cavity_pulse_unitary(PulseSpec(0, 0.3)))
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_half_pulse_swaps_excitation(self):
         # |e0> -> -i|g1> at theta = pi/2, phi2 = 0
-        state = sv.new_state(1, with_cavity=True)
+        state = sv.new_state(2)
         state = sv.apply_1q(state, 1, X)  # |e0>
         out = sv.apply_qubit_cavity(
             state, 1, cavity_pulse_unitary(PulseSpec(math.pi / 2, 0))
@@ -129,12 +131,31 @@ class TestQubitCavity:
             gate = cavity_pulse_unitary(
                 PulseSpec(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
             )
-            out = sv.apply_qubit_cavity(sv.new_state(1, with_cavity=True), 1, gate)
+            out = sv.apply_qubit_cavity(sv.new_state(2), 1, gate)
             assert np.allclose(out.amplitudes, [1, 0, 0, 0])
 
     def test_requires_cavity(self):
-        with pytest.raises(ConfigurationError):
-            sv.apply_qubit_cavity(sv.new_state(2), 1, np.eye(4))
+        # the last qubit is the cavity, so it is no molecule, and a
+        # one-qubit state has no molecule besides its cavity
+        with pytest.raises(DimensionError, match="is the cavity"):
+            sv.apply_qubit_cavity(sv.new_state(3), 3, np.eye(4))
+        with pytest.raises(DimensionError, match="is the cavity"):
+            sv.apply_qubit_cavity(sv.new_state(1), 1, np.eye(4))
+        with pytest.raises(DimensionError, match="out of range"):
+            sv.apply_qubit_cavity(sv.new_state(3), 0, np.eye(4))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_contraction_on_the_last_qubit(self, m):
+        # every molecule q of an (m + 1)-qubit state with random pulses:
+        # the bytes of the contraction on axes (q - 1, m) and of apply_2q
+        rng = np.random.default_rng(700 + m)
+        state = random_state(m + 1, rng)
+        for q in range(1, m + 1):
+            for _ in range(2):
+                gate = cavity_pulse_unitary(PulseSpec(*rng.uniform(0, 2 * math.pi, 2)))
+                got = sv.apply_qubit_cavity(state, q, gate).amplitudes
+                assert np.array_equal(got, tensordot_apply(state, [q - 1, m], gate)), q
+                assert got.tobytes() == sv.apply_2q(state, q, m + 1, gate).amplitudes.tobytes()
 
 
 class TestProbabilities:
@@ -142,9 +163,7 @@ class TestProbabilities:
         assert np.allclose(sv.probabilities(sv.new_state(1)), [1, 0])
 
     def test_born_rule(self):
-        state = sv.QuantumState(
-            1, False, np.array([-1, 1], dtype=complex) / math.sqrt(2)
-        )
+        state = sv.QuantumState(np.array([-1, 1], dtype=complex) / math.sqrt(2))
         assert np.allclose(sv.probabilities(state), [0.5, 0.5])
 
 
@@ -194,11 +213,11 @@ class TestNorm:
         rng = np.random.default_rng(12)
         backing = rng.normal(size=2 ** 13) + 1j * rng.normal(size=2 ** 13)
         backing[::2] /= np.linalg.norm(backing[::2])
-        state = sv.QuantumState(12, False, backing[::2])
+        state = sv.QuantumState(backing[::2])
         with pytest.raises(ValueError):
             state.amplitudes.view(np.float64)
         assert abs(state.norm() - 1.0) <= 1e-15
-        contiguous = sv.QuantumState(12, False, state.amplitudes.copy())
+        contiguous = sv.QuantumState(state.amplitudes.copy())
         for axes, gate in (([0], np.diag([1, 1j])), ([10], np.diag([1, 1j])),
                            ([11], np.diag([1, 1j])),
                            ([3, 9], CNOT), ([5], H)):
@@ -211,7 +230,7 @@ class TestNorm:
     def test_non_finite_amplitudes_fail_the_check(self, bad):
         amps = np.full(2 ** 12, 2 ** -6, dtype=np.complex128)
         amps[77] = bad
-        state = sv.QuantumState(12, False, amps)
+        state = sv.QuantumState(amps)
         with pytest.raises(NumericalInvariantError):
             sv._check_norm(state)
         # the slab, long-run and tensordot paths all end in the check; inf
@@ -256,23 +275,21 @@ class TestArrayPass:
 
 class TestMeasureAll:
     def test_rejects_unnormalised_state(self):
-        state = sv.QuantumState(1, False, np.array([1, 1], dtype=complex))
+        state = sv.QuantumState(np.array([1, 1], dtype=complex))
         with pytest.raises(NumericalInvariantError):
             sv.measure_all(state, 0)
 
     def test_basis_state_deterministic(self):
         amps = np.zeros(8, dtype=complex)
         amps[0b011] = 1.0
-        state = sv.QuantumState(3, False, amps)
+        state = sv.QuantumState(amps)
         for seed in (0, 1, 12345):
             record = sv.measure_all(state, seed)
             assert record.bits == (0, 1, 1)
             assert np.allclose(record.collapsed.amplitudes, amps)
 
     def test_uniform_frequency(self):
-        state = sv.QuantumState(
-            1, False, np.array([1, 1], dtype=complex) / math.sqrt(2)
-        )
+        state = sv.QuantumState(np.array([1, 1], dtype=complex) / math.sqrt(2))
         ones = sum(
             sv.measure_all(state, seed).bits[0] for seed in range(100_000)
         )
@@ -287,12 +304,21 @@ class TestMeasureAll:
         assert np.array_equal(a.collapsed.amplitudes, b.collapsed.amplitudes)
 
     def test_cavity_factor_untouched(self):
-        # qubit |0> times cavity superposition: cavity survives collapse
-        amps = np.array([1, 1j, 0, 0], dtype=complex) / math.sqrt(2)
-        state = sv.QuantumState(1, True, amps)
-        record = sv.measure_all(state, 5)
-        assert record.bits == (0,)
-        assert np.allclose(record.collapsed.amplitudes, amps)
+        # a molecule in superposition and its cavity, the last qubit, in
+        # vacuum: the cavity reads 0, and the collapse keeps the one
+        # amplitude of the outcome, cavity still in vacuum
+        amps = np.array([1, 0, 1j, 0], dtype=complex) / math.sqrt(2)
+        state = sv.QuantumState(amps)
+        seen = set()
+        for seed in range(20):
+            record = sv.measure_all(state, seed)
+            molecule, cavity = record.bits
+            assert cavity == 0
+            expected = np.zeros(4, dtype=complex)
+            expected[2 * molecule] = amps[2 * molecule] * math.sqrt(2)
+            assert np.allclose(record.collapsed.amplitudes, expected)
+            seen.add(molecule)
+        assert seen == {0, 1}
 
 
 class TestOverlap:
@@ -325,7 +351,7 @@ class TestInvariants:
         gate = random_unitary(2, rng)
         psi, chi = random_state(3, rng), random_state(3, rng)
         alpha, beta = 0.6 + 0.2j, -0.3 + 0.7j
-        mix = sv.QuantumState(3, False, alpha * psi.amplitudes + beta * chi.amplitudes)
+        mix = sv.QuantumState(alpha * psi.amplitudes + beta * chi.amplitudes)
         norm = np.linalg.norm(mix.amplitudes)
         mix.amplitudes /= norm
         lhs = sv.apply_1q(mix, 2, gate).amplitudes * norm
@@ -355,7 +381,7 @@ def tensordot_apply(state, axes, gate):
     BLAS, the path that dense gates take."""
     k = len(axes)
     g = np.asarray(gate, dtype=np.complex128).reshape((2,) * (2 * k))
-    psi = state.amplitudes.reshape((2,) * state.num_factors)
+    psi = state.amplitudes.reshape((2,) * state.num_qubits)
     psi = np.tensordot(g, psi, axes=(list(range(k, 2 * k)), axes))
     return np.moveaxis(psi, list(range(k)), axes).reshape(-1)
 
@@ -392,11 +418,13 @@ class TestStructuredKernel:
         # sign of an exact zero, which changes no probability. Every axis is
         # tested with one-qubit gates, so both sides of LONG_RUN_MAX are, and
         # at 14 factors slabs of more than SPLIT_BLOCK amplitudes. Above 12
-        # factors two-qubit gates are tested on the last 6 axes only
+        # factors two-qubit gates are tested on the last 6 axes only. With
+        # ``cavity`` the last factor is the cavity, and each two-qubit gate
+        # onto it goes through apply_qubit_cavity as well
         rng = np.random.default_rng(100 * factors + cavity)
         dim = 2 ** factors
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state = sv.QuantumState(factors - cavity, cavity, amps / np.linalg.norm(amps))
+        state = sv.QuantumState(amps / np.linalg.norm(amps))
         one, two = self.gates(rng)
         for name, gate in one.items():
             for axis in range(factors):
@@ -406,9 +434,12 @@ class TestStructuredKernel:
         paired = range(factors) if factors <= 12 else range(factors - 6, factors)
         for name, gate in two.items():
             for axes in itertools.permutations(paired, 2):
+                expected = tensordot_apply(state, list(axes), gate)
                 got = sv._apply(state, list(axes), gate).amplitudes
-                assert np.array_equal(got, tensordot_apply(state, list(axes), gate)), (
-                    name, axes)
+                assert np.array_equal(got, expected), (name, axes)
+                if cavity and axes[1] == factors - 1:
+                    got = sv.apply_qubit_cavity(state, axes[0] + 1, gate).amplitudes
+                    assert np.array_equal(got, expected), (name, axes)
 
     def test_input_state_untouched(self):
         rng = np.random.default_rng(9)
@@ -436,7 +467,7 @@ class TestStructuredKernel:
         # C-order copy, so the gate must reach np.dot as tensordot hands it
         rng = np.random.default_rng(200 + factors)
         amps = rng.normal(size=2 ** factors) + 1j * rng.normal(size=2 ** factors)
-        state = sv.QuantumState(factors, False, amps / np.linalg.norm(amps))
+        state = sv.QuantumState(amps / np.linalg.norm(amps))
         u2, u4 = random_unitary(2, rng), random_unitary(4, rng)
         q4 = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         layouts = {
@@ -458,7 +489,7 @@ class TestStructuredKernel:
     def test_unnormalised_state_rejected(self, m):
         amps = np.zeros(2 ** m, dtype=complex)
         amps[:2] = 1.0
-        state = sv.QuantumState(m, False, amps)
+        state = sv.QuantumState(amps)
         for apply in (lambda: sv.apply_1q(state, 1, np.diag([1, 1j])),
                       lambda: sv.apply_2q(state, 1, 2, CNOT),
                       lambda: sv.apply_1q(state, 1, H)):
@@ -488,11 +519,10 @@ class TestInPlace:
 
     @staticmethod
     def check(state, axes, gate):
-        work = sv.QuantumState(state.num_qubits, state.has_cavity,
-                               state.amplitudes.copy())
+        work = sv.QuantumState(state.amplitudes.copy())
         got = sv._apply(work, axes, gate, in_place=True).amplitudes
         assert np.array_equal(got, tensordot_apply(state, axes, gate)), axes
-        dense = TestKernelDispatch.expected(state.num_factors, axes, gate) == "_apply_dense"
+        dense = TestKernelDispatch.expected(state.num_qubits, axes, gate) == "_apply_dense"
         assert np.shares_memory(got, work.amplitudes) is not dense, axes
 
     @pytest.mark.parametrize(
@@ -500,9 +530,13 @@ class TestInPlace:
         [(f, c) for f in range(1, 13) for c in (False, True) if f > c],
     )
     def test_matches_tensordot_bit_for_bit(self, factors, cavity):
+        # with ``cavity`` the last factor is the cavity, and each two-qubit
+        # gate onto it goes through apply_qubit_cavity as well, which never
+        # overwrites the state it is given
         rng = np.random.default_rng(300 + 2 * factors + cavity)
         amps = rng.normal(size=2 ** factors) + 1j * rng.normal(size=2 ** factors)
-        state = sv.QuantumState(factors - cavity, cavity, amps / np.linalg.norm(amps))
+        state = sv.QuantumState(amps / np.linalg.norm(amps))
+        before = state.amplitudes.tobytes()
         one, two = TestStructuredKernel.gates(rng)
         two.update(monomial_gates(rng))
         for gate in one.values():
@@ -511,6 +545,10 @@ class TestInPlace:
         for gate in two.values():
             for axes in itertools.permutations(range(factors), 2):
                 self.check(state, list(axes), gate)
+                if cavity and axes[1] == factors - 1:
+                    got = sv.apply_qubit_cavity(state, axes[0] + 1, gate).amplitudes
+                    assert np.array_equal(got, tensordot_apply(state, list(axes), gate))
+        assert state.amplitudes.tobytes() == before
 
     @pytest.mark.parametrize("factors", [14, 15])
     def test_blocks_of_large_slabs(self, factors):
@@ -559,7 +597,7 @@ class TestInPlace:
         read_only.flags.writeable = False
         strided = np.repeat(amps, 2)[::2]
         for buf in (read_only, strided):
-            state = sv.QuantumState(8, False, buf)
+            state = sv.QuantumState(buf)
             before = buf.tobytes()
             got = sv.apply_1q(state, 3, np.diag([1, 1j]), in_place=True)
             assert np.array_equal(got.amplitudes,
@@ -648,6 +686,8 @@ class TestKernelDispatch:
 
     @pytest.mark.parametrize("cavity", [False, True])
     def test_rule(self, monkeypatch, cavity):
+        # with ``cavity`` the last factor is the cavity, and a two-qubit gate
+        # onto it through apply_qubit_cavity runs the one kernel _apply runs
         calls = record_kernels(monkeypatch)
         rng = np.random.default_rng(15)
         one = [qpe._phase_gate(0.3, qpe.GateMode.IDEAL),
@@ -655,8 +695,7 @@ class TestKernelDispatch:
         two = [CNOT, np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, 4))),
                random_unitary(4, rng)]
         for factors in range(1 + cavity, 15):
-            state = sv.QuantumState(factors - cavity, cavity,
-                                    np.eye(1, 2 ** factors, dtype=complex)[0])
+            state = sv.QuantumState(np.eye(1, 2 ** factors, dtype=complex)[0])
             cases = [([axis], gate) for axis in range(factors) for gate in one]
             if factors <= 12:
                 cases += [(list(axes), gate) for gate in two
@@ -665,6 +704,10 @@ class TestKernelDispatch:
                 calls.clear()
                 sv._apply(state, axes, gate)
                 assert calls == [self.expected(factors, axes, gate)], (factors, axes)
+                if cavity and len(axes) == 2 and axes[1] == factors - 1:
+                    calls.clear()
+                    sv.apply_qubit_cavity(state, axes[0] + 1, gate)
+                    assert calls == [self.expected(factors, axes, gate)], (factors, axes)
 
 
 class TestNormCheckFires:
@@ -724,7 +767,7 @@ class TestNormCheckFires:
 
 def stack_of(factors, rng, count=5):
     rows = [random_state(factors, rng).amplitudes for _ in range(count)]
-    return sv.QuantumState(factors, False, np.stack(rows))
+    return sv.QuantumState(np.stack(rows))
 
 
 class TestStack:
@@ -751,7 +794,7 @@ class TestStack:
             seen.add(kernel)
             assert got.shape == stack.amplitudes.shape
             for row, amps in zip(got, stack.amplitudes):
-                alone = sv._apply(sv.QuantumState(factors, False, amps), axes, gate)
+                alone = sv._apply(sv.QuantumState(amps), axes, gate)
                 assert row.tobytes() == alone.amplitudes.tobytes(), (axes, kernel)
         # the dense fallback at 1 and 2 factors; from 3 on the long-run pass
         # and the slab kernel on the last axis as well
@@ -770,7 +813,7 @@ class TestStack:
         probs = sv.register_probabilities(stack, 5)
         assert probs.shape == (3, 32)
         for row, amps in zip(probs, stack.amplitudes):
-            alone = sv.register_probabilities(sv.QuantumState(5, False, amps), 5)
+            alone = sv.register_probabilities(sv.QuantumState(amps), 5)
             assert row.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize(
@@ -862,7 +905,7 @@ class TestRowDiagonals:
         with pytest.raises(ValidationError, match="gate is not unitary") as stacked:
             sv.apply_1q_diagonals(stack, 2, entries)
         with pytest.raises(ValidationError) as alone:
-            sv.apply_1q(sv.QuantumState(6, False, stack.amplitudes[2]), 2, gate)
+            sv.apply_1q(sv.QuantumState(stack.amplitudes[2]), 2, gate)
         assert str(stacked.value) == str(alone.value)
 
     @pytest.mark.parametrize("factors", [1, 2, 3, 6, 11, 13, 14])
@@ -889,12 +932,12 @@ class TestRowDiagonals:
             for in_place in (False, True):
                 kernels.clear()
                 amps = stack.amplitudes.copy()
-                got = sv.apply_1q_diagonals(sv.QuantumState(factors, False, amps),
+                got = sv.apply_1q_diagonals(sv.QuantumState(amps),
                                             axis + 1, entries, in_place=in_place)
                 assert np.shares_memory(got.amplitudes, amps) == (
                     in_place and kernels[0] != "_contract")
                 for row, before, d in zip(got.amplitudes, stack.amplitudes, entries):
-                    alone = sv.apply_1q(sv.QuantumState(factors, False, before),
+                    alone = sv.apply_1q(sv.QuantumState(before),
                                         axis + 1, np.diag(d))
                     assert row.tobytes() == alone.amplitudes.tobytes(), (axis, d)
                 expected = TestKernelDispatch.expected(factors, [axis], np.diag(entries[0]))
@@ -907,7 +950,7 @@ class TestRowDiagonals:
         with pytest.raises(DimensionError):
             sv.apply_1q_diagonals(stack, 1, np.ones((4, 2)))
         with pytest.raises(DimensionError):
-            sv.apply_1q_diagonals(sv.QuantumState(4, False, stack.amplitudes[0]), 1,
+            sv.apply_1q_diagonals(sv.QuantumState(stack.amplitudes[0]), 1,
                                   np.ones((1, 2)))
 
     def test_drifting_row_stops_the_call(self, monkeypatch):
