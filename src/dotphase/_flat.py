@@ -1,0 +1,219 @@
+"""Structured gate kernels on the flat amplitudes of a state or a stack.
+
+``statevector`` plans each gate, picks its kernel and checks the result;
+these kernels overwrite the C-contiguous amplitudes they are given. A
+layout (``statevector._Layout``) views them, a stack's rows included, as
+``(L, 2, R)`` for one axis or ``(L, 2, M, 2, R)`` for two, ``R`` being the
+run of contiguous amplitudes below the last gate axis, and indexes each
+slab in that view. Every factor ``d`` is applied as the split products of
+``_product``, which round like BLAS's ``zgemm``.
+"""
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+# Block, in amplitudes, of the structured kernels: runs this long are scaled
+# in place, shorter ones are gathered into a buffer of this size, and the
+# pattern pass multiplies blocks of it. A gate allocates at most three
+# blocks besides the one copy of a state it may not overwrite. At m = 16
+# (one BLAS thread), blocks of 2^11 took 11-16 % longer, from the numpy
+# calls per block, and 2^13 gained nothing. It is also the pattern pass's
+# crossover: a diagonal one-qubit gate neither of whose entries is 1 scales
+# both slabs, which on runs shorter than a block one pass with a pattern of
+# its entries does in 150-250 us at m = 16, against 200-480 us for gathering
+# both slabs. With an entry 1 only one slab moves: gathering it takes
+# 100-130 us from runs of 8 on, against 160-170 us; at runs of 2 and 4 the
+# pattern wins by 7 % at m = 16 but loses by 20-30 % on a 12-row stack of
+# 8 qubits, so such gates keep to their slab.
+SPLIT_BLOCK = 2 ** 12
+
+
+@functools.cache
+def _pattern_index(run: int) -> np.ndarray:
+    """Read-only index of the pattern pass on an axis that leaves runs of
+    ``run`` amplitudes: which diagonal entry multiplies each amplitude of a
+    block of SPLIT_BLOCK. One per run length, shared by every layout."""
+    index = np.tile(np.repeat(np.arange(2, dtype=np.uint8), run), SPLIT_BLOCK // (2 * run))
+    index.flags.writeable = False
+    return index
+
+
+def _apply_monomial(amps: np.ndarray, layout, cycles: tuple) -> np.ndarray:
+    """Gate with one nonzero ``d`` per row, given as its ``cycles`` (see
+    ``statevector._Plan``), on the C-contiguous ``amps``: each slab on a
+    cycle becomes ``d`` times the next one, block by block (``_blocks``).
+    A move (``d == 1``) copies bytes; a factor goes through ``_product``,
+    whose split products round like BLAS's ``zgemm`` where numpy's complex
+    ``src * d`` differs in the last bit. Returns ``amps``."""
+    run = layout.shape[-1]
+    if run >= SPLIT_BLOCK:
+        grid = amps.reshape(layout.shape)
+    else:
+        grid = amps.reshape(-1).view(layout.item).reshape(layout.shape[:-1])
+    for rows, factors in cycles:
+        slabs = [_blocks(grid[layout.slabs[row]], run) for row in rows]
+        if run >= SPLIT_BLOCK:
+            _rotate_runs(slabs, factors)
+        else:
+            _rotate_items(slabs, factors, run)
+    return amps
+
+
+def _rotate_runs(slabs: list, factors: tuple) -> None:
+    """One cycle whose ``slabs`` list each slab's blocks, contiguous pieces
+    of its runs, rotated in place through one saved piece."""
+    if len(slabs) == 1:
+        re, im = factors[0]
+        for piece in slabs[0]:
+            _product(piece, re, im, piece)
+        return
+    saved = np.empty(SPLIT_BLOCK, dtype=np.complex128)
+    for j, first in enumerate(slabs[0]):
+        saved[...] = first
+        for i, factor in enumerate(factors):
+            dst = slabs[i][j]
+            src = slabs[i + 1][j] if i + 1 < len(slabs) else saved
+            if factor is None:
+                dst[...] = src
+            else:
+                _product(src, *factor, dst)
+
+
+def _rotate_items(slabs: list, factors: tuple, run: int) -> None:
+    """One cycle whose ``slabs`` list each slab's blocks, arrays of its
+    runs of ``run`` amplitudes as ``np.void`` items: a move copies their
+    bytes, and a factor gathers the source runs into a buffer, multiplies
+    them there as one contiguous array and scatters them into the
+    destination."""
+    # buffers the size of the first block, the largest: only the last
+    # block of a slab may hold fewer runs
+    size = slabs[0][0].size * run
+    scaled = any(factor is not None for factor in factors)
+    work = np.empty(size, dtype=np.complex128) if scaled else None
+    saved = np.empty(size, dtype=np.complex128) if len(slabs) > 1 else None
+    shape = None
+    for j, first in enumerate(slabs[0]):
+        if first.shape != shape:
+            shape, size = first.shape, first.size * run
+            if scaled:
+                gathered = work[:size].view(first.dtype).reshape(shape)
+                product = work[:size]
+            if saved is not None:
+                kept = saved[:size].view(first.dtype).reshape(shape)
+        if saved is None:
+            gathered[...] = first
+            _product(product, *factors[0], product)
+            first[...] = gathered
+            continue
+        kept[...] = first
+        for i, factor in enumerate(factors):
+            dst = slabs[i][j]
+            src = slabs[i + 1][j] if i + 1 < len(slabs) else kept
+            if factor is None:
+                dst[...] = src
+            else:
+                gathered[...] = src
+                _product(product, *factor, product)
+                dst[...] = gathered
+
+
+def _blocks(slab: np.ndarray, run: int) -> list:
+    """A slab's blocks of at most SPLIT_BLOCK amplitudes, in one order for
+    every slab of a layout: 1-D pieces of its runs where these hold at
+    least SPLIT_BLOCK amplitudes (``slab`` is then complex, a run on its
+    last axis), else parts of its array of ``np.void`` runs."""
+    if run >= SPLIT_BLOCK:
+        parts = slab if slab.ndim == 2 else [part for grid in slab for part in grid]
+        return [part[i:i + SPLIT_BLOCK] for part in parts
+                for i in range(0, run, SPLIT_BLOCK)]
+    per = SPLIT_BLOCK // run
+    if slab.size <= per:
+        return [slab]
+    if slab.ndim == 2 and slab.shape[1] > per:
+        return [part[j:j + per] for part in slab for j in range(0, len(part), per)]
+    step = per // (slab.shape[1] if slab.ndim == 2 else 1)
+    return [slab[i:i + step] for i in range(0, len(slab), step)]
+
+
+def _apply_pattern(amps: np.ndarray, run: int, diagonal: np.ndarray) -> np.ndarray:
+    """Diagonal one-qubit gate neither of whose entries is 1, on an axis
+    that leaves runs of ``run`` < SPLIT_BLOCK amplitudes: the C-contiguous
+    ``amps`` is multiplied in place, block by block, by the pattern
+    ``_pattern_index`` picks from the pure-real and pure-imaginary
+    multipliers ``diagonal``, so each amplitude gets the bits a slab
+    product gives it. A ``(2, P, 2)`` ``diagonal`` gives row ``p`` of a
+    stack its own entries. Returns ``amps``."""
+    index = _pattern_index(run)
+    if diagonal.ndim == 3:
+        if amps.shape[-1] > index.size:
+            for row, row_diagonal in zip(amps, diagonal.swapaxes(0, 1)):
+                _apply_pattern(row, run, row_diagonal)
+            return amps
+        # blocks of whole rows, each with its rows' patterns
+        step = index.size // amps.shape[-1]
+        for i in range(0, len(amps), step):
+            block = amps[i:i + step]
+            re, im = np.take(diagonal[:, i:i + step], index[:amps.shape[-1]], axis=-1)
+            _product(block, re, im, block)
+        return amps
+    flat = amps.reshape(-1)
+    re, im = np.take(diagonal, index[:flat.size], axis=-1)
+    for i in range(0, flat.size, index.size):
+        block = flat[i:i + index.size]
+        if block.size < re.size:
+            # a stack of short rows may end in a part block
+            re, im = re[:block.size], im[:block.size]
+        _product(block, re, im, block)
+    return amps
+
+
+def _apply_row_diagonals(
+    amps: np.ndarray, layout, entries: np.ndarray, split: np.ndarray
+) -> np.ndarray:
+    """``diag(entries[p])`` on row ``p`` of the stack ``amps``, each row
+    with the bytes ``statevector._apply`` gives it alone: the pattern pass where every
+    row would take it, else the slab products, which scale slab ``c`` of
+    row ``p`` by ``split[:, p, c]`` and leave it untouched where
+    ``entries[p, c] == 1`` (a row with no entry 1 gets the same bytes from
+    both). Returns ``amps``."""
+    run = layout.shape[-1]
+    if run < SPLIT_BLOCK and np.all(entries != 1):
+        return _apply_pattern(amps, run, split)
+    for c in range(2):
+        moved = entries[:, c] != 1
+        if not moved.any():
+            continue
+        # only the rows whose entry moves them, which is all of them but
+        # for phases whose kick is an exact 1
+        rows = amps if moved.all() else amps[moved]
+        re, im = split[:, moved, c]
+        if rows.shape[-1] > 2 * SPLIT_BLOCK:
+            # a row's slab fills blocks of its own, as its state's does
+            for row, factor in zip(rows, zip(re, im)):
+                _apply_monomial(row, layout, (((c,), (factor,)),))
+        else:
+            # blocks of whole rows' slabs, gathered as in _rotate_items
+            slab = rows.reshape(-1).view(layout.item).reshape(len(rows), -1, 2)[:, :, c]
+            step = 2 * SPLIT_BLOCK // rows.shape[-1]
+            buf = np.empty(min(step, len(rows)) * rows.shape[-1] // 2, dtype=np.complex128)
+            for i in range(0, len(rows), step):
+                block = slab[i:i + step]
+                work = buf.view(block.dtype)[:block.size].reshape(block.shape)
+                work[...] = block
+                part = buf[:block.size * run].reshape(len(block), -1)
+                _product(part, re[i:i + step, None], im[i:i + step, None], part)
+                block[...] = work
+        if rows is not amps:
+            amps[moved] = rows
+    return amps
+
+
+def _product(src: np.ndarray, re, im, dst: np.ndarray) -> None:
+    """``dst = src * re + src * im`` with ``re`` pure real and ``im`` pure
+    imaginary; ``dst`` may be ``src`` itself, since ``src * im`` is taken
+    before ``dst`` is written."""
+    t = src * im
+    np.multiply(src, re, out=dst)
+    dst += t

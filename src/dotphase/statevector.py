@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _pcg
+from . import _flat, _pcg
+from ._flat import SPLIT_BLOCK
 from .errors import (
     CapacityError,
     DimensionError,
@@ -31,18 +32,6 @@ GENERATOR_ID = "numpy-pcg64"
 # default_rng(seed).random() (about 18 us) per seed; the array pass costs
 # about 0.2 ms even for one seed, so it wins from about 11-16 seeds on.
 SAMPLE_BATCH_MIN = 16
-# A diagonal one-qubit gate whose axis leaves runs of 2 to LONG_RUN_MAX
-# contiguous amplitudes in each slab takes _apply_long_run: numpy's cost per
-# run makes such slabs slower than a pass over the whole state in long rows.
-# The last axis (runs of 1) stays on the slabs, which numpy walks as one
-# strided run.
-LONG_RUN_MAX = 2 ** 10
-# Largest block, in amplitudes, of the split complex product and of a slab
-# rotation: their temporaries stay in cache, and a diagonal or permutation
-# gate allocates no state-sized array but the one copy of a state it may not
-# overwrite. It is also the row length of the long-run pass, so at least
-# 2 * LONG_RUN_MAX.
-SPLIT_BLOCK = 2 ** 12
 # Entries of each memo, _gate_plan (per distinct gate) and _layout (per
 # state shape and axis set). An ideal sweep over m = 8-10 with 12 phases
 # makes 626 gate calls, each on one stack of all 12 phases: 599 through
@@ -51,8 +40,9 @@ SPLIT_BLOCK = 2 ** 12
 # none; they use 136 layouts. m = 5-10 makes 910 calls with 200 layouts,
 # and the same 20 gates. Estimates at m = 15-17 use 409 layouts, so that
 # memo refills, but the 393 layouts a 24-call round of them rebuilds take
-# about 3 ms against about 60 ms per call. The bound keeps a run that makes
-# many distinct gates (random phases, pulse fits) from growing the process.
+# about 10 ms (26 us each) against about 3 s for the round. The bound keeps
+# a run that makes many distinct gates (random phases, pulse fits) from
+# growing the process.
 PLAN_CACHE = 256
 
 
@@ -63,6 +53,14 @@ class QuantumState:
 
     # complex128, length 2**num_qubits; (P, that) for a stack
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        # the qubit count and every kernel's view of the amplitudes come from
+        # this length
+        size = self.amplitudes.shape[-1] if self.amplitudes.ndim else 0
+        if size < 2 or size & (size - 1):
+            raise DimensionError(
+                f"amplitude count must be a power of two of at least 2, got {size}")
 
     @property
     def num_qubits(self) -> int:
@@ -107,7 +105,8 @@ class _Plan(NamedTuple):
     # (d.real, 1j * d.imag), or None for d == 1; diagonal 1s are left out.
     # Otherwise None
     cycles: tuple | None
-    # pure-real and pure-imaginary multipliers of a diagonal 2x2, else None
+    # pure-real and pure-imaginary multipliers of a diagonal 2x2 neither of
+    # whose entries is 1 (the pattern pass's input), else None
     diagonal: np.ndarray | None
 
 
@@ -130,13 +129,15 @@ def _gate_plan(raw: bytes, dim: int) -> _Plan:
             seen.add(row)
             d = complex(gate[row, col[row]])
             rows.append(row)
-            factors.append(None if d == 1 else (d.real, complex(0.0, d.imag)))
+            # numpy scalars, which a ufunc takes faster than Python ones
+            factors.append(None if d == 1 else (np.complex128(d.real),
+                                                np.complex128(complex(0.0, d.imag))))
             row = col[row]
         # a start on an earlier cycle gives none; a diagonal 1 needs none
         if rows and factors != [None]:
             cycles.append((tuple(rows), tuple(factors)))
     diagonal = None
-    if dim == 2 and gate[0, 1] == 0:
+    if dim == 2 and gate[0, 1] == 0 and len(cycles) == 2:
         diagonal = np.zeros((2, 2), dtype=np.complex128)
         diagonal[0].real = gate.diagonal().real
         diagonal[1].imag = gate.diagonal().imag
@@ -155,19 +156,20 @@ def _diagonal_deviations(entries: np.ndarray) -> np.ndarray:
 class _Layout(NamedTuple):
     """What every call on one axis set of one state shape needs."""
 
-    # np.tensordot's order of the state's axes, gate axes first, and its inverse
+    # np.tensordot's order of a single state's axes, gate axes first, and its
+    # inverse
     order: tuple
     back: tuple
-    # index of each slab, the gate axes fixed to a gate index's bits (first
-    # axis most significant); it starts at the first gate axis, after a
-    # ``...`` that covers the axes before it and a stack's axis (numpy
-    # takes a short index faster). None if fewer than two other factors
-    # are left
+    # the flat amplitudes, a stack's rows included, as (L, 2, R) for one
+    # axis or (L, 2, M, 2, R) for two, L given as -1 and M left out where it
+    # is 1: R is the run of contiguous amplitudes below the last gate axis
+    shape: tuple
+    # one run of R amplitudes as a single item, whose copies move bytes
+    item: np.dtype
+    # index into that view of each slab, the gate axes fixed to a gate
+    # index's bits (first axis most significant). None if fewer than two
+    # other factors are left
     slabs: tuple | None
-    # for one axis with runs of 2 to LONG_RUN_MAX, 0 ``run`` times then 1
-    # ``run`` times over a long-run row: which diagonal entry multiplies
-    # each amplitude; else None
-    run_index: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
@@ -178,23 +180,27 @@ def _layout(ndim: int, axes: tuple) -> _Layout:
     k = len(axes)
     order = axes + tuple(a for a in range(ndim) if a not in axes)
     back = tuple(order.index(a) for a in range(ndim))
-    slabs = run_index = None
+    ends = sorted(axes)
+    run = 2 ** (ndim - 1 - ends[-1])
+    # the view's axis of each gate axis, in the order of ``axes``
+    if k == 1:
+        shape, places = (-1, 2, run), (1,)
+    elif ends[1] == ends[0] + 1:
+        shape, places = (-1, 2, 2, run), (1, 2)
+    else:
+        shape, places = (-1, 2, 2 ** (ends[1] - ends[0] - 1), 2, run), (1, 3)
+    places = [places[ends.index(axis)] for axis in axes]
+    slabs = None
     if ndim - k >= 2:
-        slabs, first = [], min(axes)
+        slabs = []
         for c in range(2 ** k):
-            index = [slice(None)] * (ndim - first)
-            for pos, axis in enumerate(axes):
-                index[axis - first] = (c >> (k - 1 - pos)) & 1
-            slabs.append((Ellipsis, *index))
+            index = [slice(None)] * (len(shape) - 1)
+            for pos, place in enumerate(places):
+                index[place] = (c >> (k - 1 - pos)) & 1
+            slabs.append(tuple(index))
         slabs = tuple(slabs)
-    run = 2 ** (ndim - 1 - axes[0])
-    if k == 1 and 2 <= run <= LONG_RUN_MAX:
-        # a row never straddles two states of a stack: the tile divides 2^ndim
-        tile = min(SPLIT_BLOCK, 2 ** ndim)
-        run_index = np.repeat(np.arange(2, dtype=np.uint8), run)
-        run_index = np.tile(run_index, tile // (2 * run))
-        run_index.flags.writeable = False
-    return _Layout(order, back, slabs, run_index)
+    item = np.dtype((np.void, 16 * run))
+    return _Layout(order, back, shape, item, slabs)
 
 
 def _squared_norms(amps: np.ndarray) -> np.ndarray:
@@ -241,20 +247,24 @@ def _apply(
     nonzero entry in a row, is contracted by ``_apply_dense`` in the one
     BLAS call that ``np.tensordot`` makes, into a new array: BLAS
     multiplies such small matrices with kernels that round otherwise than
-    the split products. The other kernels overwrite the state they are
-    given: a diagonal one-qubit gate whose axis leaves runs of 2 to
-    LONG_RUN_MAX amplitudes in each slab multiplies the whole state by a
-    pattern (``_apply_long_run``), and any other gate with one nonzero per
-    row (diagonal, CNOT, X) rotates whole slabs (``_apply_monomial``).
-    They work on the caller's amplitudes only with ``in_place`` and a
-    C-contiguous writeable array; otherwise on one copy of them. All give
-    the same bits: BLAS rounds each product once and adds the exact zeros
-    of the other terms, as the split products of ``_product`` do. The
-    unitarity verdict and the kernels' inputs are worked out once per
-    distinct gate (``_gate_plan``) and once per axis set (``_layout``).
+    the split products. Any other gate (diagonal, CNOT, X) overwrites the
+    state, through a kernel of ``_flat``: ``_apply_monomial`` rotates the
+    slabs of its cycles on the flat amplitudes, leaving a slab whose entry
+    is a diagonal 1 untouched, so an ideal phase gate touches half the
+    state; a diagonal one-qubit gate neither of whose entries is 1
+    multiplies the whole state by a pattern of them instead
+    (``_apply_pattern``) where its axis leaves runs shorter than
+    SPLIT_BLOCK. They write the caller's amplitudes only with ``in_place``
+    and a C-contiguous writeable array, else one copy of them. All give the
+    same bits: BLAS rounds each product once and adds exact zeros, as the
+    split products of ``_flat._product`` do. The verdict and the
+    kernels' inputs are worked out once per distinct gate (``_gate_plan``)
+    and axis set (``_layout``).
 
-    On a stack the structured kernels make one pass over all its rows and
-    the contraction runs row by row; each row's norm is checked.
+    The kernel depends on the gate, its axes and the qubit count alone: a
+    stack takes its single state's kernel in one pass over all rows (the
+    contraction one BLAS call where each row leaves two other factors), so
+    each row gets its state's bytes. Each row's norm is checked.
     """
     dim = 2 ** len(axes)
     gate = np.asarray(gate, dtype=np.complex128)
@@ -265,104 +275,36 @@ def _apply(
     # written so that a NaN deviation fails too
     if not plan.dev <= UNITARY_TOL:
         raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
-    amps, ndim = state.amplitudes, state.num_qubits
-    psi = amps.reshape(amps.shape[:-1] + (2,) * ndim)
-    layout = _layout(ndim, tuple(axes))
+    amps = state.amplitudes
+    layout = _layout(state.num_qubits, tuple(axes))
     if layout.slabs is None or plan.cycles is None:
-        psi = _apply_dense(psi, layout.order, layout.back, gate)
+        amps = _apply_dense(amps, layout, gate)
     else:
-        if not (in_place and psi.flags.carray):
-            psi = psi.copy()
-        if plan.diagonal is not None and layout.run_index is not None:
-            psi = _apply_long_run(psi, layout.run_index, plan.diagonal)
+        if not (in_place and amps.flags.carray):
+            amps = amps.copy()
+        if plan.diagonal is not None and layout.shape[-1] < SPLIT_BLOCK:
+            amps = _flat._apply_pattern(amps, layout.shape[-1], plan.diagonal)
         else:
-            psi = _apply_monomial(psi, layout.slabs, plan.cycles)
-    # psi is C-contiguous, so the flat view shares its memory
-    return _check_norm(QuantumState(psi.reshape(amps.shape)))
+            amps = _flat._apply_monomial(amps, layout, plan.cycles)
+    return _check_norm(QuantumState(amps))
 
 
-def _apply_monomial(psi: np.ndarray, slabs: tuple, cycles: tuple) -> np.ndarray:
-    """Unitary gate with a single nonzero ``d`` in each row, given as its
-    ``cycles`` (see ``_Plan``): each slab on a cycle is overwritten with
-    ``d`` times the next one, so slabs whose entry is a diagonal 1 are not
-    touched. Each cycle is rotated block by block through one temporary
-    block, which holds the first slab's block until the last entry reads
-    it; a cycle of one entry scales its slab. The product is taken as
-    ``src * d.real + src * 1j * d.imag``, which rounds like BLAS's
-    ``zgemm``; numpy's complex ``src * d`` differs from it in the last bit.
-    Returns ``psi``."""
-    for rows, factors in cycles:
-        for block in _blocks([psi[slabs[row]] for row in rows]):
-            if len(block) == 1:
-                _product(block[0], *factors[0], block[0])
-                continue
-            # the first slab's block is overwritten first and read last, so
-            # the last entry reads a copy of it
-            block.append(block[0].copy())
-            for i, factor in enumerate(factors):
-                if factor is None:
-                    block[i][...] = block[i + 1]
-                else:
-                    _product(block[i + 1], *factor, block[i])
-    return psi
-
-
-def _apply_long_run(
-    psi: np.ndarray, run_index: np.ndarray, diagonal: np.ndarray
-) -> np.ndarray:
-    """Diagonal one-qubit gate ``diag(d)`` on the axis whose slabs hold runs
-    of contiguous amplitudes: the C-contiguous ``psi`` is multiplied in
-    place, in rows of SPLIT_BLOCK amplitudes (or all of a smaller state),
-    by the pattern ``run_index`` picks from ``d``. As in ``_apply_monomial``
-    the pattern is split into a pure-real and a pure-imaginary multiplier,
-    the rows of ``diagonal``, so each component of the product is rounded
-    once, as ``zgemm`` rounds it; an entry ``d == 1`` gives its amplitudes
-    back up to the sign of an exact zero. A ``diagonal`` of shape
-    ``(2, P, 2)`` gives each state of a ``P``-row stack its own ``d``.
-    Returns ``psi``."""
-    re, im = np.take(diagonal, run_index[None], axis=-1)
-    # a row never straddles two states, so each state's rows take its pattern
-    rows = psi.reshape(re.shape[:-2] + (-1, run_index.size))
-    for block, block_re, block_im in _blocks([rows, re, im]):
-        _product(block, block_re, block_im, block)
-    return psi
-
-
-def _apply_row_diagonals(
-    psi: np.ndarray, slabs: tuple, entries: np.ndarray, split: np.ndarray
-) -> np.ndarray:
-    """Diagonal one-qubit gate ``diag(entries[p])`` on row ``p`` of the
-    stack ``psi``, slab by slab as ``_apply_monomial`` scales a slab: the
-    slab of gate index ``c`` in row ``p`` is overwritten with its product
-    with ``split[:, p, c]`` (pure-real and pure-imaginary parts), and left
-    untouched where ``entries[p, c] == 1``, as a single state's slab is.
-    Returns ``psi``."""
-    for c, slab in enumerate(slabs):
-        moved = entries[:, c] != 1
-        if not moved.any():
-            continue
-        # only the rows whose entry moves them, which is all of them but
-        # for phases whose kick is an exact 1
-        rows = psi if moved.all() else psi[moved]
-        view = rows[slab]
-        factors = [f[moved, c].reshape((-1,) + (1,) * (view.ndim - 1)) for f in split]
-        for block, block_re, block_im in _blocks([view, *factors]):
-            _product(block, block_re, block_im, block)
-        if rows is not psi:
-            psi[moved] = rows
-    return psi
-
-
-def _apply_dense(
-    psi: np.ndarray, order: tuple, back: tuple, gate: np.ndarray
-) -> np.ndarray:
-    """Contract the complex ``gate`` with the factors ``order`` puts first
-    (``_contract``), a stack one row at a time: each row then gets the bits
-    its state alone would, where one BLAS call over the stack rounds
-    otherwise."""
-    if psi.ndim == len(order):
-        return _contract(psi, order, back, gate)
-    return np.stack([_contract(row, order, back, gate) for row in psi])
+def _apply_dense(amps: np.ndarray, layout: _Layout, gate: np.ndarray) -> np.ndarray:
+    """Contract the complex ``gate`` with the factors ``layout`` puts first
+    (``_contract``), into a new array. A stack whose rows leave two other
+    factors is one call, its axis right after the gate axes, which gives
+    each row its state's bits; below that BLAS rounds a stack otherwise, so
+    it runs row by row."""
+    psi = amps.reshape(amps.shape[:-1] + (2,) * (len(layout.order)))
+    if amps.ndim == 1:
+        out = _contract(psi, layout.order, layout.back, gate)
+    elif layout.slabs is not None:
+        k = len(gate).bit_length() - 1
+        order = (*(a + 1 for a in layout.order[:k]), 0, *(a + 1 for a in layout.order[k:]))
+        out = _contract(psi, order, tuple(np.argsort(order)), gate)
+    else:
+        out = np.stack([_contract(row, layout.order, layout.back, gate) for row in psi])
+    return out.reshape(amps.shape)
 
 
 def _contract(
@@ -372,40 +314,19 @@ def _contract(
     without its argument handling. Those are the gate in the caller's
     layout, which BLAS may read transposed (and then, as a matrix-vector
     product, round otherwise than a copy), and the state reordered by
-    ``order``, flattened to ``(2^k, rest)``. That copy is freed before the
-    result is reordered back by ``back`` into a C-contiguous array, so no
-    more than two state-sized temporaries coexist."""
-    out = np.dot(gate, psi.transpose(order).reshape(len(gate), -1))
-    return np.ascontiguousarray(out.reshape(psi.shape).transpose(back))
-
-
-def _blocks(views: list) -> list:
-    """Matching blocks of ``views``, cut along their leading axes so that no
-    block holds more than SPLIT_BLOCK amplitudes: a temporary the size of a
-    block stays in cache, where one the size of a view could be as large as
-    the state. The other views have the first one's shape, or one that
-    broadcasts to it: a view of length 1 on an axis that is cut goes whole
-    into each block, so a multiplier per state of a stack follows its
-    state's blocks."""
-    first = views[0]
-    if first.size <= SPLIT_BLOCK:
-        return [views]
-    per = first.size // len(first)
-    if per > SPLIT_BLOCK:
-        return [block for i in range(len(first))
-                for block in _blocks([v[i] if len(v) > 1 else v[0] for v in views])]
-    step = SPLIT_BLOCK // per
-    return [[v[i:i + step] if len(v) > 1 else v for v in views]
-            for i in range(0, len(first), step)]
-
-
-def _product(src: np.ndarray, re, im, dst: np.ndarray) -> None:
-    """``dst = src * re + src * im`` with ``re`` pure real and ``im`` pure
-    imaginary; ``dst`` may be ``src`` itself, since ``src * im`` is taken
-    before ``dst`` is written."""
-    t = src * im
-    np.multiply(src, re, out=dst)
-    dst += t
+    ``order``, flattened to ``(2^k, rest)``. Once BLAS has read that copy,
+    it takes the result back in the state's order (``back`` inverts
+    ``order``), so no more than two state-sized arrays are made, and the
+    result is C-contiguous."""
+    ordered = psi.transpose(order)
+    flat = ordered.reshape(len(gate), -1)
+    out = np.dot(gate, flat).reshape(ordered.shape)
+    if np.may_share_memory(flat, psi):
+        # the order moved nothing, so the product is already in place
+        return np.ascontiguousarray(out.transpose(back))
+    result = flat.reshape(psi.shape)
+    result.transpose(order)[...] = out
+    return result
 
 
 def apply_1q(
@@ -427,10 +348,11 @@ def apply_1q_diagonals(
 
     One call serves every row, where ``apply_1q`` would take one call and
     one ``_gate_plan`` entry per row, and each row gets the bits
-    ``apply_1q`` gives it with its own gate: the same kernel, the same
-    split products and, below three factors, the same contraction. Each
-    row's unitarity deviation is the one ``_gate_plan`` finds for its gate,
-    and each row's norm is checked. ``in_place`` as in ``apply_1q``."""
+    ``apply_1q`` gives it with its own gate: the same split products on the
+    same slabs (``_flat._apply_row_diagonals``) and, below three factors,
+    the same contraction. Each row's unitarity deviation is the one
+    ``_gate_plan`` finds for its gate, and each row's norm is checked.
+    ``in_place`` as in ``apply_1q``."""
     axis = _qubit_axis(state, qubit_index)
     amps, ndim = state.amplitudes, state.num_qubits
     entries = np.asarray(entries, dtype=np.complex128)
@@ -443,23 +365,20 @@ def apply_1q_diagonals(
     ok = dev <= UNITARY_TOL
     if not ok.all():
         raise ValidationError(f"gate is not unitary (deviation {dev[np.argmin(ok)]:.3e})")
-    psi = amps.reshape(amps.shape[:-1] + (2,) * ndim)
     layout = _layout(ndim, (axis,))
     if layout.slabs is None:
-        psi = np.stack([_contract(row, layout.order, layout.back, np.diag(d))
-                        for row, d in zip(psi, entries)])
+        psi = amps.reshape(amps.shape[:-1] + (2,) * ndim)
+        amps = np.stack([_contract(row, layout.order, layout.back, np.diag(d))
+                         for row, d in zip(psi, entries)]).reshape(amps.shape)
     else:
-        if not (in_place and psi.flags.carray):
-            psi = psi.copy()
+        if not (in_place and amps.flags.carray):
+            amps = amps.copy()
         # pure-real and pure-imaginary multipliers, as _gate_plan splits them
         split = np.zeros((2,) + entries.shape, dtype=np.complex128)
         split[0].real = entries.real
         split[1].imag = entries.imag
-        if layout.run_index is not None:
-            psi = _apply_long_run(psi, layout.run_index, split)
-        else:
-            psi = _apply_row_diagonals(psi, layout.slabs, entries, split)
-    return _check_norm(QuantumState(psi.reshape(amps.shape)))
+        amps = _flat._apply_row_diagonals(amps, layout, entries, split)
+    return _check_norm(QuantumState(amps))
 
 
 def apply_2q(

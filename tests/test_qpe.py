@@ -55,7 +55,8 @@ class TestPhaseKicks:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_stack_matches_single_phases(self, m, mode):
         # one call per molecule over the stack: the dense rows at m <= 2,
-        # then the long-run axes and the slabs of the last axis
+        # then the slab products, or the pattern pass for pulse-literal
+        # kicks on runs shorter than SPLIT_BLOCK
         rng = np.random.default_rng(70 + m)
         phis = [float(p) for p in TWO_PI - rng.uniform(0.0, TWO_PI, 12)]
         prepared = qpe.prepare_register(m, mode)

@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dotphase import _pcg, cli, qpe
+from dotphase import _flat, _pcg, cli, qpe
 from dotphase import statevector as sv
 from dotphase.errors import (
     CapacityError,
@@ -47,6 +48,19 @@ class TestNewState:
 
     def test_normalized(self):
         assert sv.new_state(3).norm() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (0,), (6,), (2, 12), ()])
+    def test_length_must_be_a_power_of_two(self, shape):
+        # the qubit count, and every kernel's view, come from the last axis
+        with pytest.raises(DimensionError, match="power of two"):
+            sv.QuantumState(np.ones(shape, dtype=complex))
+
+    def test_three_amplitudes_are_no_register(self):
+        amps = np.ones(3, dtype=complex) / math.sqrt(3)
+        with pytest.raises(DimensionError, match="got 3"):
+            sv.measure_all(sv.QuantumState(amps), 0)
+        with pytest.raises(DimensionError, match="got 3"):
+            sv.apply_1q(sv.QuantumState(amps), 1, X)
 
     @pytest.mark.parametrize("m", [0, -1, 25])
     def test_capacity(self, m):
@@ -233,10 +247,11 @@ class TestNorm:
         state = sv.QuantumState(amps)
         with pytest.raises(NumericalInvariantError):
             sv._check_norm(state)
-        # the slab, long-run and tensordot paths all end in the check; inf
-        # times an exact zero warns on the way, which is not what is tested
+        # the slab products, the pattern pass and the contraction all end
+        # in the check; inf times an exact zero warns on the way, which is
+        # not what is tested
         for axes, gate in (([0], np.diag([1, 1j])), ([10], np.diag([1, 1j])),
-                           ([11], np.diag([1, 1j])),
+                           ([11], np.diag([1, 1j])), ([10], np.diag([-1, 1j])),
                            ([3, 9], CNOT), ([5], H)):
             with np.errstate(invalid="ignore"), pytest.raises(NumericalInvariantError):
                 sv._apply(state, axes, gate)
@@ -414,10 +429,10 @@ class TestStructuredKernel:
         [(f, c) for f in range(1, 15) for c in (False, True) if f > c],
     )
     def test_matches_tensordot_bit_for_bit(self, factors, cavity):
-        # np.array_equal takes -0.0 == 0.0: the long-run path may flip the
-        # sign of an exact zero, which changes no probability. Every axis is
-        # tested with one-qubit gates, so both sides of LONG_RUN_MAX are, and
-        # at 14 factors slabs of more than SPLIT_BLOCK amplitudes. Above 12
+        # np.array_equal takes -0.0 == 0.0: the contraction adds exact zeros
+        # that may flip the sign of an exact zero the structured kernels
+        # leave, which changes no probability. Every axis is tested with
+        # one-qubit gates, so runs on both sides of SPLIT_BLOCK are. Above 12
         # factors two-qubit gates are tested on the last 6 axes only. With
         # ``cavity`` the last factor is the cavity, and each two-qubit gate
         # onto it goes through apply_qubit_cavity as well
@@ -512,10 +527,25 @@ def monomial_gates(rng):
     return gates
 
 
+def structured_gates(rng):
+    """One- and two-qubit gates with one nonzero per row, for the structured
+    kernels: moves only (X, CNOT), diagonals with one entry and with every
+    entry other than 1, and 4x4 monomials with a 3-cycle and with 4-cycles."""
+    theta = rng.uniform(0, 2 * math.pi)
+    one = {"flip": X, "ideal phase": np.diag([1, np.exp(1j * theta)]),
+           "pulse phase": np.diag([-np.exp(-1j * theta), np.exp(1j * theta)])}
+    monomials = monomial_gates(rng)
+    two = {"cnot": CNOT, "controlled phase": np.diag([1, 1, 1, np.exp(1j * theta)]),
+           "random diagonal": np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, 4)))}
+    for name in ("phased [1, 2, 0, 3]", "phased [1, 2, 3, 0]", "half ones [2, 3, 1, 0]"):
+        two[name] = monomials[name]
+    return one, two
+
+
 class TestInPlace:
-    """With ``in_place`` the slab and long-run kernels overwrite the state
-    they are given, and must still equal the contraction bit for bit; the
-    default leaves the caller's amplitudes as they were."""
+    """With ``in_place`` the structured kernels overwrite the state they are
+    given, and must still equal the contraction bit for bit; the default
+    leaves the caller's amplitudes as they were."""
 
     @staticmethod
     def check(state, axes, gate):
@@ -550,20 +580,47 @@ class TestInPlace:
                     assert np.array_equal(got, tensordot_apply(state, list(axes), gate))
         assert state.amplitudes.tobytes() == before
 
-    @pytest.mark.parametrize("factors", [14, 15])
+    @pytest.mark.parametrize("factors", [13, 14, 15])
     def test_blocks_of_large_slabs(self, factors):
-        # slabs of more than SPLIT_BLOCK amplitudes are cut into blocks, at
-        # 15 factors over two leading axes
+        # slabs of more than SPLIT_BLOCK amplitudes are cut into blocks: of
+        # runs multiplied in place where runs reach SPLIT_BLOCK, else of
+        # gathered runs; every axis and ordered pair
         rng = np.random.default_rng(400 + factors)
         state = random_state(factors, rng)
-        one, two = TestStructuredKernel.gates(rng)
+        one, two = structured_gates(rng)
         for gate in one.values():
             for axis in range(factors):
                 self.check(state, [axis], gate)
-        ends = [0, 1, factors // 2, factors - 2, factors - 1]
-        for gate in [CNOT, *monomial_gates(rng).values()]:
-            for axes in itertools.permutations(ends, 2):
+        for gate in two.values():
+            for axes in itertools.permutations(range(factors), 2):
                 self.check(state, list(axes), gate)
+
+    def test_no_state_sized_temporary(self):
+        # a structured kernel holds at most three blocks of SPLIT_BLOCK
+        # amplitudes (192 KiB), which is more than 1/8 of a 16-qubit state,
+        # so the bound is checked on 17 qubits: the ideal and pulse-literal
+        # diagonals on every axis, CNOTs whose blocks are runs, 1-D and 2-D
+        # arrays of gathered runs, and both kinds of stacked kick
+        state = random_state(17, np.random.default_rng(18))
+        limit = state.amplitudes.nbytes / 8
+        cases = [([axis], qpe._phase_gate(0.7, mode))
+                 for axis in range(17) for mode in qpe.GateMode]
+        cases += [(list(axes), CNOT) for axes in [(0, 1), (1, 0), (3, 9), (15, 16), (16, 2)]]
+        for axes, gate in cases:
+            tracemalloc.start()
+            state = sv._apply(state, axes, gate, in_place=True)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < limit, (axes, peak)
+        stack = sv.QuantumState(state.amplitudes[None])
+        for mode in qpe.GateMode:
+            for qubit in (1, 9, 17):
+                entries = [qpe._phase_gate(0.7, mode, power=2).diagonal()]
+                tracemalloc.start()
+                stack = sv.apply_1q_diagonals(stack, qubit, entries, in_place=True)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < limit, (mode, qubit, peak)
 
     def test_default_leaves_input_bytes(self):
         rng = np.random.default_rng(16)
@@ -663,25 +720,28 @@ def record_kernels(monkeypatch, scale=1.0):
             return out
         return recorded
 
-    for name in ("_apply_monomial", "_apply_long_run", "_apply_dense"):
-        monkeypatch.setattr(sv, name, wrap(getattr(sv, name)))
+    for module, name in ((_flat, "_apply_monomial"), (_flat, "_apply_pattern"),
+                         (sv, "_apply_dense")):
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     return calls
 
 
 class TestKernelDispatch:
     """Each gate call runs the kernel that ``_apply``'s docstring names: the
     contraction when fewer than two other factors are left or the gate has
-    more than one nonzero in a row; the long-run pass for a diagonal
-    one-qubit gate whose axis leaves runs of 2 to LONG_RUN_MAX amplitudes;
-    the slab kernel otherwise."""
+    more than one nonzero in a row; the pattern pass for a diagonal
+    one-qubit gate neither of whose entries is 1, on an axis that leaves
+    runs shorter than SPLIT_BLOCK; the slab kernel on flat runs otherwise."""
 
     @staticmethod
     def expected(factors, axes, gate):
+        gate = np.asarray(gate)
         if factors - len(axes) < 2 or np.any(np.count_nonzero(gate, axis=1) != 1):
             return "_apply_dense"
-        run = 2 ** (factors - 1 - axes[0])
-        if len(axes) == 1 and gate[0, 1] == 0 and 2 <= run <= sv.LONG_RUN_MAX:
-            return "_apply_long_run"
+        run = 2 ** (factors - 1 - max(axes))
+        if (len(axes) == 1 and gate[0, 1] == 0 and np.all(gate.diagonal() != 1)
+                and run < sv.SPLIT_BLOCK):
+            return "_apply_pattern"
         return "_apply_monomial"
 
     @pytest.mark.parametrize("cavity", [False, True])
@@ -721,7 +781,7 @@ class TestNormCheckFires:
     @pytest.mark.parametrize(
         "axes, gate, kernel",
         [([0], np.diag([1, 1j]), "_apply_monomial"),
-         ([10], np.diag([1, 1j]), "_apply_long_run"),
+         ([10], np.diag([-1, 1j]), "_apply_pattern"),
          ([2, 7], CNOT, "_apply_monomial"),
          ([3], H, "_apply_dense")],
     )
@@ -738,13 +798,15 @@ class TestNormCheckFires:
         assert "state norm drifted" in captured.err
         assert corrupted
 
-    @pytest.mark.parametrize("nth", [1, 60, 140])
+    @pytest.mark.parametrize("nth", [1, 60, 141])
     def test_in_place_diagonal_product_exits_2(self, monkeypatch, capsys, nth):
         # the nth product a diagonal entry makes in place (the first is a
-        # kick, the 140th a phase gate late in the inverse QFT, on a state
-        # the protocol owns) is off by one part in 10^9
+        # kick, the 141st a phase gate late in the inverse QFT, on a state
+        # the protocol owns) is off by one part in 10^9. A product scales
+        # only the slab of its entry; the 140th scales one that holds too
+        # little of the norm for that error to pass NORM_TOL
         calls = []
-        product = sv._product
+        product = _flat._product
 
         def corrupted(src, re, im, dst):
             product(src, re, im, dst)
@@ -753,7 +815,7 @@ class TestNormCheckFires:
                 if len(calls) == nth:
                     dst *= 1 + 1e-9
 
-        monkeypatch.setattr(sv, "_product", corrupted)
+        monkeypatch.setattr(_flat, "_product", corrupted)
         with pytest.raises(NumericalInvariantError, match="state norm drifted"):
             qpe.exact_distribution(10, 0.3)
         assert calls[-1] == nth
@@ -772,19 +834,21 @@ def stack_of(factors, rng, count=5):
 
 class TestStack:
     """A ``(P, dim)`` stack runs the kernel a single state of its shape
-    runs, once over all rows; each row must come out with the bytes its
+    runs, once over all rows, a dense gate in one BLAS call where each row
+    leaves two other factors; each row must come out with the bytes its
     state alone gets."""
 
-    @pytest.mark.parametrize("factors", [1, 2, 3, 6, 11, 13, 14])
+    @pytest.mark.parametrize("factors", range(1, 16))
     def test_rows_match_single_states(self, monkeypatch, factors):
+        # every axis and ordered pair, 3 rows
         calls = record_kernels(monkeypatch)
         rng = np.random.default_rng(500 + factors)
-        stack = stack_of(factors, rng)
-        one, two = TestStructuredKernel.gates(rng)
+        stack = stack_of(factors, rng, count=3)
+        one, two = structured_gates(rng)
+        one["hadamard"], two["dense"] = H, random_unitary(4, rng)
         cases = [([axis], gate) for gate in one.values() for axis in range(factors)]
-        paired = range(max(0, factors - 4), factors)
-        cases += [(list(axes), gate) for gate in [*two.values(), *monomial_gates(rng).values()]
-                  for axes in itertools.permutations(paired, 2)]
+        cases += [(list(axes), gate) for gate in two.values()
+                  for axes in itertools.permutations(range(factors), 2)]
         seen = set()
         for axes, gate in cases:
             calls.clear()
@@ -796,10 +860,10 @@ class TestStack:
             for row, amps in zip(got, stack.amplitudes):
                 alone = sv._apply(sv.QuantumState(amps), axes, gate)
                 assert row.tobytes() == alone.amplitudes.tobytes(), (axes, kernel)
-        # the dense fallback at 1 and 2 factors; from 3 on the long-run pass
-        # and the slab kernel on the last axis as well
+        # the dense fallback at 1 and 2 factors; from 3 on the pattern pass
+        # and the slab kernel as well
         assert seen == ({"_apply_dense"} if factors <= 2 else
-                        {"_apply_dense", "_apply_long_run", "_apply_monomial"})
+                        {"_apply_dense", "_apply_pattern", "_apply_monomial"})
 
     def test_in_place_overwrites_the_stack(self):
         stack = stack_of(6, np.random.default_rng(520))
@@ -828,17 +892,18 @@ class TestStack:
 
 
 def skew_two_rows(monkeypatch, kernel, nth, delta=1e-8):
-    """Wrap ``kernel`` so that on its ``nth`` call on a stack of three or
-    more rows (a single state's leading axis has length 2) it scales the
+    """Wrap ``kernel`` so that on its ``nth`` call on a stack (a kernel
+    returns a single state's amplitudes as a 1-D array) it scales the
     squared norm of row 0 by 1 + delta and of row 1 by 1 - delta: the
     stack's total norm stays put, so only a check of every row sees it.
     Returns the list of the wrapper's stack calls."""
     calls = []
-    original = getattr(sv, kernel)
+    module = _flat if hasattr(_flat, kernel) else sv
+    original = getattr(module, kernel)
 
     def skewed(*args):
         out = original(*args)
-        if out.shape[0] > 2:
+        if out.ndim == 2:
             calls.append(kernel)
             if len(calls) == nth:
                 rows = out.reshape(out.shape[0], -1)
@@ -846,7 +911,7 @@ def skew_two_rows(monkeypatch, kernel, nth, delta=1e-8):
                 rows[1] *= math.sqrt(1 - delta)
         return out
 
-    monkeypatch.setattr(sv, kernel, skewed)
+    monkeypatch.setattr(module, kernel, skewed)
     return calls
 
 
@@ -854,12 +919,15 @@ class TestStackNormCheck:
     """One drifting row of a stack ends the run, though the other rows
     keep the stack's total norm."""
 
-    @pytest.mark.parametrize("kernel", ["_apply_monomial", "_apply_long_run",
+    @pytest.mark.parametrize("kernel", ["_apply_monomial", "_apply_pattern",
                                         "_apply_dense"])
     def test_exact_distributions_raise(self, monkeypatch, kernel):
+        # only pulse-literal phase gates and kicks have no entry 1, so only
+        # they take the pattern pass
+        mode = qpe.GateMode.PULSE_LITERAL if kernel == "_apply_pattern" else qpe.GateMode.IDEAL
         calls = skew_two_rows(monkeypatch, kernel, nth=3)
         with pytest.raises(NumericalInvariantError, match="state norm drifted"):
-            qpe.exact_distributions(8, [0.3, 1.1, 2.9, 4.0, 5.5])
+            qpe.exact_distributions(8, [0.3, 1.1, 2.9, 4.0, 5.5], mode)
         assert len(calls) == 3
 
     def test_sweep_exits_2(self, monkeypatch, capsys):
@@ -911,11 +979,12 @@ class TestRowDiagonals:
     @pytest.mark.parametrize("factors", [1, 2, 3, 6, 11, 13, 14])
     def test_rows_match_apply_1q(self, monkeypatch, factors):
         kernels = []
-        for name in ("_apply_long_run", "_apply_row_diagonals", "_contract"):
-            def recorded(*args, _kernel=getattr(sv, name), _name=name):
+        for module, name in ((_flat, "_apply_pattern"), (_flat, "_apply_row_diagonals"),
+                             (sv, "_contract")):
+            def recorded(*args, _kernel=getattr(module, name), _name=name):
                 kernels.append(_name)
                 return _kernel(*args)
-            monkeypatch.setattr(sv, name, recorded)
+            monkeypatch.setattr(module, name, recorded)
         rng = np.random.default_rng(540 + factors)
         stack = stack_of(factors, rng)
         # exact zeros of both signs, whose signs only a kernel that leaves a
@@ -923,27 +992,32 @@ class TestRowDiagonals:
         stack.amplitudes.imag[:, ::4] = 0.0
         stack.amplitudes.imag[:, 1::4] = -0.0
         stack.amplitudes /= np.sqrt(sv._squared_norms(stack.amplitudes))[:, None]
-        entries = np.exp(1j * rng.uniform(0, 2 * math.pi, (5, 2)))
+        with_ones = np.exp(1j * rng.uniform(0, 2 * math.pi, (5, 2)))
         # exact 1s, which a single state's slab kernel leaves untouched: in
         # one row, in one entry of every row, and in all of a row
-        entries[1, 1] = entries[:, 0] = 1
-        entries[3] = 1
-        for axis in range(factors):
-            for in_place in (False, True):
-                kernels.clear()
-                amps = stack.amplitudes.copy()
-                got = sv.apply_1q_diagonals(sv.QuantumState(amps),
-                                            axis + 1, entries, in_place=in_place)
-                assert np.shares_memory(got.amplitudes, amps) == (
-                    in_place and kernels[0] != "_contract")
-                for row, before, d in zip(got.amplitudes, stack.amplitudes, entries):
-                    alone = sv.apply_1q(sv.QuantumState(before),
-                                        axis + 1, np.diag(d))
-                    assert row.tobytes() == alone.amplitudes.tobytes(), (axis, d)
-                expected = TestKernelDispatch.expected(factors, [axis], np.diag(entries[0]))
-                assert kernels[0] == {"_apply_dense": "_contract",
-                                      "_apply_monomial": "_apply_row_diagonals"}.get(
-                                          expected, expected)
+        with_ones[1, 1] = with_ones[:, 0] = 1
+        with_ones[3] = 1
+        # no 1 in any row: each row takes the pattern pass where its axis
+        # leaves runs shorter than SPLIT_BLOCK
+        without_ones = np.exp(1j * rng.uniform(0, 2 * math.pi, (5, 2)))
+        for entries, axis, in_place in itertools.product(
+                (with_ones, without_ones), range(factors), (False, True)):
+            kernels.clear()
+            amps = stack.amplitudes.copy()
+            got = sv.apply_1q_diagonals(sv.QuantumState(amps),
+                                        axis + 1, entries, in_place=in_place)
+            assert np.shares_memory(got.amplitudes, amps) == (
+                in_place and kernels[0] != "_contract")
+            for row, before, d in zip(got.amplitudes, stack.amplitudes, entries):
+                alone = sv.apply_1q(sv.QuantumState(before),
+                                    axis + 1, np.diag(d))
+                assert row.tobytes() == alone.amplitudes.tobytes(), (axis, d)
+            expected = [TestKernelDispatch.expected(factors, [axis], np.diag(d))
+                        for d in entries]
+            assert kernels[0] == ("_contract" if expected[0] == "_apply_dense"
+                                  else "_apply_row_diagonals")
+            assert ("_apply_pattern" in kernels) == (
+                set(expected) == {"_apply_pattern"})
 
     def test_shape_is_checked(self):
         stack = stack_of(4, np.random.default_rng(531))
@@ -954,11 +1028,11 @@ class TestRowDiagonals:
                                   np.ones((1, 2)))
 
     def test_drifting_row_stops_the_call(self, monkeypatch):
-        calls = skew_two_rows(monkeypatch, "_apply_long_run", nth=1)
+        calls = skew_two_rows(monkeypatch, "_apply_pattern", nth=1)
         stack = stack_of(8, np.random.default_rng(532))
         with pytest.raises(NumericalInvariantError, match="in row 0 of the stack"):
             sv.apply_1q_diagonals(stack, 2, np.exp(1j * np.ones((5, 2))))
-        assert calls == ["_apply_long_run"]
+        assert calls == ["_apply_pattern"]
 
 
 class TestNormCheckOfAStack:
