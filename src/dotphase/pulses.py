@@ -209,10 +209,11 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
     Deterministic coarse grid over [0, 2pi)^2 followed by Nelder-Mead
     refinement; ties broken toward the smallest rabi angle, then phase.
     Always returns the best point found, even when the residual is large.
+    The refinement is ``dotphase._simplex``, one fixed algorithm (scipy
+    1.17.1's), so the result does not depend on which scipy, if any, is
+    installed.
     """
-    # imported here: scipy.optimize takes most of the package's import
-    # time, and only pulse fitting needs it
-    from scipy.optimize import minimize
+    from ._simplex import nelder_mead
 
     target = np.asarray(target, dtype=np.complex128)
     if target.shape != (2, 2):
@@ -237,13 +238,8 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
             single_pulse_unitary(PulseSpec(float(x[0]), float(x[1]))), target
         )
 
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-    )
-    best = res.x if res.fun <= objective(x0) else x0
+    x, fx = nelder_mead(objective, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
+    best = x if fx <= objective(x0) else x0
     spec = PulseSpec(float(best[0]) % math.tau, float(best[1]) % math.tau)
     return spec, float(objective(best))
 

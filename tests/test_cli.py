@@ -418,6 +418,43 @@ def test_cli_import_does_not_load_scipy_optimize():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_pulse_fit_runs_without_scipy():
+    # fit_pulse refines with dotphase._simplex: a process in which scipy
+    # cannot be imported fits the README's targets and a Haar-random one
+    # to the same results
+    rng = np.random.default_rng(23)
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    haar = q * (np.diag(r) / np.abs(np.diag(r)))
+    cases = [
+        ["pulse-fit", "--preset", "hadamard"],
+        ["pulse-fit", "--preset", "pulse-phase:0.7"],
+        ["pulse-fit", "--matrix", "0.7071067811865476,0,0.7071067811865476,0,"
+         "0.7071067811865476,0,-0.7071067811865476,0"],
+        ["pulse-fit", "--matrix", ",".join(repr(float(v)) for v in haar.view(float).ravel())],
+    ]
+    code = ("import io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from dotphase import cli\n"
+            "out = []\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    out.append([cli.run(args, stdout=buf), buf.getvalue()])\n"
+            "print(json.dumps(out))\n")
+    src = os.path.dirname(os.path.dirname(dotphase.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(cases)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert len(got) == len(cases)
+    for args, (status, text) in zip(cases, got):
+        assert status == 0, args
+        buf = io.StringIO()
+        assert cli.run(args, stdout=buf) == 0
+        assert json.loads(text)["results"] == json.loads(buf.getvalue())["results"]
+
+
 @pytest.mark.parametrize("args, digest", GOLDEN_RESULTS)
 def test_results_match_golden_digest(args, digest):
     buf = io.StringIO()

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from dotphase import pulses
+from dotphase import _simplex, pulses
 from dotphase.errors import DimensionError, DomainError, ValidationError
 from dotphase.pulses import (
     PhysicalParams,
@@ -293,6 +293,103 @@ class TestFitPulse:
             )
             _, residual = fit_pulse(target)
             assert residual < 1e-8
+
+
+def _rosenbrock(x):
+    return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
+
+
+class TestSimplex:
+    """dotphase._simplex retraces scipy's Nelder-Mead bit for bit."""
+
+    OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
+
+    def assert_matches_scipy(self, func, x0, maxiter=2000):
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return func(x)
+
+        options = dict(self.OPTIONS, maxiter=maxiter)
+        want = minimize(counted, np.array(x0, dtype=float), method="Nelder-Mead",
+                        options=options)
+        want_calls, calls[0] = calls[0], 0
+        x, fx = _simplex.nelder_mead(counted, x0, **options)
+        assert [float(v).hex() for v in x] == [float(v).hex() for v in want.x]
+        assert float(fx).hex() == float(want.fun).hex()
+        assert calls[0] == want_calls
+
+    def fit_targets(self):
+        rng = np.random.default_rng(58)
+        presets = [IDEAL_H, single_pulse_unitary(hadamard_pulse_params())]
+        for phi in rng.uniform(-7, 7, 6):
+            presets.append(np.diag([-np.exp(-1j * phi), np.exp(1j * phi)]))
+            presets.append(single_pulse_unitary(phase_gate_pulse_params(phi)))
+        reachable = [
+            np.exp(1j * rng.uniform(0, 6))
+            * single_pulse_unitary(PulseSpec(*rng.uniform(-1, 8, 2)))
+            for _ in range(10)
+        ]
+        haar = [_haar(rng) for _ in range(10)]
+        return presets + reachable + haar
+
+    def test_fit_objective_matches_scipy(self, monkeypatch):
+        # fit_pulse's own objective and start, caught on their way in
+        pytest.importorskip("scipy.optimize")
+        seen = []
+        inner = _simplex.nelder_mead
+
+        def recording(func, x0, **options):
+            seen.append((func, x0))
+            return inner(func, x0, **options)
+
+        monkeypatch.setattr(_simplex, "nelder_mead", recording)
+        targets = self.fit_targets()
+        for target in targets:
+            fit_pulse(target)
+        monkeypatch.undo()
+        assert len(seen) == len(targets)
+        for func, x0 in seen:
+            self.assert_matches_scipy(func, x0)
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [0.0, 1.5], [2.0, 0.0], [-1.2, 1.0]])
+    def test_zero_coordinates_and_rosenbrock(self, x0):
+        self.assert_matches_scipy(_rosenbrock, x0)
+
+    def test_three_parameters(self):
+        def rosenbrock3(x):
+            return _rosenbrock(x[:2]) + _rosenbrock(x[1:])
+
+        self.assert_matches_scipy(rosenbrock3, [0.0, -0.5, 1.5])
+
+    @pytest.mark.parametrize("x0", [[0.5, 0.0], [0.0, 0.0], [-2.0, 3.0]])
+    def test_shrinks(self, x0):
+        self.assert_matches_scipy(lambda x: abs(x[0]) + abs(x[1] - 0.3), x0)
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [1.0, -2.0]])
+    def test_ties(self, x0):
+        # every vertex ties, or whole regions do: the vertex order then rests
+        # on numpy's argsort alone
+        self.assert_matches_scipy(lambda x: 1.0, x0)
+        self.assert_matches_scipy(
+            lambda x: min(3.0, math.floor(4 * abs(x[0])) + math.floor(4 * abs(x[1]))), x0
+        )
+
+    def test_tie_order_comes_from_argsort(self):
+        # the first simplex reads (1, 1, 0, 0); numpy's argsort of four
+        # values may put the second 0 first (it does with AVX-512), where a
+        # stable sort keeps the first
+        self.assert_matches_scipy(
+            lambda x: 0.0 if x[1] >= 0.5 or x[2] >= 0.5 else 1.0, [1.0, 0.49, 0.49]
+        )
+
+    @pytest.mark.parametrize("maxiter", [1, 7])
+    def test_maxiter(self, maxiter):
+        self.assert_matches_scipy(_rosenbrock, [-1.2, 1.0], maxiter=maxiter)
+        self.assert_matches_scipy(lambda x: abs(x[0]) + abs(x[1] - 0.3), [0.5, 0.0],
+                                  maxiter=maxiter)
 
 
 class TestFeasibility:
