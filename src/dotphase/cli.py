@@ -101,6 +101,11 @@ def _choice(*allowed):
     return coerce
 
 
+def _choice_of(enum):
+    """``_choice`` of the values of ``enum``'s members, in their order."""
+    return _choice(*(member.value for member in enum))
+
+
 def _list_of(coerce):
     """A JSON list, or a comma-separated string whose empty items are skipped."""
     def parse(value) -> list:
@@ -122,7 +127,7 @@ class _Key(NamedTuple):
 # a boolean key), so flag and file values go through the same coercer.
 # Required keys default to _REQUIRED. Unknown file keys are rejected.
 _REQUIRED = object()
-_MODE = _Key(_choice("ideal", "pulse-literal"), "ideal")
+_MODE = _Key(_choice_of(qpe.GateMode), qpe.GateMode.IDEAL.value)
 _SEED = _Key(_as_count, 0)
 _JSON = _Key(_choice("json"), "json")
 
@@ -163,7 +168,8 @@ _SCHEMAS = {
         "elapsed_scales": _Key(_as_int, _REQUIRED),
         "t_ideal_s": _Key(_as_float, _REQUIRED, "--t-ideal"),
         "eta_percent": _Key(_as_float, 100.0),
-        "comparison_mode": _Key(_choice("literal", "deviation"), "deviation"),
+        "comparison_mode": _Key(_choice_of(cal.ComparisonMode),
+                                cal.ComparisonMode.DEVIATION.value),
         "varpi": _Key(_as_float, 2 * math.pi * 1e10),
         "n0": _Key(_as_float, 1.51),
         "n_vac": _Key(_as_float, 1.0),
@@ -303,8 +309,7 @@ def cmd_sweep(cfg: dict) -> tuple[dict, list]:
     if not phis:
         raise ValidationError("need at least one phase")
     for p in phis:
-        if not (0.0 < p <= math.tau):
-            raise ValidationError(f"phase {p} outside (0, 2*pi]")
+        qpe.check_phase(p)
     rows = []
     for m in m_values:
         bound = qpe.success_probability_bound(m, n)

@@ -238,10 +238,10 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
             single_pulse_unitary(PulseSpec(float(x[0]), float(x[1]))), target
         )
 
+    # x0 is the first vertex and no step drops the best one, so x is never
+    # worse than x0, and fx is the objective at x
     x, fx = nelder_mead(objective, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
-    best = x if fx <= objective(x0) else x0
-    spec = PulseSpec(float(best[0]) % math.tau, float(best[1]) % math.tau)
-    return spec, float(objective(best))
+    return PulseSpec(x[0] % math.tau, x[1] % math.tau), fx
 
 
 def effective_rabi(pp: PhysicalParams) -> Quantity:

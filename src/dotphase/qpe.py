@@ -60,6 +60,14 @@ def check_register(m: int) -> int:
     return m
 
 
+def check_phase(phi: float) -> float:
+    """``phi``, once it is a true phase the protocol takes: in (0, 2*pi]."""
+    # written so that a NaN phase fails too
+    if not (0.0 < phi <= math.tau):
+        raise ValidationError(f"true phase must lie in (0, 2*pi], got {phi}")
+    return phi
+
+
 class GateMode(str, Enum):
     IDEAL = "ideal"
     PULSE_LITERAL = "pulse-literal"
@@ -78,10 +86,7 @@ class QpeConfig:
 
     def __post_init__(self):
         check_register(self.m)
-        if not (0.0 < self.true_phase_phi <= math.tau):
-            raise ValidationError(
-                f"true phase must lie in (0, 2*pi], got {self.true_phase_phi}"
-            )
+        check_phase(self.true_phase_phi)
         if not (0 <= self.shots <= MAX_SHOTS):
             raise ValidationError(f"shots must be in [0, {MAX_SHOTS}], got {self.shots}")
         self.gate_mode = GateMode(self.gate_mode)
@@ -114,22 +119,35 @@ def _hadamard_gate(mode: GateMode) -> np.ndarray:
     return single_pulse_unitary(hadamard_pulse_params())
 
 
-@functools.lru_cache(maxsize=1024)
-def _phase_gate(theta: float, mode: GateMode, power: int = 1) -> np.ndarray:
-    """theta phase gate, optionally raised to an integer power (diagonal).
+def _phase_diagonals(thetas, mode: GateMode, powers=(1,)) -> np.ndarray:
+    """Diagonals of the theta phase gate of each of ``thetas`` raised to
+    each of ``powers``, as a ``(len(powers), len(thetas), 2)`` array.
 
-    Memoised: the inverse QFT asks for the same few angles again and again.
-    Every caller shares the cached array, so it is read-only.
+    Ideal mode gives (1, e^{i p theta}); pulse-literal mode builds one pulse,
+    diag(-e^{-i theta}, e^{i theta}), per phase and raises its entries.
+    ``np.power`` and not ``**``: numpy turns an array's ``** 2`` into
+    ``np.square``, which rounds otherwise than the scalar power.
 
     Known defect: pulse-literal mode raises the rounded pulse entries to the
     power, so for powers from about 2^14 the gate can drift past
     UNITARY_TOL and the run stops with "gate is not unitary"."""
+    powers = np.asarray(powers)[:, None]
     if mode == GateMode.IDEAL:
-        gate = np.diag([1.0, np.exp(1j * power * theta)]).astype(np.complex128)
-    else:
-        # pulse realization is diag(-e^{-i theta}, e^{i theta})
-        base = single_pulse_unitary(phase_gate_pulse_params(theta))
-        gate = np.diag([base[0, 0] ** power, base[1, 1] ** power]).astype(np.complex128)
+        out = np.ones((len(powers), len(thetas), 2), dtype=np.complex128)
+        out[..., 1] = np.exp(1j * powers * np.asarray(thetas, dtype=float))
+        return out
+    base = np.array([single_pulse_unitary(phase_gate_pulse_params(t)).diagonal()
+                     for t in thetas])
+    return np.power(base, powers[..., None])
+
+
+@functools.lru_cache(maxsize=1024)
+def _phase_gate(theta: float, mode: GateMode) -> np.ndarray:
+    """theta phase gate of the inverse QFT.
+
+    Memoised: the inverse QFT asks for the same few angles again and again.
+    Every caller shares the cached array, so it is read-only."""
+    gate = np.diag(_phase_diagonals([theta], mode)[0, 0])
     gate.flags.writeable = False
     return gate
 
@@ -151,17 +169,22 @@ def apply_phase_kicks(
     A stack takes a sequence ``phi`` of one phase per row, and each molecule
     is kicked in one call over every row (``sv.apply_1q_diagonals``), which
     gives each row the bits its phase alone gets from ``sv.apply_1q``.
+    The entries of all m kicks come from one ``_phase_diagonals`` call.
     ``state`` itself is not written: the first kick returns a new state,
     which the later kicks overwrite."""
-    for j in range(1, m + 1):
-        reps = 2 ** (m - j)
-        if state.amplitudes.ndim == 1:
-            state = sv.apply_1q(state, j, _phase_gate(phi, gate_mode, power=reps),
-                                in_place=j > 1)
-        else:
-            entries = [_phase_gate(p, gate_mode, power=reps).diagonal() for p in phi]
+    stacked = state.amplitudes.ndim > 1
+    kicks = _phase_diagonals(phi if stacked else [phi], gate_mode, _kick_powers(m))
+    for j, entries in enumerate(kicks, start=1):
+        if stacked:
             state = sv.apply_1q_diagonals(state, j, entries, in_place=j > 1)
+        else:
+            state = sv.apply_1q(state, j, np.diag(entries[0]), in_place=j > 1)
     return state
+
+
+def _kick_powers(m: int) -> list[int]:
+    """2^{m-j}: the power of the phase gate that kicks molecule j = 1..m."""
+    return [2 ** (m - j) for j in range(1, m + 1)]
 
 
 def controlled_phase_sequence(theta: float) -> list[SequenceStep]:
@@ -357,12 +380,9 @@ def _controlled_kick_state(m: int, phi: float, h: np.ndarray) -> sv.QuantumState
     state = sv.apply_1q(sv.new_state(m + 1), m + 1, flip, in_place=True)
     for q in range(1, m + 1):
         state = sv.apply_1q(state, q, h)
-    for j in range(1, m + 1):
-        reps = 2 ** (m - j)
-        cphase = np.diag([1.0, 1.0, 1.0, np.exp(1j * reps * phi)]).astype(
-            np.complex128
-        )
-        state = sv.apply_2q(state, j, m + 1, cphase, in_place=True)
+    kicks = _phase_diagonals([phi], GateMode.IDEAL, _kick_powers(m))[:, 0]
+    for j, kick in enumerate(kicks, start=1):
+        state = sv.apply_2q(state, j, m + 1, np.diag([1, 1, *kick]), in_place=True)
     return state
 
 

@@ -328,14 +328,14 @@ class TestExitCodes:
         # one of 12 random phases gets a non-unitary kick diagonal; the other
         # rows of its stack are fine, and the run still stops
         target = float(np.random.default_rng(4).uniform(0.0, TWO_PI, 12)[7])
-        phase_gate = qpe._phase_gate
+        phase_diagonals = qpe._phase_diagonals
 
-        def broken(theta, mode, power=1):
-            if theta == target:
-                return np.diag([1.0, 1.5]).astype(complex)
-            return phase_gate(theta, mode, power)
+        def broken(thetas, mode, powers=(1,)):
+            diagonals = phase_diagonals(thetas, mode, powers)
+            diagonals[:, np.asarray(thetas) == target] = [1.0, 1.5]
+            return diagonals
 
-        monkeypatch.setattr(qpe, "_phase_gate", broken)
+        monkeypatch.setattr(qpe, "_phase_diagonals", broken)
         code, out, err = run_cli(["sweep", "--m-values", "5,8", "--n", "3",
                                   "--random-phases", "12", "--seed", "4"], capsys)
         assert code == 1 and out == ""
@@ -659,6 +659,26 @@ def test_sweep_takes_one_phase_source(capsys, tmp_path, via, values, message):
         flag = {"phases_rad": "--phases"}
         args = ["sweep"] + [x for k, v in values.items()
                             for x in (flag.get(k, "--" + k.replace("_", "-")), str(v))]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["estimate", "--m", "3", "--phase", "1.0", "--mode", "bogus"],
+     "bad value for 'mode': expected one of ideal, pulse-literal; got 'bogus'"),
+    (["calibrate-clock", "--duration", "1", "--total-scales", "10",
+      "--elapsed-scales", "9", "--t-ideal", "1", "--comparison-mode", "bogus"],
+     "bad value for 'comparison_mode': expected one of literal, deviation; got 'bogus'"),
+    # estimate and sweep check a phase alike
+    (["estimate", "--m", "3", "--phase", "7"],
+     "true phase must lie in (0, 2*pi], got 7.0"),
+    (["sweep", "--m-values", "5", "--n", "2", "--phases", "1.0,7"],
+     "true phase must lie in (0, 2*pi], got 7.0"),
+    (["sweep", "--m-values", "5", "--n", "2", "--phases", "nan"],
+     "true phase must lie in (0, 2*pi], got nan"),
+])
+def test_input_rule_messages(capsys, args, message):
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"

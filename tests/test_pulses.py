@@ -253,6 +253,33 @@ class TestFitPulse:
         assert residual < 1e-8
         assert len(calls) >= 100
 
+    @pytest.mark.parametrize("target", [
+        IDEAL_H, 1j * single_pulse_unitary(PulseSpec(2.3, 0.4))], ids=["hadamard", "reachable"])
+    def test_objective_runs_only_inside_the_refinement(self, monkeypatch, target):
+        # fit_pulse returns the refinement's point and value as they are, so
+        # every objective call is one the simplex makes
+        distances, refined, results = [], [], []
+        gate_distance, nelder_mead = pulses.gate_distance, _simplex.nelder_mead
+
+        def counted_distance(a, b):
+            distances.append(1)
+            return gate_distance(a, b)
+
+        def counted_refinement(func, x0, **options):
+            def objective(x):
+                refined.append(1)
+                return func(x)
+            results.append(nelder_mead(objective, x0, **options))
+            return results[-1]
+
+        monkeypatch.setattr(pulses, "gate_distance", counted_distance)
+        monkeypatch.setattr(_simplex, "nelder_mead", counted_refinement)
+        spec, residual = fit_pulse(target)
+        (x, fx), = results
+        assert len(distances) == len(refined) > 0
+        assert residual == fx
+        assert (spec.rabi_angle, spec.phase) == (x[0] % math.tau, x[1] % math.tau)
+
     def test_in_model_target(self):
         target = single_pulse_unitary(PulseSpec(math.pi / 5, 1.0))
         _, residual = fit_pulse(target)

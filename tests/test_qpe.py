@@ -147,12 +147,61 @@ class TestPhaseGate:
 
     @pytest.mark.parametrize("mode", list(GateMode))
     def test_cached_gate_equals_a_fresh_one(self, mode):
+        # the inverse QFT's angles pi / 2^k, and others
         for k in range(14):
             for theta in (0.3, 2.0, -math.pi / 8):
-                qpe._phase_gate(theta, mode, power=2 ** k)
-                cached = qpe._phase_gate(theta, mode, power=2 ** k)
-                fresh = qpe._phase_gate.__wrapped__(theta, mode, power=2 ** k)
+                qpe._phase_gate(theta / 2 ** k, mode)
+                cached = qpe._phase_gate(theta / 2 ** k, mode)
+                fresh = qpe._phase_gate.__wrapped__(theta / 2 ** k, mode)
                 assert np.array_equal(cached, fresh), (theta, k)
+
+
+# kick phases: the fixed table of test_statevector's TestRowDiagonals, the
+# inverse-QFT-like angles +-pi/2^d and seeded uniform ones; with powers 2^0
+# to 2^19 they take the scalar power down each of its integer-power paths
+DIAGONAL_PHASES = (
+    (0.3, 1.0, 2.0, math.pi, 4.2, 5.9, 2 * math.pi, 1e-3)
+    + tuple(s * math.pi / 2 ** d for d in range(2, 21) for s in (1, -1))
+    + tuple(np.random.default_rng(91).uniform(-TWO_PI, TWO_PI, 1000).tolist()))
+KICK_POWERS = [2 ** k for k in range(20)]
+
+
+class TestPhaseDiagonals:
+    @pytest.mark.parametrize("mode", list(GateMode))
+    def test_matches_scalar_power(self, mode):
+        # each entry as the scalar formula gives it, byte for byte: numpy
+        # computes an array's ** 2 as np.square, which rounds otherwise
+        def entries(theta):
+            if mode == GateMode.IDEAL:
+                return [[1, np.exp(1j * p * float(theta))] for p in KICK_POWERS]
+            u = single_pulse_unitary(phase_gate_pulse_params(theta))
+            return [[u[0, 0] ** p, u[1, 1] ** p] for p in KICK_POWERS]
+
+        want = np.array([entries(t) for t in DIAGONAL_PHASES],
+                        dtype=np.complex128).transpose(1, 0, 2)
+        got = qpe._phase_diagonals(DIAGONAL_PHASES, mode, KICK_POWERS)
+        assert got.shape == (len(KICK_POWERS), len(DIAGONAL_PHASES), 2)
+        differ = np.count_nonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ == 0, differ
+
+    def test_one_pulse_per_phase(self, monkeypatch):
+        # a pulse-literal kick of a P-row stack builds P pulse unitaries for
+        # all its m molecules, and a single state one
+        built = []
+
+        def counted(spec):
+            built.append(spec)
+            return single_pulse_unitary(spec)
+
+        monkeypatch.setattr(qpe, "single_pulse_unitary", counted)
+        m, phis = 6, np.random.default_rng(92).uniform(0.0, TWO_PI, 5).tolist()
+        prepared = sv.new_state(m)
+        stack = sv.QuantumState(np.stack([prepared.amplitudes] * len(phis)))
+        qpe.apply_phase_kicks(stack, phis, m, GateMode.PULSE_LITERAL)
+        assert len(built) == len(phis)
+        built.clear()
+        qpe.apply_phase_kicks(prepared, phis[0], m, GateMode.PULSE_LITERAL)
+        assert len(built) == 1
 
 
 class TestReadoutOrder:
@@ -334,6 +383,16 @@ class TestConfigAndSeeds:
             qpe.QpeConfig(m=3, true_phase_phi=0.0)
         with pytest.raises(ValidationError):
             qpe.QpeConfig(m=3, true_phase_phi=TWO_PI + 0.1)
+
+    @pytest.mark.parametrize("phi", [0.0, -1.0, TWO_PI + 1e-9, math.nan, math.inf])
+    def test_check_phase_refuses(self, phi):
+        with pytest.raises(ValidationError,
+                           match=r"^true phase must lie in \(0, 2\*pi\], got "):
+            qpe.check_phase(phi)
+
+    def test_check_phase_takes_the_half_open_interval(self):
+        for phi in (5e-324, 1.0, TWO_PI):
+            assert qpe.check_phase(phi) == phi
 
     def test_shot_seed_mixing(self):
         seeds = [qpe.shot_seed(42, i) for i in range(100)]

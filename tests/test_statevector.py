@@ -615,7 +615,7 @@ class TestInPlace:
         stack = sv.QuantumState(state.amplitudes[None])
         for mode in qpe.GateMode:
             for qubit in (1, 9, 17):
-                entries = [qpe._phase_gate(0.7, mode, power=2).diagonal()]
+                entries = qpe._phase_diagonals([0.7], mode, [2])[0]
                 tracemalloc.start()
                 stack = sv.apply_1q_diagonals(stack, qubit, entries, in_place=True)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -951,8 +951,8 @@ class TestRowDiagonals:
 
     @pytest.mark.parametrize("mode", list(qpe.GateMode))
     def test_deviation_matches_gate_plan(self, mode):
-        gates = [qpe._phase_gate(phi, mode, power=2 ** k)
-                 for k in range(20) for phi in KICK_PHASES]
+        diagonals = qpe._phase_diagonals(KICK_PHASES, mode, [2 ** k for k in range(20)])
+        gates = [np.diag(d) for d in diagonals.reshape(-1, 2)]
         if mode == qpe.GateMode.IDEAL:
             gates.append(qpe._phase_gate(math.nan, mode))
         devs = sv._diagonal_deviations(np.array([g.diagonal() for g in gates]))
@@ -966,7 +966,7 @@ class TestRowDiagonals:
         (4.2, 2 ** 19, qpe.GateMode.PULSE_LITERAL),
         (math.nan, 1, qpe.GateMode.IDEAL)])
     def test_failing_row_fails_as_apply_1q(self, phi, power, mode):
-        gate = qpe._phase_gate(phi, mode, power=power)
+        gate = np.diag(qpe._phase_diagonals([phi], mode, [power])[0, 0])
         fine = qpe._phase_gate(1.0, mode).diagonal()
         stack = stack_of(6, np.random.default_rng(530))
         entries = [fine, fine, gate.diagonal(), fine, fine]
