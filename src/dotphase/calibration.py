@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, finite_result
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,9 @@ class ElectroOpticParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"{name} must be positive, got {value}")
+        # past the float range the product is inf, or 0, which no time divides
+        if not 0 < self.rate < math.inf:
+            raise DomainError(f"phase rate must be finite and positive, got {self.rate}")
 
     @property
     def rate(self) -> float:
@@ -102,7 +105,7 @@ def clock_total_time(T: float, O: int, h: int) -> float:
         raise DomainError(f"elapsed scales must be >= 1, got {h}")
     if O < h:
         raise DomainError(f"total scales {O} must be >= elapsed scales {h}")
-    return O * T / h
+    return finite_result("clock total time", lambda: O * T / h)
 
 
 def calibration_verdict(
@@ -115,7 +118,7 @@ def calibration_verdict(
     if T_ideal <= 0:
         raise DomainError(f"ideal period must be positive, got {T_ideal}")
     comparison_mode = ComparisonMode(comparison_mode)
-    eta_prime = T_total / T_ideal * 100.0
+    eta_prime = finite_result("eta'", lambda: T_total / T_ideal * 100.0)
     if T_total == T_ideal:
         return Verdict.ACCURATE, eta_prime
     if comparison_mode == ComparisonMode.LITERAL:
@@ -162,4 +165,4 @@ def length_estimate(v: float, T: float) -> float:
     """Crystal length implied by traversal at speed v for duration T."""
     if v < 0 or T < 0:
         raise DomainError("speed and duration must be nonnegative")
-    return v * T
+    return finite_result("length estimate", lambda: v * T)

@@ -29,6 +29,9 @@ from . import statevector as sv
 from .errors import NumericalInvariantError, ValidationError
 
 OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
+# Shots per experiment: every shot is a seed, a draw and two entries of the
+# JSON report (about 50 bytes), so a million shots already make ~50 MB.
+MAX_SHOTS = 1_000_000
 # Random sweep phases: each one is a row of a stack that
 # qpe.exact_distributions kicks (one call per molecule) and transforms per
 # m value, and a row of the report.
@@ -137,7 +140,7 @@ _SCHEMAS = {
         "phase_rad": _Key(parse_angle, _REQUIRED, "--phase",
                           "true phase: radians, 'Xrad', or 'Xturn'"),
         "mode": _MODE,
-        "shots": _Key(_count_upto(qpe.MAX_SHOTS), 0),
+        "shots": _Key(_count_upto(MAX_SHOTS), 0),
         "seed": _SEED,
         "include_target": _Key(_as_bool, False),
         "full_distribution": _Key(_as_bool, False),
@@ -249,19 +252,12 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def cmd_estimate(cfg: dict) -> tuple[dict, list]:
-    config = qpe.QpeConfig(
-        m=cfg["m"],
-        true_phase_phi=cfg["phase_rad"],
-        gate_mode=qpe.GateMode(cfg["mode"]),
-        include_target_qubit=cfg["include_target"],
-        shots=cfg["shots"],
-        seed=cfg["seed"],
-    )
-    dist = qpe.readout_distribution(config)
-    m, phi = config.m, config.true_phase_phi
+    m, phi, shots = cfg["m"], cfg["phase_rad"], cfg["shots"]
+    probs = qpe.readout_distribution(m, phi, qpe.GateMode(cfg["mode"]),
+                                     cfg["include_target"])
     results: dict = {"m": m, "true_phase_rad": phi}
-    if config.shots == 0:
-        j = int(np.argmax(dist.probs))
+    if shots == 0:
+        j = int(np.argmax(probs))
         phi_hat = math.tau * j / 2 ** m
         results.update(
             readout_integer=j,
@@ -271,20 +267,20 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
             abs_error_turns=float(
                 qpe.circular_distance(phi_hat / math.tau, phi / math.tau)
             ),
-            max_probability=float(dist.probs[j]),
+            max_probability=float(probs[j]),
         )
     else:
-        draws = sv.sample(dist.probs, qpe.shot_seeds(config.seed, config.shots))
+        draws = sv.sample(probs, qpe.shot_seeds(cfg["seed"], shots))
         estimates = math.tau * draws / 2 ** m
         outcomes, counts = np.unique(draws, return_counts=True)
         results.update(
-            shots=config.shots,
+            shots=shots,
             estimates_rad=estimates.tolist(),
             eta_percent=(estimates / phi * 100.0).tolist(),
             counts=dict(zip(map(str, outcomes.tolist()), counts.tolist())),
         )
-    if cfg["full_distribution"] or (2 ** m <= 4096 and config.shots == 0):
-        results["distribution"] = [float(p) for p in dist.probs]
+    if cfg["full_distribution"] or (2 ** m <= 4096 and shots == 0):
+        results["distribution"] = [float(p) for p in probs]
     return results, []
 
 
@@ -294,12 +290,9 @@ def cmd_sweep(cfg: dict) -> tuple[dict, list]:
     m_values = cfg["m_values"]
     if not m_values:
         raise ValidationError("m_values must be nonempty")
-    for m in m_values:
-        qpe.check_register(m)
-        if m < n + 2:
-            raise ValidationError(
-                f"m = {m} gives an undefined bound; need m >= n + 2 = {n + 2}"
-            )
+    # every m is checked before any is simulated
+    bounds = [qpe.success_probability_bound(qpe.check_register(m), n)
+              for m in m_values]
     phis, count = cfg["phases_rad"], cfg["random_phases"]
     if (phis is None) == (count is None):
         raise ValidationError("give exactly one of --phases and --random-phases")
@@ -311,17 +304,10 @@ def cmd_sweep(cfg: dict) -> tuple[dict, list]:
     for p in phis:
         qpe.check_phase(p)
     rows = []
-    for m in m_values:
-        bound = qpe.success_probability_bound(m, n)
-        # the only batching of phases: each batch is one stack, so memory
-        # stays bounded
-        per = qpe.batch_size(m)
-        for start in range(0, len(phis), per):
-            batch = phis[start:start + per]
-            for phi, probs in zip(batch, qpe.exact_distributions(m, batch, mode)):
-                rows.append({"m": m, "n": n, "phi_rad": phi,
-                             "empirical_success": qpe.window_mass(probs, n, phi),
-                             "bound": bound})
+    for m, bound in zip(m_values, bounds):
+        masses = qpe.empirical_successes(m, n, phis, mode)
+        rows += [{"m": m, "n": n, "phi_rad": phi, "empirical_success": mass,
+                  "bound": bound} for phi, mass in zip(phis, masses)]
     return {"rows": rows}, []
 
 

@@ -1,4 +1,5 @@
 """Exception hierarchy shared across the package."""
+import math
 
 
 class DotphaseError(Exception):
@@ -23,6 +24,18 @@ class DomainError(ValidationError):
 
 class BoundUndefinedError(DomainError):
     """Success-probability bound evaluated at its singular point."""
+
+
+def finite_result(what: str, formula) -> float:
+    """``formula()``, or DomainError when its float arithmetic overflows,
+    divides by zero or gives inf or NaN."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{what} has no finite value: {exc}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{what} has no finite value, got {value}")
+    return value
 
 
 class NumericalInvariantError(DotphaseError, RuntimeError):

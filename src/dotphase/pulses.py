@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError, finite_result
 
 # Spacing of fit_pulse's coarse grid over (rabi angle, phase), radians
 FIT_GRID_STEP = math.pi / 256
@@ -250,24 +250,21 @@ def effective_rabi(pp: PhysicalParams) -> Quantity:
     Omega_2 and delta share the meV unit, so the ratio is dimensionless and
     the result carries the unit of Omega_c (MHz).
     """
-    if pp.delta == 0:
-        raise DomainError("delta must be nonzero")
-    return Quantity(pp.omega_c * (pp.omega2 / pp.delta), "MHz")
+    return Quantity(finite_result("effective Rabi frequency",
+                                  lambda: pp.omega_c * (pp.omega2 / pp.delta)), "MHz")
 
 
 def separation_factor(pp: PhysicalParams) -> float:
     """Spatial separation factor t^2 / (Delta^2 + t^2), in [0, 1]."""
     t, d = pp.tunneling_t, pp.level_split_delta
-    if t == 0 and d == 0:
-        raise DomainError("separation factor undefined for t = Delta = 0")
-    return t * t / (d * d + t * t)
+    return finite_result("separation factor", lambda: t * t / (d * d + t * t))
 
 
 def protocol_time(n: int, two_gate_time: float) -> float:
     """Total two-qubit-gate time n(n-1)/2 * tau for an n-qubit run."""
     if n < 1:
         raise DomainError(f"qubit count must be >= 1, got {n}")
-    return n * (n - 1) / 2 * two_gate_time
+    return finite_result("protocol time", lambda: n * (n - 1) / 2 * two_gate_time)
 
 
 def max_qubits(coherence_time: float, two_gate_time: float) -> int:
@@ -281,15 +278,23 @@ def max_qubits(coherence_time: float, two_gate_time: float) -> int:
             f"coherence time {coherence_time:g} s over two-qubit gate time "
             f"{two_gate_time:g} s is too large a ratio to count qubits"
         )
+
+    def fits(n: int) -> bool:
+        # a protocol time past the float range is past any finite budget
+        try:
+            return protocol_time(n, two_gate_time) <= coherence_time
+        except DomainError:
+            return False
+
     # protocol_time is non-decreasing in n, but near 2**53 and above a unit
     # step can leave it unchanged, so bisect from the float estimate: lo
     # fits, hi does not
     lo, hi = 1, 2 * int((1 + math.sqrt(1 + ratio)) / 2) + 2
-    while protocol_time(hi, two_gate_time) <= coherence_time:
+    while fits(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if protocol_time(mid, two_gate_time) <= coherence_time:
+        if fits(mid):
             lo = mid
         else:
             hi = mid

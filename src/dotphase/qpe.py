@@ -32,15 +32,12 @@ from .pulses import (
 )
 
 MAX_REGISTER = 20
-# Shots per experiment: every shot is a seed, a draw and two entries of the
-# JSON report (about 50 bytes), so a million shots already make ~50 MB.
-MAX_SHOTS = 1_000_000
 # Runs of up to this many shots derive their seeds with one shot_seed call
 # per shot (about 13 us each, so under 1 ms a run), which keeps each shot
 # visible to a tracer that wraps shot_seed, as benchmarks/spans.py does;
 # larger runs take the array pass in shot_seeds.
 SHOT_SEED_LOOP_MAX = 64
-# Amplitudes of one stack that sweep hands to exact_distributions: the
+# Amplitudes of one exact_distributions stack in empirical_successes: the
 # registers of up to BATCH_AMPLITUDES >> m phases (1 MiB of state), so every
 # gate serves them all at once; from m = 16 on each phase runs alone.
 BATCH_AMPLITUDES = 2 ** 16
@@ -74,34 +71,10 @@ class GateMode(str, Enum):
 
 
 @dataclass
-class QpeConfig:
-    """One phase-estimation experiment."""
-
-    m: int
-    true_phase_phi: float
-    gate_mode: GateMode = GateMode.IDEAL
-    include_target_qubit: bool = False
-    shots: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        check_register(self.m)
-        check_phase(self.true_phase_phi)
-        if not (0 <= self.shots <= MAX_SHOTS):
-            raise ValidationError(f"shots must be in [0, {MAX_SHOTS}], got {self.shots}")
-        self.gate_mode = GateMode(self.gate_mode)
-
-
-@dataclass
 class PhaseEstimate:
     bits: tuple  # phi_1 ... phi_m, already reversed from register order
     estimated_phase: float
     eta_percent: float
-
-
-@dataclass
-class OutcomeDistribution:
-    probs: np.ndarray  # indexed by readout integer j
 
 
 @dataclass(frozen=True)
@@ -278,9 +251,10 @@ def measure_and_estimate(
 
 def exact_distribution(
     m: int, phi: float, gate_mode: GateMode = GateMode.IDEAL
-) -> OutcomeDistribution:
-    """Full readout distribution of the protocol, no sampling."""
-    return OutcomeDistribution(probs=exact_distributions(m, [phi], gate_mode)[0])
+) -> np.ndarray:
+    """Full readout distribution of the protocol, indexed by readout integer
+    j, no sampling."""
+    return exact_distributions(m, [phi], gate_mode)[0]
 
 
 def exact_distributions(
@@ -291,8 +265,8 @@ def exact_distributions(
     phases are kicked as one stack of it, one call per molecule, and go
     through one inverse QFT, whose gates act on every row alike, so each
     row has the bits that phase's run alone would give. The stack holds
-    ``len(phis) * 2^m`` amplitudes: callers bound it (sweep passes at most
-    ``batch_size(m)`` phases a call)."""
+    ``len(phis) * 2^m`` amplitudes: callers bound it (empirical_successes
+    passes at most ``batch_size(m)`` phases a call)."""
     check_register(m)
     if len(phis) == 0:
         return np.empty((0, 2 ** m))
@@ -300,29 +274,29 @@ def exact_distributions(
     # the first kick copies the read-only rows of the broadcast register
     stack = sv.QuantumState(np.broadcast_to(prepared, (len(phis), 2 ** m)))
     state = inverse_qft(apply_phase_kicks(stack, phis, m, gate_mode), m, gate_mode)
-    return _readout(state, m).probs
+    return _readout(state, m)
 
 
 def batch_size(m: int) -> int:
-    """Phases that sweep stacks in one exact_distributions call at register
-    size ``m``."""
+    """Phases that empirical_successes stacks in one exact_distributions call
+    at register size ``m``."""
     return max(1, BATCH_AMPLITUDES >> m)
 
 
-def _readout(state: sv.QuantumState, m: int) -> OutcomeDistribution:
+def _readout(state: sv.QuantumState, m: int) -> np.ndarray:
     """Distribution of the readout integer over molecules 1..m: the register
     marginal with its bit order reversed (molecule 1 holds the last bit);
     of a stack, one row per state."""
     register = sv.register_probabilities(state, m)
     rows = register.reshape((-1,) + (2,) * m).transpose(0, *range(m, 0, -1))
-    return OutcomeDistribution(probs=rows.reshape(register.shape))
+    return rows.reshape(register.shape)
 
 
 def success_probability_bound(m: int, n: int) -> float:
     """Chance the m-bit estimate lands within 1/2^n: 1 - 1/(2^{m-n+1} - 4)."""
     _check_accuracy(n)
     if m <= n:
-        raise DomainError(f"need m > n, got m={m}, n={n}")
+        raise DomainError(f"need m >= n + 2, got m={m}, n={n}")
     if m == n + 1:
         raise BoundUndefinedError(
             "bound denominator vanishes at m = n + 1; need m >= n + 2"
@@ -346,10 +320,24 @@ def empirical_success(
     m: int, n: int, phi: float, gate_mode: GateMode = GateMode.IDEAL
 ) -> float:
     """Probability mass of readouts within circular distance 1/2^n of phi."""
+    return empirical_successes(m, n, [phi], gate_mode)[0]
+
+
+def empirical_successes(m: int, n: int, phis,
+                        gate_mode: GateMode = GateMode.IDEAL) -> list[float]:
+    """``empirical_success`` of each phase of ``phis``: the one batching of
+    phases, as exact_distributions stacks of at most ``batch_size(m)``
+    phases, so memory stays bounded however many phases there are."""
     _check_accuracy(n)
     if m < n:
         raise DomainError(f"need m >= n, got m={m}, n={n}")
-    return window_mass(exact_distribution(m, phi, gate_mode).probs, n, phi)
+    per = batch_size(m)
+    masses = []
+    for start in range(0, len(phis), per):
+        batch = phis[start:start + per]
+        masses += [window_mass(probs, n, phi) for phi, probs
+                   in zip(batch, exact_distributions(m, batch, gate_mode))]
+    return masses
 
 
 def window_mass(probs: np.ndarray, n: int, phi: float) -> float:
@@ -404,21 +392,25 @@ def shot_seeds(seed: int, n: int) -> np.ndarray:
     return _pcg.generate_state(entropy, 1)[0]
 
 
-def run_final_state(config: QpeConfig) -> sv.QuantumState:
-    """Prepared-kicked-transformed state for one experiment.
+def run_final_state(m: int, phi: float, gate_mode: GateMode = GateMode.IDEAL,
+                    include_target: bool = False) -> sv.QuantumState:
+    """Prepared-kicked-transformed state of one experiment.
 
-    With include_target_qubit the (m+1)th molecule is simulated explicitly in
+    With include_target the (m+1)th molecule is simulated explicitly in
     |1> and the kicks become true controlled-phase gates; the inverse QFT
     still acts on molecules 1..m only.
     """
-    m, phi, mode = config.m, config.true_phase_phi, config.gate_mode
-    if config.include_target_qubit:
-        state = _controlled_kick_state(m, phi, _hadamard_gate(mode))
+    check_register(m)
+    check_phase(phi)
+    if include_target:
+        state = _controlled_kick_state(m, phi, _hadamard_gate(gate_mode))
     else:
-        state = apply_phase_kicks(prepare_register(m, mode), phi, m, mode)
-    return inverse_qft(state, m, mode)
+        state = apply_phase_kicks(prepare_register(m, gate_mode), phi, m, gate_mode)
+    return inverse_qft(state, m, gate_mode)
 
 
-def readout_distribution(config: QpeConfig) -> OutcomeDistribution:
-    """Exact readout distribution for a config, honoring the target-qubit flag."""
-    return _readout(run_final_state(config), config.m)
+def readout_distribution(m: int, phi: float, gate_mode: GateMode = GateMode.IDEAL,
+                         include_target: bool = False) -> np.ndarray:
+    """Exact readout distribution of one experiment, indexed by readout
+    integer j, honoring the target-qubit flag."""
+    return _readout(run_final_state(m, phi, gate_mode, include_target), m)

@@ -30,7 +30,7 @@ def test_criterion_01_representable_phase_determinism():
             phi = TWO_PI * j / 2 ** m if j else TWO_PI
             dist = qpe.exact_distribution(m, phi)
             target = j  # j = 0 is driven at phi = 2*pi, the same phase
-            assert abs(dist.probs[target] - 1.0) <= 1e-10, (m, j)
+            assert abs(dist[target] - 1.0) <= 1e-10, (m, j)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"took {elapsed:.1f} s"
     report("1 representable-phase determinism (m <= 8, all j)")
@@ -161,7 +161,7 @@ def test_criterion_09_calibration_round_trip():
         t_true = rng.uniform(t_lo, t_hi)
         _, varphi = cal.time_to_phase(t_true, eo)
         dist = qpe.exact_distribution(m, TWO_PI * varphi if varphi else TWO_PI)
-        j = int(np.argmax(dist.probs))
+        j = int(np.argmax(dist))
         t_hat = cal.phase_to_time(j / 2 ** m, eo)
         assert abs(t_hat - t_true) <= step + 1e-12
 

@@ -110,6 +110,14 @@ class TestSweep:
         assert code == 1
         assert "m >= n + 2" in err
 
+    def test_m_at_most_n_rejected(self, capsys, monkeypatch):
+        # refused by qpe.success_probability_bound before any m is simulated
+        monkeypatch.setattr(qpe, "prepare_register", None)
+        code, out, err = run_cli(
+            ["sweep", "--m-values", "5,3", "--n", "3", "--phases", "1.0"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: need m >= n + 2, got m=3, n=3\n"
+
     @pytest.mark.parametrize("m_values", [str(qpe.MAX_REGISTER + 1), "5,0",
                                           f"5,{qpe.MAX_REGISTER + 1}"])
     def test_register_cap(self, capsys, monkeypatch, m_values):
@@ -308,7 +316,7 @@ class TestExitCodes:
         assert code == 1
 
     def test_numerical_invariant_maps_to_2(self, capsys, monkeypatch):
-        def boom(config):
+        def boom(*args):
             raise NumericalInvariantError("synthetic drift")
 
         monkeypatch.setattr(qpe, "readout_distribution", boom)
@@ -317,8 +325,9 @@ class TestExitCodes:
         assert "invariant" in err
 
     def test_pulse_literal_m16_unitarity_defect(self, capsys):
-        # the known pulse-literal defect (qpe._phase_gate): the memoised
-        # gate must fail exactly as a freshly built one does
+        # the known pulse-literal defect: qpe._phase_diagonals raises the
+        # rounded pulse entries to the kick's power, and from 2^15 on the
+        # kick drifts past the unitarity tolerance
         code, out, err = run_cli(["estimate", "--m", "16", "--mode", "pulse-literal",
                                   "--phase", "0.3", "--shots", "0"], capsys)
         assert code == 1 and out == ""
@@ -480,6 +489,38 @@ class TestRejectedInputs:
         code, out, err = run_cli(args, capsys)
         assert code == 1
         assert out == "" and "error" in err
+
+    @pytest.mark.parametrize(
+        "args, what",
+        [
+            (["feasibility", "--n-qubits", str(10 ** 400)], "protocol time"),
+            (["feasibility", "--tunneling-t", "1e-200", "--level-split", "1e-200"],
+             "separation factor"),
+            (["feasibility", "--tunneling-t", "1e200", "--level-split", "1e200"],
+             "separation factor"),
+            (["feasibility", "--omega-c", "1e308", "--omega2", "1e308",
+              "--delta", "1e-308"], "effective Rabi frequency"),
+            (["calibrate-clock", "--duration", "1.0", "--total-scales", str(10 ** 400),
+              "--elapsed-scales", "1", "--t-ideal", "1.0"], "clock total time"),
+            (["calibrate-clock", "--duration", "1e300", "--total-scales", "1",
+              "--elapsed-scales", "1", "--t-ideal", "1e-300"], "eta'"),
+            (["calibrate-clock", "--duration", "10", "--total-scales", "1",
+              "--elapsed-scales", "1", "--t-ideal", "1.0", "--v", "1e308"],
+             "length estimate"),
+            (["calibrate-clock", "--varphi", "0.5", "--total-scales", "1",
+              "--elapsed-scales", "1", "--t-ideal", "1.0", "--varpi", "1e-300",
+              "--r63", "1e-300"], "phase rate"),
+            (["calibrate-clock", "--varphi", "0.5", "--total-scales", "1",
+              "--elapsed-scales", "1", "--t-ideal", "1.0", "--varpi", "1e300",
+              "--n0", "1e10"], "phase rate"),
+        ],
+    )
+    def test_arithmetic_past_the_float_range_exits_1(self, capsys, args, what):
+        # each formula is finite for its inputs one by one, but its result
+        # overflows, underflows to a zero divisor, or is inf or NaN
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {what}")
 
     @pytest.mark.parametrize(
         "preset, name",
@@ -687,7 +728,7 @@ def test_input_rule_messages(capsys, args, message):
 @pytest.mark.parametrize(
     "command, flags, key",
     [
-        ("estimate", ["--m", "3", "--phase", "1.0", "--shots", str(qpe.MAX_SHOTS + 1)],
+        ("estimate", ["--m", "3", "--phase", "1.0", "--shots", str(cli.MAX_SHOTS + 1)],
          "shots"),
         ("sweep", ["--m-values", "5", "--n", "3",
                    "--random-phases", str(cli.MAX_RANDOM_PHASES + 1)], "random_phases"),

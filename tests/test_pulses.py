@@ -474,6 +474,14 @@ class TestFeasibility:
         n = max_qubits(coherence, tau)
         assert protocol_time(n, tau) <= coherence < protocol_time(n + 1, tau)
 
+    def test_max_qubits_past_the_float_range(self):
+        # protocol_time refuses a time past the float range (4 qubits at
+        # 1e308 s a gate); max_qubits counts such a run as over budget
+        with pytest.raises(DomainError, match="protocol time has no finite value"):
+            protocol_time(4, 1e308)
+        assert max_qubits(1.0, 1e308) == 1
+        assert max_qubits(1e300, 1e307) == 1
+
     def test_max_qubits_positive_inputs(self):
         with pytest.raises(DomainError):
             max_qubits(0.0, 1e-4)

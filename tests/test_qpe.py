@@ -208,10 +208,10 @@ class TestReadoutOrder:
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     def test_reorder_matches_bit_reverse_loop(self, m):
         phi = 1.234
-        state = qpe.run_final_state(qpe.QpeConfig(m=m, true_phase_phi=phi))
+        state = qpe.run_final_state(m, phi)
         register = sv.probabilities(state)
         loop = np.array([register[qpe.bit_reverse(j, m)] for j in range(2 ** m)])
-        assert np.array_equal(qpe.exact_distribution(m, phi).probs, loop)
+        assert np.array_equal(qpe.exact_distribution(m, phi), loop)
 
 
 class TestMeasureAndEstimate:
@@ -238,24 +238,24 @@ class TestMeasureAndEstimate:
 class TestExactDistribution:
     def test_representable(self):
         dist = qpe.exact_distribution(3, TWO_PI * 5 / 8)
-        assert dist.probs[5] == pytest.approx(1.0, abs=1e-10)
+        assert dist[5] == pytest.approx(1.0, abs=1e-10)
 
     def test_near_zero_phase(self):
         dist = qpe.exact_distribution(2, TWO_PI * 1e-12)
-        assert dist.probs[0] == pytest.approx(1.0, abs=1e-9)
+        assert dist[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_monte_carlo(self):
         m, phi = 3, TWO_PI * 0.3
         dist = qpe.exact_distribution(m, phi)
         rng = np.random.default_rng(21)
-        samples = rng.choice(2 ** m, size=1_000_000, p=dist.probs / dist.probs.sum())
+        samples = rng.choice(2 ** m, size=1_000_000, p=dist / dist.sum())
         empirical = np.bincount(samples, minlength=2 ** m) / 1_000_000
-        assert 0.5 * np.abs(empirical - dist.probs).sum() < 0.01
+        assert 0.5 * np.abs(empirical - dist).sum() < 0.01
 
     def test_normalized(self):
         dist = qpe.exact_distribution(5, 1.2345)
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (dist.probs >= -1e-15).all()
+        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (dist >= -1e-15).all()
 
 
 class TestExactDistributions:
@@ -271,12 +271,11 @@ class TestExactDistributions:
             got = qpe.exact_distributions(m, phis[:count], mode)
             assert got.shape == (count, 2 ** m)
             for phi, row in zip(phis, got):
-                alone = qpe.exact_distribution(m, phi, mode).probs
+                alone = qpe.exact_distribution(m, phi, mode)
                 assert row.tobytes() == alone.tobytes(), (count, phi)
         # the unstacked path of estimate, which never forms a stack
         for phi, row in zip(phis, got):
-            config = qpe.QpeConfig(m=m, true_phase_phi=phi, gate_mode=mode)
-            assert row.tobytes() == qpe.readout_distribution(config).probs.tobytes()
+            assert row.tobytes() == qpe.readout_distribution(m, phi, mode).tobytes()
 
     @pytest.mark.parametrize("mode", list(GateMode))
     def test_phases_beyond_one_batch(self, mode):
@@ -289,7 +288,7 @@ class TestExactDistributions:
         got = qpe.exact_distributions(m, phis, mode)
         assert qpe.batch_size(m) * 2 ** m <= qpe.BATCH_AMPLITUDES < count * 2 ** m
         for phi, row in zip(phis, got):
-            assert row.tobytes() == qpe.exact_distribution(m, phi, mode).probs.tobytes()
+            assert row.tobytes() == qpe.exact_distribution(m, phi, mode).tobytes()
 
     def test_batch_size(self):
         assert qpe.batch_size(5) * 2 ** 5 == qpe.BATCH_AMPLITUDES
@@ -303,6 +302,27 @@ class TestExactDistributions:
         monkeypatch.setattr(qpe, "prepare_register", None)  # no simulation
         with pytest.raises(ValidationError, match="m must be in"):
             qpe.exact_distributions(m, [1.0])
+
+    @pytest.mark.parametrize("mode", list(GateMode))
+    def test_empirical_successes_batches_its_phases(self, mode, monkeypatch):
+        # the one batching of phases: no stack above BATCH_AMPLITUDES, and
+        # each phase's mass is the one it has alone
+        m, n = 12, 3
+        phis = [float(p) for p in
+                np.random.default_rng(62).uniform(0.1, TWO_PI, qpe.batch_size(m) + 3)]
+        stacks = []
+        exact_distributions = qpe.exact_distributions
+
+        def recording(m, batch, mode):
+            stacks.append(len(batch))
+            return exact_distributions(m, batch, mode)
+
+        monkeypatch.setattr(qpe, "exact_distributions", recording)
+        got = qpe.empirical_successes(m, n, phis, mode)
+        assert sum(stacks) == len(phis) and len(stacks) == 2
+        assert max(stacks) * 2 ** m <= qpe.BATCH_AMPLITUDES
+        for phi, mass in zip(phis, got):
+            assert mass == qpe.empirical_success(m, n, phi, mode)
 
     def test_window_mass_matches_empirical_success(self):
         rng = np.random.default_rng(61)
@@ -378,11 +398,26 @@ class TestKickEquivalence:
 class TestConfigAndSeeds:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            qpe.QpeConfig(m=0, true_phase_phi=1.0)
+            qpe.run_final_state(0, 1.0)
         with pytest.raises(ValidationError):
-            qpe.QpeConfig(m=3, true_phase_phi=0.0)
+            qpe.run_final_state(3, 0.0)
         with pytest.raises(ValidationError):
-            qpe.QpeConfig(m=3, true_phase_phi=TWO_PI + 0.1)
+            qpe.run_final_state(3, TWO_PI + 0.1)
+
+    @pytest.mark.parametrize("run", [qpe.run_final_state, qpe.readout_distribution])
+    @pytest.mark.parametrize("m, phi, message", [
+        (0, 1.0, r"^m must be in \[1, 20\], got 0$"),
+        (qpe.MAX_REGISTER + 1, 1.0, r"^m must be in \[1, 20\], got 21$"),
+        (3, 0.0, r"^true phase must lie in \(0, 2\*pi\], got 0.0$"),
+        (3, math.nan, r"^true phase must lie in \(0, 2\*pi\], got nan$"),
+        (3, TWO_PI + 0.1, r"^true phase must lie in \(0, 2\*pi\], got 6.38"),
+    ])
+    def test_one_experiment_checks_its_input(self, run, m, phi, message, monkeypatch):
+        monkeypatch.setattr(qpe, "prepare_register", None)  # no simulation
+        monkeypatch.setattr(qpe, "_controlled_kick_state", None)
+        for include_target in (False, True):
+            with pytest.raises(ValidationError, match=message):
+                run(m, phi, GateMode.IDEAL, include_target)
 
     @pytest.mark.parametrize("phi", [0.0, -1.0, TWO_PI + 1e-9, math.nan, math.inf])
     def test_check_phase_refuses(self, phi):
@@ -406,27 +441,21 @@ class TestConfigAndSeeds:
         for n in (1, qpe.SHOT_SEED_LOOP_MAX, qpe.SHOT_SEED_LOOP_MAX + 1, 3000):
             assert qpe.shot_seeds(seed, n).tolist() == loop[:n]
 
-    def test_shots_cap(self):
-        with pytest.raises(ValidationError, match="shots"):
-            qpe.QpeConfig(m=3, true_phase_phi=1.0, shots=qpe.MAX_SHOTS + 1)
-
     def test_include_target_qubit_same_distribution(self):
         phi = 1.37
         base = qpe.exact_distribution(3, phi)
-        explicit = qpe.readout_distribution(
-            qpe.QpeConfig(m=3, true_phase_phi=phi, include_target_qubit=True)
-        )
-        assert np.max(np.abs(base.probs - explicit.probs)) < 1e-10
+        explicit = qpe.readout_distribution(3, phi, include_target=True)
+        assert np.max(np.abs(base - explicit)) < 1e-10
 
 
 class TestPulseLiteralMode:
     def test_runs_and_normalizes(self):
         dist = qpe.exact_distribution(3, 1.1, GateMode.PULSE_LITERAL)
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-9)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_differs_from_ideal(self):
         # the prescribed pulses do not generate ideal gates, so the
         # representable-phase determinism is lost in pulse-literal mode
         phi = TWO_PI * 5 / 8
         dist = qpe.exact_distribution(3, phi, GateMode.PULSE_LITERAL)
-        assert dist.probs[5] < 0.999
+        assert dist[5] < 0.999
