@@ -91,12 +91,15 @@ def phase_to_time(varphi: float, eo: ElectroOpticParams) -> float:
     """Exact inverse of time_to_phase."""
     if not (0.0 <= varphi < 1.0):
         raise DomainError(f"varphi must lie in [0, 1), got {varphi}")
-    return (math.tau * varphi + math.pi / 2) * 2.0 / eo.rate
+    # a positive but subnormal rate can still overflow the quotient
+    return finite_result("duration",
+                         lambda: (math.tau * varphi + math.pi / 2) * 2.0 / eo.rate)
 
 
 def phase_resolution_time(m: int, eo: ElectroOpticParams) -> float:
     """Duration quantization step for an m-bit estimate (one grid spacing)."""
-    return math.tau / 2 ** m * 2.0 / eo.rate
+    return finite_result("duration resolution",
+                         lambda: math.tau / 2 ** m * 2.0 / eo.rate)
 
 
 def clock_total_time(T: float, O: int, h: int) -> float:

@@ -162,21 +162,31 @@ def gate_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 # Amplitudes per block of _pulse_overlap_grid: 2^14 complex values are
 # 256 KiB, so a block's two buffers stay in a core's L2 cache. Median time
-# of fit_pulse's 512 x 512 grid by rows per block, 150 interleaved calls
+# of the full 512 x 512 grid by rows per block, 150 interleaved calls
 # each on a 2-CPU Xeon (2 MiB L2 per core) with numpy 2.4.6: 8 rows 7.7 ms,
 # 16 rows 5.1 ms, 32 rows 4.8 ms, 64 rows 5.0 ms, 128 rows 5.7 ms, and
-# 10.5 ms for the whole grid as one expression.
+# 10.5 ms for the whole grid as one expression. fit_pulse's first pass
+# takes one block of rows.
 OVERLAP_BLOCK = 1 << 14
+
+# fit_pulse skips a grid row only when its bound plus this stays below the
+# best overlap found. A grid value or bound is a few roundings of terms of
+# modulus at most ~1, so each lies within ~1e-15 of its exact value; a
+# margin this far above that keeps every row that could hold the best
+# value, and still drops all but a handful of the 512.
+ROW_BOUND_SLACK = 1e-9
 
 
 def _pulse_overlap_grid(target: np.ndarray, thetas: np.ndarray, phis: np.ndarray):
-    """|trace(U(theta,phi)^dag target)| on a parameter grid, vectorized.
+    """|trace(U(theta,phi)^dag target)| for each theta row and phi column.
 
     The trace is the sum of each U entry's conjugate times the matching
     target entry. It is built a block of theta rows at a time in two
     reused buffers, with the operations, operand order and broadcast shapes
-    of the whole-grid expression, so every value has the same bits; only
-    the returned float grid spans the whole grid.
+    of the whole-grid expression, so every value has the same bits. Each
+    value is elementwise in its own theta and phi, so a row has the same
+    bits whichever other rows are passed beside it: fit_pulse calls this on
+    subsets of its grid's rows.
     """
     th = thetas[:, None]
     ph = phis[None, :]
@@ -207,7 +217,13 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
     """Best single-pulse parameters reproducing ``target`` up to global phase.
 
     Deterministic coarse grid over [0, 2pi)^2 followed by Nelder-Mead
-    refinement; ties broken toward the smallest rabi angle, then phase.
+    refinement; the start is the first flat argmax of the grid's overlap,
+    so ties go to the smallest rabi angle, then phase. Only the rows that
+    can hold that maximum are evaluated: each row's overlap is bounded by
+    the triangle inequality, one block of the rows with the largest bounds
+    gives a best value, and every row whose bound reaches it within
+    ``ROW_BOUND_SLACK`` is evaluated in ascending order. A row left out
+    holds no value near the maximum, so the start is the full grid's.
     Always returns the best point found, even when the residual is large.
     The refinement is ``dotphase._simplex``, one fixed algorithm (scipy
     1.17.1's), so the result does not depend on which scipy, if any, is
@@ -227,11 +243,20 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
 
     npts = int(math.ceil(math.tau / FIT_GRID_STEP))
     grid = np.arange(npts) * (math.tau / npts)
-    tr = _pulse_overlap_grid(target, grid, grid)
-    # argmax of |tr| = argmin of distance; first flat index wins, which is
-    # the smallest theta then smallest phi by construction
+    # both diagonal entries of a pulse have modulus 1 and both off-diagonal
+    # ones are cos(theta), so no overlap in row r exceeds bound[r]
+    t = np.abs(target)
+    bound = (np.abs(np.sin(grid)) * (t[0, 0] + t[1, 1])
+             + np.abs(np.cos(grid)) * abs(target[1, 0] + target[0, 1]))
+    k = OVERLAP_BLOCK // npts
+    top = np.argpartition(bound, -k)[-k:]
+    best = _pulse_overlap_grid(target, grid[top], grid).max()
+    rows = np.flatnonzero(bound + ROW_BOUND_SLACK >= best)
+    tr = _pulse_overlap_grid(target, grid[rows], grid)
+    # argmax of |tr| = argmin of distance; rows keep their order, so the
+    # first flat index wins, which is the smallest theta then smallest phi
     i, j = np.unravel_index(int(np.argmax(tr)), tr.shape)
-    x0 = np.array([grid[i], grid[j]])
+    x0 = np.array([grid[rows[i]], grid[j]])
 
     def objective(x):
         return gate_distance(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,13 @@ TWO_PI = 2 * math.pi
 def unit_rate_params():
     """Parameters whose phase-rate product is exactly 1 rad/s."""
     return ElectroOpticParams(varpi=1.0, n0=1.0, n_vac=1.0, r63=1.0, e_field=1.0)
+
+
+def subnormal_rate_params():
+    """Parameters whose phase rate, about 1e-320 rad/s, is subnormal."""
+    eo = ElectroOpticParams(varpi=1e-160, n0=1.0, n_vac=1.0, r63=1e-160, e_field=1.0)
+    assert 0 < eo.rate < sys.float_info.min
+    return eo
 
 
 def random_params(rng):
@@ -80,6 +88,19 @@ class TestPhaseToTime:
     def test_positive_params_enforced(self):
         with pytest.raises(ValidationError):
             ElectroOpticParams(varpi=0.0, n0=1.0, n_vac=1.0, r63=1.0, e_field=1.0)
+
+    def test_subnormal_rate(self):
+        # the rate is positive, so the parameters pass, but the duration it
+        # implies overflows
+        eo = subnormal_rate_params()
+        with pytest.raises(DomainError, match="^duration has no finite value"):
+            cal.phase_to_time(0.5, eo)
+
+
+class TestPhaseResolutionTime:
+    def test_subnormal_rate(self):
+        with pytest.raises(DomainError, match="^duration resolution has no finite value"):
+            cal.phase_resolution_time(3, subnormal_rate_params())
 
 
 class TestClockTotalTime:

@@ -513,6 +513,9 @@ class TestRejectedInputs:
             (["calibrate-clock", "--varphi", "0.5", "--total-scales", "1",
               "--elapsed-scales", "1", "--t-ideal", "1.0", "--varpi", "1e300",
               "--n0", "1e10"], "phase rate"),
+            (["calibrate-clock", "--varphi", "0.5", "--total-scales", "1",
+              "--elapsed-scales", "1", "--t-ideal", "1.0", "--varpi", "1e-160",
+              "--r63", "1e-160"], "duration"),
         ],
     )
     def test_arithmetic_past_the_float_range_exits_1(self, capsys, args, what):

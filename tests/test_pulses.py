@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dotphase import _simplex, pulses
 from dotphase.errors import DimensionError, DomainError, ValidationError
@@ -23,6 +25,7 @@ from dotphase.pulses import (
 
 SQRT2 = math.sqrt(2)
 IDEAL_H = np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2
+FIT_GRID = np.arange(512) * (math.tau / 512)
 
 
 class TestSinglePulseUnitary:
@@ -198,10 +201,8 @@ class TestGateDistance:
 
 
 class TestOverlapGrid:
-    FIT_GRID = np.arange(512) * (math.tau / 512)
-
     def grids(self, rng):
-        g = self.FIT_GRID
+        g = FIT_GRID
         return [
             (g, g),
             (g[:511], g),
@@ -320,6 +321,74 @@ class TestFitPulse:
             )
             _, residual = fit_pulse(target)
             assert residual < 1e-8
+
+
+ANGLES = st.floats(0, math.tau)
+FIT_TARGETS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: _haar(np.random.default_rng(seed))),
+    st.tuples(ANGLES, ANGLES, ANGLES).map(
+        lambda a: np.exp(1j * a[0]) * single_pulse_unitary(PulseSpec(a[1], a[2]))),
+    ANGLES.map(lambda phi: np.diag([-np.exp(-1j * phi), np.exp(1j * phi)])),
+)
+
+
+def _traced_fit(target):
+    """The grid rows fit_pulse evaluates, as (row indices, values) per call,
+    and the start it hands the refinement."""
+    grids, starts = [], []
+    overlap, nelder_mead = pulses._pulse_overlap_grid, _simplex.nelder_mead
+
+    def recording_grid(t, thetas, phis):
+        assert phis.tobytes() == FIT_GRID.tobytes()
+        rows = np.searchsorted(FIT_GRID, thetas)
+        assert FIT_GRID[rows].tobytes() == thetas.tobytes()
+        grids.append((rows, overlap(t, thetas, phis)))
+        return grids[-1][1]
+
+    def recording_refinement(func, x0, **options):
+        starts.append(x0)
+        return nelder_mead(func, x0, **options)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pulses, "_pulse_overlap_grid", recording_grid)
+        mp.setattr(_simplex, "nelder_mead", recording_refinement)
+        fit_pulse(target)
+    (x0,) = starts
+    return grids, x0
+
+
+class TestRowSearch:
+    """fit_pulse evaluates only the grid rows that can hold the largest
+    overlap, yet starts at the full grid's first argmax."""
+
+    # eye, X and IDEAL_H tie: many grid points share the largest overlap
+    @example(np.eye(2, dtype=complex))
+    @example(np.array([[0, 1], [1, 0]], dtype=complex))
+    @example(IDEAL_H)
+    @given(FIT_TARGETS)
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    def test_start_is_the_full_grid_argmax(self, target):
+        full = pulses._pulse_overlap_grid(target, FIT_GRID, FIT_GRID)
+        ((top, top_values), (rows, values)), x0 = _traced_fit(target)
+        # a row has the same bits whichever rows are evaluated beside it
+        assert top_values.tobytes() == full[top].tobytes()
+        assert values.tobytes() == full[rows].tobytes()
+        assert np.all(np.diff(rows) > 0)
+        i, j = np.unravel_index(int(np.argmax(full)), full.shape)
+        assert [float(v).hex() for v in x0] == [FIT_GRID[i].hex(), FIT_GRID[j].hex()]
+        best = top_values.max()
+        skipped = np.setdiff1d(np.arange(len(FIT_GRID)), rows)
+        assert np.all(full[skipped].max(axis=1) + pulses.ROW_BOUND_SLACK < best)
+
+    @pytest.mark.parametrize("target", [
+        IDEAL_H,
+        1j * single_pulse_unitary(PulseSpec(2.3, 0.4)),
+        _haar(np.random.default_rng(19)),
+    ], ids=["hadamard", "reachable", "haar"])
+    def test_few_rows_evaluated(self, target):
+        # a full-grid fit evaluates all 512 rows
+        grids, _ = _traced_fit(target)
+        assert sum(len(rows) for rows, _ in grids) < 64
 
 
 def _rosenbrock(x):
