@@ -15,9 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, ValidationError, finite_result
-
-# Spacing of fit_pulse's coarse grid over (rabi angle, phase), radians
-FIT_GRID_STEP = math.pi / 256
+from .statevector import _unitary_deviation
 
 
 @dataclass(frozen=True)
@@ -160,14 +158,13 @@ def gate_distance(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-# Amplitudes per block of _pulse_overlap_grid: 2^14 complex values are
-# 256 KiB, so a block's two buffers stay in a core's L2 cache. Median time
-# of the full 512 x 512 grid by rows per block, 150 interleaved calls
-# each on a 2-CPU Xeon (2 MiB L2 per core) with numpy 2.4.6: 8 rows 7.7 ms,
-# 16 rows 5.1 ms, 32 rows 4.8 ms, 64 rows 5.0 ms, 128 rows 5.7 ms, and
-# 10.5 ms for the whole grid as one expression. fit_pulse's first pass
-# takes one block of rows.
-OVERLAP_BLOCK = 1 << 14
+# fit_pulse's coarse grid of rabi angles and of phases: 512 points over
+# [0, 2pi), read-only
+FIT_GRID = np.arange(512) * (math.tau / 512)
+FIT_GRID.flags.writeable = False
+
+# Grid rows of largest bound that give fit_pulse its first best overlap
+START_ROWS = 32
 
 # fit_pulse skips a grid row only when its bound plus this stays below the
 # best overlap found. A grid value or bound is a few roundings of terms of
@@ -181,49 +178,41 @@ def _pulse_overlap_grid(target: np.ndarray, thetas: np.ndarray, phis: np.ndarray
     """|trace(U(theta,phi)^dag target)| for each theta row and phi column.
 
     The trace is the sum of each U entry's conjugate times the matching
-    target entry. It is built a block of theta rows at a time in two
-    reused buffers, with the operations, operand order and broadcast shapes
-    of the whole-grid expression, so every value has the same bits. Each
-    value is elementwise in its own theta and phi, so a row has the same
-    bits whichever other rows are passed beside it: fit_pulse calls this on
-    subsets of its grid's rows.
+    target entry, built in one pass over the given rows: in-place operations
+    in the order and on the broadcast shapes of the whole-grid expression,
+    so every value has that expression's bits, at less cost on the few rows
+    fit_pulse passes. Each value is elementwise in its own theta and phi, so
+    a row has the same bits whichever other rows are passed beside it:
+    fit_pulse calls this on subsets of its grid's rows.
     """
     th = thetas[:, None]
     ph = phis[None, :]
     s, c = np.sin(th), np.cos(th)
-    u00 = -1j * np.exp(-1j * ph)
-    u11 = -1j * np.exp(1j * ph)
-    rows = max(1, OVERLAP_BLOCK // len(phis))
-    a = np.empty((rows, len(phis)), dtype=np.complex128)
-    b = np.empty_like(a)
-    out = np.empty((len(thetas), len(phis)))
-    for i in range(0, len(thetas), rows):
-        j = min(i + rows, len(thetas))
-        ab, bb = a[: j - i], b[: j - i]
-        np.multiply(u00, s[i:j], out=ab)
-        np.conjugate(ab, out=ab)
-        np.multiply(ab, target[0, 0], out=ab)
-        ab += c[i:j] * target[1, 0]
-        ab += c[i:j] * target[0, 1]
-        np.multiply(u11, s[i:j], out=bb)
-        np.conjugate(bb, out=bb)
-        np.multiply(bb, target[1, 1], out=bb)
-        ab += bb
-        np.abs(ab, out=out[i:j])
-    return out
+    a = np.multiply(-1j * np.exp(-1j * ph), s)
+    np.conjugate(a, out=a)
+    a *= target[0, 0]
+    a += c * target[1, 0]
+    a += c * target[0, 1]
+    b = np.multiply(-1j * np.exp(1j * ph), s)
+    np.conjugate(b, out=b)
+    b *= target[1, 1]
+    a += b
+    return np.abs(a)
 
 
 def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
     """Best single-pulse parameters reproducing ``target`` up to global phase.
 
-    Deterministic coarse grid over [0, 2pi)^2 followed by Nelder-Mead
-    refinement; the start is the first flat argmax of the grid's overlap,
-    so ties go to the smallest rabi angle, then phase. Only the rows that
-    can hold that maximum are evaluated: each row's overlap is bounded by
-    the triangle inequality, one block of the rows with the largest bounds
-    gives a best value, and every row whose bound reaches it within
-    ``ROW_BOUND_SLACK`` is evaluated in ascending order. A row left out
-    holds no value near the maximum, so the start is the full grid's.
+    Deterministic coarse grid (``FIT_GRID`` for both angles) followed by
+    Nelder-Mead refinement; the start is the first flat argmax of the grid's
+    overlap, so ties go to the smallest rabi angle, then phase. Only the
+    rows that can hold that maximum are evaluated: each row's overlap is
+    bounded by the triangle inequality, the ``START_ROWS`` rows with the
+    largest bounds give a best value, and every row whose bound reaches it
+    within ``ROW_BOUND_SLACK`` (2 to 8 rows for a unitary target) is
+    evaluated in ascending order, each call one pass of
+    ``_pulse_overlap_grid``. A row left out holds no value near the maximum,
+    so the start is the full grid's.
     Always returns the best point found, even when the residual is large.
     The refinement is ``dotphase._simplex``, one fixed algorithm (scipy
     1.17.1's), so the result does not depend on which scipy, if any, is
@@ -236,20 +225,18 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
         raise DimensionError("target must be 2x2")
     if not np.all(np.isfinite(target)):
         raise ValidationError("target has a non-finite entry")
-    dev = np.max(np.abs(target.conj().T @ target - np.eye(2)))
+    dev = _unitary_deviation(target)
     # written so that a NaN deviation fails too
     if not dev <= 1e-10:
         raise ValidationError(f"target is not unitary (deviation {dev:.3e})")
 
-    npts = int(math.ceil(math.tau / FIT_GRID_STEP))
-    grid = np.arange(npts) * (math.tau / npts)
+    grid = FIT_GRID
     # both diagonal entries of a pulse have modulus 1 and both off-diagonal
     # ones are cos(theta), so no overlap in row r exceeds bound[r]
     t = np.abs(target)
     bound = (np.abs(np.sin(grid)) * (t[0, 0] + t[1, 1])
              + np.abs(np.cos(grid)) * abs(target[1, 0] + target[0, 1]))
-    k = OVERLAP_BLOCK // npts
-    top = np.argpartition(bound, -k)[-k:]
+    top = np.argpartition(bound, -START_ROWS)[-START_ROWS:]
     best = _pulse_overlap_grid(target, grid[top], grid).max()
     rows = np.flatnonzero(bound + ROW_BOUND_SLACK >= best)
     tr = _pulse_overlap_grid(target, grid[rows], grid)

@@ -110,13 +110,21 @@ class _Plan(NamedTuple):
     diagonal: np.ndarray | None
 
 
+def _unitary_deviation(gate: np.ndarray) -> float:
+    """Largest modulus of an entry of g^H g - 1 for the square complex
+    ``gate``, each entry of g^H g summed elementwise down the rows, with no
+    BLAS product, so its bits do not depend on the host's BLAS kernels."""
+    gram = (gate.conj()[:, :, None] * gate[:, None, :]).sum(axis=0)
+    return np.abs(gram - np.eye(gate.shape[0])).max()
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _gate_plan(raw: bytes, dim: int) -> _Plan:
     """Unitarity deviation and kernel plan of the ``dim`` x ``dim`` complex
     gate whose C-order bytes are ``raw``; read-only, shared by every call
     with the same gate."""
     gate = np.frombuffer(raw, dtype=np.complex128).reshape(dim, dim)
-    dev = np.abs(gate.conj().T @ gate - np.eye(dim)).max()
+    dev = _unitary_deviation(gate)
     if np.count_nonzero(gate) != dim:
         return _Plan(dev, None, None)
     # column of each row's nonzero: a permutation in any gate that passes
@@ -147,9 +155,9 @@ def _gate_plan(raw: bytes, dim: int) -> _Plan:
 
 def _diagonal_deviations(entries: np.ndarray) -> np.ndarray:
     """Unitarity deviation of ``diag(entries[p])`` for each row ``p``: the
-    diagonal of g^H g - 1, whose entries are rounded as the matrix product
-    of ``_gate_plan`` rounds them, so each equals that gate's plan ``dev``
-    bit for bit."""
+    diagonal of g^H g - 1, whose entries are rounded as
+    ``_unitary_deviation`` rounds them, so each equals that gate's plan
+    ``dev`` bit for bit."""
     return np.abs(entries.conj() * entries - 1.0).max(axis=1)
 
 

@@ -114,7 +114,7 @@ def _haar(rng):
 
 
 def _reference_overlap_grid(target, thetas, phis):
-    # the overlap grid as one whole-array expression, which the blocked
+    # the overlap grid as one whole-array expression, which the in-place
     # pulses._pulse_overlap_grid must reproduce bit for bit
     th = thetas[:, None]
     ph = phis[None, :]
@@ -221,7 +221,7 @@ class TestOverlapGrid:
         ties = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex), IDEAL_H]
         return haar + pulse + ties
 
-    def test_blocked_grid_matches_whole_array_expression(self):
+    def test_grid_matches_whole_array_expression(self):
         rng = np.random.default_rng(41)
         for target in self.targets(rng):
             for thetas, phis in self.grids(rng):
@@ -230,11 +230,6 @@ class TestOverlapGrid:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
                 assert np.argmax(got) == np.argmax(want)
-
-    def test_grid_spans_several_blocks(self):
-        # the fit grid is cut into blocks, and 511 rows leave a short last one
-        rows = pulses.OVERLAP_BLOCK // 512
-        assert 1 < rows < 511 and 511 % rows != 0
 
 
 class TestFitPulse:
@@ -370,6 +365,9 @@ class TestRowSearch:
     def test_start_is_the_full_grid_argmax(self, target):
         full = pulses._pulse_overlap_grid(target, FIT_GRID, FIT_GRID)
         ((top, top_values), (rows, values)), x0 = _traced_fit(target)
+        # the first pass takes START_ROWS rows, the second no more
+        assert len(top) == pulses.START_ROWS
+        assert len(rows) <= pulses.START_ROWS
         # a row has the same bits whichever rows are evaluated beside it
         assert top_values.tobytes() == full[top].tobytes()
         assert values.tobytes() == full[rows].tobytes()
