@@ -1,12 +1,13 @@
-"""Structured gate kernels on the flat amplitudes of a state or a stack.
+"""Gate kernels on the flat amplitudes of a state or a stack.
 
 ``statevector`` plans each gate, picks its kernel and checks the result;
-these kernels overwrite the C-contiguous amplitudes they are given. A
+these kernels write the C-contiguous amplitudes they are given. A
 layout (``statevector._Layout``) views them, a stack's rows included, as
 ``(L, 2, R)`` for one axis or ``(L, 2, M, 2, R)`` for two, ``R`` being the
 run of contiguous amplitudes below the last gate axis, and indexes each
-slab in that view. Every factor ``d`` is applied as the split products of
-``_product``, which round like BLAS's ``zgemm``.
+slab in that view. The structured kernels apply every factor ``d`` as the
+split products of ``_product``, which round like BLAS's ``zgemm``; the
+dense kernel calls ``zgemm`` itself.
 """
 from __future__ import annotations
 
@@ -14,19 +15,19 @@ import functools
 
 import numpy as np
 
-# Block, in amplitudes, of the structured kernels: runs this long are scaled
-# in place, shorter ones are gathered into a buffer of this size, and the
-# pattern pass multiplies blocks of it. A gate allocates at most three
-# blocks besides the one copy of a state it may not overwrite. At m = 16
-# (one BLAS thread), blocks of 2^11 took 11-16 % longer, from the numpy
-# calls per block, and 2^13 gained nothing. It is also the pattern pass's
-# crossover: a diagonal one-qubit gate neither of whose entries is 1 scales
-# both slabs, which on runs shorter than a block one pass with a pattern of
-# its entries does in 150-250 us at m = 16, against 200-480 us for gathering
-# both slabs. With an entry 1 only one slab moves: gathering it takes
-# 100-130 us from runs of 8 on, against 160-170 us; at runs of 2 and 4 the
-# pattern wins by 7 % at m = 16 but loses by 20-30 % on a 12-row stack of
-# 8 qubits, so such gates keep to their slab.
+# Block, in amplitudes, of every kernel: runs this long are scaled in
+# place, shorter ones are gathered into a buffer of this size, and the
+# pattern pass and dense gates work on blocks of it. A gate allocates at
+# most three blocks besides the new state it writes where it may not
+# overwrite the old. At m = 16 (one BLAS thread), blocks of 2^11 took
+# 11-16 % longer, from the numpy calls per block, and 2^13 gained nothing.
+# It is also the pattern pass's crossover: a diagonal one-qubit gate
+# neither of whose entries is 1 scales both slabs, which on runs shorter
+# than a block one pass with a pattern of its entries does in 150-250 us at
+# m = 16, against 200-480 us for gathering both slabs. With an entry 1 only
+# one slab moves: gathering it takes 100-130 us from runs of 8 on, against
+# 160-170 us; at runs of 2 and 4 the pattern wins by 7 % at m = 16 but loses
+# by 20-30 % on a 12-row stack of 8 qubits, so such gates keep to their slab.
 SPLIT_BLOCK = 2 ** 12
 
 
@@ -208,6 +209,40 @@ def _apply_row_diagonals(
         if rows is not amps:
             amps[moved] = rows
     return amps
+
+
+def _apply_dense(src: np.ndarray, out: np.ndarray, layout, gate: np.ndarray) -> np.ndarray:
+    """Any gate, from ``src`` into the C-contiguous ``out`` (maybe ``src``):
+    each block of ``layout.cols`` columns of the matrix ``np.tensordot``
+    multiplies goes through ``np.dot`` (from a copy where BLAS cannot take
+    its strides) into a buffer, which is copied back. A block holds at
+    least 4 whole columns, or a row's whole matrix, and BLAS then rounds
+    each column as tensordot does. Returns ``out``."""
+    k = len(gate).bit_length() - 1
+    lead = (slice(None),) * k
+    grid, dst = (a.reshape(layout.shape).transpose(layout.order) for a in (src, out))
+    blocks = _column_blocks(grid.shape[k:], layout.cols)
+    work = np.empty(grid[lead + blocks[0]].size, dtype=np.complex128)
+    for index in blocks:
+        block = grid[lead + index]
+        product = work[:block.size]
+        np.dot(gate, block.reshape(len(gate), -1), out=product.reshape(len(gate), -1))
+        np.copyto(dst[lead + index], product.reshape(block.shape))
+    return out
+
+
+def _column_blocks(shape: tuple, cols: int) -> list:
+    """Indices that cut an array of columns, of axes ``shape``, into C-order
+    blocks of at most ``cols``: a range of the outermost axis that does not
+    fit whole, and an index on each axis before it."""
+    inner = 1
+    for axis in range(len(shape) - 1, -1, -1):
+        if inner * shape[axis] > cols:
+            step = cols // inner
+            return [(*index, slice(i, i + step)) for index in np.ndindex(*shape[:axis])
+                    for i in range(0, shape[axis], step)]
+        inner *= shape[axis]
+    return [()]
 
 
 def _product(src: np.ndarray, re, im, dst: np.ndarray) -> None:

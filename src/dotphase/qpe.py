@@ -130,7 +130,7 @@ def prepare_register(m: int, gate_mode: GateMode = GateMode.IDEAL) -> sv.Quantum
     state = sv.new_state(m)
     h = _hadamard_gate(gate_mode)
     for q in range(1, m + 1):
-        state = sv.apply_1q(state, q, h)
+        state = sv.apply_1q(state, q, h, in_place=True)
     return state
 
 
@@ -208,15 +208,15 @@ def inverse_qft(
 ) -> sv.QuantumState:
     """Inverse-QFT schedule: Hadamard on molecule 1, then for each molecule
     r = 2..m the controlled-phase sequences U_{s,r} (theta = pi / 2^{r-s+1})
-    followed by a Hadamard on r. ``state`` itself is not written: each
-    Hadamard returns a new state, which the sequences after it overwrite."""
+    followed by a Hadamard on r. ``state`` itself is not written: the first
+    Hadamard returns a new state, which every later gate overwrites."""
     h = _hadamard_gate(gate_mode)
     state = sv.apply_1q(state, 1, h)
     for r in range(2, m + 1):
         for s in range(1, r):
             state = _apply_sequence(state, s, r, math.pi / 2 ** (r - s + 1),
                                     gate_mode)
-        state = sv.apply_1q(state, r, h)
+        state = sv.apply_1q(state, r, h, in_place=True)
     return state
 
 
@@ -364,10 +364,10 @@ def _controlled_kick_state(m: int, phi: float, h: np.ndarray) -> sv.QuantumState
     molecule m+1 in |1>, after controlled-phase kicks e^{i 2^{m-j} phi} from
     each molecule j onto the target."""
     flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    # the state is made here, so the flip and the kicks may overwrite it
+    # the state is made here, so every gate may overwrite it
     state = sv.apply_1q(sv.new_state(m + 1), m + 1, flip, in_place=True)
     for q in range(1, m + 1):
-        state = sv.apply_1q(state, q, h)
+        state = sv.apply_1q(state, q, h, in_place=True)
     kicks = _phase_diagonals([phi], GateMode.IDEAL, _kick_powers(m))[:, 0]
     for j, kick in enumerate(kicks, start=1):
         state = sv.apply_2q(state, j, m + 1, np.diag([1, 1, *kick]), in_place=True)

@@ -164,10 +164,6 @@ def _diagonal_deviations(entries: np.ndarray) -> np.ndarray:
 class _Layout(NamedTuple):
     """What every call on one axis set of one state shape needs."""
 
-    # np.tensordot's order of a single state's axes, gate axes first, and its
-    # inverse
-    order: tuple
-    back: tuple
     # the flat amplitudes, a stack's rows included, as (L, 2, R) for one
     # axis or (L, 2, M, 2, R) for two, L given as -1 and M left out where it
     # is 1: R is the run of contiguous amplitudes below the last gate axis
@@ -178,6 +174,11 @@ class _Layout(NamedTuple):
     # index's bits (first axis most significant). None if fewer than two
     # other factors are left
     slabs: tuple | None
+    # the view's axes as the dense kernel transposes it, gate axes first in
+    # the order of ``axes``, and the columns of each of its blocks:
+    # SPLIT_BLOCK / 2^k, or a row's all where slabs is None
+    order: tuple
+    cols: int
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
@@ -186,8 +187,6 @@ def _layout(ndim: int, axes: tuple) -> _Layout:
     ``(2,) * ndim`` tensor or a stack of them, shared by every call with
     the same key."""
     k = len(axes)
-    order = axes + tuple(a for a in range(ndim) if a not in axes)
-    back = tuple(order.index(a) for a in range(ndim))
     ends = sorted(axes)
     run = 2 ** (ndim - 1 - ends[-1])
     # the view's axis of each gate axis, in the order of ``axes``
@@ -198,8 +197,10 @@ def _layout(ndim: int, axes: tuple) -> _Layout:
     else:
         shape, places = (-1, 2, 2 ** (ends[1] - ends[0] - 1), 2, run), (1, 3)
     places = [places[ends.index(axis)] for axis in axes]
-    slabs = None
+    order = (*places, *(a for a in range(len(shape)) if a not in places))
+    slabs, cols = None, 2 ** (ndim - k)
     if ndim - k >= 2:
+        cols = SPLIT_BLOCK >> k
         slabs = []
         for c in range(2 ** k):
             index = [slice(None)] * (len(shape) - 1)
@@ -208,7 +209,7 @@ def _layout(ndim: int, axes: tuple) -> _Layout:
             slabs.append(tuple(index))
         slabs = tuple(slabs)
     item = np.dtype((np.void, 16 * run))
-    return _Layout(order, back, shape, item, slabs)
+    return _Layout(shape, item, slabs, order, cols)
 
 
 def _squared_norms(amps: np.ndarray) -> np.ndarray:
@@ -252,26 +253,23 @@ def _apply(
     """Apply a unitary on the tensor factors ``axes`` (its row order).
 
     A gate that leaves fewer than two other factors, or has more than one
-    nonzero entry in a row, is contracted by ``_apply_dense`` in the one
-    BLAS call that ``np.tensordot`` makes, into a new array: BLAS
-    multiplies such small matrices with kernels that round otherwise than
-    the split products. Any other gate (diagonal, CNOT, X) overwrites the
-    state, through a kernel of ``_flat``: ``_apply_monomial`` rotates the
+    nonzero entry in a row, goes to ``_flat._apply_dense``, which makes
+    ``np.tensordot``'s BLAS call block by block. Any other gate (diagonal,
+    CNOT, X) goes to a structured kernel: ``_apply_monomial`` rotates the
     slabs of its cycles on the flat amplitudes, leaving a slab whose entry
     is a diagonal 1 untouched, so an ideal phase gate touches half the
     state; a diagonal one-qubit gate neither of whose entries is 1
     multiplies the whole state by a pattern of them instead
     (``_apply_pattern``) where its axis leaves runs shorter than
-    SPLIT_BLOCK. They write the caller's amplitudes only with ``in_place``
-    and a C-contiguous writeable array, else one copy of them. All give the
-    same bits: BLAS rounds each product once and adds exact zeros, as the
-    split products of ``_flat._product`` do. The verdict and the
-    kernels' inputs are worked out once per distinct gate (``_gate_plan``)
-    and axis set (``_layout``).
+    SPLIT_BLOCK. Every kernel writes the caller's amplitudes only with
+    ``in_place`` (``_output``), and allocates at most three blocks besides.
+    All give the same bits: BLAS rounds each product once and adds exact
+    zeros, as the split products of ``_flat._product`` do. The verdict and the kernels'
+    inputs are worked out once per distinct gate (``_gate_plan``) and axis
+    set (``_layout``).
 
     The kernel depends on the gate, its axes and the qubit count alone: a
-    stack takes its single state's kernel in one pass over all rows (the
-    contraction one BLAS call where each row leaves two other factors), so
+    stack takes its single state's kernel in one pass over all rows, so
     each row gets its state's bytes. Each row's norm is checked.
     """
     dim = 2 ** len(axes)
@@ -283,58 +281,25 @@ def _apply(
     # written so that a NaN deviation fails too
     if not plan.dev <= UNITARY_TOL:
         raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
-    amps = state.amplitudes
     layout = _layout(state.num_qubits, tuple(axes))
-    if layout.slabs is None or plan.cycles is None:
-        amps = _apply_dense(amps, layout, gate)
+    dense = layout.slabs is None or plan.cycles is None
+    out = _output(state.amplitudes, in_place, dense)
+    if dense:
+        out = _flat._apply_dense(state.amplitudes, out, layout, gate)
+    elif plan.diagonal is not None and layout.shape[-1] < SPLIT_BLOCK:
+        out = _flat._apply_pattern(out, layout.shape[-1], plan.diagonal)
     else:
-        if not (in_place and amps.flags.carray):
-            amps = amps.copy()
-        if plan.diagonal is not None and layout.shape[-1] < SPLIT_BLOCK:
-            amps = _flat._apply_pattern(amps, layout.shape[-1], plan.diagonal)
-        else:
-            amps = _flat._apply_monomial(amps, layout, plan.cycles)
-    return _check_norm(QuantumState(amps))
+        out = _flat._apply_monomial(out, layout, plan.cycles)
+    return _check_norm(QuantumState(out))
 
 
-def _apply_dense(amps: np.ndarray, layout: _Layout, gate: np.ndarray) -> np.ndarray:
-    """Contract the complex ``gate`` with the factors ``layout`` puts first
-    (``_contract``), into a new array. A stack whose rows leave two other
-    factors is one call, its axis right after the gate axes, which gives
-    each row its state's bits; below that BLAS rounds a stack otherwise, so
-    it runs row by row."""
-    psi = amps.reshape(amps.shape[:-1] + (2,) * (len(layout.order)))
-    if amps.ndim == 1:
-        out = _contract(psi, layout.order, layout.back, gate)
-    elif layout.slabs is not None:
-        k = len(gate).bit_length() - 1
-        order = (*(a + 1 for a in layout.order[:k]), 0, *(a + 1 for a in layout.order[k:]))
-        out = _contract(psi, order, tuple(np.argsort(order)), gate)
-    else:
-        out = np.stack([_contract(row, layout.order, layout.back, gate) for row in psi])
-    return out.reshape(amps.shape)
-
-
-def _contract(
-    psi: np.ndarray, order: tuple, back: tuple, gate: np.ndarray
-) -> np.ndarray:
-    """The ``np.dot`` call that ``np.tensordot`` makes, on the same operands,
-    without its argument handling. Those are the gate in the caller's
-    layout, which BLAS may read transposed (and then, as a matrix-vector
-    product, round otherwise than a copy), and the state reordered by
-    ``order``, flattened to ``(2^k, rest)``. Once BLAS has read that copy,
-    it takes the result back in the state's order (``back`` inverts
-    ``order``), so no more than two state-sized arrays are made, and the
-    result is C-contiguous."""
-    ordered = psi.transpose(order)
-    flat = ordered.reshape(len(gate), -1)
-    out = np.dot(gate, flat).reshape(ordered.shape)
-    if np.may_share_memory(flat, psi):
-        # the order moved nothing, so the product is already in place
-        return np.ascontiguousarray(out.transpose(back))
-    result = flat.reshape(psi.shape)
-    result.transpose(order)[...] = out
-    return result
+def _output(amps: np.ndarray, in_place: bool, dense: bool) -> np.ndarray:
+    """The array a kernel writes: ``amps`` under ``in_place`` if C-contiguous
+    and writeable, else a new one, a copy of ``amps`` unless the kernel is
+    dense, which reads ``amps`` itself."""
+    if in_place and amps.flags.carray:
+        return amps
+    return np.empty(amps.shape, dtype=np.complex128) if dense else amps.copy()
 
 
 def apply_1q(
@@ -342,9 +307,9 @@ def apply_1q(
 ) -> QuantumState:
     """Apply a 2x2 unitary to the indexed qubit (1-based).
 
-    With ``in_place`` a diagonal or permutation gate may overwrite the
-    state's amplitudes, so pass it only for a state no one else holds;
-    either way use the returned state."""
+    With ``in_place`` the gate may overwrite the state's amplitudes, so
+    pass it only for a state no one else holds; either way use the
+    returned state."""
     return _apply(state, [_qubit_axis(state, qubit_index)], gate, in_place)
 
 
@@ -358,7 +323,7 @@ def apply_1q_diagonals(
     one ``_gate_plan`` entry per row, and each row gets the bits
     ``apply_1q`` gives it with its own gate: the same split products on the
     same slabs (``_flat._apply_row_diagonals``) and, below three factors,
-    the same contraction. Each row's unitarity deviation is the one
+    the dense kernel row by row. Each row's unitarity deviation is the one
     ``_gate_plan`` finds for its gate, and each row's norm is checked.
     ``in_place`` as in ``apply_1q``."""
     axis = _qubit_axis(state, qubit_index)
@@ -374,19 +339,17 @@ def apply_1q_diagonals(
     if not ok.all():
         raise ValidationError(f"gate is not unitary (deviation {dev[np.argmin(ok)]:.3e})")
     layout = _layout(ndim, (axis,))
+    out = _output(amps, in_place, layout.slabs is None)
     if layout.slabs is None:
-        psi = amps.reshape(amps.shape[:-1] + (2,) * ndim)
-        amps = np.stack([_contract(row, layout.order, layout.back, np.diag(d))
-                         for row, d in zip(psi, entries)]).reshape(amps.shape)
+        for row, out_row, d in zip(amps, out, entries):
+            _flat._apply_dense(row, out_row, layout, np.diag(d))
     else:
-        if not (in_place and amps.flags.carray):
-            amps = amps.copy()
         # pure-real and pure-imaginary multipliers, as _gate_plan splits them
         split = np.zeros((2,) + entries.shape, dtype=np.complex128)
         split[0].real = entries.real
         split[1].imag = entries.imag
-        amps = _flat._apply_row_diagonals(amps, layout, entries, split)
-    return _check_norm(QuantumState(amps))
+        out = _flat._apply_row_diagonals(out, layout, entries, split)
+    return _check_norm(QuantumState(out))
 
 
 def apply_2q(

@@ -543,17 +543,16 @@ def structured_gates(rng):
 
 
 class TestInPlace:
-    """With ``in_place`` the structured kernels overwrite the state they are
-    given, and must still equal the contraction bit for bit; the default
-    leaves the caller's amplitudes as they were."""
+    """With ``in_place`` every kernel overwrites the state it is given, and
+    must still equal the contraction bit for bit; the default leaves the
+    caller's amplitudes as they were."""
 
     @staticmethod
     def check(state, axes, gate):
         work = sv.QuantumState(state.amplitudes.copy())
         got = sv._apply(work, axes, gate, in_place=True).amplitudes
         assert np.array_equal(got, tensordot_apply(state, axes, gate)), axes
-        dense = TestKernelDispatch.expected(state.num_qubits, axes, gate) == "_apply_dense"
-        assert np.shares_memory(got, work.amplitudes) is not dense, axes
+        assert np.shares_memory(got, work.amplitudes), axes
 
     @pytest.mark.parametrize(
         "factors, cavity",
@@ -584,10 +583,14 @@ class TestInPlace:
     def test_blocks_of_large_slabs(self, factors):
         # slabs of more than SPLIT_BLOCK amplitudes are cut into blocks: of
         # runs multiplied in place where runs reach SPLIT_BLOCK, else of
-        # gathered runs; every axis and ordered pair
+        # gathered runs; a dense gate's columns into blocks of whole ones.
+        # Every axis and ordered pair
         rng = np.random.default_rng(400 + factors)
         state = random_state(factors, rng)
         one, two = structured_gates(rng)
+        one["hadamard"] = H
+        one["pulse hadamard"] = qpe._hadamard_gate(qpe.GateMode.PULSE_LITERAL)
+        two["dense"] = random_unitary(4, rng)
         for gate in one.values():
             for axis in range(factors):
                 self.check(state, [axis], gate)
@@ -596,16 +599,20 @@ class TestInPlace:
                 self.check(state, list(axes), gate)
 
     def test_no_state_sized_temporary(self):
-        # a structured kernel holds at most three blocks of SPLIT_BLOCK
-        # amplitudes (192 KiB), which is more than 1/8 of a 16-qubit state,
-        # so the bound is checked on 17 qubits: the ideal and pulse-literal
-        # diagonals on every axis, CNOTs whose blocks are runs, 1-D and 2-D
-        # arrays of gathered runs, and both kinds of stacked kick
-        state = random_state(17, np.random.default_rng(18))
+        # a kernel holds at most three blocks of SPLIT_BLOCK amplitudes
+        # (192 KiB), which is more than 1/8 of a 16-qubit state, so the
+        # bound is checked on 17 qubits: the ideal and pulse-literal
+        # diagonals and Hadamards on every axis, CNOTs whose blocks are
+        # runs, 1-D and 2-D arrays of gathered runs, a dense 4x4 whose
+        # blocks are ranges of L, M and R, and both kinds of stacked kick
+        rng = np.random.default_rng(18)
+        state = random_state(17, rng)
         limit = state.amplitudes.nbytes / 8
-        cases = [([axis], qpe._phase_gate(0.7, mode))
-                 for axis in range(17) for mode in qpe.GateMode]
+        cases = [([axis], gate) for axis in range(17) for mode in qpe.GateMode
+                 for gate in (qpe._phase_gate(0.7, mode), qpe._hadamard_gate(mode))]
         cases += [(list(axes), CNOT) for axes in [(0, 1), (1, 0), (3, 9), (15, 16), (16, 2)]]
+        dense = random_unitary(4, rng)
+        cases += [(list(axes), dense) for axes in [(0, 1), (16, 2), (15, 16)]]
         for axes, gate in cases:
             tracemalloc.start()
             state = sv._apply(state, axes, gate, in_place=True)
@@ -621,6 +628,18 @@ class TestInPlace:
                 peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
                 assert peak < limit, (mode, qubit, peak)
+
+    def test_protocol_peak_memory(self):
+        # a dense gate holds its state and at most three blocks, so the
+        # peak of one run is its readout: the final state and two arrays
+        # of half its size. A contraction that copies the state for BLAS
+        # and takes BLAS's output as a new array reaches 4 states
+        state_bytes = 2 ** 16 * 16
+        tracemalloc.start()
+        qpe.readout_distribution(16, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2.5 * state_bytes, peak / state_bytes
 
     def test_default_leaves_input_bytes(self):
         rng = np.random.default_rng(16)
@@ -720,15 +739,14 @@ def record_kernels(monkeypatch, scale=1.0):
             return out
         return recorded
 
-    for module, name in ((_flat, "_apply_monomial"), (_flat, "_apply_pattern"),
-                         (sv, "_apply_dense")):
-        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    for name in ("_apply_monomial", "_apply_pattern", "_apply_dense"):
+        monkeypatch.setattr(_flat, name, wrap(getattr(_flat, name)))
     return calls
 
 
 class TestKernelDispatch:
     """Each gate call runs the kernel that ``_apply``'s docstring names: the
-    contraction when fewer than two other factors are left or the gate has
+    dense kernel when fewer than two other factors are left or the gate has
     more than one nonzero in a row; the pattern pass for a diagonal
     one-qubit gate neither of whose entries is 1, on an axis that leaves
     runs shorter than SPLIT_BLOCK; the slab kernel on flat runs otherwise."""
@@ -834,9 +852,9 @@ def stack_of(factors, rng, count=5):
 
 class TestStack:
     """A ``(P, dim)`` stack runs the kernel a single state of its shape
-    runs, once over all rows, a dense gate in one BLAS call where each row
-    leaves two other factors; each row must come out with the bytes its
-    state alone gets."""
+    runs, once over all rows, a dense gate in blocks of whole columns that
+    may span rows where each row leaves two other factors; each row must
+    come out with the bytes its state alone gets."""
 
     @pytest.mark.parametrize("factors", range(1, 16))
     def test_rows_match_single_states(self, monkeypatch, factors):
@@ -979,12 +997,11 @@ class TestRowDiagonals:
     @pytest.mark.parametrize("factors", [1, 2, 3, 6, 11, 13, 14])
     def test_rows_match_apply_1q(self, monkeypatch, factors):
         kernels = []
-        for module, name in ((_flat, "_apply_pattern"), (_flat, "_apply_row_diagonals"),
-                             (sv, "_contract")):
-            def recorded(*args, _kernel=getattr(module, name), _name=name):
+        for name in ("_apply_pattern", "_apply_row_diagonals", "_apply_dense"):
+            def recorded(*args, _kernel=getattr(_flat, name), _name=name):
                 kernels.append(_name)
                 return _kernel(*args)
-            monkeypatch.setattr(module, name, recorded)
+            monkeypatch.setattr(_flat, name, recorded)
         rng = np.random.default_rng(540 + factors)
         stack = stack_of(factors, rng)
         # exact zeros of both signs, whose signs only a kernel that leaves a
@@ -1006,15 +1023,14 @@ class TestRowDiagonals:
             amps = stack.amplitudes.copy()
             got = sv.apply_1q_diagonals(sv.QuantumState(amps),
                                         axis + 1, entries, in_place=in_place)
-            assert np.shares_memory(got.amplitudes, amps) == (
-                in_place and kernels[0] != "_contract")
+            assert np.shares_memory(got.amplitudes, amps) == in_place
             for row, before, d in zip(got.amplitudes, stack.amplitudes, entries):
                 alone = sv.apply_1q(sv.QuantumState(before),
                                     axis + 1, np.diag(d))
                 assert row.tobytes() == alone.amplitudes.tobytes(), (axis, d)
             expected = [TestKernelDispatch.expected(factors, [axis], np.diag(d))
                         for d in entries]
-            assert kernels[0] == ("_contract" if expected[0] == "_apply_dense"
+            assert kernels[0] == ("_apply_dense" if expected[0] == "_apply_dense"
                                   else "_apply_row_diagonals")
             assert ("_apply_pattern" in kernels) == (
                 set(expected) == {"_apply_pattern"})
