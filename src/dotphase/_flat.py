@@ -5,9 +5,11 @@ these kernels write the C-contiguous amplitudes they are given. A
 layout (``statevector._Layout``) views them, a stack's rows included, as
 ``(L, 2, R)`` for one axis or ``(L, 2, M, 2, R)`` for two, ``R`` being the
 run of contiguous amplitudes below the last gate axis, and indexes each
-slab in that view. The structured kernels apply every factor ``d`` as the
-split products of ``_product``, which round like BLAS's ``zgemm``; the
-dense kernel calls ``zgemm`` itself.
+slab in that view. A structured kernel either scales a slab by a
+diagonal entry, through the split products of ``_product``, which round
+like BLAS's ``zgemm``, or moves the slabs of a cycle by byte copies, never
+both; the dense kernel, which serves every other gate, calls ``zgemm``
+itself.
 """
 from __future__ import annotations
 
@@ -42,82 +44,56 @@ def _pattern_index(run: int) -> np.ndarray:
 
 
 def _apply_monomial(amps: np.ndarray, layout, cycles: tuple) -> np.ndarray:
-    """Gate with one nonzero ``d`` per row, given as its ``cycles`` (see
-    ``statevector._Plan``), on the C-contiguous ``amps``: each slab on a
-    cycle becomes ``d`` times the next one, block by block (``_blocks``).
-    A move (``d == 1``) copies bytes; a factor goes through ``_product``,
-    whose split products round like BLAS's ``zgemm`` where numpy's complex
-    ``src * d`` differs in the last bit. Returns ``amps``."""
+    """Gate with one nonzero per row, given as its ``cycles`` (see
+    ``statevector._Plan``), on the C-contiguous ``amps``: a one-slab cycle
+    scales its slab (``_scale``), a longer one moves its slabs (``_move``),
+    block by block (``_blocks``). Returns ``amps``."""
     run = layout.shape[-1]
     if run >= SPLIT_BLOCK:
         grid = amps.reshape(layout.shape)
     else:
         grid = amps.reshape(-1).view(layout.item).reshape(layout.shape[:-1])
-    for rows, factors in cycles:
+    for rows, factor in cycles:
         slabs = [_blocks(grid[layout.slabs[row]], run) for row in rows]
-        if run >= SPLIT_BLOCK:
-            _rotate_runs(slabs, factors)
+        if factor is None:
+            _move(slabs)
         else:
-            _rotate_items(slabs, factors, run)
+            _scale(slabs[0], *factor, run)
     return amps
 
 
-def _rotate_runs(slabs: list, factors: tuple) -> None:
-    """One cycle whose ``slabs`` list each slab's blocks, contiguous pieces
-    of its runs, rotated in place through one saved piece."""
-    if len(slabs) == 1:
-        re, im = factors[0]
-        for piece in slabs[0]:
+def _scale(blocks: list, re, im, run: int) -> None:
+    """One slab, given as its ``blocks``, times the split factor ``re`` +
+    ``im`` (``_product``, whose split products round like BLAS's ``zgemm``
+    where numpy's complex ``src * d`` differs in the last bit): pieces of
+    runs of at least SPLIT_BLOCK amplitudes in place, arrays of shorter
+    runs as ``np.void`` items gathered into one buffer, multiplied there as
+    one contiguous array and scattered back."""
+    if run >= SPLIT_BLOCK:
+        for piece in blocks:
             _product(piece, re, im, piece)
         return
-    saved = np.empty(SPLIT_BLOCK, dtype=np.complex128)
-    for j, first in enumerate(slabs[0]):
-        saved[...] = first
-        for i, factor in enumerate(factors):
-            dst = slabs[i][j]
-            src = slabs[i + 1][j] if i + 1 < len(slabs) else saved
-            if factor is None:
-                dst[...] = src
-            else:
-                _product(src, *factor, dst)
+    # the first block is the largest: only a slab's last may hold fewer runs
+    buf = np.empty(blocks[0].size * run, dtype=np.complex128)
+    for block in blocks:
+        product = buf[:block.size * run]
+        gathered = product.view(block.dtype).reshape(block.shape)
+        gathered[...] = block
+        _product(product, re, im, product)
+        block[...] = gathered
 
 
-def _rotate_items(slabs: list, factors: tuple, run: int) -> None:
-    """One cycle whose ``slabs`` list each slab's blocks, arrays of its
-    runs of ``run`` amplitudes as ``np.void`` items: a move copies their
-    bytes, and a factor gathers the source runs into a buffer, multiplies
-    them there as one contiguous array and scatters them into the
-    destination."""
-    # buffers the size of the first block, the largest: only the last
-    # block of a slab may hold fewer runs
-    size = slabs[0][0].size * run
-    scaled = any(factor is not None for factor in factors)
-    work = np.empty(size, dtype=np.complex128) if scaled else None
-    saved = np.empty(size, dtype=np.complex128) if len(slabs) > 1 else None
-    shape = None
-    for j, first in enumerate(slabs[0]):
-        if first.shape != shape:
-            shape, size = first.shape, first.size * run
-            if scaled:
-                gathered = work[:size].view(first.dtype).reshape(shape)
-                product = work[:size]
-            if saved is not None:
-                kept = saved[:size].view(first.dtype).reshape(shape)
-        if saved is None:
-            gathered[...] = first
-            _product(product, *factors[0], product)
-            first[...] = gathered
-            continue
-        kept[...] = first
-        for i, factor in enumerate(factors):
-            dst = slabs[i][j]
-            src = slabs[i + 1][j] if i + 1 < len(slabs) else kept
-            if factor is None:
-                dst[...] = src
-            else:
-                gathered[...] = src
-                _product(product, *factor, product)
-                dst[...] = gathered
+def _move(slabs: list) -> None:
+    """One cycle of two or more slabs, each given as its blocks, rotated by
+    byte copies through one saved block: slab i takes slab i + 1's bytes,
+    the last slab the first's. Blocks of complex runs and of ``np.void``
+    items alike."""
+    saved = np.empty_like(slabs[0][0])
+    for blocks in zip(*slabs):
+        kept = saved[:len(blocks[0])]
+        kept[...] = blocks[0]
+        for dst, src in zip(blocks, blocks[1:] + (kept,)):
+            dst[...] = src
 
 
 def _blocks(slab: np.ndarray, run: int) -> list:
@@ -193,9 +169,9 @@ def _apply_row_diagonals(
         if rows.shape[-1] > 2 * SPLIT_BLOCK:
             # a row's slab fills blocks of its own, as its state's does
             for row, factor in zip(rows, zip(re, im)):
-                _apply_monomial(row, layout, (((c,), (factor,)),))
+                _apply_monomial(row, layout, (((c,), factor),))
         else:
-            # blocks of whole rows' slabs, gathered as in _rotate_items
+            # blocks of whole rows' slabs, gathered as in _scale
             slab = rows.reshape(-1).view(layout.item).reshape(len(rows), -1, 2)[:, :, c]
             step = 2 * SPLIT_BLOCK // rows.shape[-1]
             buf = np.empty(min(step, len(rows)) * rows.shape[-1] // 2, dtype=np.complex128)

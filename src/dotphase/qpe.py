@@ -220,15 +220,6 @@ def inverse_qft(
     return state
 
 
-def bit_reverse(j: int, m: int) -> int:
-    """m-bit reversal of j; tests keep it as the readout-order reference."""
-    out = 0
-    for _ in range(m):
-        out = (out << 1) | (j & 1)
-        j >>= 1
-    return out
-
-
 def estimate_from_bits(register_bits: tuple, true_phase: float) -> PhaseEstimate:
     """Turn register-order detector bits into a phase estimate."""
     readout = tuple(reversed(register_bits))

@@ -55,6 +55,14 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        # every kernel views the amplitudes as 16-byte complex runs; no copy
+        # of complex128 input, so a broadcast stack or a buffer written in
+        # place stays the caller's
+        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        if self.amplitudes.ndim > 2:
+            raise DimensionError(
+                f"amplitudes must be a state or a stack of states (1 or 2 "
+                f"dimensions), got {self.amplitudes.ndim}")
         # the qubit count and every kernel's view of the amplitudes come from
         # this length
         size = self.amplitudes.shape[-1] if self.amplitudes.ndim else 0
@@ -99,23 +107,47 @@ class _Plan(NamedTuple):
     and the structured kernels' inputs."""
 
     dev: float
-    # if the gate has one nonzero d per row: its cycles of slabs, each a pair
-    # (rows, factors) in which slab rows[i] becomes factors[i] times slab
-    # rows[i + 1] (the last one times slab rows[0]), a factor being
-    # (d.real, 1j * d.imag), or None for d == 1; diagonal 1s are left out.
-    # Otherwise None
+    # if the gate has one nonzero d per row, each off the diagonal a 1: its
+    # cycles of slabs, each a pair (rows, factor). A cycle of two or more
+    # slabs moves them, slab rows[i] taking slab rows[i + 1] (the last one
+    # slab rows[0]), and its factor is None; a one-slab cycle scales its slab
+    # by a diagonal d other than 1, given as the factor (d.real, 1j * d.imag).
+    # Diagonal 1s are left out. Otherwise (a gate that would both move and
+    # scale a slab runs dense) None
     cycles: tuple | None
     # pure-real and pure-imaginary multipliers of a diagonal 2x2 neither of
     # whose entries is 1 (the pattern pass's input), else None
     diagonal: np.ndarray | None
 
 
-def _unitary_deviation(gate: np.ndarray) -> float:
-    """Largest modulus of an entry of g^H g - 1 for the square complex
-    ``gate``, each entry of g^H g summed elementwise down the rows, with no
-    BLAS product, so its bits do not depend on the host's BLAS kernels."""
-    gram = (gate.conj()[:, :, None] * gate[:, None, :]).sum(axis=0)
-    return np.abs(gram - np.eye(gate.shape[0])).max()
+def _unitary_deviation(gates: np.ndarray) -> np.ndarray:
+    """Largest modulus of an entry of g^H g - 1 for each square complex
+    gate g of the ``(..., d, d)`` stack ``gates``, each entry of g^H g
+    summed elementwise down the rows, with no BLAS product, so its bits do
+    not depend on the host's BLAS kernels."""
+    gram = (gates.conj()[..., :, :, None] * gates[..., :, None, :]).sum(axis=-3)
+    return np.abs(gram - np.eye(gates.shape[-1])).max(axis=(-2, -1))
+
+
+def _require_unitary(dev: np.ndarray) -> None:
+    """Raise unless each unitarity deviation in ``dev``, of one gate or of
+    each gate of a stack, is within UNITARY_TOL, naming the first that is
+    not."""
+    # written so that a NaN deviation fails too. One gate's numpy scalar
+    # compares to the np.True_ singleton, tested first: its .all() would
+    # add about 2 us to every gate call
+    ok = dev <= UNITARY_TOL
+    if ok is not np.True_ and not ok.all():
+        raise ValidationError(f"gate is not unitary (deviation {dev.flat[np.argmin(ok)]:.3e})")
+
+
+def _split(entries: np.ndarray) -> np.ndarray:
+    """Pure-real and pure-imaginary multipliers of the complex ``entries``,
+    stacked on a new first axis: ``_flat._product``'s factors."""
+    split = np.zeros((2,) + entries.shape, dtype=np.complex128)
+    split[0].real = entries.real
+    split[1].imag = entries.imag
+    return split
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
@@ -125,40 +157,31 @@ def _gate_plan(raw: bytes, dim: int) -> _Plan:
     with the same gate."""
     gate = np.frombuffer(raw, dtype=np.complex128).reshape(dim, dim)
     dev = _unitary_deviation(gate)
-    if np.count_nonzero(gate) != dim:
+    off = gate[~np.eye(dim, dtype=bool)]
+    # a gate that would both move a slab and scale it runs dense
+    if np.count_nonzero(gate) != dim or np.any((off != 0) & (off != 1)):
         return _Plan(dev, None, None)
     # column of each row's nonzero: a permutation in any gate that passes
     # the unitarity check, the only gates a kernel sees
     col = (np.flatnonzero(gate) % dim).tolist()
+    split = _split(gate.diagonal())
+    split.flags.writeable = False
     cycles, seen = [], set()
     for start in range(dim):
-        rows, factors, row = [], [], start
+        rows, row = [], start
         while row not in seen:
             seen.add(row)
-            d = complex(gate[row, col[row]])
             rows.append(row)
-            # numpy scalars, which a ufunc takes faster than Python ones
-            factors.append(None if d == 1 else (np.complex128(d.real),
-                                                np.complex128(complex(0.0, d.imag))))
             row = col[row]
-        # a start on an earlier cycle gives none; a diagonal 1 needs none
-        if rows and factors != [None]:
-            cycles.append((tuple(rows), tuple(factors)))
-    diagonal = None
-    if dim == 2 and gate[0, 1] == 0 and len(cycles) == 2:
-        diagonal = np.zeros((2, 2), dtype=np.complex128)
-        diagonal[0].real = gate.diagonal().real
-        diagonal[1].imag = gate.diagonal().imag
-        diagonal.flags.writeable = False
+        # a start on an earlier cycle gives none; a diagonal 1 needs none.
+        # Factors are numpy scalars, which a ufunc takes faster than Python ones
+        if len(rows) > 1:
+            cycles.append((tuple(rows), None))
+        elif rows and gate[start, start] != 1:
+            cycles.append(((start,), (split[0, start], split[1, start])))
+    # a diagonal 2x2 neither of whose entries is 1 has two one-slab cycles
+    diagonal = split if dim == 2 and len(cycles) == 2 else None
     return _Plan(dev, tuple(cycles), diagonal)
-
-
-def _diagonal_deviations(entries: np.ndarray) -> np.ndarray:
-    """Unitarity deviation of ``diag(entries[p])`` for each row ``p``: the
-    diagonal of g^H g - 1, whose entries are rounded as
-    ``_unitary_deviation`` rounds them, so each equals that gate's plan
-    ``dev`` bit for bit."""
-    return np.abs(entries.conj() * entries - 1.0).max(axis=1)
 
 
 class _Layout(NamedTuple):
@@ -252,17 +275,21 @@ def _apply(
 ) -> QuantumState:
     """Apply a unitary on the tensor factors ``axes`` (its row order).
 
-    A gate that leaves fewer than two other factors, or has more than one
-    nonzero entry in a row, goes to ``_flat._apply_dense``, which makes
+    A gate that leaves fewer than two other factors, has more than one
+    nonzero entry in a row, or has an off-diagonal entry other than 0 and 1
+    (one that would both move a slab and scale it, such as Y or a phased
+    3-cycle) goes to ``_flat._apply_dense``, which makes
     ``np.tensordot``'s BLAS call block by block. Any other gate (diagonal,
-    CNOT, X) goes to a structured kernel: ``_apply_monomial`` rotates the
-    slabs of its cycles on the flat amplitudes, leaving a slab whose entry
-    is a diagonal 1 untouched, so an ideal phase gate touches half the
-    state; a diagonal one-qubit gate neither of whose entries is 1
-    multiplies the whole state by a pattern of them instead
-    (``_apply_pattern``) where its axis leaves runs shorter than
-    SPLIT_BLOCK. Every kernel writes the caller's amplitudes only with
-    ``in_place`` (``_output``), and allocates at most three blocks besides.
+    CNOT, X, a 0/1 permutation with phases on its fixed points) goes to a
+    structured kernel: ``_apply_monomial`` scales the slab of each diagonal
+    entry other than 1 and moves the slabs of each longer cycle on the flat
+    amplitudes, never both, leaving a slab whose entry is a diagonal 1
+    untouched, so an ideal phase gate touches half the state; a diagonal
+    one-qubit gate neither of whose entries is 1 multiplies the whole state
+    by a pattern of them instead (``_apply_pattern``) where its axis leaves
+    runs shorter than SPLIT_BLOCK. Every kernel writes the caller's
+    amplitudes only with ``in_place`` (``_output``), and allocates at most
+    three blocks besides.
     All give the same bits: BLAS rounds each product once and adds exact
     zeros, as the split products of ``_flat._product`` do. The verdict and the kernels'
     inputs are worked out once per distinct gate (``_gate_plan``) and axis
@@ -278,9 +305,7 @@ def _apply(
         raise DimensionError(f"expected {dim}x{dim} gate, got shape {gate.shape}")
     # keyed on the gate's values, so a gate edited in place is judged anew
     plan = _gate_plan(gate.tobytes(), dim)
-    # written so that a NaN deviation fails too
-    if not plan.dev <= UNITARY_TOL:
-        raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
+    _require_unitary(plan.dev)
     layout = _layout(state.num_qubits, tuple(axes))
     dense = layout.slabs is None or plan.cycles is None
     out = _output(state.amplitudes, in_place, dense)
@@ -333,22 +358,17 @@ def apply_1q_diagonals(
         raise DimensionError(
             f"expected a (P, 2) array of diagonals for a stack of P rows, "
             f"got shape {entries.shape} for amplitudes of shape {amps.shape}")
-    dev = _diagonal_deviations(entries)
-    # written so that a NaN deviation fails too
-    ok = dev <= UNITARY_TOL
-    if not ok.all():
-        raise ValidationError(f"gate is not unitary (deviation {dev[np.argmin(ok)]:.3e})")
+    # each row judged as its diagonal gate, as _gate_plan judges it alone
+    gates = np.zeros((len(entries), 2, 2), dtype=np.complex128)
+    gates[:, (0, 1), (0, 1)] = entries
+    _require_unitary(_unitary_deviation(gates))
     layout = _layout(ndim, (axis,))
     out = _output(amps, in_place, layout.slabs is None)
     if layout.slabs is None:
         for row, out_row, d in zip(amps, out, entries):
             _flat._apply_dense(row, out_row, layout, np.diag(d))
     else:
-        # pure-real and pure-imaginary multipliers, as _gate_plan splits them
-        split = np.zeros((2,) + entries.shape, dtype=np.complex128)
-        split[0].real = entries.real
-        split[1].imag = entries.imag
-        out = _flat._apply_row_diagonals(out, layout, entries, split)
+        out = _flat._apply_row_diagonals(out, layout, entries, _split(entries))
     return _check_norm(QuantumState(out))
 
 

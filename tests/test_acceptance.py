@@ -64,7 +64,8 @@ def test_criterion_03_inverse_qft_oracle_equivalence():
             circuit[:, k] = qpe.inverse_qft(sv.QuantumState(basis), m).amplitudes
         rev = np.zeros((n, n))
         for j in range(n):
-            rev[j, qpe.bit_reverse(j, m)] = 1.0
+            # j's m bits, read backwards
+            rev[j, int(f"{j:0{m}b}"[::-1], 2)] = 1.0
         jk = np.outer(np.arange(n), np.arange(n))
         dft_dagger = np.exp(-2j * math.pi * jk / n) / math.sqrt(n)
         deviation = np.max(np.abs(rev @ circuit - dft_dagger))

@@ -55,6 +55,25 @@ class TestNewState:
         with pytest.raises(DimensionError, match="power of two"):
             sv.QuantumState(np.ones(shape, dtype=complex))
 
+    def test_real_amplitudes_are_taken_as_complex(self):
+        # the structured kernels view the amplitudes as 16-byte complex runs,
+        # so float64 input must give the complex state's bytes, not its own
+        real = np.full(8, 1 / math.sqrt(8))
+        gate = qpe._phase_gate(0.7, qpe.GateMode.IDEAL)
+        got = sv.apply_1q(sv.QuantumState(real), 3, gate).amplitudes
+        want = sv.apply_1q(sv.QuantumState(real.astype(complex)), 3, gate).amplitudes
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
+    def test_complex_amplitudes_are_not_copied(self):
+        amps = sv.new_state(3).amplitudes
+        assert sv.QuantumState(amps).amplitudes is amps
+
+    @pytest.mark.parametrize("shape", [(2, 2, 4), (1, 1, 1, 2)])
+    def test_more_than_two_dimensions_are_no_state(self, shape):
+        with pytest.raises(DimensionError, match=r"\(1 or 2 dimensions\), got"):
+            sv.QuantumState(np.ones(shape, dtype=complex))
+
     def test_three_amplitudes_are_no_register(self):
         amps = np.ones(3, dtype=complex) / math.sqrt(3)
         with pytest.raises(DimensionError, match="got 3"):
@@ -516,7 +535,8 @@ class TestStructuredKernel:
 def monomial_gates(rng):
     """4x4 gates with one nonzero per row and non-unit phases: a 3-cycle
     with a fixed point, two 4-cycles and a pair of 2-cycles, each once with
-    random phases and once with every other entry exactly 1."""
+    random phases and once with every other entry exactly 1. A phase on a
+    cycle of two or more slabs sends each of them to the dense kernel."""
     gates = {}
     for perm in ([1, 2, 0, 3], [0, 3, 1, 2], [1, 2, 3, 0], [2, 3, 1, 0], [1, 0, 3, 2]):
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
@@ -528,15 +548,21 @@ def monomial_gates(rng):
 
 
 def structured_gates(rng):
-    """One- and two-qubit gates with one nonzero per row, for the structured
-    kernels: moves only (X, CNOT), diagonals with one entry and with every
-    entry other than 1, and 4x4 monomials with a 3-cycle and with 4-cycles."""
+    """One- and two-qubit gates with one nonzero per row: moves only (X,
+    CNOT, 0/1 permutations with a 3-cycle and with a 4-cycle), which
+    ``_flat._move`` copies, and diagonals with one entry and with every
+    entry other than 1, which ``_flat._scale`` or the pattern pass
+    multiplies; and 4x4 monomials with phases on a 3-cycle and on 4-cycles,
+    which run dense, since a structured kernel scales a slab or moves slabs,
+    never both."""
     theta = rng.uniform(0, 2 * math.pi)
     one = {"flip": X, "ideal phase": np.diag([1, np.exp(1j * theta)]),
            "pulse phase": np.diag([-np.exp(-1j * theta), np.exp(1j * theta)])}
     monomials = monomial_gates(rng)
     two = {"cnot": CNOT, "controlled phase": np.diag([1, 1, 1, np.exp(1j * theta)]),
-           "random diagonal": np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, 4)))}
+           "random diagonal": np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, 4))),
+           "3-cycle": np.eye(4, dtype=complex)[[1, 2, 0, 3]],
+           "4-cycle": np.eye(4, dtype=complex)[[1, 2, 3, 0]]}
     for name in ("phased [1, 2, 0, 3]", "phased [1, 2, 3, 0]", "half ones [2, 3, 1, 0]"):
         two[name] = monomials[name]
     return one, two
@@ -746,15 +772,18 @@ def record_kernels(monkeypatch, scale=1.0):
 
 class TestKernelDispatch:
     """Each gate call runs the kernel that ``_apply``'s docstring names: the
-    dense kernel when fewer than two other factors are left or the gate has
-    more than one nonzero in a row; the pattern pass for a diagonal
+    dense kernel when fewer than two other factors are left, the gate has
+    more than one nonzero in a row, or an off-diagonal entry other than 1
+    would make a slab both move and scale; the pattern pass for a diagonal
     one-qubit gate neither of whose entries is 1, on an axis that leaves
     runs shorter than SPLIT_BLOCK; the slab kernel on flat runs otherwise."""
 
     @staticmethod
     def expected(factors, axes, gate):
         gate = np.asarray(gate)
-        if factors - len(axes) < 2 or np.any(np.count_nonzero(gate, axis=1) != 1):
+        off = gate[~np.eye(len(gate), dtype=bool)]
+        if (factors - len(axes) < 2 or np.any(np.count_nonzero(gate, axis=1) != 1)
+                or np.any((off != 0) & (off != 1))):
             return "_apply_dense"
         run = 2 ** (factors - 1 - max(axes))
         if (len(axes) == 1 and gate[0, 1] == 0 and np.all(gate.diagonal() != 1)
@@ -786,6 +815,23 @@ class TestKernelDispatch:
                     calls.clear()
                     sv.apply_qubit_cavity(state, axes[0] + 1, gate)
                     assert calls == [self.expected(factors, axes, gate)], (factors, axes)
+
+    @pytest.mark.parametrize("gate, kernel", [
+        (np.eye(4)[[1, 2, 0, 3]], "_apply_monomial"),
+        (np.eye(4)[[1, 2, 0, 3]] * np.exp(0.4j), "_apply_dense"),
+        (np.eye(4)[[1, 2, 0, 3]] * [[1], [1], [1], [1j]], "_apply_monomial"),
+        (np.eye(4)[[1, 2, 0, 3]] * [[1], [1], [1j], [1]], "_apply_dense"),
+        (np.array([[0, -1j], [1j, 0]]), "_apply_dense")])
+    def test_a_kernel_scales_or_moves(self, monkeypatch, gate, kernel):
+        # a 3-cycle of slabs is moved while each of its entries is 1, with a
+        # phase on its fixed point too, and runs dense once it carries one,
+        # as Y does
+        calls = record_kernels(monkeypatch)
+        state = random_state(6, np.random.default_rng(19))
+        axes = [4, 1] if len(gate) == 4 else [2]
+        got = sv._apply(state, axes, gate).amplitudes
+        assert calls == [kernel] == [self.expected(6, axes, gate)]
+        assert np.array_equal(got, tensordot_apply(state, axes, gate))
 
 
 class TestNormCheckFires:
@@ -973,7 +1019,7 @@ class TestRowDiagonals:
         gates = [np.diag(d) for d in diagonals.reshape(-1, 2)]
         if mode == qpe.GateMode.IDEAL:
             gates.append(qpe._phase_gate(math.nan, mode))
-        devs = sv._diagonal_deviations(np.array([g.diagonal() for g in gates]))
+        devs = sv._unitary_deviation(np.array(gates))
         plans = np.array([sv._gate_plan(g.tobytes(), 2).dev for g in gates])
         assert devs.tobytes() == plans.tobytes()
         failing = np.count_nonzero(~(plans <= sv.UNITARY_TOL))
