@@ -6,10 +6,10 @@ layout (``statevector._Layout``) views them, a stack's rows included, as
 ``(L, 2, R)`` for one axis or ``(L, 2, M, 2, R)`` for two, ``R`` being the
 run of contiguous amplitudes below the last gate axis, and indexes each
 slab in that view. A structured kernel either scales a slab by a
-diagonal entry, through the split products of ``_product``, which round
-like BLAS's ``zgemm``, or moves the slabs of a cycle by byte copies, never
-both; the dense kernel, which serves every other gate, calls ``zgemm``
-itself.
+diagonal entry, one for the slab or one per row of a stack, through the
+split products of ``_product``, which round like BLAS's ``zgemm``, or
+moves the slabs of a cycle by byte copies, never both; the dense kernel,
+which serves every other gate, calls ``zgemm`` itself.
 """
 from __future__ import annotations
 
@@ -46,8 +46,9 @@ def _pattern_index(run: int) -> np.ndarray:
 def _apply_monomial(amps: np.ndarray, layout, cycles: tuple) -> np.ndarray:
     """Gate with one nonzero per row, given as its ``cycles`` (see
     ``statevector._Plan``), on the C-contiguous ``amps``: a one-slab cycle
-    scales its slab (``_scale``), a longer one moves its slabs (``_move``),
-    block by block (``_blocks``). Returns ``amps``."""
+    scales its slab by its factor, or by a factor per row (``_scale``), a
+    longer one moves its slabs (``_move``), block by block (``_blocks``).
+    Returns ``amps``."""
     run = layout.shape[-1]
     if run >= SPLIT_BLOCK:
         grid = amps.reshape(layout.shape)
@@ -65,22 +66,35 @@ def _apply_monomial(amps: np.ndarray, layout, cycles: tuple) -> np.ndarray:
 def _scale(blocks: list, re, im, run: int) -> None:
     """One slab, given as its ``blocks``, times the split factor ``re`` +
     ``im`` (``_product``, whose split products round like BLAS's ``zgemm``
-    where numpy's complex ``src * d`` differs in the last bit): pieces of
-    runs of at least SPLIT_BLOCK amplitudes in place, arrays of shorter
-    runs as ``np.void`` items gathered into one buffer, multiplied there as
-    one contiguous array and scattered back."""
-    if run >= SPLIT_BLOCK:
-        for piece in blocks:
-            _product(piece, re, im, piece)
-        return
-    # the first block is the largest: only a slab's last may hold fewer runs
-    buf = np.empty(blocks[0].size * run, dtype=np.complex128)
+    where numpy's complex ``src * d`` differs in the last bit), or row
+    ``p`` of a stack's slab times ``re[p]`` + ``im[p]`` for 1-D factors:
+    pieces of runs of at least SPLIT_BLOCK amplitudes in place, arrays of
+    shorter runs as ``np.void`` items gathered into one buffer, multiplied
+    there as one contiguous array and scattered back."""
+    # items of a row's slab where each row has a factor, else 0. A block and
+    # a row's slab each hold a power of two of items, so a block lies within
+    # one row or holds whole rows (the last maybe fewer): its factors are
+    # its rows' column, beside its product viewed as one line per row
+    row = re.ndim and sum(block.size for block in blocks) // len(re)
+    if run < SPLIT_BLOCK:
+        # the first block is the largest: only a slab's last may hold fewer runs
+        buf = np.empty(blocks[0].size * run, dtype=np.complex128)
+    start = 0
     for block in blocks:
-        product = buf[:block.size * run]
-        gathered = product.view(block.dtype).reshape(block.shape)
-        gathered[...] = block
-        _product(product, re, im, product)
-        block[...] = gathered
+        product = block
+        if run < SPLIT_BLOCK:
+            product = buf[:block.size * run]
+            gathered = product.view(block.dtype).reshape(block.shape)
+            gathered[...] = block
+        if row:
+            r0, r1 = start // row, -(-(start + block.size) // row)
+            start += block.size
+            product = product.reshape(r1 - r0, -1)
+            _product(product, re[r0:r1, None], im[r0:r1, None], product)
+        else:
+            _product(product, re, im, product)
+        if run < SPLIT_BLOCK:
+            block[...] = gathered
 
 
 def _move(slabs: list) -> None:
@@ -143,47 +157,6 @@ def _apply_pattern(amps: np.ndarray, run: int, diagonal: np.ndarray) -> np.ndarr
             # a stack of short rows may end in a part block
             re, im = re[:block.size], im[:block.size]
         _product(block, re, im, block)
-    return amps
-
-
-def _apply_row_diagonals(
-    amps: np.ndarray, layout, entries: np.ndarray, split: np.ndarray
-) -> np.ndarray:
-    """``diag(entries[p])`` on row ``p`` of the stack ``amps``, each row
-    with the bytes ``statevector._apply`` gives it alone: the pattern pass where every
-    row would take it, else the slab products, which scale slab ``c`` of
-    row ``p`` by ``split[:, p, c]`` and leave it untouched where
-    ``entries[p, c] == 1`` (a row with no entry 1 gets the same bytes from
-    both). Returns ``amps``."""
-    run = layout.shape[-1]
-    if run < SPLIT_BLOCK and np.all(entries != 1):
-        return _apply_pattern(amps, run, split)
-    for c in range(2):
-        moved = entries[:, c] != 1
-        if not moved.any():
-            continue
-        # only the rows whose entry moves them, which is all of them but
-        # for phases whose kick is an exact 1
-        rows = amps if moved.all() else amps[moved]
-        re, im = split[:, moved, c]
-        if rows.shape[-1] > 2 * SPLIT_BLOCK:
-            # a row's slab fills blocks of its own, as its state's does
-            for row, factor in zip(rows, zip(re, im)):
-                _apply_monomial(row, layout, (((c,), factor),))
-        else:
-            # blocks of whole rows' slabs, gathered as in _scale
-            slab = rows.reshape(-1).view(layout.item).reshape(len(rows), -1, 2)[:, :, c]
-            step = 2 * SPLIT_BLOCK // rows.shape[-1]
-            buf = np.empty(min(step, len(rows)) * rows.shape[-1] // 2, dtype=np.complex128)
-            for i in range(0, len(rows), step):
-                block = slab[i:i + step]
-                work = buf.view(block.dtype)[:block.size].reshape(block.shape)
-                work[...] = block
-                part = buf[:block.size * run].reshape(len(block), -1)
-                _product(part, re[i:i + step, None], im[i:i + step, None], part)
-                block[...] = work
-        if rows is not amps:
-            amps[moved] = rows
     return amps
 
 

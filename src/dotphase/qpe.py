@@ -102,8 +102,8 @@ def _phase_diagonals(thetas, mode: GateMode, powers=(1,)) -> np.ndarray:
     ``np.square``, which rounds otherwise than the scalar power.
 
     Known defect: pulse-literal mode raises the rounded pulse entries to the
-    power, so for powers from about 2^14 the gate can drift past
-    UNITARY_TOL and the run stops with "gate is not unitary"."""
+    power, so for some phases the gate drifts past UNITARY_TOL from the
+    power 2^13 (m = 14) on and the run stops with "gate is not unitary"."""
     powers = np.asarray(powers)[:, None]
     if mode == GateMode.IDEAL:
         out = np.ones((len(powers), len(thetas), 2), dtype=np.complex128)

@@ -346,11 +346,12 @@ def apply_1q_diagonals(
 
     One call serves every row, where ``apply_1q`` would take one call and
     one ``_gate_plan`` entry per row, and each row gets the bits
-    ``apply_1q`` gives it with its own gate: the same split products on the
-    same slabs (``_flat._apply_row_diagonals``) and, below three factors,
-    the dense kernel row by row. Each row's unitarity deviation is the one
-    ``_gate_plan`` finds for its gate, and each row's norm is checked.
-    ``in_place`` as in ``apply_1q``."""
+    ``apply_1q`` gives it with its own gate, by ``_apply``'s rule: below
+    three factors the dense kernel row by row, the pattern pass where runs
+    are shorter than SPLIT_BLOCK and no entry is 1, else ``_apply_monomial``
+    with a factor per row on slab ``c`` of the rows whose entry ``c`` is
+    not 1. Each row's unitarity deviation is the one ``_gate_plan`` finds
+    for its gate; each row's norm is checked. ``in_place`` as in ``apply_1q``."""
     axis = _qubit_axis(state, qubit_index)
     amps, ndim = state.amplitudes, state.num_qubits
     entries = np.asarray(entries, dtype=np.complex128)
@@ -364,11 +365,22 @@ def apply_1q_diagonals(
     _require_unitary(_unitary_deviation(gates))
     layout = _layout(ndim, (axis,))
     out = _output(amps, in_place, layout.slabs is None)
+    run, split = layout.shape[-1], _split(entries)
     if layout.slabs is None:
         for row, out_row, d in zip(amps, out, entries):
             _flat._apply_dense(row, out_row, layout, np.diag(d))
+    elif run < SPLIT_BLOCK and np.all(entries != 1):
+        out = _flat._apply_pattern(out, run, split)
     else:
-        out = _flat._apply_row_diagonals(out, layout, entries, _split(entries))
+        for c in range(2):
+            moved = entries[:, c] != 1
+            if not moved.any():
+                continue
+            # only the rows it moves: all but those of phases whose kick is a 1
+            rows = out if moved.all() else out[moved]
+            _flat._apply_monomial(rows, layout, (((c,), split[:, moved, c]),))
+            if rows is not out:
+                out[moved] = rows
     return _check_norm(QuantumState(out))
 
 

@@ -60,12 +60,19 @@ class TestPhaseKicks:
         kicked = qpe.apply_phase_kicks(qpe.prepare_register(m), phi, m)
         assert np.max(np.abs(kicked.amplitudes - eq5_state(m, phi))) < 1e-12
 
-    @pytest.mark.parametrize("mode", list(GateMode))
-    @pytest.mark.parametrize("m", range(1, 13))
+    @pytest.mark.parametrize("m, mode", [
+        # the kick defect (see qpe._phase_diagonals): the pulse-literal kick
+        # of the seeded phase 1.0067455141626498 at m = 14 has deviation
+        # 1.137e-12, so the run stops with "gate is not unitary"
+        pytest.param(m, mode, marks=pytest.mark.xfail(raises=ValidationError, strict=True))
+        if (m, mode) == (14, GateMode.PULSE_LITERAL) else (m, mode)
+        for m in range(1, 15) for mode in GateMode])
     def test_stack_matches_single_phases(self, m, mode):
         # one call per molecule over the stack: the dense rows at m <= 2,
         # then the slab products, or the pattern pass for pulse-literal
-        # kicks on runs shorter than SPLIT_BLOCK
+        # kicks on runs shorter than SPLIT_BLOCK. At m = 13 a block of a
+        # slab is one row's whole slab, and qubit 1's runs reach SPLIT_BLOCK;
+        # at m = 14 blocks lie inside rows
         rng = np.random.default_rng(70 + m)
         phis = [float(p) for p in TWO_PI - rng.uniform(0.0, TWO_PI, 12)]
         prepared = qpe.prepare_register(m, mode)

@@ -1043,43 +1043,52 @@ class TestRowDiagonals:
     @pytest.mark.parametrize("factors", [1, 2, 3, 6, 11, 13, 14])
     def test_rows_match_apply_1q(self, monkeypatch, factors):
         kernels = []
-        for name in ("_apply_pattern", "_apply_row_diagonals", "_apply_dense"):
+        for name in ("_apply_pattern", "_apply_monomial", "_apply_dense"):
             def recorded(*args, _kernel=getattr(_flat, name), _name=name):
                 kernels.append(_name)
                 return _kernel(*args)
             monkeypatch.setattr(_flat, name, recorded)
         rng = np.random.default_rng(540 + factors)
-        stack = stack_of(factors, rng)
-        # exact zeros of both signs, whose signs only a kernel that leaves a
-        # slab untouched keeps
-        stack.amplitudes.imag[:, ::4] = 0.0
-        stack.amplitudes.imag[:, 1::4] = -0.0
-        stack.amplitudes /= np.sqrt(sv._squared_norms(stack.amplitudes))[:, None]
-        with_ones = np.exp(1j * rng.uniform(0, 2 * math.pi, (5, 2)))
-        # exact 1s, which a single state's slab kernel leaves untouched: in
-        # one row, in one entry of every row, and in all of a row
-        with_ones[1, 1] = with_ones[:, 0] = 1
-        with_ones[3] = 1
-        # no 1 in any row: each row takes the pattern pass where its axis
-        # leaves runs shorter than SPLIT_BLOCK
-        without_ones = np.exp(1j * rng.uniform(0, 2 * math.pi, (5, 2)))
-        for entries, axis, in_place in itertools.product(
-                (with_ones, without_ones), range(factors), (False, True)):
-            kernels.clear()
-            amps = stack.amplitudes.copy()
-            got = sv.apply_1q_diagonals(sv.QuantumState(amps),
-                                        axis + 1, entries, in_place=in_place)
-            assert np.shares_memory(got.amplitudes, amps) == in_place
-            for row, before, d in zip(got.amplitudes, stack.amplitudes, entries):
-                alone = sv.apply_1q(sv.QuantumState(before),
-                                    axis + 1, np.diag(d))
-                assert row.tobytes() == alone.amplitudes.tobytes(), (axis, d)
-            expected = [TestKernelDispatch.expected(factors, [axis], np.diag(d))
-                        for d in entries]
-            assert kernels[0] == ("_apply_dense" if expected[0] == "_apply_dense"
-                                  else "_apply_row_diagonals")
-            assert ("_apply_pattern" in kernels) == (
-                set(expected) == {"_apply_pattern"})
+        # stacks of 1, 5 and 12 rows: at 11 factors the 10 of 12 rows that
+        # ``with_ones`` moves take blocks of 4, 4 and 2 rows; at 13 factors
+        # a block is one row's whole slab, and at 14 blocks lie inside rows
+        for count in (1, 5, 12):
+            stack = stack_of(factors, rng, count)
+            # exact zeros of both signs, whose signs only a kernel that
+            # leaves a slab untouched keeps
+            stack.amplitudes.imag[:, ::4] = 0.0
+            stack.amplitudes.imag[:, 1::4] = -0.0
+            stack.amplitudes /= np.sqrt(sv._squared_norms(stack.amplitudes))[:, None]
+            with_ones = np.exp(1j * rng.uniform(0, 2 * math.pi, (count, 2)))
+            # exact 1s, which a single state's slab kernel leaves untouched:
+            # in one entry of every row, and in all of rows 1 and 3
+            with_ones[:, 0] = 1
+            with_ones[1:4:2] = 1
+            # no 1 in any row: each row takes the pattern pass where its
+            # axis leaves runs shorter than SPLIT_BLOCK
+            without_ones = np.exp(1j * rng.uniform(0, 2 * math.pi, (count, 2)))
+            for entries, axis, in_place in itertools.product(
+                    (with_ones, without_ones), range(factors), (False, True)):
+                kernels.clear()
+                amps = stack.amplitudes.copy()
+                got = sv.apply_1q_diagonals(sv.QuantumState(amps),
+                                            axis + 1, entries, in_place=in_place)
+                stacked = kernels[:]
+                assert np.shares_memory(got.amplitudes, amps) == in_place
+                for row, before, d in zip(got.amplitudes, stack.amplitudes, entries):
+                    alone = sv.apply_1q(sv.QuantumState(before),
+                                        axis + 1, np.diag(d))
+                    assert row.tobytes() == alone.amplitudes.tobytes(), (count, axis, d)
+                expected = [TestKernelDispatch.expected(factors, [axis], np.diag(d))
+                            for d in entries]
+                if expected[0] == "_apply_dense":
+                    assert stacked == ["_apply_dense"] * count
+                else:
+                    # the pattern pass where every row alone takes it, else
+                    # the slab kernel
+                    pattern = set(expected) == {"_apply_pattern"}
+                    assert set(stacked) == {"_apply_pattern" if pattern
+                                            else "_apply_monomial"}, (count, axis)
 
     def test_shape_is_checked(self):
         stack = stack_of(4, np.random.default_rng(531))
