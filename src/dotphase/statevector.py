@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _flat, _pcg
-from ._flat import SPLIT_BLOCK
+from ._flat import PLAN_CACHE, SPLIT_BLOCK
 from .errors import (
     CapacityError,
     DimensionError,
@@ -32,18 +32,6 @@ GENERATOR_ID = "numpy-pcg64"
 # default_rng(seed).random() (about 18 us) per seed; the array pass costs
 # about 0.2 ms even for one seed, so it wins from about 11-16 seeds on.
 SAMPLE_BATCH_MIN = 16
-# Entries of each memo, _gate_plan (per distinct gate) and _layout (per
-# state shape and axis set). An ideal sweep over m = 8-10 with 12 phases
-# makes 626 gate calls, each on one stack of all 12 phases: 599 through
-# _apply with 20 distinct gates, and 27 kicks (one per molecule, through
-# apply_1q_diagonals), which judge their diagonals row by row and plan
-# none; they use 136 layouts. m = 5-10 makes 910 calls with 200 layouts,
-# and the same 20 gates. Estimates at m = 15-17 use 409 layouts, so that
-# memo refills, but the 393 layouts a 24-call round of them rebuilds take
-# about 10 ms (26 us each) against about 3 s for the round. The bound keeps
-# a run that makes many distinct gates (random phases, pulse fits) from
-# growing the process.
-PLAN_CACHE = 256
 
 
 @dataclass
@@ -185,11 +173,12 @@ def _gate_plan(raw: bytes, dim: int) -> _Plan:
 
 
 class _Layout(NamedTuple):
-    """What every call on one axis set of one state shape needs."""
+    """What every call on one axis set of one qubit count needs."""
 
-    # the flat amplitudes, a stack's rows included, as (L, 2, R) for one
-    # axis or (L, 2, M, 2, R) for two, L given as -1 and M left out where it
-    # is 1: R is the run of contiguous amplitudes below the last gate axis
+    # the flat amplitudes as (P, L, 2, R) for one axis or (P, L, 2, M, 2, R)
+    # for two, M left out where it is 1: P is a stack's rows, given as -1
+    # (1 for a single state), L the factors above the first gate axis, and
+    # R the run of contiguous amplitudes below the last
     shape: tuple
     # one run of R amplitudes as a single item, whose copies move bytes
     item: np.dtype
@@ -198,8 +187,9 @@ class _Layout(NamedTuple):
     # other factors are left
     slabs: tuple | None
     # the view's axes as the dense kernel transposes it, gate axes first in
-    # the order of ``axes``, and the columns of each of its blocks:
-    # SPLIT_BLOCK / 2^k, or a row's all where slabs is None
+    # the order of ``axes``, then P, and the columns of each of the blocks
+    # ``_flat._column_blocks`` cuts: SPLIT_BLOCK / 2^k, or where slabs is
+    # None a row's all, so that each block is one row
     order: tuple
     cols: int
 
@@ -212,13 +202,14 @@ def _layout(ndim: int, axes: tuple) -> _Layout:
     k = len(axes)
     ends = sorted(axes)
     run = 2 ** (ndim - 1 - ends[-1])
+    lead = 2 ** ends[0]
     # the view's axis of each gate axis, in the order of ``axes``
     if k == 1:
-        shape, places = (-1, 2, run), (1,)
+        shape, places = (-1, lead, 2, run), (2,)
     elif ends[1] == ends[0] + 1:
-        shape, places = (-1, 2, 2, run), (1, 2)
+        shape, places = (-1, lead, 2, 2, run), (2, 3)
     else:
-        shape, places = (-1, 2, 2 ** (ends[1] - ends[0] - 1), 2, run), (1, 3)
+        shape, places = (-1, lead, 2, 2 ** (ends[1] - ends[0] - 1), 2, run), (2, 4)
     places = [places[ends.index(axis)] for axis in axes]
     order = (*places, *(a for a in range(len(shape)) if a not in places))
     slabs, cols = None, 2 ** (ndim - k)
@@ -253,13 +244,20 @@ def _check_norm(state: QuantumState) -> QuantumState:
         if not abs(norm - 1.0) <= NORM_TOL:
             raise NumericalInvariantError(f"state norm drifted to {norm:.15f}")
         return state
-    norms = np.sqrt(squares)
-    ok = np.abs(norms - 1.0) <= NORM_TOL
+    _require_ones(np.sqrt(squares), "state norm drifted to")
+    return state
+
+
+def _require_ones(values: np.ndarray, what: str) -> None:
+    """Raise unless each of ``values``, one per row of a stack or one
+    scalar for a single state, is within NORM_TOL of 1, naming the first
+    that is not, as ``what``, and its row of a stack."""
+    # written so that a NaN fails too
+    ok = np.abs(values - 1.0) <= NORM_TOL
     if not ok.all():
         row = int(np.argmin(ok))
-        raise NumericalInvariantError(
-            f"state norm drifted to {norms[row]:.15f} in row {row} of the stack")
-    return state
+        where = f" in row {row} of the stack" if values.ndim else ""
+        raise NumericalInvariantError(f"{what} {values.flat[row]:.15f}{where}")
 
 
 def _qubit_axis(state: QuantumState, qubit_index: int) -> int:
@@ -347,11 +345,12 @@ def apply_1q_diagonals(
     One call serves every row, where ``apply_1q`` would take one call and
     one ``_gate_plan`` entry per row, and each row gets the bits
     ``apply_1q`` gives it with its own gate, by ``_apply``'s rule: below
-    three factors the dense kernel row by row, the pattern pass where runs
-    are shorter than SPLIT_BLOCK and no entry is 1, else ``_apply_monomial``
-    with a factor per row on slab ``c`` of the rows whose entry ``c`` is
-    not 1. Each row's unitarity deviation is the one ``_gate_plan`` finds
-    for its gate; each row's norm is checked. ``in_place`` as in ``apply_1q``."""
+    three factors one dense call with a gate per row, the pattern pass
+    where runs are shorter than SPLIT_BLOCK and no entry is 1, else
+    ``_apply_monomial`` with a factor per row on slab ``c`` of the rows
+    whose entry ``c`` is not 1. Each row's unitarity deviation is the one
+    ``_gate_plan`` finds for its gate; each row's norm is checked.
+    ``in_place`` as in ``apply_1q``."""
     axis = _qubit_axis(state, qubit_index)
     amps, ndim = state.amplitudes, state.num_qubits
     entries = np.asarray(entries, dtype=np.complex128)
@@ -359,7 +358,8 @@ def apply_1q_diagonals(
         raise DimensionError(
             f"expected a (P, 2) array of diagonals for a stack of P rows, "
             f"got shape {entries.shape} for amplitudes of shape {amps.shape}")
-    # each row judged as its diagonal gate, as _gate_plan judges it alone
+    # each row's diagonal gate, judged as _gate_plan judges it alone; the
+    # dense kernel's gate stack
     gates = np.zeros((len(entries), 2, 2), dtype=np.complex128)
     gates[:, (0, 1), (0, 1)] = entries
     _require_unitary(_unitary_deviation(gates))
@@ -367,8 +367,7 @@ def apply_1q_diagonals(
     out = _output(amps, in_place, layout.slabs is None)
     run, split = layout.shape[-1], _split(entries)
     if layout.slabs is None:
-        for row, out_row, d in zip(amps, out, entries):
-            _flat._apply_dense(row, out_row, layout, np.diag(d))
+        out = _flat._apply_dense(amps, out, layout, gates)
     elif run < SPLIT_BLOCK and np.all(entries != 1):
         out = _flat._apply_pattern(out, run, split)
     else:
@@ -419,9 +418,7 @@ def probabilities(state: QuantumState) -> np.ndarray:
     """Born-rule probability for every basis state; of a stack, one row per
     state, each summing to one."""
     probs = np.abs(state.amplitudes) ** 2
-    for total in np.atleast_1d(probs.sum(axis=-1)):
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise NumericalInvariantError(f"probabilities sum to {total:.15f}")
+    _require_ones(probs.sum(axis=-1), "probabilities sum to")
     return probs
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotphase import _flat, _pcg, cli, qpe
 from dotphase import statevector as sv
@@ -198,6 +200,32 @@ class TestProbabilities:
     def test_born_rule(self):
         state = sv.QuantumState(np.array([-1, 1], dtype=complex) / math.sqrt(2))
         assert np.allclose(sv.probabilities(state), [0.5, 0.5])
+
+    def test_unnormalised_state_raises(self):
+        state = sv.QuantumState(np.array([1, 1], dtype=complex))
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^probabilities sum to 2\.000000000000000$"):
+            sv.probabilities(state)
+
+    def test_stack_names_its_bad_row(self):
+        stack = stack_of(5, np.random.default_rng(523), count=4)
+        stack.amplitudes[2] *= math.sqrt(1 + 1e-8)
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^probabilities sum to 1\.0000000\d+ in row 2 of the stack$"):
+            sv.probabilities(stack)
+
+    @pytest.mark.parametrize("args", [
+        ["estimate", "--m", "8", "--phase", "0.3", "--shots", "0"],
+        ["sweep", "--m-values", "6", "--n", "3", "--random-phases", "5", "--seed", "4"]])
+    def test_drift_past_the_norm_check_exits_2(self, monkeypatch, capsys, args):
+        # with the norm check after each gate off, a kernel that drifts
+        # leaves this check, on a single state or on a stack, to stop the run
+        monkeypatch.setattr(sv, "_check_norm", lambda state: state)
+        record_kernels(monkeypatch, scale=1 + 1e-9)
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "probabilities sum to" in captured.err
 
 
 class TestSample:
@@ -568,6 +596,34 @@ def structured_gates(rng):
     return one, two
 
 
+class TestColumnBlocks:
+    """``_flat._column_blocks`` cuts every kernel's blocks: they tile the
+    array once in C order, hold at most ``cols`` elements each, and each
+    lies within one row (an int first index) or holds whole rows (a slice
+    of axis 0), so a kernel reads a block's row or rows off that index."""
+
+    @given(rows=st.integers(1, 20), axes=st.lists(st.integers(0, 3), max_size=3),
+           cols=st.integers(0, 12).map(lambda e: 2 ** e))
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_blocks_tile_the_array(self, rows, axes, cols):
+        shape = (rows, *(2 ** e for e in axes))
+        array = np.arange(math.prod(shape)).reshape(shape)
+        blocks = _flat._column_blocks(shape, cols)
+        parts = [array[index] for index in blocks]
+        assert np.array_equal(np.concatenate([part.ravel() for part in parts]),
+                              np.arange(array.size))
+        for index, part in zip(blocks, parts):
+            assert part.size <= cols, index
+            assert (type(index[0]) is int
+                    or (type(index[0]) is slice and len(index) == 1)), index
+
+    def test_memo_stays_bounded(self):
+        for rows in range(1, 2 * sv.PLAN_CACHE):
+            _flat._column_blocks((rows, 8), 16)
+        info = _flat._column_blocks.cache_info()
+        assert info.currsize <= info.maxsize == sv.PLAN_CACHE
+
+
 class TestInPlace:
     """With ``in_place`` every kernel overwrites the state it is given, and
     must still equal the contraction bit for bit; the default leaves the
@@ -929,6 +985,19 @@ class TestStack:
         assert seen == ({"_apply_dense"} if factors <= 2 else
                         {"_apply_dense", "_apply_pattern", "_apply_monomial"})
 
+    def test_empty_stack(self):
+        # a stack of no rows has no blocks, and every kernel returns it as it is
+        for factors in (1, 3, 13):
+            stack = sv.QuantumState(np.empty((0, 2 ** factors), dtype=complex))
+            states = [sv.apply_1q(stack, 1, H), sv.apply_1q(stack, 1, np.diag([-1, 1j])),
+                      sv.apply_1q(stack, factors, X),
+                      sv.apply_1q_diagonals(stack, 1, np.ones((0, 2)))]
+            if factors > 1:
+                states.append(sv.apply_2q(stack, 1, factors, CNOT))
+            for state in states:
+                assert state.amplitudes.shape == (0, 2 ** factors)
+            assert sv.probabilities(stack).shape == (0, 2 ** factors)
+
     def test_in_place_overwrites_the_stack(self):
         stack = stack_of(6, np.random.default_rng(520))
         before = stack.amplitudes.copy()
@@ -1082,7 +1151,8 @@ class TestRowDiagonals:
                 expected = [TestKernelDispatch.expected(factors, [axis], np.diag(d))
                             for d in entries]
                 if expected[0] == "_apply_dense":
-                    assert stacked == ["_apply_dense"] * count
+                    # one call, with a gate per row
+                    assert stacked == ["_apply_dense"]
                 else:
                     # the pattern pass where every row alone takes it, else
                     # the slab kernel
