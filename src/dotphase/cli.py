@@ -32,10 +32,15 @@ OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
 # Shots per experiment: every shot is a seed, a draw and two entries of the
 # JSON report (about 50 bytes), so a million shots already make ~50 MB.
 MAX_SHOTS = 1_000_000
-# Random sweep phases: each one is a row of a stack that
-# qpe.exact_distributions kicks (one call per molecule) and transforms per
-# m value, and a row of the report.
+# Random sweep phases: each one is a row of the stacks whose distributions
+# qpe.tree_distributions grows level by level per m value, and a row of the
+# report.
 MAX_RANDOM_PHASES = 10_000
+# Raised on each deliberate change to the bits of ``results``, so that a
+# reader can tell a report made before it from one made after; outside
+# ``results``, so replay stays byte-identical. 2: sweep masses come from the
+# measure-as-you-go tree (qpe.tree_distributions).
+RESULTS_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -527,7 +532,7 @@ def run(argv=None, stdout=None) -> int:
         "config": cfg,
         "results": results,
         "warnings": warnings,
-        "versions": {"artifact": __version__},
+        "versions": {"artifact": __version__, "results": RESULTS_VERSION},
         "timing": {"wall_seconds": elapsed},
     }
     # the last gate before output: a non-finite number is an internal fault,

@@ -22,6 +22,7 @@ from .errors import (
     BoundUndefinedError,
     CapacityError,
     DomainError,
+    NumericalInvariantError,
     ValidationError,
 )
 # benchmarks/spans.py patches all three names here, so all stay imported
@@ -37,10 +38,15 @@ MAX_REGISTER = 20
 # visible to a tracer that wraps shot_seed, as benchmarks/spans.py does;
 # larger runs take the array pass in shot_seeds.
 SHOT_SEED_LOOP_MAX = 64
-# Amplitudes of one exact_distributions stack in empirical_successes: the
-# registers of up to BATCH_AMPLITUDES >> m phases (1 MiB of state), so every
-# gate serves them all at once; from m = 16 on each phase runs alone.
+# Readout chances of one tree_distributions call in empirical_successes: the
+# distributions of up to BATCH_AMPLITUDES >> m phases (0.5 MiB of floats), so
+# every level serves them all at once; from m = 16 on each phase runs alone.
 BATCH_AMPLITUDES = 2 ** 16
+# Floats of each array a level of tree_distributions works on at a time
+# (128 KiB): the branches of a larger level are streamed through blocks of
+# this size, so that beside the distribution and the branch factors only a
+# few blocks are alive.
+TREE_BLOCK = 2 ** 14
 
 IDEAL_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 CNOT = np.array(
@@ -103,14 +109,16 @@ def _phase_diagonals(thetas, mode: GateMode, powers=(1,)) -> np.ndarray:
 
     Known defect: pulse-literal mode raises the rounded pulse entries to the
     power, so for some phases the gate drifts past UNITARY_TOL from the
-    power 2^13 (m = 14) on and the run stops with "gate is not unitary"."""
+    power 2^13 (m = 14) on and the run stops with "gate is not unitary":
+    an estimate at its kick on the statevector, a sweep where
+    ``tree_distributions`` judges the same kicks."""
     powers = np.asarray(powers)[:, None]
     if mode == GateMode.IDEAL:
         out = np.ones((len(powers), len(thetas), 2), dtype=np.complex128)
         out[..., 1] = np.exp(1j * powers * np.asarray(thetas, dtype=float))
         return out
     base = np.array([single_pulse_unitary(phase_gate_pulse_params(t)).diagonal()
-                     for t in thetas])
+                     for t in thetas]).reshape(-1, 2)
     return np.power(base, powers[..., None])
 
 
@@ -256,8 +264,9 @@ def exact_distributions(
     phases are kicked as one stack of it, one call per molecule, and go
     through one inverse QFT, whose gates act on every row alike, so each
     row has the bits that phase's run alone would give. The stack holds
-    ``len(phis) * 2^m`` amplitudes: callers bound it (empirical_successes
-    passes at most ``batch_size(m)`` phases a call)."""
+    ``len(phis) * 2^m`` amplitudes: callers bound it. ``tree_distributions``
+    gives the same distributions to within rounding in O(2^m) work, and
+    ``sweep`` takes its own from it."""
     check_register(m)
     if len(phis) == 0:
         return np.empty((0, 2 ** m))
@@ -269,9 +278,136 @@ def exact_distributions(
 
 
 def batch_size(m: int) -> int:
-    """Phases that empirical_successes stacks in one exact_distributions call
-    at register size ``m``."""
+    """Phases that empirical_successes hands one tree_distributions call at
+    register size ``m``."""
     return max(1, BATCH_AMPLITUDES >> m)
+
+
+def tree_distributions(
+    m: int, phis, gate_mode: GateMode = GateMode.IDEAL
+) -> np.ndarray:
+    """Readout distribution of the protocol for each phase of ``phis``, one
+    row per phase, indexed like ``exact_distributions``, in O(2^m) work per
+    phase: the measure-as-you-go tree of Griffiths & Niu (PRL 76, 3228,
+    1996).
+
+    Molecule r is read right after its inverse-QFT Hadamard, since every
+    later gate on it is diagonal in its basis. Before that Hadamard, on each
+    string of earlier bits (a branch), its |0> and |1> amplitudes are its
+    kick entry times the Hadamard column, times the branch factors: per
+    earlier molecule s, the diagonal of P(-theta) X^b P(theta) X^b chosen by
+    s's bit b, theta = pi / 2^{r-s+1} (the phase gate s puts on itself
+    changes no chance). The Hadamard row then gives the chances p0 and p1
+    of r's bit (``_branch_probabilities``), and the distribution grows by
+    r's bit as its new most significant bit. The branch factors do not
+    depend on the phase, and level r + 1's are level r's with a new least
+    significant bit, molecule 1's, whose diagonal has the next smaller
+    angle: each level makes them with one outer product.
+
+    Every entry comes from the statevector path's own sources, and every
+    gate is judged as that path judges it, in its order: the Hadamard, the
+    kicks molecule by molecule, then the phase gates. Each complex product
+    is written out as float products and sums on separate real and
+    imaginary arrays, with no BLAS and no complex or transcendental ufunc
+    on arrays, so the bits do not depend on the host's SIMD level or BLAS
+    kernels. Each branch's p0 + p1 (``_check_branches``) and each row's sum
+    must be within NORM_TOL of 1. A level's branches are streamed through
+    blocks of TREE_BLOCK floats. Callers bound ``len(phis) * 2^m``
+    (empirical_successes passes at most ``batch_size(m)`` phases a call)."""
+    check_register(m)
+    if len(phis) == 0:
+        return np.empty((0, 2 ** m))
+    h = _hadamard_gate(gate_mode)
+    kicks = _phase_diagonals(phis, gate_mode, _kick_powers(m))
+    # P(theta) and P(-theta) of level r = 2..m, theta = pi / 2^r
+    thetas = [math.pi / 2 ** r for r in range(2, m + 1)]
+    plus, minus = (_phase_diagonals(thetas, gate_mode)[0],
+                   _phase_diagonals([-t for t in thetas], gate_mode)[0])
+    sv._require_unitary(sv._unitary_deviation(np.concatenate(
+        [h[None], sv._diagonal_gates(kicks).reshape(-1, 2, 2),
+         sv._diagonal_gates(plus), sv._diagonal_gates(minus)])))
+    # the new bit's factor of each level r = 2..m, by bit b and component:
+    # (q0 p0, q1 p1) for b = 0 and (q0 p1, q1 p0) for b = 1, with p = P(theta)
+    # and q = P(-theta)
+    dr, di = np.empty((m - 1, 2, 2)), np.empty((m - 1, 2, 2))
+    for b, swap in enumerate(([0, 1], [1, 0])):
+        dr[:, b], di[:, b] = _mul(minus.real, minus.imag,
+                                  plus.real[:, swap], plus.imag[:, swap])
+    # molecule r's amplitude of |comp> before its branch factors, its kick
+    # entry times h[comp, 0], times h[c, comp] of Hadamard row c: (m, P, c, comp)
+    cr, ci = _mul(kicks.real, kicks.imag, h.real[:, 0], h.imag[:, 0])
+    kr, ki = _mul(cr[:, :, None], ci[:, :, None], h.real, h.imag)
+    # level r's branch factors over the bits of molecules 1..r-1, molecule 1's
+    # the least significant, by component: (2, 2^{r-1})
+    fr, fi = np.ones((2, 1)), np.zeros((2, 1))
+    dist = np.ones((len(phis), 1))
+    for r in range(1, m + 1):
+        if r > 1:
+            # molecules 2..r-1 take the factors molecules 1..r-2 had a level
+            # before, and molecule 1, the new least significant bit, one at
+            # this level's angle. Written one bit at a time, so that each
+            # product runs along the branches, not along the two bits
+            factors = np.empty((2,) + fr.shape + (2,))
+            for b in (0, 1):
+                br, bi = dr[r - 2, b, :, None], di[r - 2, b, :, None]
+                factors[0, ..., b] = fr * br - fi * bi
+                factors[1, ..., b] = fr * bi + fi * br
+            fr, fi = factors.reshape(2, 2, -1)
+        grown = np.empty((len(phis), 2, fr.shape[1]))
+        # r's bit is the distribution's new most significant bit
+        step = max(1, TREE_BLOCK // (2 * len(phis)))
+        for start in range(0, fr.shape[1], step):
+            cut = slice(start, start + step)
+            probs = _branch_probabilities(kr[r - 1], ki[r - 1], fr[:, cut], fi[:, cut])
+            _check_branches(probs, r)
+            np.multiply(probs, dist[:, None, cut], out=grown[:, :, cut])
+        dist = grown.reshape(len(phis), -1)
+    sv._require_ones(dist.sum(axis=-1), "probabilities sum to")
+    return dist
+
+
+def _mul(ar, ai, br, bi):
+    """Real and imaginary parts of (ar + i ai)(br + i bi) for broadcast
+    float arrays, written out as float products and sums, which round alike
+    on every host."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _branch_probabilities(kr, ki, fr, fi) -> np.ndarray:
+    """Chances ``(P, c, B)`` of bit c of one level's molecule on each of its
+    B branches, for constants ``kr + i ki`` of shape ``(P, c, comp)`` and
+    branch factors ``fr + i fi`` of shape ``(comp, B)``: branch j of
+    Hadamard row c has amplitude sum over comp of k[c, comp] * f[comp, j],
+    summed in place: two arrays of ``P * 2 * B`` floats and one product at
+    a time."""
+    k0r, k0i, k1r, k1i = (part[:, :, comp, None] for comp in (0, 1)
+                          for part in (kr, ki))
+    re = k0r * fr[0]
+    re -= k0i * fi[0]
+    re += k1r * fr[1]
+    re -= k1i * fi[1]
+    im = k0r * fi[0]
+    im += k0i * fr[0]
+    im += k1r * fi[1]
+    im += k1i * fr[1]
+    re *= re
+    im *= im
+    re += im
+    return re
+
+
+def _check_branches(probs: np.ndarray, r: int) -> None:
+    """Raise unless each branch's p0 + p1 of level ``r``'s ``(P, 2, B)``
+    chances ``probs`` is within NORM_TOL of 1, naming the first that is not
+    and its row."""
+    sums = probs[:, 0] + probs[:, 1]
+    # written so that a NaN fails too
+    ok = np.abs(sums - 1.0) <= sv.NORM_TOL
+    if not ok.all():
+        row, branch = divmod(int(np.argmin(ok)), ok.shape[1])
+        raise NumericalInvariantError(
+            f"branch chances of molecule {r} sum to {sums[row, branch]:.15f} "
+            f"in row {row} of the stack")
 
 
 def _readout(state: sv.QuantumState, m: int) -> np.ndarray:
@@ -317,7 +453,7 @@ def empirical_success(
 def empirical_successes(m: int, n: int, phis,
                         gate_mode: GateMode = GateMode.IDEAL) -> list[float]:
     """``empirical_success`` of each phase of ``phis``: the one batching of
-    phases, as exact_distributions stacks of at most ``batch_size(m)``
+    phases, as tree_distributions calls of at most ``batch_size(m)``
     phases, so memory stays bounded however many phases there are."""
     _check_accuracy(n)
     if m < n:
@@ -327,7 +463,7 @@ def empirical_successes(m: int, n: int, phis,
     for start in range(0, len(phis), per):
         batch = phis[start:start + per]
         masses += [window_mass(probs, n, phi) for phi, probs
-                   in zip(batch, exact_distributions(m, batch, gate_mode))]
+                   in zip(batch, tree_distributions(m, batch, gate_mode))]
     return masses
 
 

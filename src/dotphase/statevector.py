@@ -117,6 +117,14 @@ def _unitary_deviation(gates: np.ndarray) -> np.ndarray:
     return np.abs(gram - np.eye(gates.shape[-1])).max(axis=(-2, -1))
 
 
+def _diagonal_gates(entries: np.ndarray) -> np.ndarray:
+    """The ``(..., 2, 2)`` diagonal gates of the ``(..., 2)`` diagonals
+    ``entries``."""
+    gates = np.zeros(entries.shape + (2,), dtype=np.complex128)
+    gates[..., (0, 1), (0, 1)] = entries
+    return gates
+
+
 def _require_unitary(dev: np.ndarray) -> None:
     """Raise unless each unitarity deviation in ``dev``, of one gate or of
     each gate of a stack, is within UNITARY_TOL, naming the first that is
@@ -360,8 +368,7 @@ def apply_1q_diagonals(
             f"got shape {entries.shape} for amplitudes of shape {amps.shape}")
     # each row's diagonal gate, judged as _gate_plan judges it alone; the
     # dense kernel's gate stack
-    gates = np.zeros((len(entries), 2, 2), dtype=np.complex128)
-    gates[:, (0, 1), (0, 1)] = entries
+    gates = _diagonal_gates(entries)
     _require_unitary(_unitary_deviation(gates))
     layout = _layout(ndim, (axis,))
     out = _output(amps, in_place, layout.slabs is None)

@@ -360,7 +360,8 @@ class TestExitCodes:
 
 # sha256 of json.dumps(results, sort_keys=True) for fixed configs: replay
 # of an unchanged config must stay byte-identical, so any change to a result
-# bit in the gate kernel, readout order or shot sampler fails here
+# bit in the gate kernel, readout order, shot sampler or sweep's tree fails
+# here. A deliberate change raises cli.RESULTS_VERSION
 GOLDEN_RESULTS = [
     (["estimate", "--m", "6", "--phase", "0.3", "--shots", "0"],
      "e0bf44c203f131727fc508493829e6f9eec32f9f8dbdd8453947a7baf81b75d6"),
@@ -382,9 +383,9 @@ GOLDEN_RESULTS = [
       "--include-target", "--full-distribution"],
      "406e580971fcc28515acd8e3e07d78c4d9b8551ccefa04726fbab66c8ad3af19"),
     (["sweep", "--m-values", "5,7", "--n", "3", "--random-phases", "4", "--seed", "2"],
-     "dc1612eb8a8482cd718f0b8fd749050f32006bb691c028dfd4a9dbe134d94811"),
+     "108a02f74d17c40e75c2cdde4806d955c6098593803d1e1de29a3e193212e0c3"),
     (["sweep", "--m-values", "6", "--n", "2", "--phases", "0.1,0.3turn,2.5rad"],
-     "20590c910ccae8b57ca6a898af743e16411ffb67d6a8164bb99ae01917b1898e"),
+     "885cde5266d989ab002d89e5d6313c68edb03a9277ce23001dae564bde323f5f"),
     # pulse-literal mode: diagonal pulse phase gates and pulse Hadamards
     (["estimate", "--m", "6", "--phase", "0.3", "--shots", "0",
       "--mode", "pulse-literal"],
@@ -400,7 +401,7 @@ GOLDEN_RESULTS = [
      "0f295f63f07acb2db2c96eedc16a0a3635cd0af431c03793df185a58ab6d1f2b"),
     (["sweep", "--m-values", "5,8", "--n", "3", "--random-phases", "4", "--seed", "2",
       "--mode", "pulse-literal"],
-     "3f81aeff06787776534a633f5156f96d604ffaee9d37b8c1abb2774361f4ad97"),
+     "5a4c826598d9cd8d62f6d50decb7978df0a6b9d564115457e3077ec631042ed7"),
     # pulse fits: the coarse overlap grid's argmax and the Nelder-Mead path
     (["pulse-fit", "--preset", "hadamard"],
      "7bed055fb4dca8e15c0d11103be650f691cc549fc95bcb231f8ccef86fd62f4f"),
@@ -784,6 +785,14 @@ SUBCOMMAND_CONFIGS = [
      "--elapsed-scales", "9", "--t-ideal", "1.0"],
     ["feasibility", "--n-qubits", "450"],
 ]
+
+
+@pytest.mark.parametrize("args", SUBCOMMAND_CONFIGS)
+def test_every_report_names_its_versions(monkeypatch, args):
+    report, _ = report_of(args, monkeypatch)
+    assert report["versions"] == {"artifact": dotphase.__version__,
+                                  "results": cli.RESULTS_VERSION}
+    assert cli.RESULTS_VERSION == 2
 
 
 class TestSerialiser:

@@ -1,11 +1,18 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dotphase import qpe
 from dotphase import statevector as sv
-from dotphase.errors import BoundUndefinedError, DomainError, ValidationError
+from dotphase.errors import (
+    BoundUndefinedError,
+    DomainError,
+    NumericalInvariantError,
+    ValidationError,
+)
 from dotphase.pulses import phase_gate_pulse_params, single_pulse_unitary
 from dotphase.qpe import GateMode
 
@@ -327,13 +334,13 @@ class TestExactDistributions:
         phis = [float(p) for p in
                 np.random.default_rng(62).uniform(0.1, TWO_PI, qpe.batch_size(m) + 3)]
         stacks = []
-        exact_distributions = qpe.exact_distributions
+        tree_distributions = qpe.tree_distributions
 
         def recording(m, batch, mode):
             stacks.append(len(batch))
-            return exact_distributions(m, batch, mode)
+            return tree_distributions(m, batch, mode)
 
-        monkeypatch.setattr(qpe, "exact_distributions", recording)
+        monkeypatch.setattr(qpe, "tree_distributions", recording)
         got = qpe.empirical_successes(m, n, phis, mode)
         assert sum(stacks) == len(phis) and len(stacks) == 2
         assert max(stacks) * 2 ** m <= qpe.BATCH_AMPLITUDES
@@ -343,10 +350,161 @@ class TestExactDistributions:
     def test_window_mass_matches_empirical_success(self):
         rng = np.random.default_rng(61)
         phis = [float(p) for p in rng.uniform(0.1, TWO_PI, 7)]
-        rows = qpe.exact_distributions(7, phis)
+        rows = qpe.tree_distributions(7, phis)
         for n in (0, 2, 4):
             for phi, probs in zip(phis, rows):
                 assert qpe.window_mass(probs, n, phi) == qpe.empirical_success(7, n, phi)
+
+
+# pulse-literal phases whose kicks stay unitary up to m = 16
+UNITARY_KICK_PHASES = (0.5, 2.0, 2.7, 5.5)
+
+
+class TestTreeDistributions:
+    """The measure-as-you-go tree gives the statevector's distributions to
+    within rounding, its verdict on every gate, and each row the bytes its
+    phase alone gets."""
+
+    @pytest.mark.parametrize("mode", list(GateMode))
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_the_statevector_on_stacks(self, m, mode):
+        phis = [float(p) for p in np.random.default_rng(80 + m).uniform(0.01, TWO_PI, 12)]
+        tree = qpe.tree_distributions(m, phis, mode)
+        assert tree.shape == (12, 2 ** m)
+        assert np.abs(tree - qpe.exact_distributions(m, phis, mode)).max() <= 1e-13
+
+    @pytest.mark.parametrize("mode", list(GateMode))
+    @pytest.mark.parametrize("m", range(13, 17))
+    def test_matches_the_statevector_on_single_phases(self, m, mode):
+        for phi in UNITARY_KICK_PHASES[1::2]:
+            tree = qpe.tree_distributions(m, [phi], mode)[0]
+            assert np.abs(tree - qpe.exact_distribution(m, phi, mode)).max() <= 1e-13
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_representable_phases_are_certain(self, m):
+        # ideal mode only: pulse-literal gates lose this determinism
+        # (TestPulseLiteralMode)
+        phis = [TWO_PI * j / 2 ** m for j in range(1, 2 ** m + 1)]
+        dist = qpe.tree_distributions(m, phis)
+        j = np.arange(1, 2 ** m + 1) % 2 ** m
+        assert np.abs(dist[np.arange(2 ** m), j] - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("mode", list(GateMode))
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_stacked_rows_are_single_rows(self, m, mode):
+        # every operation is elementwise, so neither the stack nor the
+        # blocks a level is streamed through (several a level from m = 12
+        # for 12 phases, from m = 15 for one) touch a row's bytes
+        rng = np.random.default_rng(90 + m)
+        phis = ([float(p) for p in rng.uniform(0.01, TWO_PI, 12)] if m <= 13
+                else list(UNITARY_KICK_PHASES) * 3)
+        for count in (1, 5, 12):
+            stack = qpe.tree_distributions(m, phis[:count], mode)
+            for phi, row in zip(phis, stack):
+                alone = qpe.tree_distributions(m, [phi], mode)[0]
+                assert row.tobytes() == alone.tobytes(), (count, phi)
+
+    @pytest.mark.parametrize("m", range(13, 17))
+    @pytest.mark.parametrize("phi", [0.8271428571428572, 1.0067455141626498])
+    def test_kick_defect_gets_the_statevector_verdict(self, m, phi):
+        # the pulse-literal kick defect (qpe._phase_diagonals) stops both
+        # paths at the same kick with the same deviation, or neither
+        mode = GateMode.PULSE_LITERAL
+        try:
+            expected = qpe.exact_distribution(m, phi, mode)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                qpe.tree_distributions(m, [phi], mode)
+            assert str(raised.value) == str(exc)
+        else:
+            tree = qpe.tree_distributions(m, [phi], mode)[0]
+            assert np.abs(tree - expected).max() <= 1e-13
+
+    def test_verdict_names_the_first_failing_kick(self):
+        stack = [0.3, 0.8271428571428572, 1.0067455141626498]
+        mode = GateMode.PULSE_LITERAL
+        with pytest.raises(ValidationError) as tree:
+            qpe.tree_distributions(16, stack, mode)
+        with pytest.raises(ValidationError) as statevector:
+            qpe.exact_distributions(16, stack, mode)
+        assert str(tree.value) == str(statevector.value)
+
+    @pytest.mark.parametrize("broken", ["hadamard", "phase gate"])
+    def test_other_gates_get_the_statevector_verdict(self, broken, monkeypatch):
+        if broken == "hadamard":
+            monkeypatch.setattr(qpe, "_hadamard_gate", lambda mode: 1.25 * qpe.IDEAL_HADAMARD)
+        else:
+            phase_diagonals = qpe._phase_diagonals
+
+            def bent(thetas, mode, powers=(1,)):
+                diagonals = phase_diagonals(thetas, mode, powers)
+                diagonals[:, np.asarray(thetas) == math.pi / 8] = [1.0, 1.5]
+                return diagonals
+
+            monkeypatch.setattr(qpe, "_phase_diagonals", bent)
+        # the statevector's phase gates are memoised
+        qpe._phase_gate.cache_clear()
+        try:
+            with pytest.raises(ValidationError, match="gate is not unitary") as tree:
+                qpe.tree_distributions(5, [0.3, 2.0])
+            with pytest.raises(ValidationError) as statevector:
+                qpe.exact_distributions(5, [0.3, 2.0])
+        finally:
+            qpe._phase_gate.cache_clear()
+        assert str(tree.value) == str(statevector.value)
+
+    def test_peak_memory_of_one_m16_phase(self):
+        # at most six arrays of 2^m floats: the statevector's
+        # exact_distribution peaks above that
+        m = 16
+        qpe.tree_distributions(m, [2.0])
+        tracemalloc.start()
+        try:
+            qpe.tree_distributions(m, [2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * 2 ** m
+
+    def test_branch_check_names_the_row(self, monkeypatch):
+        original = qpe._branch_probabilities
+
+        def skewed(*args):
+            probs = original(*args)
+            probs[2, :, -1] *= 1 + 1e-9
+            return probs
+
+        monkeypatch.setattr(qpe, "_branch_probabilities", skewed)
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^branch chances of molecule 1 sum to 1\.0000000\d+ "
+                                 r"in row 2 of the stack$"):
+            qpe.tree_distributions(5, [0.3, 1.1, 2.9, 4.0], GateMode.IDEAL)
+
+    def test_no_phases(self):
+        assert qpe.tree_distributions(4, []).shape == (0, 16)
+
+    @pytest.mark.parametrize("m", [0, qpe.MAX_REGISTER + 1])
+    def test_register_cap(self, m, monkeypatch):
+        monkeypatch.setattr(qpe, "_phase_diagonals", None)  # no tree
+        with pytest.raises(ValidationError, match="m must be in"):
+            qpe.tree_distributions(m, [1.0])
+
+    def test_bits_do_not_depend_on_the_host(self):
+        # sha256 of the distributions of 6 phases at m = 1..14 in both
+        # modes; CI runs it again without numpy's AVX-512 and AVX2 loops and
+        # with OpenBLAS's Haswell kernels
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(95)
+        for mode in GateMode:
+            for m in range(1, 15):
+                phis = [float(p) for p in rng.uniform(0.01, TWO_PI, 6)]
+                if mode == GateMode.PULSE_LITERAL and m == 14:
+                    phis = list(UNITARY_KICK_PHASES)
+                digest.update(qpe.tree_distributions(m, phis, mode).tobytes())
+        assert digest.hexdigest() == TREE_DIGEST
+
+
+TREE_DIGEST = "d95ed79c650cd46797045bb53984457a8ae5f13d577e7d1c5a73a8bd0b13fd52"
 
 
 class TestSuccessBound:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -218,10 +219,15 @@ class TestProbabilities:
         ["estimate", "--m", "8", "--phase", "0.3", "--shots", "0"],
         ["sweep", "--m-values", "6", "--n", "3", "--random-phases", "5", "--seed", "4"]])
     def test_drift_past_the_norm_check_exits_2(self, monkeypatch, capsys, args):
-        # with the norm check after each gate off, a kernel that drifts
-        # leaves this check, on a single state or on a stack, to stop the run
+        # with the check after each step off, a drift leaves the check of
+        # each row's sum to stop the run: an estimate's statevector, a single
+        # state, has its norm check after each gate off and drifting kernels;
+        # a sweep's tree, a stack, has its check of each branch's p0 + p1
+        # off and every level's chances drifting
         monkeypatch.setattr(sv, "_check_norm", lambda state: state)
         record_kernels(monkeypatch, scale=1 + 1e-9)
+        monkeypatch.setattr(qpe, "_check_branches", lambda probs, r: None)
+        skew_branch(monkeypatch, nth=None, scale=1 + 1e-9)
         code = cli.main(args)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -1064,13 +1070,36 @@ class TestStackNormCheck:
         assert len(calls) == 3
 
     def test_sweep_exits_2(self, monkeypatch, capsys):
-        calls = skew_two_rows(monkeypatch, "_apply_monomial", nth=40)
+        # a sweep's stack is its tree's: one branch of row 3 at molecule 4
+        # drifts by 1e-9, and that level's check of each branch names it
+        calls = skew_branch(monkeypatch, nth=4, scale=1 + 1e-9, row=3, branch=5)
         code = cli.main(["sweep", "--m-values", "6,8", "--n", "3",
                          "--random-phases", "5", "--seed", "4"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "state norm drifted" in captured.err
-        assert len(calls) == 40
+        found = re.search(r"branch chances of molecule 4 sum to (\S+) in row 3 "
+                          r"of the stack$", captured.err)
+        assert found and float(found[1]) == pytest.approx(1 + 1e-9, abs=1e-13)
+        assert len(calls) == 4
+
+
+def skew_branch(monkeypatch, nth, scale, row=slice(None), branch=slice(None)):
+    """Wrap ``qpe._branch_probabilities`` so that on its ``nth`` call (on
+    every call for ``nth=None``) it scales p0 and p1 of ``branch`` of
+    ``row`` (by default of every branch of every row) by ``scale``.
+    Returns the list of its calls."""
+    calls = []
+    original = qpe._branch_probabilities
+
+    def skewed(*args):
+        probs = original(*args)
+        calls.append(len(calls) + 1)
+        if nth in (None, len(calls)):
+            probs[row, :, branch] *= scale
+        return probs
+
+    monkeypatch.setattr(qpe, "_branch_probabilities", skewed)
+    return calls
 
 
 # a fixed table of kick phases; with powers 2^0 to 2^19 it makes pulse-literal
