@@ -8,6 +8,7 @@ feasibility arithmetic.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -92,13 +93,16 @@ def single_pulse_unitary(p: PulseSpec) -> np.ndarray:
 
     |g> -> -i e^{-i phi} sin(theta) |g> + cos(theta) |e>
     |e> ->    cos(theta) |g> - i e^{i phi} sin(theta) |e>
+
+    Each entry is a Python scalar (cmath.exp rounds as np.exp does on a
+    scalar, signed zeros included), put into one array.
     """
     th, ph = p.rabi_angle, p.phase
     s, c = math.sin(th), math.cos(th)
     return np.array(
         [
-            [-1j * np.exp(-1j * ph) * s, c],
-            [c, -1j * np.exp(1j * ph) * s],
+            [-1j * cmath.exp(-1j * ph) * s, c],
+            [c, -1j * cmath.exp(1j * ph) * s],
         ],
         dtype=np.complex128,
     )
@@ -139,23 +143,36 @@ def gate_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius distance minimized over a global phase.
 
     sqrt(2*dim - 2*|trace(a^dag b)|); zero iff a = e^{i alpha} b.
+
+    Computed on Python floats, one entry at a time in C order: the trace
+    from float products and sums on real and imaginary parts, its modulus
+    from math.hypot, and the Frobenius residual at the optimal phase the same
+    way. No BLAS call and no numpy loop touches a value, so the bits do not
+    depend on the host's BLAS kernel or SIMD level, and on a 2x2 gate this
+    costs less than numpy's per-call overhead would.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"incompatible shapes {a.shape}, {b.shape}")
     dim = a.shape[0]
-    tr = (a.conj().T @ b).trace()
-    if abs(tr) < 1e-300:
+    pairs = list(zip(a.ravel().tolist(), b.ravel().tolist()))
+    tr_re = tr_im = 0.0
+    for x, y in pairs:
+        tr_re += x.real * y.real + x.imag * y.imag
+        tr_im += x.real * y.imag - x.imag * y.real
+    r = math.hypot(tr_re, tr_im)
+    if r < 1e-300:
         return math.sqrt(2.0 * dim)
-    # evaluate at the optimal phase directly; the sqrt(2*dim - 2*|tr|) form
-    # loses half the significant digits near zero
-    z = np.conj(tr) / abs(tr)
-    # the Frobenius norm as np.linalg.norm takes it, without its argument
-    # handling: the same two dot products, so the same bits
-    d = (a - z * b).ravel()
-    re, im = d.real, d.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    # evaluate at the optimal phase z = conj(tr) / |tr| directly; the
+    # sqrt(2*dim - 2*|tr|) form loses half the significant digits near zero
+    z_re, z_im = tr_re / r, -tr_im / r
+    sq = 0.0
+    for x, y in pairs:
+        d_re = x.real - (z_re * y.real - z_im * y.imag)
+        d_im = x.imag - (z_re * y.imag + z_im * y.real)
+        sq += d_re * d_re + d_im * d_im
+    return math.sqrt(sq)
 
 
 # fit_pulse's coarse grid of rabi angles and of phases: 512 points over

@@ -462,8 +462,7 @@ def empirical_successes(m: int, n: int, phis,
     masses = []
     for start in range(0, len(phis), per):
         batch = phis[start:start + per]
-        masses += [window_mass(probs, n, phi) for phi, probs
-                   in zip(batch, tree_distributions(m, batch, gate_mode))]
+        masses += window_masses(tree_distributions(m, batch, gate_mode), n, batch)
     return masses
 
 
@@ -473,6 +472,17 @@ def window_mass(probs: np.ndarray, n: int, phi: float) -> float:
     size = len(probs)
     d = circular_distance(np.arange(size) / size, (phi / math.tau) % 1.0)
     return float(probs[d < 0.5 ** n].sum())
+
+
+def window_masses(rows: np.ndarray, n: int, phis) -> list[float]:
+    """``window_mass`` of each row of ``rows``, one per phase of ``phis``.
+    Every row's circular distances come from one broadcast over the batch,
+    each the same elementwise operations as window_mass's, so every mask
+    and every sum keeps window_mass's bits."""
+    size = rows.shape[1]
+    fracs = (np.asarray(phis, dtype=np.float64) / math.tau) % 1.0
+    inside = circular_distance(np.arange(size) / size, fracs[:, None]) < 0.5 ** n
+    return [float(row[mask].sum()) for row, mask in zip(rows, inside)]
 
 
 def kick_equivalence_check(m: int, phi: float) -> float:

@@ -408,7 +408,7 @@ GOLDEN_RESULTS = [
     (["pulse-fit", "--preset", "pulse-phase:0.7"],
      "a13fd5e647346397d51353e793c8aeb1fc39e229d66f10831556919b336d12e8"),
     (["pulse-fit", "--preset", "phase:0.3turn"],
-     "6a5262be67ef5a9acb0fc37ba208af4c48fdb550e79f533666e1231bb3c7e60a"),
+     "a2dd62ccf124587a7589cd67810ca9128308d5441edc95c69a308ef668c8750f"),
     (["pulse-fit", "--matrix", "0.7071067811865476,0,0.7071067811865476,0,"
       "0.7071067811865476,0,-0.7071067811865476,0"],
      "4523d59b253cff6d20f49d29375e81322dda441055c8fb846bf14893056f96c9"),
@@ -792,7 +792,7 @@ def test_every_report_names_its_versions(monkeypatch, args):
     report, _ = report_of(args, monkeypatch)
     assert report["versions"] == {"artifact": dotphase.__version__,
                                   "results": cli.RESULTS_VERSION}
-    assert cli.RESULTS_VERSION == 2
+    assert cli.RESULTS_VERSION == 3
 
 
 class TestSerialiser:

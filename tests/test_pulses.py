@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import re
 
@@ -49,6 +51,26 @@ class TestSinglePulseUnitary:
         for th, ph in zip(thetas, phases):
             u = single_pulse_unitary(PulseSpec(th, ph))
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+
+    def test_same_bytes_as_numpy_expression(self):
+        # the entries are built from Python scalars; they must keep the
+        # bytes of the numpy expression they replace, signed zeros included,
+        # so that every pulse-literal digest keeps its bits
+        def numpy_expression(th, ph):
+            s, c = math.sin(th), math.cos(th)
+            return np.array(
+                [[-1j * np.exp(-1j * ph) * s, c], [c, -1j * np.exp(1j * ph) * s]],
+                dtype=np.complex128,
+            )
+
+        special = [0.0, math.pi / 4, math.pi / 2, math.pi, 5e-324, 1e300, 1e16, 710.0]
+        values = special + [-v for v in special[1:]] + [-0.0]
+        rng = np.random.default_rng(16)
+        pairs = list(itertools.product(values, values))
+        pairs += [tuple(p) for p in rng.uniform(-10, 10, (2000, 2))]
+        for th, ph in pairs:
+            got = single_pulse_unitary(PulseSpec(th, ph))
+            assert got.tobytes() == numpy_expression(th, ph).tobytes(), (th, ph)
 
     def test_two_pi_periodic(self):
         rng = np.random.default_rng(11)
@@ -129,11 +151,36 @@ def _reference_overlap_grid(target, thetas, phis):
 
 
 def _reference_distance(a, b):
+    # the Frobenius norm at the optimal phase as numpy's BLAS trace and
+    # np.linalg.norm give it
     tr = np.trace(a.conj().T @ b)
     if abs(tr) < 1e-300:
         return math.sqrt(2.0 * a.shape[0])
     z = np.conj(tr) / abs(tr)
     return float(np.linalg.norm(a - z * b))
+
+
+def _sum_in_order(terms):
+    # left to right from +0.0, as a Python loop sums: np.add.accumulate is
+    # a sequential scan, unlike np.sum's pairwise blocks
+    return np.add.accumulate(np.concatenate([[0.0], terms]))[-1]
+
+
+def _elementwise_distance(a, b):
+    # gate_distance's arithmetic written on numpy float arrays: each
+    # entry's float products and sums elementwise on real and imaginary
+    # parts, summed in C order, with no BLAS and no complex ufunc
+    ar, ai = a.real.ravel(), a.imag.ravel()
+    br, bi = b.real.ravel(), b.imag.ravel()
+    tr_re = _sum_in_order(ar * br + ai * bi)
+    tr_im = _sum_in_order(ar * bi - ai * br)
+    r = math.hypot(tr_re, tr_im)
+    if r < 1e-300:
+        return math.sqrt(2.0 * a.shape[0])
+    z_re, z_im = tr_re / r, -tr_im / r
+    d_re = ar - (z_re * br - z_im * bi)
+    d_im = ai - (z_re * bi + z_im * br)
+    return float(np.sqrt(_sum_in_order(d_re * d_re + d_im * d_im)))
 
 
 class TestGateDistance:
@@ -167,7 +214,7 @@ class TestGateDistance:
             assert gate_distance(a, b) == pytest.approx(gate_distance(b, a), abs=1e-12)
             assert gate_distance(a, c) <= gate_distance(a, b) + gate_distance(b, c) + 1e-9
 
-    def test_matches_linalg_norm_bitwise(self):
+    def test_matches_elementwise_oracle_bitwise(self):
         rng = np.random.default_rng(42)
         pairs = [
             (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
@@ -181,10 +228,18 @@ class TestGateDistance:
             )
             for _ in range(300)
         ]
+        got = []
         for a, b in pairs:
-            got = gate_distance(a, b)
-            assert type(got) is float
-            assert np.float64(got).tobytes() == np.float64(_reference_distance(a, b)).tobytes()
+            d = gate_distance(a, b)
+            assert type(d) is float
+            assert np.float64(d).tobytes() == np.float64(_elementwise_distance(a, b)).tobytes()
+            ref = _reference_distance(a, b)
+            assert abs(d - ref) <= 4 * np.spacing(ref)
+            got.append(d)
+        # pure float arithmetic: the same bits on every host, whatever its
+        # BLAS kernel or SIMD level
+        assert hashlib.sha256(np.array(got).tobytes()).hexdigest() == (
+            "00daaca65c74688e1ccaf6503db78bb3c5366ef6edb30859f88030240ebbd842")
 
     def test_zero_trace_gives_exactly_two(self):
         x = np.array([[0, 1], [1, 0]])

@@ -355,6 +355,19 @@ class TestExactDistributions:
             for phi, probs in zip(phis, rows):
                 assert qpe.window_mass(probs, n, phi) == qpe.empirical_success(7, n, phi)
 
+    @pytest.mark.parametrize("m", [1, 6, 10])
+    def test_window_masses_match_window_mass_bitwise(self, m):
+        rng = np.random.default_rng(62)
+        # phases past a turn and below zero too, and the representable
+        # phases 2*pi*j/2^m, whose outcomes sit on the window's edges
+        phis = [float(p) for p in rng.uniform(-TWO_PI, 2 * TWO_PI, 9)]
+        phis += [TWO_PI * j / 2 ** m for j in range(min(2 ** m, 7))]
+        rows = qpe.tree_distributions(m, phis)
+        for n in range(min(m, 4) + 1):
+            got = qpe.window_masses(rows, n, phis)
+            want = [qpe.window_mass(probs, n, phi) for phi, probs in zip(phis, rows)]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 # pulse-literal phases whose kicks stay unitary up to m = 16
 UNITARY_KICK_PHASES = (0.5, 2.0, 2.7, 5.5)
