@@ -147,19 +147,12 @@ def apply_phase_kicks(
 ) -> sv.QuantumState:
     """Write e^{i 2^{m-j} phi} onto molecule j's relative phase, j = 1..m.
 
-    A stack takes a sequence ``phi`` of one phase per row, and each molecule
-    is kicked in one call over every row (``sv.apply_1q_diagonals``), which
-    gives each row the bits its phase alone gets from ``sv.apply_1q``.
     The entries of all m kicks come from one ``_phase_diagonals`` call.
     ``state`` itself is not written: the first kick returns a new state,
     which the later kicks overwrite."""
-    stacked = state.amplitudes.ndim > 1
-    kicks = _phase_diagonals(phi if stacked else [phi], gate_mode, _kick_powers(m))
+    kicks = _phase_diagonals([phi], gate_mode, _kick_powers(m))[:, 0]
     for j, entries in enumerate(kicks, start=1):
-        if stacked:
-            state = sv.apply_1q_diagonals(state, j, entries, in_place=j > 1)
-        else:
-            state = sv.apply_1q(state, j, np.diag(entries[0]), in_place=j > 1)
+        state = sv.apply_1q(state, j, np.diag(entries), in_place=j > 1)
     return state
 
 
@@ -251,30 +244,11 @@ def measure_and_estimate(
 def exact_distribution(
     m: int, phi: float, gate_mode: GateMode = GateMode.IDEAL
 ) -> np.ndarray:
-    """Full readout distribution of the protocol, indexed by readout integer
-    j, no sampling."""
-    return exact_distributions(m, [phi], gate_mode)[0]
-
-
-def exact_distributions(
-    m: int, phis, gate_mode: GateMode = GateMode.IDEAL
-) -> np.ndarray:
-    """Readout distribution of the protocol for each phase of ``phis``, one
-    row per phase, no sampling. The register is prepared once; all the
-    phases are kicked as one stack of it, one call per molecule, and go
-    through one inverse QFT, whose gates act on every row alike, so each
-    row has the bits that phase's run alone would give. The stack holds
-    ``len(phis) * 2^m`` amplitudes: callers bound it. ``tree_distributions``
-    gives the same distributions to within rounding in O(2^m) work, and
-    ``sweep`` takes its own from it."""
-    check_register(m)
-    if len(phis) == 0:
-        return np.empty((0, 2 ** m))
-    prepared = prepare_register(m, gate_mode).amplitudes
-    # the first kick copies the read-only rows of the broadcast register
-    stack = sv.QuantumState(np.broadcast_to(prepared, (len(phis), 2 ** m)))
-    state = inverse_qft(apply_phase_kicks(stack, phis, m, gate_mode), m, gate_mode)
-    return _readout(state, m)
+    """Full readout distribution of the protocol on the statevector, indexed
+    by readout integer j, no sampling: ``readout_distribution`` without the
+    target molecule. ``tree_distributions`` gives the same distribution to
+    within rounding in O(2^m) work, and ``sweep`` takes its own from it."""
+    return readout_distribution(m, phi, gate_mode)
 
 
 def batch_size(m: int) -> int:
@@ -287,7 +261,7 @@ def tree_distributions(
     m: int, phis, gate_mode: GateMode = GateMode.IDEAL
 ) -> np.ndarray:
     """Readout distribution of the protocol for each phase of ``phis``, one
-    row per phase, indexed like ``exact_distributions``, in O(2^m) work per
+    row per phase, indexed like ``exact_distribution``, in O(2^m) work per
     phase: the measure-as-you-go tree of Griffiths & Niu (PRL 76, 3228,
     1996).
 
@@ -306,7 +280,9 @@ def tree_distributions(
 
     Every entry comes from the statevector path's own sources, and every
     gate is judged as that path judges it, in its order: the Hadamard, the
-    kicks molecule by molecule, then the phase gates. Each complex product
+    kicks molecule by molecule, then the phase gates. So of several phases
+    the verdict is that of the first failing kick in molecule-major order:
+    molecule 1's kicks of every phase, then molecule 2's. Each complex product
     is written out as float products and sums on separate real and
     imaginary arrays, with no BLAS and no complex or transcendental ufunc
     on arrays, so the bits do not depend on the host's SIMD level or BLAS
@@ -321,8 +297,10 @@ def tree_distributions(
     kicks = _phase_diagonals(phis, gate_mode, _kick_powers(m))
     # P(theta) and P(-theta) of level r = 2..m, theta = pi / 2^r
     thetas = [math.pi / 2 ** r for r in range(2, m + 1)]
-    plus, minus = (_phase_diagonals(thetas, gate_mode)[0],
-                   _phase_diagonals([-t for t in thetas], gate_mode)[0])
+    # from the inverse QFT's own memo, so a pulse-literal sweep builds their
+    # pulses once per process
+    plus, minus = (np.array([_phase_gate(s * t, gate_mode).diagonal() for t in thetas])
+                   .reshape(-1, 2) for s in (1, -1))
     sv._require_unitary(sv._unitary_deviation(np.concatenate(
         [h[None], sv._diagonal_gates(kicks).reshape(-1, 2, 2),
          sv._diagonal_gates(plus), sv._diagonal_gates(minus)])))
@@ -412,11 +390,9 @@ def _check_branches(probs: np.ndarray, r: int) -> None:
 
 def _readout(state: sv.QuantumState, m: int) -> np.ndarray:
     """Distribution of the readout integer over molecules 1..m: the register
-    marginal with its bit order reversed (molecule 1 holds the last bit);
-    of a stack, one row per state."""
+    marginal with its bit order reversed (molecule 1 holds the last bit)."""
     register = sv.register_probabilities(state, m)
-    rows = register.reshape((-1,) + (2,) * m).transpose(0, *range(m, 0, -1))
-    return rows.reshape(register.shape)
+    return register.reshape((2,) * m).transpose(range(m - 1, -1, -1)).reshape(-1)
 
 
 def success_probability_bound(m: int, n: int) -> float:

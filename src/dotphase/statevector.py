@@ -1,10 +1,6 @@
 """Dense state-vector core for a qubit register.
 
 Basis convention: qubit 1 is the most significant bit of the basis index.
-
-A state may also hold a stack of P states of the same size, as a
-``(P, 2^m)`` amplitude array: every gate acts on each row, and every row
-must keep its own unit norm.
 """
 from __future__ import annotations
 
@@ -36,36 +32,35 @@ SAMPLE_BATCH_MIN = 16
 
 @dataclass
 class QuantumState:
-    """Amplitude vector over ``num_qubits`` qubits, or a stack of them (see
-    the module docstring)."""
+    """Amplitude vector over ``num_qubits`` qubits."""
 
-    # complex128, length 2**num_qubits; (P, that) for a stack
+    # complex128, length 2**num_qubits
     amplitudes: np.ndarray
 
     def __post_init__(self):
         # every kernel views the amplitudes as 16-byte complex runs; no copy
-        # of complex128 input, so a broadcast stack or a buffer written in
-        # place stays the caller's
+        # of complex128 input, so a buffer written in place stays the caller's
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.ndim > 2:
+        if self.amplitudes.ndim != 1:
             raise DimensionError(
-                f"amplitudes must be a state or a stack of states (1 or 2 "
-                f"dimensions), got {self.amplitudes.ndim}")
+                f"amplitudes must be one state, a 1-D array, got "
+                f"{self.amplitudes.ndim} dimensions")
         # the qubit count and every kernel's view of the amplitudes come from
         # this length
-        size = self.amplitudes.shape[-1] if self.amplitudes.ndim else 0
+        size = len(self.amplitudes)
         if size < 2 or size & (size - 1):
             raise DimensionError(
                 f"amplitude count must be a power of two of at least 2, got {size}")
 
     @property
     def num_qubits(self) -> int:
-        return self.amplitudes.shape[-1].bit_length() - 1
+        return len(self.amplitudes).bit_length() - 1
 
     def norm(self) -> float:
-        """Norm of a single state (of a stack, the root of its rows'
-        squared norms summed)."""
-        return math.sqrt(_squared_norms(self.amplitudes).sum())
+        """Euclidean norm, in one pass over the real view of the amplitudes:
+        faster than np.vdot."""
+        real = np.ascontiguousarray(self.amplitudes).view(np.float64)
+        return math.sqrt(np.vecdot(real, real))
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.amplitudes.copy())
@@ -137,15 +132,6 @@ def _require_unitary(dev: np.ndarray) -> None:
         raise ValidationError(f"gate is not unitary (deviation {dev.flat[np.argmin(ok)]:.3e})")
 
 
-def _split(entries: np.ndarray) -> np.ndarray:
-    """Pure-real and pure-imaginary multipliers of the complex ``entries``,
-    stacked on a new first axis: ``_flat._product``'s factors."""
-    split = np.zeros((2,) + entries.shape, dtype=np.complex128)
-    split[0].real = entries.real
-    split[1].imag = entries.imag
-    return split
-
-
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _gate_plan(raw: bytes, dim: int) -> _Plan:
     """Unitarity deviation and kernel plan of the ``dim`` x ``dim`` complex
@@ -160,7 +146,11 @@ def _gate_plan(raw: bytes, dim: int) -> _Plan:
     # column of each row's nonzero: a permutation in any gate that passes
     # the unitarity check, the only gates a kernel sees
     col = (np.flatnonzero(gate) % dim).tolist()
-    split = _split(gate.diagonal())
+    # pure-real and pure-imaginary multipliers of the diagonal entries, one
+    # row each: _flat._product's factors
+    entries = gate.diagonal()
+    split = np.zeros((2, dim), dtype=np.complex128)
+    split[0].real, split[1].imag = entries.real, entries.imag
     split.flags.writeable = False
     cycles, seen = [], set()
     for start in range(dim):
@@ -183,10 +173,9 @@ def _gate_plan(raw: bytes, dim: int) -> _Plan:
 class _Layout(NamedTuple):
     """What every call on one axis set of one qubit count needs."""
 
-    # the flat amplitudes as (P, L, 2, R) for one axis or (P, L, 2, M, 2, R)
-    # for two, M left out where it is 1: P is a stack's rows, given as -1
-    # (1 for a single state), L the factors above the first gate axis, and
-    # R the run of contiguous amplitudes below the last
+    # the flat amplitudes as (L, 2, R) for one axis or (L, 2, M, 2, R) for
+    # two, M left out where it is 1: L the factors above the first gate axis,
+    # and R the run of contiguous amplitudes below the last
     shape: tuple
     # one run of R amplitudes as a single item, whose copies move bytes
     item: np.dtype
@@ -195,9 +184,9 @@ class _Layout(NamedTuple):
     # other factors are left
     slabs: tuple | None
     # the view's axes as the dense kernel transposes it, gate axes first in
-    # the order of ``axes``, then P, and the columns of each of the blocks
+    # the order of ``axes``, and the columns of each of the blocks
     # ``_flat._column_blocks`` cuts: SPLIT_BLOCK / 2^k, or where slabs is
-    # None a row's all, so that each block is one row
+    # None all of them, so that one block holds the state
     order: tuple
     cols: int
 
@@ -205,19 +194,18 @@ class _Layout(NamedTuple):
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _layout(ndim: int, axes: tuple) -> _Layout:
     """Read-only layout of a gate on the factors ``axes`` of a
-    ``(2,) * ndim`` tensor or a stack of them, shared by every call with
-    the same key."""
+    ``(2,) * ndim`` tensor, shared by every call with the same key."""
     k = len(axes)
     ends = sorted(axes)
     run = 2 ** (ndim - 1 - ends[-1])
     lead = 2 ** ends[0]
     # the view's axis of each gate axis, in the order of ``axes``
     if k == 1:
-        shape, places = (-1, lead, 2, run), (2,)
+        shape, places = (lead, 2, run), (1,)
     elif ends[1] == ends[0] + 1:
-        shape, places = (-1, lead, 2, 2, run), (2, 3)
+        shape, places = (lead, 2, 2, run), (1, 2)
     else:
-        shape, places = (-1, lead, 2, 2 ** (ends[1] - ends[0] - 1), 2, run), (2, 4)
+        shape, places = (lead, 2, 2 ** (ends[1] - ends[0] - 1), 2, run), (1, 3)
     places = [places[ends.index(axis)] for axis in axes]
     order = (*places, *(a for a in range(len(shape)) if a not in places))
     slabs, cols = None, 2 ** (ndim - k)
@@ -234,25 +222,12 @@ def _layout(ndim: int, axes: tuple) -> _Layout:
     return _Layout(shape, item, slabs, order, cols)
 
 
-def _squared_norms(amps: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of a stack (of a single state, a 0-d
-    array), in one pass over the real view of the amplitudes: one call
-    for the whole stack, where np.vdot takes one per row, and faster than
-    np.vdot on a single state too."""
-    real = np.ascontiguousarray(amps).view(np.float64)
-    return np.vecdot(real, real)
-
-
 def _check_norm(state: QuantumState) -> QuantumState:
-    """``state``, once each of its rows has unit norm."""
-    squares = _squared_norms(state.amplitudes)
-    if squares.ndim == 0:
-        norm = math.sqrt(squares)
-        # written so that a NaN norm fails too
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise NumericalInvariantError(f"state norm drifted to {norm:.15f}")
-        return state
-    _require_ones(np.sqrt(squares), "state norm drifted to")
+    """``state``, once it has unit norm."""
+    norm = state.norm()
+    # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise NumericalInvariantError(f"state norm drifted to {norm:.15f}")
     return state
 
 
@@ -299,11 +274,7 @@ def _apply(
     All give the same bits: BLAS rounds each product once and adds exact
     zeros, as the split products of ``_flat._product`` do. The verdict and the kernels'
     inputs are worked out once per distinct gate (``_gate_plan``) and axis
-    set (``_layout``).
-
-    The kernel depends on the gate, its axes and the qubit count alone: a
-    stack takes its single state's kernel in one pass over all rows, so
-    each row gets its state's bytes. Each row's norm is checked.
+    set (``_layout``). The result's norm is checked.
     """
     dim = 2 ** len(axes)
     gate = np.asarray(gate, dtype=np.complex128)
@@ -344,52 +315,6 @@ def apply_1q(
     return _apply(state, [_qubit_axis(state, qubit_index)], gate, in_place)
 
 
-def apply_1q_diagonals(
-    state: QuantumState, qubit_index: int, entries: np.ndarray, *, in_place: bool = False
-) -> QuantumState:
-    """Apply the diagonal 2x2 unitary ``diag(entries[p])`` to the indexed
-    qubit of row ``p`` of a stack, for a ``(P, 2)`` array ``entries``.
-
-    One call serves every row, where ``apply_1q`` would take one call and
-    one ``_gate_plan`` entry per row, and each row gets the bits
-    ``apply_1q`` gives it with its own gate, by ``_apply``'s rule: below
-    three factors one dense call with a gate per row, the pattern pass
-    where runs are shorter than SPLIT_BLOCK and no entry is 1, else
-    ``_apply_monomial`` with a factor per row on slab ``c`` of the rows
-    whose entry ``c`` is not 1. Each row's unitarity deviation is the one
-    ``_gate_plan`` finds for its gate; each row's norm is checked.
-    ``in_place`` as in ``apply_1q``."""
-    axis = _qubit_axis(state, qubit_index)
-    amps, ndim = state.amplitudes, state.num_qubits
-    entries = np.asarray(entries, dtype=np.complex128)
-    if amps.ndim != 2 or entries.shape != (len(amps), 2):
-        raise DimensionError(
-            f"expected a (P, 2) array of diagonals for a stack of P rows, "
-            f"got shape {entries.shape} for amplitudes of shape {amps.shape}")
-    # each row's diagonal gate, judged as _gate_plan judges it alone; the
-    # dense kernel's gate stack
-    gates = _diagonal_gates(entries)
-    _require_unitary(_unitary_deviation(gates))
-    layout = _layout(ndim, (axis,))
-    out = _output(amps, in_place, layout.slabs is None)
-    run, split = layout.shape[-1], _split(entries)
-    if layout.slabs is None:
-        out = _flat._apply_dense(amps, out, layout, gates)
-    elif run < SPLIT_BLOCK and np.all(entries != 1):
-        out = _flat._apply_pattern(out, run, split)
-    else:
-        for c in range(2):
-            moved = entries[:, c] != 1
-            if not moved.any():
-                continue
-            # only the rows it moves: all but those of phases whose kick is a 1
-            rows = out if moved.all() else out[moved]
-            _flat._apply_monomial(rows, layout, (((c,), split[:, moved, c]),))
-            if rows is not out:
-                out[moved] = rows
-    return _check_norm(QuantumState(out))
-
-
 def apply_2q(
     state: QuantumState,
     control_index: int,
@@ -422,21 +347,19 @@ def apply_qubit_cavity(
 
 
 def probabilities(state: QuantumState) -> np.ndarray:
-    """Born-rule probability for every basis state; of a stack, one row per
-    state, each summing to one."""
+    """Born-rule probability for every basis state."""
     probs = np.abs(state.amplitudes) ** 2
-    _require_ones(probs.sum(axis=-1), "probabilities sum to")
+    _require_ones(probs.sum(), "probabilities sum to")
     return probs
 
 
 def register_probabilities(state: QuantumState, m: int) -> np.ndarray:
     """Born-rule marginal of qubits 1..m, indexed with qubit 1 as the most
-    significant bit; later qubits are summed out. Of a stack, one row per
-    state."""
+    significant bit; later qubits are summed out."""
     if not (1 <= m <= state.num_qubits):
         raise DimensionError(f"register size {m} out of range 1..{state.num_qubits}")
     probs = probabilities(state)
-    return probs.reshape(probs.shape[:-1] + (2 ** m, -1)).sum(axis=-1)
+    return probs.reshape(2 ** m, -1).sum(axis=-1)
 
 
 def sample(probs: np.ndarray, seeds) -> np.ndarray:

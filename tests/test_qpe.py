@@ -75,23 +75,24 @@ class TestPhaseKicks:
         if (m, mode) == (14, GateMode.PULSE_LITERAL) else (m, mode)
         for m in range(1, 15) for mode in GateMode])
     def test_stack_matches_single_phases(self, m, mode):
-        # one call per molecule over the stack: the dense rows at m <= 2,
-        # then the slab products, or the pattern pass for pulse-literal
-        # kicks on runs shorter than SPLIT_BLOCK. At m = 13 a block of a
-        # slab is one row's whole slab, and qubit 1's runs reach SPLIT_BLOCK;
-        # at m = 14 blocks lie inside rows
+        # tree_distributions takes the kicks of its stack of phases from
+        # one _phase_diagonals call and judges them as one stack of gates;
+        # each phase's entries there are the ones its own kick writes,
+        # molecule by molecule, and the kick leaves its input unwritten
         rng = np.random.default_rng(70 + m)
         phis = [float(p) for p in TWO_PI - rng.uniform(0.0, TWO_PI, 12)]
         prepared = qpe.prepare_register(m, mode)
-        for count in (1, 5, 12):
-            stack = sv.QuantumState(np.stack([prepared.amplitudes] * count))
-            before = stack.amplitudes.tobytes()
-            kicked = qpe.apply_phase_kicks(stack, phis[:count], m, mode).amplitudes
-            assert kicked.shape == (count, 2 ** m)
-            assert stack.amplitudes.tobytes() == before
-            for phi, row in zip(phis, kicked):
-                alone = qpe.apply_phase_kicks(prepared, phi, m, mode).amplitudes
-                assert row.tobytes() == alone.tobytes(), (count, phi)
+        before = prepared.amplitudes.tobytes()
+        stacked = qpe._phase_diagonals(phis, mode, qpe._kick_powers(m))
+        assert stacked.shape == (m, 12, 2)
+        sv._require_unitary(sv._unitary_deviation(sv._diagonal_gates(stacked)))
+        for phi, entries in zip(phis, stacked.transpose(1, 0, 2)):
+            want = prepared
+            for j, d in enumerate(entries, start=1):
+                want = sv.apply_1q(want, j, np.diag(d))
+            kicked = qpe.apply_phase_kicks(prepared, phi, m, mode).amplitudes
+            assert kicked.tobytes() == want.amplitudes.tobytes(), phi
+            assert prepared.amplitudes.tobytes() == before
 
 
 class TestControlledPhaseSequence:
@@ -208,8 +209,8 @@ class TestPhaseDiagonals:
         assert differ == 0, differ
 
     def test_one_pulse_per_phase(self, monkeypatch):
-        # a pulse-literal kick of a P-row stack builds P pulse unitaries for
-        # all its m molecules, and a single state one
+        # the pulse-literal kicks of P phases (the tree's) build P pulse
+        # unitaries for all m molecules, and a single state's one
         built = []
 
         def counted(spec):
@@ -218,12 +219,10 @@ class TestPhaseDiagonals:
 
         monkeypatch.setattr(qpe, "single_pulse_unitary", counted)
         m, phis = 6, np.random.default_rng(92).uniform(0.0, TWO_PI, 5).tolist()
-        prepared = sv.new_state(m)
-        stack = sv.QuantumState(np.stack([prepared.amplitudes] * len(phis)))
-        qpe.apply_phase_kicks(stack, phis, m, GateMode.PULSE_LITERAL)
+        qpe._phase_diagonals(phis, GateMode.PULSE_LITERAL, qpe._kick_powers(m))
         assert len(built) == len(phis)
         built.clear()
-        qpe.apply_phase_kicks(prepared, phis[0], m, GateMode.PULSE_LITERAL)
+        qpe.apply_phase_kicks(sv.new_state(m), phis[0], m, GateMode.PULSE_LITERAL)
         assert len(built) == 1
 
 
@@ -282,49 +281,51 @@ class TestExactDistribution:
 
 
 class TestExactDistributions:
-    """A stack of phases shares one inverse QFT; each row must still be the
-    distribution of its phase alone, byte for byte."""
+    """The distributions of many phases: each phase's row is the bytes of
+    every single-state path, and ``empirical_successes`` hands the tree its
+    phases in batches, each phase getting the mass it has alone."""
 
     @pytest.mark.parametrize("mode", list(GateMode))
     @pytest.mark.parametrize("m", range(1, 13))
     def test_rows_match_single_phases(self, m, mode):
+        # exact_distribution, readout_distribution and the final state that
+        # estimate samples, read out in bit-reversed order, give each phase
+        # of a list the same bytes
         rng = np.random.default_rng(40 + m)
         phis = [float(p) for p in TWO_PI - rng.uniform(0.0, TWO_PI, 12)]
-        for count in (1, 5, 12):
-            got = qpe.exact_distributions(m, phis[:count], mode)
-            assert got.shape == (count, 2 ** m)
-            for phi, row in zip(phis, got):
-                alone = qpe.exact_distribution(m, phi, mode)
-                assert row.tobytes() == alone.tobytes(), (count, phi)
-        # the unstacked path of estimate, which never forms a stack
-        for phi, row in zip(phis, got):
+        order = [bit_reverse(j, m) for j in range(2 ** m)]
+        rows = [qpe.exact_distribution(m, phi, mode) for phi in phis]
+        for phi, row in zip(phis, rows):
+            assert row.shape == (2 ** m,)
             assert row.tobytes() == qpe.readout_distribution(m, phi, mode).tobytes()
+            register = sv.probabilities(qpe.run_final_state(m, phi, mode))
+            assert row.tobytes() == register[order].tobytes(), phi
 
     @pytest.mark.parametrize("mode", list(GateMode))
     def test_phases_beyond_one_batch(self, mode):
-        # exact_distributions kicks all its phases as one stack, even one
-        # larger than sweep's batches: a row's bits do not depend on how
-        # many rows the stack has
-        m = 12
+        # more phases than one tree call takes: each mass is its own
+        # statevector distribution's to within rounding
+        m, n = 12, 3
         count = qpe.batch_size(m) + 3
         phis = [float(p) for p in np.random.default_rng(60).uniform(0.1, TWO_PI, count)]
-        got = qpe.exact_distributions(m, phis, mode)
+        got = qpe.empirical_successes(m, n, phis, mode)
         assert qpe.batch_size(m) * 2 ** m <= qpe.BATCH_AMPLITUDES < count * 2 ** m
-        for phi, row in zip(phis, got):
-            assert row.tobytes() == qpe.exact_distribution(m, phi, mode).tobytes()
-
-    def test_batch_size(self):
-        assert qpe.batch_size(5) * 2 ** 5 == qpe.BATCH_AMPLITUDES
-        assert qpe.batch_size(16) == qpe.batch_size(qpe.MAX_REGISTER) == 1
+        for phi, mass in zip(phis, got):
+            alone = qpe.window_mass(qpe.exact_distribution(m, phi, mode), n, phi)
+            assert mass == pytest.approx(alone, abs=1e-12), phi
 
     def test_no_phases(self):
-        assert qpe.exact_distributions(4, []).shape == (0, 16)
+        assert qpe.empirical_successes(4, 2, []) == []
 
     @pytest.mark.parametrize("m", [0, qpe.MAX_REGISTER + 1])
     def test_register_cap(self, m, monkeypatch):
         monkeypatch.setattr(qpe, "prepare_register", None)  # no simulation
         with pytest.raises(ValidationError, match="m must be in"):
-            qpe.exact_distributions(m, [1.0])
+            qpe.exact_distribution(m, 1.0)
+
+    def test_batch_size(self):
+        assert qpe.batch_size(5) * 2 ** 5 == qpe.BATCH_AMPLITUDES
+        assert qpe.batch_size(16) == qpe.batch_size(qpe.MAX_REGISTER) == 1
 
     @pytest.mark.parametrize("mode", list(GateMode))
     def test_empirical_successes_batches_its_phases(self, mode, monkeypatch):
@@ -384,7 +385,8 @@ class TestTreeDistributions:
         phis = [float(p) for p in np.random.default_rng(80 + m).uniform(0.01, TWO_PI, 12)]
         tree = qpe.tree_distributions(m, phis, mode)
         assert tree.shape == (12, 2 ** m)
-        assert np.abs(tree - qpe.exact_distributions(m, phis, mode)).max() <= 1e-13
+        statevector = [qpe.exact_distribution(m, phi, mode) for phi in phis]
+        assert np.abs(tree - statevector).max() <= 1e-13
 
     @pytest.mark.parametrize("mode", list(GateMode))
     @pytest.mark.parametrize("m", range(13, 17))
@@ -433,14 +435,29 @@ class TestTreeDistributions:
             tree = qpe.tree_distributions(m, [phi], mode)[0]
             assert np.abs(tree - expected).max() <= 1e-13
 
-    def test_verdict_names_the_first_failing_kick(self):
+    def test_verdict_names_the_first_failing_kick(self, monkeypatch):
+        # the tree judges a stack's kicks molecule-major, so its verdict is
+        # the statevector's on the phase whose failing kick has the lowest
+        # molecule, the first such phase of the stack on a tie
         stack = [0.3, 0.8271428571428572, 1.0067455141626498]
         mode = GateMode.PULSE_LITERAL
         with pytest.raises(ValidationError) as tree:
             qpe.tree_distributions(16, stack, mode)
-        with pytest.raises(ValidationError) as statevector:
-            qpe.exact_distributions(16, stack, mode)
-        assert str(tree.value) == str(statevector.value)
+        qubits = []
+        apply_1q = sv.apply_1q
+
+        def recorded(state, qubit_index, gate, **kwargs):
+            qubits.append(qubit_index)
+            return apply_1q(state, qubit_index, gate, **kwargs)
+
+        monkeypatch.setattr(sv, "apply_1q", recorded)
+        verdicts = []
+        for row, phi in enumerate(stack):
+            with pytest.raises(ValidationError) as statevector:
+                qpe.exact_distribution(16, phi, mode)
+            # the last gate call is the failing kick, on its molecule
+            verdicts.append((qubits[-1], row, str(statevector.value)))
+        assert str(tree.value) == min(verdicts)[2]
 
     @pytest.mark.parametrize("broken", ["hadamard", "phase gate"])
     def test_other_gates_get_the_statevector_verdict(self, broken, monkeypatch):
@@ -461,7 +478,7 @@ class TestTreeDistributions:
             with pytest.raises(ValidationError, match="gate is not unitary") as tree:
                 qpe.tree_distributions(5, [0.3, 2.0])
             with pytest.raises(ValidationError) as statevector:
-                qpe.exact_distributions(5, [0.3, 2.0])
+                qpe.exact_distribution(5, 0.3)
         finally:
             qpe._phase_gate.cache_clear()
         assert str(tree.value) == str(statevector.value)

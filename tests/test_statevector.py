@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -46,15 +47,14 @@ class TestNewState:
         for m in (1, 2, 3, 12):
             state = sv.new_state(m)
             assert state.num_qubits == m and len(state.amplitudes) == 2 ** m
-            stack = sv.QuantumState(np.zeros((3, 2 ** m), dtype=complex))
-            assert stack.num_qubits == m
+            assert sv.QuantumState(np.zeros(2 ** m, dtype=complex)).num_qubits == m
 
     def test_normalized(self):
         assert sv.new_state(3).norm() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("shape", [(3,), (1,), (0,), (6,), (2, 12), ()])
+    @pytest.mark.parametrize("shape", [(3,), (1,), (0,), (6,)])
     def test_length_must_be_a_power_of_two(self, shape):
-        # the qubit count, and every kernel's view, come from the last axis
+        # the qubit count, and every kernel's view, come from the length
         with pytest.raises(DimensionError, match="power of two"):
             sv.QuantumState(np.ones(shape, dtype=complex))
 
@@ -72,9 +72,18 @@ class TestNewState:
         amps = sv.new_state(3).amplitudes
         assert sv.QuantumState(amps).amplitudes is amps
 
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 2), (3, 2 ** 12), (2, 12), ()])
+    def test_only_one_dimension_is_a_state(self, shape):
+        # a stack of states too: a state is one register's amplitudes
+        with pytest.raises(DimensionError,
+                           match=rf"^amplitudes must be one state, a 1-D array, got "
+                                 rf"{len(shape)} dimensions$"):
+            sv.QuantumState(np.ones(shape, dtype=complex))
+
     @pytest.mark.parametrize("shape", [(2, 2, 4), (1, 1, 1, 2)])
     def test_more_than_two_dimensions_are_no_state(self, shape):
-        with pytest.raises(DimensionError, match=r"\(1 or 2 dimensions\), got"):
+        with pytest.raises(DimensionError,
+                           match=r"one state, a 1-D array, got \d dimensions$"):
             sv.QuantumState(np.ones(shape, dtype=complex))
 
     def test_three_amplitudes_are_no_register(self):
@@ -208,12 +217,14 @@ class TestProbabilities:
                            match=r"^probabilities sum to 2\.000000000000000$"):
             sv.probabilities(state)
 
-    def test_stack_names_its_bad_row(self):
-        stack = stack_of(5, np.random.default_rng(523), count=4)
-        stack.amplitudes[2] *= math.sqrt(1 + 1e-8)
+    def test_stack_names_its_bad_row(self, monkeypatch):
+        # the tree's last check, of each row's sum: with the branch checks
+        # off, row 2's chances at molecule 1 are 1e-8 too large
+        monkeypatch.setattr(qpe, "_check_branches", lambda probs, r: None)
+        skew_branch(monkeypatch, nth=1, scale=1 + 1e-8, row=2)
         with pytest.raises(NumericalInvariantError,
                            match=r"^probabilities sum to 1\.0000000\d+ in row 2 of the stack$"):
-            sv.probabilities(stack)
+            qpe.tree_distributions(5, [0.3, 1.1, 2.9, 4.0])
 
     @pytest.mark.parametrize("args", [
         ["estimate", "--m", "8", "--phase", "0.3", "--shots", "0"],
@@ -605,8 +616,7 @@ def structured_gates(rng):
 class TestColumnBlocks:
     """``_flat._column_blocks`` cuts every kernel's blocks: they tile the
     array once in C order, hold at most ``cols`` elements each, and each
-    lies within one row (an int first index) or holds whole rows (a slice
-    of axis 0), so a kernel reads a block's row or rows off that index."""
+    has an int first index or is one range of axis 0 (a slice)."""
 
     @given(rows=st.integers(1, 20), axes=st.lists(st.integers(0, 3), max_size=3),
            cols=st.integers(0, 12).map(lambda e: 2 ** e))
@@ -691,8 +701,8 @@ class TestInPlace:
         # (192 KiB), which is more than 1/8 of a 16-qubit state, so the
         # bound is checked on 17 qubits: the ideal and pulse-literal
         # diagonals and Hadamards on every axis, CNOTs whose blocks are
-        # runs, 1-D and 2-D arrays of gathered runs, a dense 4x4 whose
-        # blocks are ranges of L, M and R, and both kinds of stacked kick
+        # runs, 1-D and 2-D arrays of gathered runs, and a dense 4x4 whose
+        # blocks are ranges of L, M and R
         rng = np.random.default_rng(18)
         state = random_state(17, rng)
         limit = state.amplitudes.nbytes / 8
@@ -707,15 +717,6 @@ class TestInPlace:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < limit, (axes, peak)
-        stack = sv.QuantumState(state.amplitudes[None])
-        for mode in qpe.GateMode:
-            for qubit in (1, 9, 17):
-                entries = qpe._phase_diagonals([0.7], mode, [2])[0]
-                tracemalloc.start()
-                stack = sv.apply_1q_diagonals(stack, qubit, entries, in_place=True)
-                peak = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
-                assert peak < limit, (mode, qubit, peak)
 
     def test_protocol_peak_memory(self):
         # a dense gate holds its state and at most three blocks, so the
@@ -822,7 +823,9 @@ def record_kernels(monkeypatch, scale=1.0):
     def wrap(kernel):
         def recorded(*args):
             out = kernel(*args)
-            out.reshape(2, -1)[0] *= scale
+            if scale != 1.0:
+                # a complex product, which turns -0.0 to 0.0, so only then
+                out.reshape(2, -1)[0] *= scale
             calls.append(kernel.__name__)
             return out
         return recorded
@@ -953,23 +956,24 @@ class TestNormCheckFires:
         assert calls[-1] == nth
 
 
-def stack_of(factors, rng, count=5):
-    rows = [random_state(factors, rng).amplitudes for _ in range(count)]
-    return sv.QuantumState(np.stack(rows))
+def random_stack(factors, rng, count=5):
+    """``count`` random states of ``factors`` factors, one row each."""
+    return np.stack([random_state(factors, rng).amplitudes for _ in range(count)])
 
 
 class TestStack:
-    """A ``(P, dim)`` stack runs the kernel a single state of its shape
-    runs, once over all rows, a dense gate in blocks of whole columns that
-    may span rows where each row leaves two other factors; each row must
-    come out with the bytes its state alone gets."""
+    """One state a call, of 1 to 15 factors: every axis and ordered pair
+    runs the kernel ``TestKernelDispatch`` names, a dense gate in blocks of
+    whole columns, and gives the same bytes in place as into a new array,
+    whatever the BLAS kernel. The stacks that the tree keeps (of phase
+    diagonals, of gates, of row sums) may hold no rows."""
 
     @pytest.mark.parametrize("factors", range(1, 16))
     def test_rows_match_single_states(self, monkeypatch, factors):
-        # every axis and ordered pair, 3 rows
         calls = record_kernels(monkeypatch)
         rng = np.random.default_rng(500 + factors)
-        stack = stack_of(factors, rng, count=3)
+        state = random_state(factors, rng)
+        before = state.amplitudes.tobytes()
         one, two = structured_gates(rng)
         one["hadamard"], two["dense"] = H, random_unitary(4, rng)
         cases = [([axis], gate) for gate in one.values() for axis in range(factors)]
@@ -978,46 +982,52 @@ class TestStack:
         seen = set()
         for axes, gate in cases:
             calls.clear()
-            got = sv._apply(stack, axes, gate).amplitudes
+            got = sv._apply(state, axes, gate).amplitudes
             kernel = TestKernelDispatch.expected(factors, axes, gate)
             assert calls == [kernel], (axes, calls)
             seen.add(kernel)
-            assert got.shape == stack.amplitudes.shape
-            for row, amps in zip(got, stack.amplitudes):
-                alone = sv._apply(sv.QuantumState(amps), axes, gate)
-                assert row.tobytes() == alone.amplitudes.tobytes(), (axes, kernel)
+            assert got.shape == state.amplitudes.shape
+            work = sv.QuantumState(state.amplitudes.copy())
+            again = sv._apply(work, axes, gate, in_place=True).amplitudes
+            assert np.shares_memory(again, work.amplitudes)
+            assert again.tobytes() == got.tobytes(), (axes, kernel)
+        assert state.amplitudes.tobytes() == before
         # the dense fallback at 1 and 2 factors; from 3 on the pattern pass
         # and the slab kernel as well
         assert seen == ({"_apply_dense"} if factors <= 2 else
                         {"_apply_dense", "_apply_pattern", "_apply_monomial"})
 
     def test_empty_stack(self):
-        # a stack of no rows has no blocks, and every kernel returns it as it is
-        for factors in (1, 3, 13):
-            stack = sv.QuantumState(np.empty((0, 2 ** factors), dtype=complex))
-            states = [sv.apply_1q(stack, 1, H), sv.apply_1q(stack, 1, np.diag([-1, 1j])),
-                      sv.apply_1q(stack, factors, X),
-                      sv.apply_1q_diagonals(stack, 1, np.ones((0, 2)))]
-            if factors > 1:
-                states.append(sv.apply_2q(stack, 1, factors, CNOT))
-            for state in states:
-                assert state.amplitudes.shape == (0, 2 ** factors)
-            assert sv.probabilities(stack).shape == (0, 2 ** factors)
+        # no phases: no kicks, no gates to judge, no distributions
+        for mode in qpe.GateMode:
+            kicks = qpe._phase_diagonals([], mode, qpe._kick_powers(5))
+            assert kicks.shape == (5, 0, 2)
+            gates = sv._diagonal_gates(kicks)
+            assert gates.shape == (5, 0, 2, 2)
+            devs = sv._unitary_deviation(gates)
+            assert devs.shape == (5, 0)
+            sv._require_unitary(devs)
+            assert qpe.tree_distributions(5, [], mode).shape == (0, 32)
+        sv._require_ones(np.empty(0), "probabilities sum to")
 
     def test_in_place_overwrites_the_stack(self):
-        stack = stack_of(6, np.random.default_rng(520))
-        before = stack.amplitudes.copy()
-        got = sv.apply_1q(stack, 3, np.diag([1, 1j]), in_place=True)
-        assert np.shares_memory(got.amplitudes, stack.amplitudes)
-        assert not np.array_equal(stack.amplitudes, before)
+        state = random_state(6, np.random.default_rng(520))
+        before = state.amplitudes.copy()
+        got = sv.apply_1q(state, 3, np.diag([1, 1j]), in_place=True)
+        assert np.shares_memory(got.amplitudes, state.amplitudes)
+        assert not np.array_equal(state.amplitudes, before)
 
     def test_probabilities_per_row(self):
-        stack = stack_of(5, np.random.default_rng(521), count=3)
-        probs = sv.register_probabilities(stack, 5)
-        assert probs.shape == (3, 32)
-        for row, amps in zip(probs, stack.amplitudes):
-            alone = sv.register_probabilities(sv.QuantumState(amps), 5)
-            assert row.tobytes() == alone.tobytes()
+        # each outcome of qubits 1..5 sums the chances of the 4 states of
+        # qubits 6 and 7
+        state = random_state(7, np.random.default_rng(521))
+        probs = sv.register_probabilities(state, 5)
+        chances = np.abs(state.amplitudes) ** 2
+        assert probs.shape == (32,)
+        for row, p in enumerate(probs):
+            assert p == pytest.approx(math.fsum(chances[4 * row:4 * row + 4]),
+                                      rel=1e-15, abs=0)
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize(
         "gate, message",
@@ -1025,38 +1035,32 @@ class TestStack:
          (np.array([[0, 2], [1, 0]]), r"gate is not unitary \(deviation 3\.000e\+00\)")],
     )
     def test_non_unitary_gate_rejected(self, gate, message):
-        stack = stack_of(8, np.random.default_rng(522))
+        state = random_state(8, np.random.default_rng(522))
         with pytest.raises(ValidationError, match=message):
-            sv.apply_1q(stack, 1, gate)
+            sv.apply_1q(state, 1, gate)
 
 
-def skew_two_rows(monkeypatch, kernel, nth, delta=1e-8):
-    """Wrap ``kernel`` so that on its ``nth`` call on a stack (a kernel
-    returns a single state's amplitudes as a 1-D array) it scales the
-    squared norm of row 0 by 1 + delta and of row 1 by 1 - delta: the
-    stack's total norm stays put, so only a check of every row sees it.
-    Returns the list of the wrapper's stack calls."""
+def skew_output(monkeypatch, kernel, nth, delta=1e-8):
+    """Wrap ``kernel`` so that on its ``nth`` call it scales the squared
+    norm of the amplitudes it returns by 1 + delta. Returns the list of the
+    wrapper's calls."""
     calls = []
-    module = _flat if hasattr(_flat, kernel) else sv
-    original = getattr(module, kernel)
+    original = getattr(_flat, kernel)
 
     def skewed(*args):
         out = original(*args)
-        if out.ndim == 2:
-            calls.append(kernel)
-            if len(calls) == nth:
-                rows = out.reshape(out.shape[0], -1)
-                rows[0] *= math.sqrt(1 + delta)
-                rows[1] *= math.sqrt(1 - delta)
+        calls.append(kernel)
+        if len(calls) == nth:
+            out *= math.sqrt(1 + delta)
         return out
 
-    monkeypatch.setattr(module, kernel, skewed)
+    monkeypatch.setattr(_flat, kernel, skewed)
     return calls
 
 
 class TestStackNormCheck:
-    """One drifting row of a stack ends the run, though the other rows
-    keep the stack's total norm."""
+    """A state that drifts in any kernel ends the readout of its phase; one
+    drifting branch of a sweep's stack ends the sweep."""
 
     @pytest.mark.parametrize("kernel", ["_apply_monomial", "_apply_pattern",
                                         "_apply_dense"])
@@ -1064,9 +1068,10 @@ class TestStackNormCheck:
         # only pulse-literal phase gates and kicks have no entry 1, so only
         # they take the pattern pass
         mode = qpe.GateMode.PULSE_LITERAL if kernel == "_apply_pattern" else qpe.GateMode.IDEAL
-        calls = skew_two_rows(monkeypatch, kernel, nth=3)
+        calls = skew_output(monkeypatch, kernel, nth=3)
         with pytest.raises(NumericalInvariantError, match="state norm drifted"):
-            qpe.exact_distributions(8, [0.3, 1.1, 2.9, 4.0, 5.5], mode)
+            for phi in (0.3, 1.1, 2.9, 4.0, 5.5):
+                qpe.exact_distribution(8, phi, mode)
         assert len(calls) == 3
 
     def test_sweep_exits_2(self, monkeypatch, capsys):
@@ -1108,8 +1113,10 @@ KICK_PHASES = (0.3, 1.0, 2.0, math.pi, 4.2, 5.9, 2 * math.pi, 1e-3)
 
 
 class TestRowDiagonals:
-    """``apply_1q_diagonals`` gives row p of a stack the verdict and the
-    bytes that ``apply_1q`` gives that row alone with ``diag(entries[p])``."""
+    """A stack of diagonals, as the tree judges its kicks: ``_diagonal_gates``
+    makes row p the gate ``diag(entries[p])``, the stack's verdict is the one
+    ``apply_1q`` gives its first failing row alone, and each row's gate gives
+    a state the contraction's values through the kernel it dispatches to."""
 
     @pytest.mark.parametrize("mode", list(qpe.GateMode))
     def test_deviation_matches_gate_plan(self, mode):
@@ -1130,113 +1137,114 @@ class TestRowDiagonals:
     def test_failing_row_fails_as_apply_1q(self, phi, power, mode):
         gate = np.diag(qpe._phase_diagonals([phi], mode, [power])[0, 0])
         fine = qpe._phase_gate(1.0, mode).diagonal()
-        stack = stack_of(6, np.random.default_rng(530))
-        entries = [fine, fine, gate.diagonal(), fine, fine]
+        entries = np.array([fine, fine, gate.diagonal(), fine, fine])
         with pytest.raises(ValidationError, match="gate is not unitary") as stacked:
-            sv.apply_1q_diagonals(stack, 2, entries)
+            sv._require_unitary(sv._unitary_deviation(sv._diagonal_gates(entries)))
         with pytest.raises(ValidationError) as alone:
-            sv.apply_1q(sv.QuantumState(stack.amplitudes[2]), 2, gate)
+            sv.apply_1q(random_state(6, np.random.default_rng(530)), 2, gate)
         assert str(stacked.value) == str(alone.value)
 
     @pytest.mark.parametrize("factors", [1, 2, 3, 6, 11, 13, 14])
     def test_rows_match_apply_1q(self, monkeypatch, factors):
-        kernels = []
-        for name in ("_apply_pattern", "_apply_monomial", "_apply_dense"):
-            def recorded(*args, _kernel=getattr(_flat, name), _name=name):
-                kernels.append(_name)
-                return _kernel(*args)
-            monkeypatch.setattr(_flat, name, recorded)
+        calls = record_kernels(monkeypatch)
         rng = np.random.default_rng(540 + factors)
-        # stacks of 1, 5 and 12 rows: at 11 factors the 10 of 12 rows that
-        # ``with_ones`` moves take blocks of 4, 4 and 2 rows; at 13 factors
-        # a block is one row's whole slab, and at 14 blocks lie inside rows
         for count in (1, 5, 12):
-            stack = stack_of(factors, rng, count)
+            rows = random_stack(factors, rng, count)
             # exact zeros of both signs, whose signs only a kernel that
-            # leaves a slab untouched keeps
-            stack.amplitudes.imag[:, ::4] = 0.0
-            stack.amplitudes.imag[:, 1::4] = -0.0
-            stack.amplitudes /= np.sqrt(sv._squared_norms(stack.amplitudes))[:, None]
+            # leaves a slab untouched keeps; normalised by a float division,
+            # which keeps them too
+            rows.imag[:, ::4] = 0.0
+            rows.imag[:, 1::4] = -0.0
+            norms = np.sqrt((np.abs(rows) ** 2).sum(axis=-1))
+            rows.view(np.float64).reshape(count, -1)[:] /= norms[:, None]
+            assert np.signbit(rows.imag[:, 1::4]).all()
             with_ones = np.exp(1j * rng.uniform(0, 2 * math.pi, (count, 2)))
-            # exact 1s, which a single state's slab kernel leaves untouched:
-            # in one entry of every row, and in all of rows 1 and 3
+            # exact 1s, whose slabs the slab kernel leaves untouched: in one
+            # entry of every row, and in all of rows 1 and 3
             with_ones[:, 0] = 1
             with_ones[1:4:2] = 1
-            # no 1 in any row: each row takes the pattern pass where its
-            # axis leaves runs shorter than SPLIT_BLOCK
+            # no 1 in any row: each takes the pattern pass where its axis
+            # leaves runs shorter than SPLIT_BLOCK
             without_ones = np.exp(1j * rng.uniform(0, 2 * math.pi, (count, 2)))
-            for entries, axis, in_place in itertools.product(
-                    (with_ones, without_ones), range(factors), (False, True)):
-                kernels.clear()
-                amps = stack.amplitudes.copy()
-                got = sv.apply_1q_diagonals(sv.QuantumState(amps),
-                                            axis + 1, entries, in_place=in_place)
-                stacked = kernels[:]
-                assert np.shares_memory(got.amplitudes, amps) == in_place
-                for row, before, d in zip(got.amplitudes, stack.amplitudes, entries):
-                    alone = sv.apply_1q(sv.QuantumState(before),
-                                        axis + 1, np.diag(d))
-                    assert row.tobytes() == alone.amplitudes.tobytes(), (count, axis, d)
-                expected = [TestKernelDispatch.expected(factors, [axis], np.diag(d))
-                            for d in entries]
-                if expected[0] == "_apply_dense":
-                    # one call, with a gate per row
-                    assert stacked == ["_apply_dense"]
-                else:
-                    # the pattern pass where every row alone takes it, else
-                    # the slab kernel
-                    pattern = set(expected) == {"_apply_pattern"}
-                    assert set(stacked) == {"_apply_pattern" if pattern
-                                            else "_apply_monomial"}, (count, axis)
+            for entries in (with_ones, without_ones):
+                gates = sv._diagonal_gates(entries)
+                sv._require_unitary(sv._unitary_deviation(gates))
+                for amps, gate, d in zip(rows, gates, entries):
+                    assert gate.tobytes() == np.diag(d).tobytes()
+                    state = sv.QuantumState(amps)
+                    for axis in range(factors):
+                        calls.clear()
+                        got = sv._apply(state, [axis], gate).amplitudes
+                        kernel = TestKernelDispatch.expected(factors, [axis], gate)
+                        assert calls == [kernel], (count, axis, d)
+                        assert np.array_equal(got, tensordot_apply(state, [axis], gate))
+                        work = amps.copy()
+                        again = sv._apply(sv.QuantumState(work), [axis], gate,
+                                          in_place=True).amplitudes
+                        assert np.shares_memory(again, work)
+                        assert again.tobytes() == got.tobytes(), (count, axis, d)
+                        if kernel == "_apply_monomial":
+                            for b in np.flatnonzero(d == 1):
+                                slab = (2 ** axis, 2, -1)
+                                assert (got.reshape(slab)[:, b].tobytes()
+                                        == amps.reshape(slab)[:, b].tobytes())
 
     def test_shape_is_checked(self):
-        stack = stack_of(4, np.random.default_rng(531))
-        with pytest.raises(DimensionError):
-            sv.apply_1q_diagonals(stack, 1, np.ones((4, 2)))
-        with pytest.raises(DimensionError):
-            sv.apply_1q_diagonals(sv.QuantumState(stack.amplitudes[0]), 1,
-                                  np.ones((1, 2)))
+        # a stack of gates is no gate: apply_1q takes one 2x2, as the tree's
+        # rows come out of the stack
+        state = random_state(4, np.random.default_rng(531))
+        gates = sv._diagonal_gates(np.ones((4, 2)))
+        with pytest.raises(DimensionError, match=r"expected 2x2 gate, got shape \(4, 2, 2\)"):
+            sv.apply_1q(state, 1, gates)
+        with pytest.raises(DimensionError, match=r"expected 2x2 gate, got shape \(1, 2, 2\)"):
+            sv.apply_1q(state, 1, gates[:1])
+        assert sv.apply_1q(state, 1, gates[0]).amplitudes.tobytes() == state.amplitudes.tobytes()
 
     def test_drifting_row_stops_the_call(self, monkeypatch):
-        calls = skew_two_rows(monkeypatch, "_apply_pattern", nth=1)
-        stack = stack_of(8, np.random.default_rng(532))
-        with pytest.raises(NumericalInvariantError, match="in row 0 of the stack"):
-            sv.apply_1q_diagonals(stack, 2, np.exp(1j * np.ones((5, 2))))
-        assert calls == ["_apply_pattern"]
+        # one branch of row 0 drifts at molecule 1: the tree stops there
+        calls = skew_branch(monkeypatch, nth=1, scale=1 + 1e-8, row=0, branch=0)
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^branch chances of molecule 1 sum to \S+ in row 0 of the stack$"):
+            qpe.tree_distributions(8, [0.3, 1.1, 2.9, 4.0, 5.5])
+        assert calls == [1]
 
 
 class TestNormCheckOfAStack:
-    """All rows of a stack are checked in one pass, each on its own; the
-    message names the norm of the first row that drifted, and its row."""
+    """The tree checks all rows of its stack in one ``_require_ones`` pass,
+    each on its own; the message names the first row that drifted, and its
+    row. A single state's norm check names its norm alone."""
 
     @staticmethod
     def stack():
-        return stack_of(10, np.random.default_rng(550), count=12)
+        return random_stack(10, np.random.default_rng(550), count=12)
 
     @staticmethod
     def reported(error) -> float:
-        return float(str(error.value).split()[4])
+        return float(re.search(r" to (\S+)", str(error.value))[1])
+
+    @staticmethod
+    def check(stack):
+        return sv._require_ones((np.abs(stack) ** 2).sum(axis=-1), "probabilities sum to")
 
     def test_unit_rows_pass(self):
-        stack = self.stack()
-        assert sv._check_norm(stack) is stack
+        assert self.check(self.stack()) is None
 
     @pytest.mark.parametrize("row", [0, 6, 11])
     def test_nan_amplitude_names_its_row(self, row):
         stack = self.stack()
-        stack.amplitudes[row, 77] = math.nan
+        stack[row, 77] = math.nan
         with pytest.raises(NumericalInvariantError,
-                           match=rf"^state norm drifted to nan in row {row} of the stack$"):
-            sv._check_norm(stack)
+                           match=rf"^probabilities sum to nan in row {row} of the stack$"):
+            self.check(stack)
 
     @pytest.mark.parametrize("delta", [1e-8, -1e-8])
     def test_skew_of_the_last_row(self, delta):
         stack = self.stack()
-        stack.amplitudes[11] *= math.sqrt(1 + delta)
+        stack[11] *= math.sqrt(1 + delta)
         with pytest.raises(NumericalInvariantError,
-                           match=r"^state norm drifted to \S+ in row 11 of the stack$") as err:
-            sv._check_norm(stack)
-        assert self.reported(err) == pytest.approx(math.sqrt(1 + delta), abs=1e-15)
+                           match=r"^probabilities sum to \S+ in row 11 of the stack$") as err:
+            self.check(stack)
+        assert self.reported(err) == pytest.approx(1 + delta, abs=1e-15)
 
     @pytest.mark.parametrize("delta", [1e-8, -1e-8])
     def test_single_state_message(self, delta):
@@ -1246,3 +1254,32 @@ class TestNormCheckOfAStack:
                            match=r"^state norm drifted to \S+$") as err:
             sv._check_norm(state)
         assert self.reported(err) == pytest.approx(math.sqrt(1 + delta), abs=1e-15)
+
+
+# pulse-literal phases whose kicks stay unitary up to m = 16 (test_qpe.py's)
+UNITARY_KICK_PHASES = (0.5, 2.0, 2.7, 5.5)
+
+
+class TestReadoutBits:
+    """The statevector's readout keeps the bits it had when
+    ``exact_distribution`` still ran through a one-row stack of the
+    state."""
+
+    def test_exact_distribution_keeps_its_bits(self):
+        # sha256 of exact_distribution at 3 random phases for each m = 1..16
+        # in both modes, the 4 phases above for pulse-literal m >= 14. Here
+        # and not in test_qpe.py, which CI also runs with numpy's AVX2 loops
+        # off, where the statevector's bits move
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(96)
+        for mode in qpe.GateMode:
+            for m in range(1, 17):
+                phis = [float(p) for p in rng.uniform(0.01, 2 * math.pi, 3)]
+                if mode == qpe.GateMode.PULSE_LITERAL and m >= 14:
+                    phis = list(UNITARY_KICK_PHASES)
+                for phi in phis:
+                    digest.update(qpe.exact_distribution(m, phi, mode).tobytes())
+        assert digest.hexdigest() == EXACT_DIGEST
+
+
+EXACT_DIGEST = "56c39727c4b3cfce0f879a1225402dcd44d188f191e3ba0de1d1e292e7a98e60"
