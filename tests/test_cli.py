@@ -29,6 +29,24 @@ def run_json(args, capsys):
     return json.loads(out)
 
 
+def break_kicks(monkeypatch, broken):
+    """Make ``qpe._phase_diagonals`` give the diagonal ``broken[(power,
+    phase)]`` for that power of that phase's gate, or of every phase's for a
+    phase of None."""
+    phase_diagonals = qpe._phase_diagonals
+
+    def bent(thetas, mode, powers=(1,)):
+        diagonals = phase_diagonals(thetas, mode, powers)
+        for (power, phase), entries in broken.items():
+            rows = np.asarray(powers)[:, None] == power
+            if phase is not None:
+                rows = rows & (np.asarray(thetas) == phase)
+            diagonals[rows & np.ones(len(thetas), dtype=bool)] = entries
+        return diagonals
+
+    monkeypatch.setattr(qpe, "_phase_diagonals", bent)
+
+
 class TestEstimate:
     def test_representable_exact(self, capsys):
         report = run_json(
@@ -349,6 +367,34 @@ class TestExitCodes:
                                   "--random-phases", "12", "--seed", "4"], capsys)
         assert code == 1 and out == ""
         assert "gate is not unitary (deviation 1.250e+00)" in err
+
+    @pytest.mark.parametrize("m_values, deviation", [("5,8", "1.250e+00"),
+                                                     ("8,5", "5.625e-01")])
+    def test_sweep_names_its_first_registers_kick(self, capsys, monkeypatch,
+                                                  m_values, deviation):
+        # the kick of power 2^3 (molecule 2 at m = 5, molecule 5 at m = 8) and
+        # that of power 2^7 (molecule 1 at m = 8 only) are broken, each with
+        # its own deviation: the verdict is the first register's as given
+        break_kicks(monkeypatch, {(2 ** 3, None): [1.0, 1.5],
+                                  (2 ** 7, None): [1.0, 1.25]})
+        code, out, err = run_cli(["sweep", "--m-values", m_values, "--n", "3",
+                                  "--phases", "1.0,2.0"], capsys)
+        assert code == 1 and out == ""
+        assert err == ("error: gate is not unitary (deviation "
+                       f"{deviation})\n")
+
+    def test_sweep_names_its_first_batchs_kick(self, capsys, monkeypatch):
+        # 40 phases at m = 11 run in batches of 32 and 8: the first batch
+        # fails at molecule 2, the second at molecule 1, and the verdict is
+        # the first batch's
+        phis = np.random.default_rng(6).uniform(0.0, TWO_PI, 40)
+        assert qpe.batch_size(11) == 32
+        break_kicks(monkeypatch, {(2 ** 9, float(phis[3])): [1.0, 1.5],
+                                  (2 ** 10, float(phis[35])): [1.0, 1.25]})
+        code, out, err = run_cli(["sweep", "--m-values", "11", "--n", "3",
+                                  "--random-phases", "40", "--seed", "6"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: gate is not unitary (deviation 1.250e+00)\n"
 
     def test_non_finite_result_exits_2(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._HANDLERS, "feasibility",

@@ -459,6 +459,28 @@ class TestTreeDistributions:
             verdicts.append((qubits[-1], row, str(statevector.value)))
         assert str(tree.value) == min(verdicts)[2]
 
+    def test_verdict_is_molecule_major(self, monkeypatch):
+        # phase 0's kick fails at molecule 2 only and phase 1's at molecule 1
+        # only, each with its own deviation: molecule-major order meets phase
+        # 1's first, phase-major order would meet phase 0's
+        m, phis = 6, [0.7, 2.1, 4.4]
+        phase_diagonals = qpe._phase_diagonals
+
+        def broken(thetas, mode, powers=(1,)):
+            diagonals = phase_diagonals(thetas, mode, powers)
+            powers, thetas = np.asarray(powers)[:, None], np.asarray(thetas)
+            diagonals[(powers == 2 ** (m - 2)) & (thetas == phis[0])] = [1.0, 1.5]
+            diagonals[(powers == 2 ** (m - 1)) & (thetas == phis[1])] = [1.0, 1.25]
+            return diagonals
+
+        monkeypatch.setattr(qpe, "_phase_diagonals", broken)
+        with pytest.raises(ValidationError) as tree:
+            qpe.tree_distributions(m, phis)
+        with pytest.raises(ValidationError) as statevector:
+            qpe.exact_distribution(m, phis[1])
+        assert str(tree.value) == str(statevector.value)
+        assert str(tree.value) == "gate is not unitary (deviation 5.625e-01)"
+
     @pytest.mark.parametrize("broken", ["hadamard", "phase gate"])
     def test_other_gates_get_the_statevector_verdict(self, broken, monkeypatch):
         if broken == "hadamard":
