@@ -32,9 +32,9 @@ OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
 # Shots per experiment: every shot is a seed, a draw and two entries of the
 # JSON report (about 50 bytes), so a million shots already make ~50 MB.
 MAX_SHOTS = 1_000_000
-# Random sweep phases: each one is a row of the stacks whose distributions
-# qpe.tree_distributions grows level by level per m value, and a row of the
-# report.
+# Random sweep phases: each one is a row per m value of the stacks whose
+# distributions qpe.sweep_successes grows level by level, one tree for the m
+# values that fit its budget together, and a row of the report per m value.
 MAX_RANDOM_PHASES = 10_000
 # Raised on each deliberate change to the bits of ``results``, so that a
 # reader can tell a report made before it from one made after; outside
@@ -311,8 +311,8 @@ def cmd_sweep(cfg: dict) -> tuple[dict, list]:
     for p in phis:
         qpe.check_phase(p)
     rows = []
-    for m, bound in zip(m_values, bounds):
-        masses = qpe.empirical_successes(m, n, phis, mode)
+    for m, bound, masses in zip(m_values, bounds,
+                                qpe.sweep_successes(m_values, n, phis, mode)):
         rows += [{"m": m, "n": n, "phi_rad": phi, "empirical_success": mass,
                   "bound": bound} for phi, mass in zip(phis, masses)]
     return {"rows": rows}, []

@@ -38,11 +38,12 @@ MAX_REGISTER = 20
 # visible to a tracer that wraps shot_seed, as benchmarks/spans.py does;
 # larger runs take the array pass in shot_seeds.
 SHOT_SEED_LOOP_MAX = 64
-# Readout chances of one tree_distributions call in empirical_successes: the
-# distributions of up to BATCH_AMPLITUDES >> m phases (0.5 MiB of floats), so
-# every level serves them all at once; from m = 16 on each phase runs alone.
+# Readout chances of one tree call in sweep_successes (0.5 MiB of floats):
+# register sizes share a tree while one phase of all of them fits, and a call
+# takes as many phases of them as fit, so every level serves them all at once;
+# a size from m = 16 on runs alone, one phase a call.
 BATCH_AMPLITUDES = 2 ** 16
-# Floats of each array a level of tree_distributions works on at a time
+# Floats of each array a level of the tree works on at a time
 # (128 KiB): the branches of a larger level are streamed through blocks of
 # this size, so that beside the distribution and the branch factors only a
 # few blocks are alive.
@@ -110,8 +111,9 @@ def _phase_diagonals(thetas, mode: GateMode, powers=(1,)) -> np.ndarray:
     Known defect: pulse-literal mode raises the rounded pulse entries to the
     power, so for some phases the gate drifts past UNITARY_TOL from the
     power 2^13 (m = 14) on and the run stops with "gate is not unitary":
-    an estimate at its kick on the statevector, a sweep where
-    ``tree_distributions`` judges the same kicks."""
+    an estimate at its kick on the statevector, a sweep where the tree
+    judges the same kicks, all its register sizes' from one call with the
+    largest size's powers."""
     powers = np.asarray(powers)[:, None]
     if mode == GateMode.IDEAL:
         out = np.ones((len(powers), len(thetas), 2), dtype=np.complex128)
@@ -251,10 +253,11 @@ def exact_distribution(
     return readout_distribution(m, phi, gate_mode)
 
 
-def batch_size(m: int) -> int:
-    """Phases that empirical_successes hands one tree_distributions call at
-    register size ``m``."""
-    return max(1, BATCH_AMPLITUDES >> m)
+def batch_size(*registers: int) -> int:
+    """Phases of one tree call in sweep_successes for the register sizes
+    ``registers`` that share it: as many as fit BATCH_AMPLITUDES floats of
+    distributions, one at least."""
+    return max(1, BATCH_AMPLITUDES // sum(2 ** m for m in registers))
 
 
 def tree_distributions(
@@ -262,8 +265,20 @@ def tree_distributions(
 ) -> np.ndarray:
     """Readout distribution of the protocol for each phase of ``phis``, one
     row per phase, indexed like ``exact_distribution``, in O(2^m) work per
-    phase: the measure-as-you-go tree of Griffiths & Niu (PRL 76, 3228,
-    1996).
+    phase: the one-register case of ``_shared_tree``, the
+    measure-as-you-go tree of Griffiths & Niu (PRL 76, 3228, 1996). Its
+    gates are judged as the statevector path judges them, in its order: the
+    Hadamard, the kicks molecule by molecule, then the phase gates. So of
+    several phases the verdict is that of the first failing kick in
+    molecule-major order: molecule 1's kicks of every phase, then molecule
+    2's. Callers bound ``len(phis) * 2^m`` (sweep_successes passes at most
+    ``batch_size(m)`` phases a call)."""
+    return _shared_tree([m], phis, gate_mode)[0]
+
+
+def _shared_tree(registers, phis, gate_mode: GateMode) -> list[np.ndarray]:
+    """``tree_distributions(m, phis, gate_mode)`` of each register size m of
+    the ascending, distinct ``registers``, from one tree.
 
     Molecule r is read right after its inverse-QFT Hadamard, since every
     later gate on it is diagonal in its basis. Before that Hadamard, on each
@@ -273,30 +288,39 @@ def tree_distributions(
     s's bit b, theta = pi / 2^{r-s+1} (the phase gate s puts on itself
     changes no chance). The Hadamard row then gives the chances p0 and p1
     of r's bit (``_branch_probabilities``), and the distribution grows by
-    r's bit as its new most significant bit. The branch factors do not
-    depend on the phase, and level r + 1's are level r's with a new least
-    significant bit, molecule 1's, whose diagonal has the next smaller
-    angle: each level makes them with one outer product.
+    r's bit as its new most significant bit. The branch factors depend on
+    neither the phase nor the register size, and level r + 1's are level
+    r's with a new least significant bit, molecule 1's, whose diagonal has
+    the next smaller angle: each level makes them with one outer product.
 
-    Every entry comes from the statevector path's own sources, and every
-    gate is judged as that path judges it, in its order: the Hadamard, the
-    kicks molecule by molecule, then the phase gates. So of several phases
-    the verdict is that of the first failing kick in molecule-major order:
-    molecule 1's kicks of every phase, then molecule 2's. Each complex product
-    is written out as float products and sums on separate real and
-    imaginary arrays, with no BLAS and no complex or transcendental ufunc
-    on arrays, so the bits do not depend on the host's SIMD level or BLAS
-    kernels. Each branch's p0 + p1 (``_check_branches``) and each row's sum
-    must be within NORM_TOL of 1. A level's branches are streamed through
-    blocks of TREE_BLOCK floats. Callers bound ``len(phis) * 2^m``
-    (empirical_successes passes at most ``batch_size(m)`` phases a call)."""
-    check_register(m)
+    So level r serves every register with m >= r: the stack's rows are
+    (register, phase) pairs in ascending register order, and a register's
+    rows leave it after level m. Molecule r's kick in register m is the
+    phase gate raised to 2^{m-r}, row top - m + r - 1 of the largest
+    register's kicks, which come from one ``_phase_diagonals`` call. The
+    Hadamard, P(+-theta), the unitarity deviations and the branch factors
+    are built once for all registers.
+
+    Every entry comes from the statevector path's own sources, and is the
+    same float operations on the same operands as in a tree of its register
+    alone, so each register's rows have the bytes ``tree_distributions``
+    gives it alone. Each complex product is written out as float products
+    and sums on separate real and imaginary arrays, with no BLAS and no
+    complex or transcendental ufunc on arrays, so the bits do not depend on
+    the host's SIMD level or BLAS kernels. The gates are judged in one
+    pass, the largest register's kicks molecule-major. Each branch's p0 +
+    p1 (``_check_branches``) and each row's sum must be within NORM_TOL of
+    1; a failure names the row within its register. A level's branches are
+    streamed through blocks of TREE_BLOCK floats."""
+    for m in registers:
+        check_register(m)
     if len(phis) == 0:
-        return np.empty((0, 2 ** m))
+        return [np.empty((0, 2 ** m)) for m in registers]
+    top = registers[-1]
     h = _hadamard_gate(gate_mode)
-    kicks = _phase_diagonals(phis, gate_mode, _kick_powers(m))
-    # P(theta) and P(-theta) of level r = 2..m, theta = pi / 2^r
-    thetas = [math.pi / 2 ** r for r in range(2, m + 1)]
+    kicks = _phase_diagonals(phis, gate_mode, _kick_powers(top))
+    # P(theta) and P(-theta) of level r = 2..top, theta = pi / 2^r
+    thetas = [math.pi / 2 ** r for r in range(2, top + 1)]
     # from the inverse QFT's own memo, so a pulse-literal sweep builds their
     # pulses once per process
     plus, minus = (np.array([_phase_gate(s * t, gate_mode).diagonal() for t in thetas])
@@ -304,22 +328,24 @@ def tree_distributions(
     sv._require_unitary(sv._unitary_deviation(np.concatenate(
         [h[None], sv._diagonal_gates(kicks).reshape(-1, 2, 2),
          sv._diagonal_gates(plus), sv._diagonal_gates(minus)])))
-    # the new bit's factor of each level r = 2..m, by bit b and component:
+    # the new bit's factor of each level r = 2..top, by bit b and component:
     # (q0 p0, q1 p1) for b = 0 and (q0 p1, q1 p0) for b = 1, with p = P(theta)
     # and q = P(-theta)
-    dr, di = np.empty((m - 1, 2, 2)), np.empty((m - 1, 2, 2))
+    dr, di = np.empty((top - 1, 2, 2)), np.empty((top - 1, 2, 2))
     for b, swap in enumerate(([0, 1], [1, 0])):
         dr[:, b], di[:, b] = _mul(minus.real, minus.imag,
                                   plus.real[:, swap], plus.imag[:, swap])
-    # molecule r's amplitude of |comp> before its branch factors, its kick
-    # entry times h[comp, 0], times h[c, comp] of Hadamard row c: (m, P, c, comp)
+    # each kick's amplitude of |comp> before its branch factors, its entry
+    # times h[comp, 0], times h[c, comp] of Hadamard row c: (top, P, c, comp)
     cr, ci = _mul(kicks.real, kicks.imag, h.real[:, 0], h.imag[:, 0])
     kr, ki = _mul(cr[:, :, None], ci[:, :, None], h.real, h.imag)
     # level r's branch factors over the bits of molecules 1..r-1, molecule 1's
     # the least significant, by component: (2, 2^{r-1})
     fr, fi = np.ones((2, 1)), np.zeros((2, 1))
-    dist = np.ones((len(phis), 1))
-    for r in range(1, m + 1):
+    growing = list(registers)
+    dist = np.ones((len(growing) * len(phis), 1))
+    done = []
+    for r in range(1, top + 1):
         if r > 1:
             # molecules 2..r-1 take the factors molecules 1..r-2 had a level
             # before, and molecule 1, the new least significant bit, one at
@@ -331,17 +357,25 @@ def tree_distributions(
                 factors[0, ..., b] = fr * br - fi * bi
                 factors[1, ..., b] = fr * bi + fi * br
             fr, fi = factors.reshape(2, 2, -1)
-        grown = np.empty((len(phis), 2, fr.shape[1]))
+        # molecule r's kicks, one row per (register, phase)
+        powers = [top - m + r - 1 for m in growing]
+        lr, li = kr[powers].reshape(-1, 2, 2), ki[powers].reshape(-1, 2, 2)
+        grown = np.empty((len(dist), 2, fr.shape[1]))
         # r's bit is the distribution's new most significant bit
-        step = max(1, TREE_BLOCK // (2 * len(phis)))
+        step = max(1, TREE_BLOCK // (2 * len(dist)))
         for start in range(0, fr.shape[1], step):
             cut = slice(start, start + step)
-            probs = _branch_probabilities(kr[r - 1], ki[r - 1], fr[:, cut], fi[:, cut])
-            _check_branches(probs, r)
+            probs = _branch_probabilities(lr, li, fr[:, cut], fi[:, cut])
+            _check_branches(probs.reshape(len(growing), len(phis), 2, -1), r)
             np.multiply(probs, dist[:, None, cut], out=grown[:, :, cut])
-        dist = grown.reshape(len(phis), -1)
-    sv._require_ones(dist.sum(axis=-1), "probabilities sum to")
-    return dist
+        dist = grown.reshape(len(dist), -1)
+        if growing[0] == r:
+            # the smallest register is complete: its rows leave the stack
+            growing.pop(0)
+            finished, dist = dist[:len(phis)], dist[len(phis):]
+            sv._require_ones(finished.sum(axis=-1), "probabilities sum to")
+            done.append(finished)
+    return done
 
 
 def _mul(ar, ai, br, bi):
@@ -375,16 +409,17 @@ def _branch_probabilities(kr, ki, fr, fi) -> np.ndarray:
 
 
 def _check_branches(probs: np.ndarray, r: int) -> None:
-    """Raise unless each branch's p0 + p1 of level ``r``'s ``(P, 2, B)``
-    chances ``probs`` is within NORM_TOL of 1, naming the first that is not
-    and its row."""
-    sums = probs[:, 0] + probs[:, 1]
+    """Raise unless each branch's p0 + p1 of level ``r``'s ``(..., P, 2,
+    B)`` chances ``probs`` is within NORM_TOL of 1, naming the first that is
+    not and its row of the P."""
+    sums = probs[..., 0, :] + probs[..., 1, :]
     # written so that a NaN fails too
     ok = np.abs(sums - 1.0) <= sv.NORM_TOL
     if not ok.all():
-        row, branch = divmod(int(np.argmin(ok)), ok.shape[1])
+        first = int(np.argmin(ok))
+        row = np.unravel_index(first, ok.shape)[-2]
         raise NumericalInvariantError(
-            f"branch chances of molecule {r} sum to {sums[row, branch]:.15f} "
+            f"branch chances of molecule {r} sum to {sums.flat[first]:.15f} "
             f"in row {row} of the stack")
 
 
@@ -410,7 +445,11 @@ def success_probability_bound(m: int, n: int) -> float:
 def circular_distance(frac_a, frac_b):
     """Distance between turn fractions on the unit circle, in [0, 1/2];
     elementwise for arrays."""
-    d = np.abs(frac_a - frac_b) % 1.0
+    d = np.abs(frac_a - frac_b)
+    # d % 1.0 to the bit, since d >= 0 makes d - floor(d) exact, at about a
+    # tenth of the cost of np.remainder, which is most of a sweep's window
+    # masses
+    d = d - np.floor(d)
     return np.minimum(d, 1.0 - d)
 
 
@@ -428,18 +467,52 @@ def empirical_success(
 
 def empirical_successes(m: int, n: int, phis,
                         gate_mode: GateMode = GateMode.IDEAL) -> list[float]:
-    """``empirical_success`` of each phase of ``phis``: the one batching of
-    phases, as tree_distributions calls of at most ``batch_size(m)``
-    phases, so memory stays bounded however many phases there are."""
+    """``empirical_success`` of each phase of ``phis``: the one-register
+    case of sweep_successes."""
+    return sweep_successes([m], n, phis, gate_mode)[0]
+
+
+def sweep_successes(m_values, n: int, phis,
+                    gate_mode: GateMode = GateMode.IDEAL) -> list[list[float]]:
+    """``empirical_successes(m, n, phis, gate_mode)`` of each register size
+    m of ``m_values``, in their order: the one batching of phases. Working
+    from the largest size down, sizes share a tree (``_shared_tree``) while
+    one phase of all of them fits BATCH_AMPLITUDES floats, and each tree
+    call takes ``batch_size`` of its sizes' phases, so memory stays bounded
+    however many phases there are.
+
+    A gate that fails gets the verdict of the sizes taken one at a time, in
+    the order given, each in batches of ``batch_size(m)`` phases: that of
+    the first batch with a failing gate, whose kicks are judged
+    molecule-major."""
     _check_accuracy(n)
-    if m < n:
-        raise DomainError(f"need m >= n, got m={m}, n={n}")
-    per = batch_size(m)
-    masses = []
-    for start in range(0, len(phis), per):
-        batch = phis[start:start + per]
-        masses += window_masses(tree_distributions(m, batch, gate_mode), n, batch)
-    return masses
+    for m in m_values:
+        if m < n:
+            raise DomainError(f"need m >= n, got m={m}, n={n}")
+        check_register(m)
+    groups: list[list[int]] = []
+    for m in sorted(set(m_values), reverse=True):
+        if groups and sum(2 ** k for k in groups[-1]) + 2 ** m <= BATCH_AMPLITUDES:
+            groups[-1].insert(0, m)
+        else:
+            groups.append([m])
+    masses: dict[int, list[float]] = {m: [] for m in m_values}
+    try:
+        for group in groups:
+            per = batch_size(*group)
+            for start in range(0, len(phis), per):
+                batch = phis[start:start + per]
+                for m, rows in zip(group, _shared_tree(group, batch, gate_mode)):
+                    masses[m] += window_masses(rows, n, batch)
+    except ValidationError:
+        # a gate failed; the shared tree judged all sizes' kicks at once, so
+        # the sizes run again alone, in the order given, for the verdict
+        if len(masses) == 1:
+            raise
+        for m in m_values:
+            sweep_successes([m], n, phis, gate_mode)
+        raise
+    return [masses[m] for m in m_values]
 
 
 def window_mass(probs: np.ndarray, n: int, phi: float) -> float:

@@ -329,22 +329,17 @@ class TestExactDistributions:
 
     @pytest.mark.parametrize("mode", list(GateMode))
     def test_empirical_successes_batches_its_phases(self, mode, monkeypatch):
-        # the one batching of phases: no stack above BATCH_AMPLITUDES, and
+        # the one batching of phases: no call above BATCH_AMPLITUDES, and
         # each phase's mass is the one it has alone
         m, n = 12, 3
         phis = [float(p) for p in
                 np.random.default_rng(62).uniform(0.1, TWO_PI, qpe.batch_size(m) + 3)]
-        stacks = []
-        tree_distributions = qpe.tree_distributions
-
-        def recording(m, batch, mode):
-            stacks.append(len(batch))
-            return tree_distributions(m, batch, mode)
-
-        monkeypatch.setattr(qpe, "tree_distributions", recording)
+        calls = record_trees(monkeypatch)
         got = qpe.empirical_successes(m, n, phis, mode)
-        assert sum(stacks) == len(phis) and len(stacks) == 2
-        assert max(stacks) * 2 ** m <= qpe.BATCH_AMPLITUDES
+        assert [registers for registers, _, _ in calls] == [[m], [m]]
+        assert sum(len(batch) for _, batch, _ in calls) == len(phis)
+        assert_within_budget(calls)
+        monkeypatch.undo()
         for phi, mass in zip(phis, got):
             assert mass == qpe.empirical_success(m, n, phi, mode)
 
@@ -355,6 +350,22 @@ class TestExactDistributions:
         for n in (0, 2, 4):
             for phi, probs in zip(phis, rows):
                 assert qpe.window_mass(probs, n, phi) == qpe.empirical_success(7, n, phi)
+
+    def test_circular_distance_keeps_the_remainder_bits(self):
+        # the fraction of |a - b| is taken as d - floor(d): it must give
+        # np.remainder's bits on every input, signed zeros and the far
+        # float range included
+        rng = np.random.default_rng(63)
+        a = np.concatenate([rng.uniform(-3.0, 3.0, 4000), np.arange(1025) / 1024,
+                            [0.0, -0.0, 1.0, -1.0, 0.5, 1 - 2 ** -53, 2 ** 52 + 0.5,
+                             2.0 ** 53, 1e300, -1e300, 5e-324, 1e-17]])
+        for b in (0.0, -0.0, 0.3, 1.0, 1 - 2 ** -53, 2.5, -0.75, 1e-17):
+            d = np.abs(a - b) % 1.0
+            want = np.minimum(d, 1.0 - d)
+            assert qpe.circular_distance(a, b).tobytes() == want.tobytes(), b
+        for x, y in [(0.3, 0.9), (1.0, 0.0), (0.999, 0.0015), (0.25, 0.75)]:
+            d = abs(x - y) % 1.0
+            assert float(qpe.circular_distance(x, y)) == min(d, 1.0 - d)
 
     @pytest.mark.parametrize("m", [1, 6, 10])
     def test_window_masses_match_window_mass_bitwise(self, m):
@@ -372,6 +383,100 @@ class TestExactDistributions:
 
 # pulse-literal phases whose kicks stay unitary up to m = 16
 UNITARY_KICK_PHASES = (0.5, 2.0, 2.7, 5.5)
+
+
+def record_trees(monkeypatch):
+    """Wrap ``qpe._shared_tree`` so that each call appends its register
+    sizes, its phases and its distributions. Returns the list of calls."""
+    calls = []
+    shared_tree = qpe._shared_tree
+
+    def recording(registers, phis, mode):
+        dists = shared_tree(registers, phis, mode)
+        calls.append((list(registers), list(phis), dists))
+        return dists
+
+    monkeypatch.setattr(qpe, "_shared_tree", recording)
+    return calls
+
+
+def assert_within_budget(calls):
+    # no call holds more than BATCH_AMPLITUDES floats of distributions,
+    # but a single phase of a single register
+    for registers, phis, _ in calls:
+        floats = len(phis) * sum(2 ** m for m in registers)
+        assert floats <= qpe.BATCH_AMPLITUDES or (len(phis), len(registers)) == (1, 1)
+
+
+class TestSharedTree:
+    """A sweep's register sizes share one tree while one phase of all of
+    them fits the budget: each register's rows are the bytes its tree alone
+    gives, and each mass is the one empirical_success gives its phase."""
+
+    @pytest.mark.parametrize("mode", list(GateMode))
+    @pytest.mark.parametrize("m_values, groups", [
+        ([7, 3, 5], [[3, 5, 7]]),            # unsorted
+        ([6, 4, 6, 2, 4], [[2, 4, 6]]),      # repeated
+        ([1, 4, 1, 2], [[1, 2, 4]]),         # with m = 1
+        ([16, 12], [[16], [12]]),            # split by the budget
+        ([12, 5, 12, 16], [[16], [5, 12]]),
+    ])
+    def test_registers_get_their_own_bytes(self, mode, m_values, groups, monkeypatch):
+        n = 1
+        rng = np.random.default_rng(sum(m_values))
+        phis = (list(UNITARY_KICK_PHASES) if max(m_values) > 13
+                else [float(p) for p in rng.uniform(0.01, TWO_PI, 40)])
+        calls = record_trees(monkeypatch)
+        got = qpe.sweep_successes(m_values, n, phis, mode)
+        monkeypatch.undo()
+        assert_within_budget(calls)
+        # each group's calls take its phases in order, in batches of its size
+        for group in groups:
+            batches = [batch for registers, batch, _ in calls if registers == group]
+            per = qpe.batch_size(*group)
+            assert batches == [phis[i:i + per] for i in range(0, len(phis), per)]
+        assert len(calls) == sum(-(-len(phis) // qpe.batch_size(*g)) for g in groups)
+        for registers, batch, dists in calls:
+            for m, rows in zip(registers, dists):
+                alone = qpe.tree_distributions(m, batch, mode)
+                assert rows.shape == alone.shape and rows.tobytes() == alone.tobytes()
+        assert len(got) == len(m_values)
+        for m, masses in zip(m_values, got):
+            assert masses == [qpe.empirical_success(m, n, phi, mode) for phi in phis]
+
+    def test_branch_check_names_the_row_within_its_register(self, monkeypatch):
+        # at molecule 4 the stack holds m = 6's five rows and then m = 8's,
+        # so its row 7 is row 2 of m = 8
+        original = qpe._branch_probabilities
+        levels = []
+
+        def skewed(*args):
+            probs = original(*args)
+            levels.append(len(levels) + 1)
+            if len(levels) == 4:
+                probs[7, :, 0] *= 1 + 1e-9
+            return probs
+
+        monkeypatch.setattr(qpe, "_branch_probabilities", skewed)
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^branch chances of molecule 4 sum to 1\.0000000\d+ "
+                                 r"in row 2 of the stack$"):
+            qpe.sweep_successes([8, 6], 3, [0.3, 1.1, 2.9, 4.0, 5.5])
+        assert levels == [1, 2, 3, 4]
+
+    def test_no_phases(self):
+        assert qpe.sweep_successes([5, 3], 2, []) == [[], []]
+
+    def test_register_checks_come_first(self, monkeypatch):
+        monkeypatch.setattr(qpe, "_shared_tree", None)  # no tree
+        with pytest.raises(ValidationError, match="m must be in"):
+            qpe.sweep_successes([5, qpe.MAX_REGISTER + 1], 0, [1.0])
+        with pytest.raises(DomainError, match="need m >= n, got m=3, n=4"):
+            qpe.sweep_successes([5, 3], 4, [1.0])
+
+    def test_batch_size_of_registers(self):
+        assert qpe.batch_size(5, 8, 12) == qpe.BATCH_AMPLITUDES // (2 ** 5 + 2 ** 8 + 2 ** 12)
+        assert qpe.batch_size(16, 12) == qpe.batch_size(17) == 1
 
 
 class TestTreeDistributions:
