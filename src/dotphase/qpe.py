@@ -39,9 +39,9 @@ MAX_REGISTER = 20
 # larger runs take the array pass in shot_seeds.
 SHOT_SEED_LOOP_MAX = 64
 # Readout chances of one tree call in sweep_successes (0.5 MiB of floats):
-# register sizes share a tree while one phase of all of them fits, and a call
-# takes as many phases of them as fit, so every level serves them all at once;
-# a size from m = 16 on runs alone, one phase a call.
+# the distributions of up to BATCH_AMPLITUDES >> m phases of a size m alone,
+# or of all the phases of the sizes that share a call, so every level serves
+# them all at once; from m = 16 on each phase runs alone.
 BATCH_AMPLITUDES = 2 ** 16
 # Floats of each array a level of the tree works on at a time
 # (128 KiB): the branches of a larger level are streamed through blocks of
@@ -253,11 +253,10 @@ def exact_distribution(
     return readout_distribution(m, phi, gate_mode)
 
 
-def batch_size(*registers: int) -> int:
-    """Phases of one tree call in sweep_successes for the register sizes
-    ``registers`` that share it: as many as fit BATCH_AMPLITUDES floats of
-    distributions, one at least."""
-    return max(1, BATCH_AMPLITUDES // sum(2 ** m for m in registers))
+def batch_size(m: int) -> int:
+    """Phases that sweep_successes hands one tree call at register size
+    ``m`` alone."""
+    return max(1, BATCH_AMPLITUDES >> m)
 
 
 def tree_distributions(
@@ -272,7 +271,7 @@ def tree_distributions(
     several phases the verdict is that of the first failing kick in
     molecule-major order: molecule 1's kicks of every phase, then molecule
     2's. Callers bound ``len(phis) * 2^m`` (sweep_successes passes at most
-    ``batch_size(m)`` phases a call)."""
+    ``batch_size(m)`` phases a call to a size alone)."""
     return _shared_tree([m], phis, gate_mode)[0]
 
 
@@ -298,8 +297,8 @@ def _shared_tree(registers, phis, gate_mode: GateMode) -> list[np.ndarray]:
     rows leave it after level m. Molecule r's kick in register m is the
     phase gate raised to 2^{m-r}, row top - m + r - 1 of the largest
     register's kicks, which come from one ``_phase_diagonals`` call. The
-    Hadamard, P(+-theta), the unitarity deviations and the branch factors
-    are built once for all registers.
+    Hadamard, P(+-theta), the unitarity deviations (all by ``_tree_gates``)
+    and the branch factors are built once for all registers.
 
     Every entry comes from the statevector path's own sources, and is the
     same float operations on the same operands as in a tree of its register
@@ -310,24 +309,15 @@ def _shared_tree(registers, phis, gate_mode: GateMode) -> list[np.ndarray]:
     the host's SIMD level or BLAS kernels. The gates are judged in one
     pass, the largest register's kicks molecule-major. Each branch's p0 +
     p1 (``_check_branches``) and each row's sum must be within NORM_TOL of
-    1; a failure names the row within its register. A level's branches are
-    streamed through blocks of TREE_BLOCK floats."""
+    1; a failure names its phase's row in ``phis``, as in a tree of its
+    register alone. A level's branches are streamed through blocks of
+    TREE_BLOCK floats."""
     for m in registers:
         check_register(m)
     if len(phis) == 0:
         return [np.empty((0, 2 ** m)) for m in registers]
     top = registers[-1]
-    h = _hadamard_gate(gate_mode)
-    kicks = _phase_diagonals(phis, gate_mode, _kick_powers(top))
-    # P(theta) and P(-theta) of level r = 2..top, theta = pi / 2^r
-    thetas = [math.pi / 2 ** r for r in range(2, top + 1)]
-    # from the inverse QFT's own memo, so a pulse-literal sweep builds their
-    # pulses once per process
-    plus, minus = (np.array([_phase_gate(s * t, gate_mode).diagonal() for t in thetas])
-                   .reshape(-1, 2) for s in (1, -1))
-    sv._require_unitary(sv._unitary_deviation(np.concatenate(
-        [h[None], sv._diagonal_gates(kicks).reshape(-1, 2, 2),
-         sv._diagonal_gates(plus), sv._diagonal_gates(minus)])))
+    h, kicks, plus, minus = _tree_gates(top, phis, gate_mode)
     # the new bit's factor of each level r = 2..top, by bit b and component:
     # (q0 p0, q1 p1) for b = 0 and (q0 p1, q1 p0) for b = 1, with p = P(theta)
     # and q = P(-theta)
@@ -376,6 +366,25 @@ def _shared_tree(registers, phis, gate_mode: GateMode) -> list[np.ndarray]:
             sv._require_ones(finished.sum(axis=-1), "probabilities sum to")
             done.append(finished)
     return done
+
+
+def _tree_gates(m: int, phis, gate_mode: GateMode):
+    """The gates of a tree of register size ``m`` over ``phis``: the
+    Hadamard, the ``(m, P, 2)`` kick diagonals, molecule 1's first, and the
+    ``(m - 1, 2)`` diagonals of P(theta) and P(-theta) of level r = 2..m,
+    theta = pi / 2^r. Raises the statevector's verdict, in its order, unless
+    each gate is unitary."""
+    h = _hadamard_gate(gate_mode)
+    kicks = _phase_diagonals(phis, gate_mode, _kick_powers(m))
+    thetas = [math.pi / 2 ** r for r in range(2, m + 1)]
+    # from the inverse QFT's own memo, so a pulse-literal sweep builds their
+    # pulses once per process
+    plus, minus = (np.array([_phase_gate(s * t, gate_mode).diagonal() for t in thetas])
+                   .reshape(-1, 2) for s in (1, -1))
+    sv._require_unitary(sv._unitary_deviation(np.concatenate(
+        [h[None], sv._diagonal_gates(kicks).reshape(-1, 2, 2),
+         sv._diagonal_gates(plus), sv._diagonal_gates(minus)])))
+    return h, kicks, plus, minus
 
 
 def _mul(ar, ai, br, bi):
@@ -445,11 +454,7 @@ def success_probability_bound(m: int, n: int) -> float:
 def circular_distance(frac_a, frac_b):
     """Distance between turn fractions on the unit circle, in [0, 1/2];
     elementwise for arrays."""
-    d = np.abs(frac_a - frac_b)
-    # d % 1.0 to the bit, since d >= 0 makes d - floor(d) exact, at about a
-    # tenth of the cost of np.remainder, which is most of a sweep's window
-    # masses
-    d = d - np.floor(d)
+    d = np.abs(frac_a - frac_b) % 1.0
     return np.minimum(d, 1.0 - d)
 
 
@@ -475,16 +480,21 @@ def empirical_successes(m: int, n: int, phis,
 def sweep_successes(m_values, n: int, phis,
                     gate_mode: GateMode = GateMode.IDEAL) -> list[list[float]]:
     """``empirical_successes(m, n, phis, gate_mode)`` of each register size
-    m of ``m_values``, in their order: the one batching of phases. Working
-    from the largest size down, sizes share a tree (``_shared_tree``) while
-    one phase of all of them fits BATCH_AMPLITUDES floats, and each tree
-    call takes ``batch_size`` of its sizes' phases, so memory stays bounded
-    however many phases there are.
+    m of ``m_values``, in their order: the one batching of phases, so memory
+    stays bounded however many phases there are. Working from the largest
+    size down, sizes share a tree (``_shared_tree``) while one call holds
+    all the phases of all of them in BATCH_AMPLITUDES floats: the sweep then
+    makes fewer tree calls with the same rows. Any other size runs alone,
+    ``batch_size(m)`` phases a call: a shared call would take fewer of its
+    phases, and each call rebuilds its largest size's branch factors. The
+    groups run in the order of their first size in ``m_values``.
 
-    A gate that fails gets the verdict of the sizes taken one at a time, in
-    the order given, each in batches of ``batch_size(m)`` phases: that of
-    the first batch with a failing gate, whose kicks are judged
-    molecule-major."""
+    So every batch is the one a size alone takes, and the verdicts are those
+    of the sizes one at a time, in the order given: of the first batch that
+    fails, and within it of the first kick in molecule-major order. A failing
+    gate of a shared tree, which judged its sizes' kicks at once, takes that
+    verdict from the sizes' gates alone (``_tree_gates``), and no tree runs
+    again."""
     _check_accuracy(n)
     for m in m_values:
         if m < n:
@@ -492,26 +502,29 @@ def sweep_successes(m_values, n: int, phis,
         check_register(m)
     groups: list[list[int]] = []
     for m in sorted(set(m_values), reverse=True):
-        if groups and sum(2 ** k for k in groups[-1]) + 2 ** m <= BATCH_AMPLITUDES:
+        if groups and len(phis) * sum(2 ** k for k in [m, *groups[-1]]) <= BATCH_AMPLITUDES:
             groups[-1].insert(0, m)
         else:
             groups.append([m])
+    order = list(m_values)
+    groups.sort(key=lambda group: min(map(order.index, group)))
     masses: dict[int, list[float]] = {m: [] for m in m_values}
-    try:
-        for group in groups:
-            per = batch_size(*group)
-            for start in range(0, len(phis), per):
-                batch = phis[start:start + per]
-                for m, rows in zip(group, _shared_tree(group, batch, gate_mode)):
-                    masses[m] += window_masses(rows, n, batch)
-    except ValidationError:
-        # a gate failed; the shared tree judged all sizes' kicks at once, so
-        # the sizes run again alone, in the order given, for the verdict
-        if len(masses) == 1:
-            raise
-        for m in m_values:
-            sweep_successes([m], n, phis, gate_mode)
-        raise
+    for group in groups:
+        # a shared group's phases all fit its largest size's first batch
+        per = batch_size(group[-1])
+        for start in range(0, len(phis), per):
+            batch = phis[start:start + per]
+            try:
+                dists = _shared_tree(group, batch, gate_mode)
+            except ValidationError:
+                if len(group) > 1:
+                    for m in m_values:
+                        alone = batch_size(m)
+                        for first in range(0, len(phis), alone):
+                            _tree_gates(m, phis[first:first + alone], gate_mode)
+                raise
+            for m, rows in zip(group, dists):
+                masses[m] += window_masses(rows, n, batch)
     return [masses[m] for m in m_values]
 
 

@@ -351,22 +351,6 @@ class TestExactDistributions:
             for phi, probs in zip(phis, rows):
                 assert qpe.window_mass(probs, n, phi) == qpe.empirical_success(7, n, phi)
 
-    def test_circular_distance_keeps_the_remainder_bits(self):
-        # the fraction of |a - b| is taken as d - floor(d): it must give
-        # np.remainder's bits on every input, signed zeros and the far
-        # float range included
-        rng = np.random.default_rng(63)
-        a = np.concatenate([rng.uniform(-3.0, 3.0, 4000), np.arange(1025) / 1024,
-                            [0.0, -0.0, 1.0, -1.0, 0.5, 1 - 2 ** -53, 2 ** 52 + 0.5,
-                             2.0 ** 53, 1e300, -1e300, 5e-324, 1e-17]])
-        for b in (0.0, -0.0, 0.3, 1.0, 1 - 2 ** -53, 2.5, -0.75, 1e-17):
-            d = np.abs(a - b) % 1.0
-            want = np.minimum(d, 1.0 - d)
-            assert qpe.circular_distance(a, b).tobytes() == want.tobytes(), b
-        for x, y in [(0.3, 0.9), (1.0, 0.0), (0.999, 0.0015), (0.25, 0.75)]:
-            d = abs(x - y) % 1.0
-            assert float(qpe.circular_distance(x, y)) == min(d, 1.0 - d)
-
     @pytest.mark.parametrize("m", [1, 6, 10])
     def test_window_masses_match_window_mass_bitwise(self, m):
         rng = np.random.default_rng(62)
@@ -409,9 +393,10 @@ def assert_within_budget(calls):
 
 
 class TestSharedTree:
-    """A sweep's register sizes share one tree while one phase of all of
-    them fits the budget: each register's rows are the bytes its tree alone
-    gives, and each mass is the one empirical_success gives its phase."""
+    """A sweep's register sizes share one tree while one call holds all the
+    phases of all of them within the budget, and any other size runs alone:
+    each register's rows are the bytes its tree alone gives, and each mass
+    is the one empirical_success gives its phase."""
 
     @pytest.mark.parametrize("mode", list(GateMode))
     @pytest.mark.parametrize("m_values, groups", [
@@ -419,7 +404,9 @@ class TestSharedTree:
         ([6, 4, 6, 2, 4], [[2, 4, 6]]),      # repeated
         ([1, 4, 1, 2], [[1, 2, 4]]),         # with m = 1
         ([16, 12], [[16], [12]]),            # split by the budget
-        ([12, 5, 12, 16], [[16], [5, 12]]),
+        ([12, 5, 12, 16], [[5, 12], [16]]),
+        ([5, 12], [[5], [12]]),              # split by the phase count
+        ([9, 13, 8], [[8, 9], [13]]),
     ])
     def test_registers_get_their_own_bytes(self, mode, m_values, groups, monkeypatch):
         n = 1
@@ -430,12 +417,13 @@ class TestSharedTree:
         got = qpe.sweep_successes(m_values, n, phis, mode)
         monkeypatch.undo()
         assert_within_budget(calls)
-        # each group's calls take its phases in order, in batches of its size
+        # the groups run in the order of their first size, each in the
+        # batches of its largest size alone: a shared group in one call
+        want = []
         for group in groups:
-            batches = [batch for registers, batch, _ in calls if registers == group]
-            per = qpe.batch_size(*group)
-            assert batches == [phis[i:i + per] for i in range(0, len(phis), per)]
-        assert len(calls) == sum(-(-len(phis) // qpe.batch_size(*g)) for g in groups)
+            per = qpe.batch_size(group[-1])
+            want += [(group, phis[i:i + per]) for i in range(0, len(phis), per)]
+        assert [(registers, batch) for registers, batch, _ in calls] == want
         for registers, batch, dists in calls:
             for m, rows in zip(registers, dists):
                 alone = qpe.tree_distributions(m, batch, mode)
@@ -474,9 +462,29 @@ class TestSharedTree:
         with pytest.raises(DomainError, match="need m >= n, got m=3, n=4"):
             qpe.sweep_successes([5, 3], 4, [1.0])
 
-    def test_batch_size_of_registers(self):
-        assert qpe.batch_size(5, 8, 12) == qpe.BATCH_AMPLITUDES // (2 ** 5 + 2 ** 8 + 2 ** 12)
-        assert qpe.batch_size(16, 12) == qpe.batch_size(17) == 1
+    def test_a_shared_gate_failure_gets_the_verdict_of_the_sizes_alone(self, monkeypatch):
+        # 20 phases: m = 5 and 8 share one call, which runs first, and m = 12
+        # runs alone. The kick of power 2^7 (m = 8's molecule 1, m = 12's
+        # molecule 5) and that of power 2^10 (m = 12's molecule 2) are
+        # broken: the shared tree meets 2^7 first, but m = 5 passes alone and
+        # m = 12 comes before m = 8, so the verdict is 2^10's. No tree grows
+        phis = [float(p) for p in np.random.default_rng(64).uniform(0.01, TWO_PI, 20)]
+        phase_diagonals = qpe._phase_diagonals
+
+        def broken(thetas, mode, powers=(1,)):
+            diagonals = phase_diagonals(thetas, mode, powers)
+            diagonals[np.asarray(powers) == 2 ** 7] = [1.0, 1.5]
+            diagonals[np.asarray(powers) == 2 ** 10] = [1.0, 1.25]
+            return diagonals
+
+        monkeypatch.setattr(qpe, "_phase_diagonals", broken)
+        monkeypatch.setattr(qpe, "_branch_probabilities", None)
+        with pytest.raises(ValidationError,
+                           match=r"^gate is not unitary \(deviation 5\.625e-01\)$"):
+            qpe.sweep_successes([5, 12, 8], 3, phis)
+        with pytest.raises(ValidationError,
+                           match=r"^gate is not unitary \(deviation 1\.250e\+00\)$"):
+            qpe.sweep_successes([5, 8, 12], 3, phis)
 
 
 class TestTreeDistributions:
