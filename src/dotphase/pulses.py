@@ -19,6 +19,13 @@ from .errors import DimensionError, DomainError, ValidationError, finite_result
 from .statevector import _unitary_deviation
 
 
+def _check_finite(rabi_angle: float, phase: float) -> None:
+    """The one rule for pulse parameters, for PulseSpec and fit_pulse's
+    objective alike."""
+    if not (math.isfinite(rabi_angle) and math.isfinite(phase)):
+        raise ValidationError("pulse parameters must be finite")
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Rabi angle (Omega*t) and laser phase of one resonant pulse, radians."""
@@ -27,8 +34,7 @@ class PulseSpec:
     phase: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rabi_angle) and math.isfinite(self.phase)):
-            raise ValidationError("pulse parameters must be finite")
+        _check_finite(self.rabi_angle, self.phase)
 
     @property
     def canonical_rabi_angle(self) -> float:
@@ -94,18 +100,24 @@ def single_pulse_unitary(p: PulseSpec) -> np.ndarray:
     |g> -> -i e^{-i phi} sin(theta) |g> + cos(theta) |e>
     |e> ->    cos(theta) |g> - i e^{i phi} sin(theta) |e>
 
-    Each entry is a Python scalar (cmath.exp rounds as np.exp does on a
-    scalar, signed zeros included), put into one array.
+    The entries are ``_pulse_parts``'s, put into one array.
     """
-    th, ph = p.rabi_angle, p.phase
+    parts = _pulse_parts(p.rabi_angle, p.phase)
+    return np.array([complex(re, im) for re, im in parts],
+                    dtype=np.complex128).reshape(2, 2)
+
+
+def _pulse_parts(th: float, ph: float) -> list[tuple[float, float]]:
+    """(re, im) of each entry of single_pulse_unitary, in C order.
+
+    Each entry is a Python scalar (cmath.exp rounds as np.exp does on a
+    scalar, signed zeros included); the real off-diagonal entry cos(theta)
+    has the +0.0 imaginary part that numpy gives a float cast to complex.
+    """
     s, c = math.sin(th), math.cos(th)
-    return np.array(
-        [
-            [-1j * cmath.exp(-1j * ph) * s, c],
-            [c, -1j * cmath.exp(1j * ph) * s],
-        ],
-        dtype=np.complex128,
-    )
+    a = -1j * cmath.exp(-1j * ph) * s
+    d = -1j * cmath.exp(1j * ph) * s
+    return [(a.real, a.imag), (c, 0.0), (c, 0.0), (d.real, d.imag)]
 
 
 def cavity_pulse_unitary(p: PulseSpec) -> np.ndarray:
@@ -155,12 +167,21 @@ def gate_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"incompatible shapes {a.shape}, {b.shape}")
-    dim = a.shape[0]
-    pairs = list(zip(a.ravel().tolist(), b.ravel().tolist()))
+    return _distance(_parts(a), _parts(b), a.shape[0])
+
+
+def _parts(a: np.ndarray) -> list[tuple[float, float]]:
+    """(re, im) of each entry of a complex array, in C order."""
+    return [(x.real, x.imag) for x in a.ravel().tolist()]
+
+
+def _distance(a: list[tuple[float, float]], b: list[tuple[float, float]],
+              dim: int) -> float:
+    """gate_distance on two dim x dim gates given as (re, im) pairs in C order."""
     tr_re = tr_im = 0.0
-    for x, y in pairs:
-        tr_re += x.real * y.real + x.imag * y.imag
-        tr_im += x.real * y.imag - x.imag * y.real
+    for (xr, xi), (yr, yi) in zip(a, b):
+        tr_re += xr * yr + xi * yi
+        tr_im += xr * yi - xi * yr
     r = math.hypot(tr_re, tr_im)
     if r < 1e-300:
         return math.sqrt(2.0 * dim)
@@ -168,9 +189,9 @@ def gate_distance(a: np.ndarray, b: np.ndarray) -> float:
     # sqrt(2*dim - 2*|tr|) form loses half the significant digits near zero
     z_re, z_im = tr_re / r, -tr_im / r
     sq = 0.0
-    for x, y in pairs:
-        d_re = x.real - (z_re * y.real - z_im * y.imag)
-        d_im = x.imag - (z_re * y.imag + z_im * y.real)
+    for (xr, xi), (yr, yi) in zip(a, b):
+        d_re = xr - (z_re * yr - z_im * yi)
+        d_im = xi - (z_re * yi + z_im * yr)
         sq += d_re * d_re + d_im * d_im
     return math.sqrt(sq)
 
@@ -180,8 +201,12 @@ def gate_distance(a: np.ndarray, b: np.ndarray) -> float:
 FIT_GRID = np.arange(512) * (math.tau / 512)
 FIT_GRID.flags.writeable = False
 
-# Grid rows of largest bound that give fit_pulse its first best overlap
-START_ROWS = 32
+# |sin| and |cos| of FIT_GRID, the factors of fit_pulse's row bounds,
+# read-only
+_GRID_ABS_SIN = np.abs(np.sin(FIT_GRID))
+_GRID_ABS_COS = np.abs(np.cos(FIT_GRID))
+_GRID_ABS_SIN.flags.writeable = False
+_GRID_ABS_COS.flags.writeable = False
 
 # fit_pulse skips a grid row only when its bound plus this stays below the
 # best overlap found. A grid value or bound is a few roundings of terms of
@@ -224,16 +249,19 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
     Nelder-Mead refinement; the start is the first flat argmax of the grid's
     overlap, so ties go to the smallest rabi angle, then phase. Only the
     rows that can hold that maximum are evaluated: each row's overlap is
-    bounded by the triangle inequality, the ``START_ROWS`` rows with the
-    largest bounds give a best value, and every row whose bound reaches it
-    within ``ROW_BOUND_SLACK`` (2 to 8 rows for a unitary target) is
-    evaluated in ascending order, each call one pass of
-    ``_pulse_overlap_grid``. A row left out holds no value near the maximum,
-    so the start is the full grid's.
+    bounded by the triangle inequality, the first row of largest bound gives
+    a best value, and every row whose bound reaches it within
+    ``ROW_BOUND_SLACK`` (2 to 8 rows for most unitary targets; all 512 for
+    one whose bound is flat, such as Y) is evaluated in ascending order,
+    each call one pass of ``_pulse_overlap_grid``. A row left out holds no
+    value near the maximum, so the start is the full grid's.
     Always returns the best point found, even when the residual is large.
     The refinement is ``dotphase._simplex``, one fixed algorithm (scipy
     1.17.1's), so the result does not depend on which scipy, if any, is
-    installed.
+    installed. Its objective is ``_distance`` of ``_pulse_parts`` and the
+    target's (re, im) pairs, taken once a fit: ``gate_distance`` of
+    ``single_pulse_unitary`` bit for bit, with no array made per call. A
+    non-finite vertex raises ``ValidationError`` as ``PulseSpec`` does.
     """
     from ._simplex import nelder_mead
 
@@ -251,21 +279,24 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
     # both diagonal entries of a pulse have modulus 1 and both off-diagonal
     # ones are cos(theta), so no overlap in row r exceeds bound[r]
     t = np.abs(target)
-    bound = (np.abs(np.sin(grid)) * (t[0, 0] + t[1, 1])
-             + np.abs(np.cos(grid)) * abs(target[1, 0] + target[0, 1]))
-    top = np.argpartition(bound, -START_ROWS)[-START_ROWS:]
-    best = _pulse_overlap_grid(target, grid[top], grid).max()
+    bound = (_GRID_ABS_SIN * (t[0, 0] + t[1, 1])
+             + _GRID_ABS_COS * abs(target[1, 0] + target[0, 1]))
+    top = int(np.argmax(bound))
+    best = _pulse_overlap_grid(target, grid[top:top + 1], grid).max()
     rows = np.flatnonzero(bound + ROW_BOUND_SLACK >= best)
     tr = _pulse_overlap_grid(target, grid[rows], grid)
     # argmax of |tr| = argmin of distance; rows keep their order, so the
     # first flat index wins, which is the smallest theta then smallest phi
     i, j = np.unravel_index(int(np.argmax(tr)), tr.shape)
     x0 = np.array([grid[rows[i]], grid[j]])
+    target_parts = _parts(target)
 
+    # gate_distance(single_pulse_unitary(PulseSpec(th, ph)), target), bit
+    # for bit, on Python floats alone
     def objective(x):
-        return gate_distance(
-            single_pulse_unitary(PulseSpec(float(x[0]), float(x[1]))), target
-        )
+        th, ph = x
+        _check_finite(th, ph)
+        return _distance(_pulse_parts(th, ph), target_parts, 2)
 
     # x0 is the first vertex and no step drops the best one, so x is never
     # worse than x0, and fx is the objective at x

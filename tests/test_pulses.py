@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import itertools
 import math
@@ -288,17 +289,18 @@ class TestOverlapGrid:
 
 
 class TestFitPulse:
-    def test_objective_goes_through_module_gate_distance(self, monkeypatch):
-        # the benchmark tracer counts objective evaluations by wrapping
-        # pulses.gate_distance, so fit_pulse must look it up on each call
+    def test_objective_goes_through_module_distance(self, monkeypatch):
+        # each objective evaluation is one call of the float core
+        # pulses._distance, looked up on the module at each call, so that a
+        # tracer can count evaluations by wrapping it
         calls = []
-        inner = pulses.gate_distance
+        inner = pulses._distance
 
-        def counting(a, b):
+        def counting(a, b, dim):
             calls.append(1)
-            return inner(a, b)
+            return inner(a, b, dim)
 
-        monkeypatch.setattr(pulses, "gate_distance", counting)
+        monkeypatch.setattr(pulses, "_distance", counting)
         target = 1j * single_pulse_unitary(PulseSpec(2.3, 0.4))
         _, residual = fit_pulse(target)
         assert residual < 1e-8
@@ -310,11 +312,11 @@ class TestFitPulse:
         # fit_pulse returns the refinement's point and value as they are, so
         # every objective call is one the simplex makes
         distances, refined, results = [], [], []
-        gate_distance, nelder_mead = pulses.gate_distance, _simplex.nelder_mead
+        distance, nelder_mead = pulses._distance, _simplex.nelder_mead
 
-        def counted_distance(a, b):
+        def counted_distance(a, b, dim):
             distances.append(1)
-            return gate_distance(a, b)
+            return distance(a, b, dim)
 
         def counted_refinement(func, x0, **options):
             def objective(x):
@@ -323,7 +325,7 @@ class TestFitPulse:
             results.append(nelder_mead(objective, x0, **options))
             return results[-1]
 
-        monkeypatch.setattr(pulses, "gate_distance", counted_distance)
+        monkeypatch.setattr(pulses, "_distance", counted_distance)
         monkeypatch.setattr(_simplex, "nelder_mead", counted_refinement)
         spec, residual = fit_pulse(target)
         (x, fx), = results
@@ -371,6 +373,131 @@ class TestFitPulse:
             )
             _, residual = fit_pulse(target)
             assert residual < 1e-8
+
+    def test_fits_keep_their_bits(self):
+        # the digest was taken before fit_pulse's objective moved onto Python
+        # floats and its first pass onto one grid row, with the 32-row first
+        # pass and the objective built from PulseSpec, single_pulse_unitary
+        # and gate_distance: neither change may move a bit of any fit. The
+        # start rests on np.sin and np.exp of the overlap grid, so without
+        # numpy's AVX2 loops a tie between grid points can turn the other way
+        # and the digest differs there
+        fits = []
+        for target in _fit_digest_targets():
+            spec, residual = fit_pulse(target)
+            fits.append((spec.rabi_angle, spec.phase, residual))
+        assert len(fits) == 504
+        assert hashlib.sha256(np.array(fits).tobytes()).hexdigest() == (
+            "1dbc1e6984613cb0a7b17068049d3274665bd600624862680bda03b25f8a9242")
+
+
+def _fit_digest_targets():
+    """504 fit targets built on Python floats, so with the same bits on every
+    host: the tie targets I, X, Y, H and S, the Hadamard step's pulse, 49
+    phase gates each as the ideal gate and as its pulse, 200 pulses times a
+    global phase, and 200 Haar-random unitaries from normalised quaternions
+    times a global phase."""
+    rng = np.random.default_rng(31)
+    h = 1 / SQRT2
+    targets = [
+        [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[h, h], [h, -h]],
+        [[1, 0], [0, 1j]], single_pulse_unitary(hadamard_pulse_params()).tolist(),
+    ]
+    for phi in rng.uniform(-7, 7, 49).tolist():
+        targets.append([[-cmath.exp(-1j * phi), 0], [0, cmath.exp(1j * phi)]])
+        targets.append(single_pulse_unitary(phase_gate_pulse_params(phi)).tolist())
+    for alpha, th, ph in rng.uniform(-1, 8, (200, 3)).tolist():
+        g = cmath.exp(1j * alpha)
+        targets.append([[g * x for x in row]
+                        for row in single_pulse_unitary(PulseSpec(th, ph)).tolist()])
+    for q, alpha in zip(rng.normal(size=(200, 4)).tolist(), rng.uniform(0, 7, 200).tolist()):
+        n = math.sqrt(sum(v * v for v in q))
+        a, b = complex(q[0] / n, q[1] / n), complex(q[2] / n, q[3] / n)
+        g = cmath.exp(1j * alpha)
+        targets.append([[g * a, -g * b.conjugate()], [g * b, g * a.conjugate()]])
+    return [np.array(t, dtype=np.complex128) for t in targets]
+
+
+def _fit_objective(target, monkeypatch):
+    """fit_pulse's objective for ``target``, caught on its way into the
+    refinement, which is skipped."""
+    seen = []
+
+    def catching(func, x0, **options):
+        seen.append(func)
+        return tuple(x0), 0.0
+
+    monkeypatch.setattr(_simplex, "nelder_mead", catching)
+    fit_pulse(target)
+    monkeypatch.undo()
+    (func,) = seen
+    return func
+
+
+class TestFitObjective:
+    """fit_pulse's objective is pure float arithmetic with the bits of
+    gate_distance(single_pulse_unitary(PulseSpec(theta, phi)), target)."""
+
+    SPECIAL = ([0.0, -0.0] + [k * math.pi / 4 for k in range(-8, 9) if k]
+               + [5e-324, 1e-300, 710.0, 1e12, 1e15, -1e15])
+
+    def points(self):
+        rng = np.random.default_rng(61)
+        points = list(itertools.product(self.SPECIAL, self.SPECIAL))
+        # magnitudes from 1e-3 to 1e15, either sign
+        scaled = rng.choice([-1.0, 1.0], (1500, 2)) * 10.0 ** rng.uniform(-3, 15, (1500, 2))
+        return points + [tuple(p) for p in scaled.tolist()]
+
+    def targets(self):
+        rng = np.random.default_rng(62)
+        haar = [_haar(rng) for _ in range(2)]
+        reachable = [
+            np.exp(1j * rng.uniform(0, 6))
+            * single_pulse_unitary(PulseSpec(*rng.uniform(-1, 8, 2)))
+            for _ in range(2)
+        ]
+        phi = rng.uniform(-7, 7)
+        presets = [np.diag([-np.exp(-1j * phi), np.exp(1j * phi)]),
+                   single_pulse_unitary(hadamard_pulse_params())]
+        ties = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
+                IDEAL_H, np.array([[0, -1j], [1j, 0]])]
+        return haar + reachable + presets + ties
+
+    def test_matches_unitary_and_distance_bitwise(self, monkeypatch):
+        points = self.points()
+        assert len(points) >= 2000
+        for target in self.targets():
+            objective = _fit_objective(target, monkeypatch)
+            for th, ph in points:
+                got = objective((th, ph))
+                want = gate_distance(single_pulse_unitary(PulseSpec(th, ph)), target)
+                assert type(got) is float
+                assert got.hex() == want.hex(), (target, th, ph)
+
+    def test_parts_rebuild_single_pulse_unitary(self):
+        for th, ph in self.points():
+            parts = pulses._pulse_parts(th, ph)
+            assert all(type(v) is float for pair in parts for v in pair)
+            want = single_pulse_unitary(PulseSpec(th, ph))
+            assert np.array(parts).tobytes() == want.tobytes(), (th, ph)
+
+    @pytest.mark.parametrize("x", [(math.nan, 0.0), (math.inf, 1.0), (0.5, -math.inf)])
+    def test_non_finite_vertex_raises(self, monkeypatch, x):
+        # a vertex the refinement could reach only through an overflow or a
+        # NaN is refused as PulseSpec refuses it
+        raised = []
+
+        def probing(func, x0, **options):
+            with pytest.raises(ValidationError) as caught:
+                func(x)
+            raised.append(str(caught.value))
+            return tuple(x0), func(tuple(x0))
+
+        monkeypatch.setattr(_simplex, "nelder_mead", probing)
+        fit_pulse(IDEAL_H)
+        with pytest.raises(ValidationError) as spec_error:
+            PulseSpec(*x)
+        assert raised == [str(spec_error.value)] == ["pulse parameters must be finite"]
 
 
 ANGLES = st.floats(0, math.tau)
@@ -420,9 +547,10 @@ class TestRowSearch:
     def test_start_is_the_full_grid_argmax(self, target):
         full = pulses._pulse_overlap_grid(target, FIT_GRID, FIT_GRID)
         ((top, top_values), (rows, values)), x0 = _traced_fit(target)
-        # the first pass takes START_ROWS rows, the second no more
-        assert len(top) == pulses.START_ROWS
-        assert len(rows) <= pulses.START_ROWS
+        # the first pass takes one row, the second no more than the 32 the
+        # first pass once took
+        assert len(top) == 1
+        assert len(rows) <= 32
         # a row has the same bits whichever rows are evaluated beside it
         assert top_values.tobytes() == full[top].tobytes()
         assert values.tobytes() == full[rows].tobytes()
