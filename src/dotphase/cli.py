@@ -41,8 +41,9 @@ MAX_RANDOM_PHASES = 10_000
 # ``results``, so replay stays byte-identical. 2: sweep masses come from the
 # measure-as-you-go tree (qpe.tree_distributions). 3: pulses.gate_distance
 # works on Python floats instead of a BLAS trace, which moves pulse-fit
-# residuals and gaps by a few ulp.
-RESULTS_VERSION = 3
+# residuals and gaps by a few ulp. 4: pulse fits in closed form, which moves
+# pulse-fit angles and residuals to the exact optimum.
+RESULTS_VERSION = 4
 
 
 class _Parser(argparse.ArgumentParser):

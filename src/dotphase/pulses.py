@@ -19,13 +19,6 @@ from .errors import DimensionError, DomainError, ValidationError, finite_result
 from .statevector import _unitary_deviation
 
 
-def _check_finite(rabi_angle: float, phase: float) -> None:
-    """The one rule for pulse parameters, for PulseSpec and fit_pulse's
-    objective alike."""
-    if not (math.isfinite(rabi_angle) and math.isfinite(phase)):
-        raise ValidationError("pulse parameters must be finite")
-
-
 @dataclass(frozen=True)
 class PulseSpec:
     """Rabi angle (Omega*t) and laser phase of one resonant pulse, radians."""
@@ -34,7 +27,8 @@ class PulseSpec:
     phase: float
 
     def __post_init__(self):
-        _check_finite(self.rabi_angle, self.phase)
+        if not (math.isfinite(self.rabi_angle) and math.isfinite(self.phase)):
+            raise ValidationError("pulse parameters must be finite")
 
     @property
     def canonical_rabi_angle(self) -> float:
@@ -196,75 +190,26 @@ def _distance(a: list[tuple[float, float]], b: list[tuple[float, float]],
     return math.sqrt(sq)
 
 
-# fit_pulse's coarse grid of rabi angles and of phases: 512 points over
-# [0, 2pi), read-only
-FIT_GRID = np.arange(512) * (math.tau / 512)
-FIT_GRID.flags.writeable = False
-
-# |sin| and |cos| of FIT_GRID, the factors of fit_pulse's row bounds,
-# read-only
-_GRID_ABS_SIN = np.abs(np.sin(FIT_GRID))
-_GRID_ABS_COS = np.abs(np.cos(FIT_GRID))
-_GRID_ABS_SIN.flags.writeable = False
-_GRID_ABS_COS.flags.writeable = False
-
-# fit_pulse skips a grid row only when its bound plus this stays below the
-# best overlap found. A grid value or bound is a few roundings of terms of
-# modulus at most ~1, so each lies within ~1e-15 of its exact value; a
-# margin this far above that keeps every row that could hold the best
-# value, and still drops all but a handful of the 512.
-ROW_BOUND_SLACK = 1e-9
-
-
-def _pulse_overlap_grid(target: np.ndarray, thetas: np.ndarray, phis: np.ndarray):
-    """|trace(U(theta,phi)^dag target)| for each theta row and phi column.
-
-    The trace is the sum of each U entry's conjugate times the matching
-    target entry, built in one pass over the given rows: in-place operations
-    in the order and on the broadcast shapes of the whole-grid expression,
-    so every value has that expression's bits, at less cost on the few rows
-    fit_pulse passes. Each value is elementwise in its own theta and phi, so
-    a row has the same bits whichever other rows are passed beside it:
-    fit_pulse calls this on subsets of its grid's rows.
-    """
-    th = thetas[:, None]
-    ph = phis[None, :]
-    s, c = np.sin(th), np.cos(th)
-    a = np.multiply(-1j * np.exp(-1j * ph), s)
-    np.conjugate(a, out=a)
-    a *= target[0, 0]
-    a += c * target[1, 0]
-    a += c * target[0, 1]
-    b = np.multiply(-1j * np.exp(1j * ph), s)
-    np.conjugate(b, out=b)
-    b *= target[1, 1]
-    a += b
-    return np.abs(a)
-
-
 def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
     """Best single-pulse parameters reproducing ``target`` up to global phase.
 
-    Deterministic coarse grid (``FIT_GRID`` for both angles) followed by
-    Nelder-Mead refinement; the start is the first flat argmax of the grid's
-    overlap, so ties go to the smallest rabi angle, then phase. Only the
-    rows that can hold that maximum are evaluated: each row's overlap is
-    bounded by the triangle inequality, the first row of largest bound gives
-    a best value, and every row whose bound reaches it within
-    ``ROW_BOUND_SLACK`` (2 to 8 rows for most unitary targets; all 512 for
-    one whose bound is flat, such as Y) is evaluated in ascending order,
-    each call one pass of ``_pulse_overlap_grid``. A row left out holds no
-    value near the maximum, so the start is the full grid's.
-    Always returns the best point found, even when the residual is large.
-    The refinement is ``dotphase._simplex``, one fixed algorithm (scipy
-    1.17.1's), so the result does not depend on which scipy, if any, is
-    installed. Its objective is ``_distance`` of ``_pulse_parts`` and the
-    target's (re, im) pairs, taken once a fit: ``gate_distance`` of
-    ``single_pulse_unitary`` bit for bit, with no array made per call. A
-    non-finite vertex raises ``ValidationError`` as ``PulseSpec`` does.
-    """
-    from ._simplex import nelder_mead
+    For a pulse U(theta, phi), trace(U^dag T) = sin(theta) A + cos(theta) B
+    with A = i (e^{i phi} t00 + e^{-i phi} t11) and B = t01 + t10. A unitary
+    target is e^{i alpha} [[p, -conj(q)], [q, conj(p)]], so A and B are
+    2i e^{i alpha} times Re(e^{i phi} p) and Im(q): the overlap is largest at
+    a phase phi0 = -arg(t00 conj(t11)) / 2 (mod pi), which makes e^{i phi0} p
+    real, and then at the top eigenvector over (sin theta, cos theta) of the
+    real Gram form [[|A|^2, Re(A conj B)], [Re(A conj B), |B|^2]], which also
+    takes up the <= 1e-10 non-unitarity a target may have. Since
+    U(theta + pi, phi) = U(pi - theta, phi + pi) = -U(theta, phi), theta in
+    [0, pi/2] and phi in [0, 2pi) reach every pulse up to its sign: phi is
+    phi0, or phi0 + pi where that makes Re(A conj B) >= 0. Computed on Python
+    floats with math and cmath, so the bits do not depend on the host.
 
+    Returns the pulse and its residual, ``gate_distance`` of its
+    ``single_pulse_unitary`` and the target bit for bit, even when the
+    residual is large (no pulse is near Y, whose residual is 2).
+    """
     target = np.asarray(target, dtype=np.complex128)
     if target.shape != (2, 2):
         raise DimensionError("target must be 2x2")
@@ -275,33 +220,20 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
     if not dev <= 1e-10:
         raise ValidationError(f"target is not unitary (deviation {dev:.3e})")
 
-    grid = FIT_GRID
-    # both diagonal entries of a pulse have modulus 1 and both off-diagonal
-    # ones are cos(theta), so no overlap in row r exceeds bound[r]
-    t = np.abs(target)
-    bound = (_GRID_ABS_SIN * (t[0, 0] + t[1, 1])
-             + _GRID_ABS_COS * abs(target[1, 0] + target[0, 1]))
-    top = int(np.argmax(bound))
-    best = _pulse_overlap_grid(target, grid[top:top + 1], grid).max()
-    rows = np.flatnonzero(bound + ROW_BOUND_SLACK >= best)
-    tr = _pulse_overlap_grid(target, grid[rows], grid)
-    # argmax of |tr| = argmin of distance; rows keep their order, so the
-    # first flat index wins, which is the smallest theta then smallest phi
-    i, j = np.unravel_index(int(np.argmax(tr)), tr.shape)
-    x0 = np.array([grid[rows[i]], grid[j]])
-    target_parts = _parts(target)
-
-    # gate_distance(single_pulse_unitary(PulseSpec(th, ph)), target), bit
-    # for bit, on Python floats alone
-    def objective(x):
-        th, ph = x
-        _check_finite(th, ph)
-        return _distance(_pulse_parts(th, ph), target_parts, 2)
-
-    # x0 is the first vertex and no step drops the best one, so x is never
-    # worse than x0, and fx is the objective at x
-    x, fx = nelder_mead(objective, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)
-    return PulseSpec(x[0] % math.tau, x[1] % math.tau), fx
+    (t00, t01), (t10, t11) = target.tolist()
+    # mod pi, so that a signed zero on arg's branch cut gives the same phase
+    phase = (-0.5 * cmath.phase(t00 * t11.conjugate())) % math.pi
+    w = cmath.exp(1j * phase)
+    a = 1j * (w * t00 + w.conjugate() * t11)
+    b = t01 + t10
+    cross = (a * b.conjugate()).real
+    if cross < 0:
+        # phi + pi flips the sign of A and so of cross; mod 2pi, since the
+        # phase mod pi can round up to pi itself
+        phase = (phase + math.pi) % math.tau
+    rabi = math.pi / 2 - 0.5 * math.atan2(2 * abs(cross), abs(a) ** 2 - abs(b) ** 2)
+    return (PulseSpec(rabi, phase),
+            _distance(_pulse_parts(rabi, phase), _parts(target), 2))
 
 
 def effective_rabi(pp: PhysicalParams) -> Quantity:

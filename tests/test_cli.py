@@ -448,25 +448,26 @@ GOLDEN_RESULTS = [
     (["sweep", "--m-values", "5,8", "--n", "3", "--random-phases", "4", "--seed", "2",
       "--mode", "pulse-literal"],
      "5a4c826598d9cd8d62f6d50decb7978df0a6b9d564115457e3077ec631042ed7"),
-    # pulse fits: the coarse overlap grid's argmax and the Nelder-Mead path
+    # pulse fits: the closed-form optimum, ties on the phase's branch cut and
+    # Y's zero overlap among them
     (["pulse-fit", "--preset", "hadamard"],
      "7bed055fb4dca8e15c0d11103be650f691cc549fc95bcb231f8ccef86fd62f4f"),
     (["pulse-fit", "--preset", "pulse-phase:0.7"],
-     "a13fd5e647346397d51353e793c8aeb1fc39e229d66f10831556919b336d12e8"),
+     "cf0434b4864610372122a6cf86b17c0bc441c401eab6b1734e2f97e35c454195"),
     (["pulse-fit", "--preset", "phase:0.3turn"],
-     "a2dd62ccf124587a7589cd67810ca9128308d5441edc95c69a308ef668c8750f"),
+     "ba458d09a5b32103f04667467aa99a23f9e22acbba2b0b31b9274f9df22d2b05"),
     (["pulse-fit", "--matrix", "0.7071067811865476,0,0.7071067811865476,0,"
       "0.7071067811865476,0,-0.7071067811865476,0"],
      "4523d59b253cff6d20f49d29375e81322dda441055c8fb846bf14893056f96c9"),
     (["pulse-fit", "--matrix", "0,0,1,0,1,0,0,0"],
      "b32d0798422f4790be9f5553195f62a4bb9e532360ed41eeb51440d0da4b5097"),
     (["pulse-fit", "--matrix", "0.6,0.0,0.0,0.8,0.0,0.8,0.6,0.0"],
-     "2048e7fcb779ecea493785fb60e2d276c6ef5aea5d6f9668ee87bf4f6dcf6a44"),
+     "38451cb06afcbe899ef5fd70fe52cd2090d006d22d491e4546dda35000c80a55"),
 ]
 
 
 def test_cli_import_does_not_load_scipy_optimize():
-    # only pulse-fit needs the optimiser; every other start-up skips it
+    # no subcommand needs scipy.optimize, whose import once cost every start-up
     src = os.path.dirname(os.path.dirname(dotphase.__file__))
     code = ("import sys, dotphase.cli; dotphase.cli.build_parser(); "
             "sys.exit('scipy.optimize' in sys.modules)")
@@ -475,9 +476,9 @@ def test_cli_import_does_not_load_scipy_optimize():
 
 
 def test_pulse_fit_runs_without_scipy():
-    # fit_pulse refines with dotphase._simplex: a process in which scipy
-    # cannot be imported fits the README's targets and a Haar-random one
-    # to the same results
+    # fit_pulse is closed-form arithmetic on math and cmath: a process in
+    # which scipy cannot be imported fits the README's targets and a
+    # Haar-random one to the same results
     rng = np.random.default_rng(23)
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
@@ -838,7 +839,7 @@ def test_every_report_names_its_versions(monkeypatch, args):
     report, _ = report_of(args, monkeypatch)
     assert report["versions"] == {"artifact": dotphase.__version__,
                                   "results": cli.RESULTS_VERSION}
-    assert cli.RESULTS_VERSION == 3
+    assert cli.RESULTS_VERSION == 4
 
 
 class TestSerialiser:

@@ -6,10 +6,8 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from dotphase import _simplex, pulses
+from dotphase import pulses
 from dotphase.errors import DimensionError, DomainError, ValidationError
 from dotphase.pulses import (
     PhysicalParams,
@@ -28,7 +26,6 @@ from dotphase.pulses import (
 
 SQRT2 = math.sqrt(2)
 IDEAL_H = np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2
-FIT_GRID = np.arange(512) * (math.tau / 512)
 
 
 class TestSinglePulseUnitary:
@@ -72,6 +69,21 @@ class TestSinglePulseUnitary:
         for th, ph in pairs:
             got = single_pulse_unitary(PulseSpec(th, ph))
             assert got.tobytes() == numpy_expression(th, ph).tobytes(), (th, ph)
+
+    # parameters far outside one period, signed zeros and subnormals among them
+    SPECIAL = ([0.0, -0.0] + [k * math.pi / 4 for k in range(-8, 9) if k]
+               + [5e-324, 1e-300, 710.0, 1e12, 1e15, -1e15])
+
+    def test_parts_rebuild_single_pulse_unitary(self):
+        rng = np.random.default_rng(61)
+        points = list(itertools.product(self.SPECIAL, self.SPECIAL))
+        # magnitudes from 1e-3 to 1e15, either sign
+        scaled = rng.choice([-1.0, 1.0], (1500, 2)) * 10.0 ** rng.uniform(-3, 15, (1500, 2))
+        for th, ph in points + [tuple(p) for p in scaled.tolist()]:
+            parts = pulses._pulse_parts(th, ph)
+            assert all(type(v) is float for pair in parts for v in pair)
+            want = single_pulse_unitary(PulseSpec(th, ph))
+            assert np.array(parts).tobytes() == want.tobytes(), (th, ph)
 
     def test_two_pi_periodic(self):
         rng = np.random.default_rng(11)
@@ -134,21 +146,6 @@ def _haar(rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _reference_overlap_grid(target, thetas, phis):
-    # the overlap grid as one whole-array expression, which the in-place
-    # pulses._pulse_overlap_grid must reproduce bit for bit
-    th = thetas[:, None]
-    ph = phis[None, :]
-    s, c = np.sin(th), np.cos(th)
-    tr = (
-        np.conj(-1j * np.exp(-1j * ph) * s) * target[0, 0]
-        + c * target[1, 0]
-        + c * target[0, 1]
-        + np.conj(-1j * np.exp(1j * ph) * s) * target[1, 1]
-    )
-    return np.abs(tr)
 
 
 def _reference_distance(a, b):
@@ -256,83 +253,7 @@ class TestGateDistance:
         assert math.isnan(got) and type(got) is float
 
 
-class TestOverlapGrid:
-    def grids(self, rng):
-        g = FIT_GRID
-        return [
-            (g, g),
-            (g[:511], g),
-            (rng.uniform(0, 7, 37), rng.uniform(-1, 7, 100)),
-            (g[:1], g),
-        ]
-
-    def targets(self, rng):
-        haar = [_haar(rng) for _ in range(4)]
-        pulse = [
-            np.exp(1j * rng.uniform(0, 6))
-            * single_pulse_unitary(PulseSpec(*rng.uniform(0, 2 * math.pi, 2)))
-            for _ in range(3)
-        ]
-        # ties: many grid points share the largest overlap
-        ties = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex), IDEAL_H]
-        return haar + pulse + ties
-
-    def test_grid_matches_whole_array_expression(self):
-        rng = np.random.default_rng(41)
-        for target in self.targets(rng):
-            for thetas, phis in self.grids(rng):
-                got = pulses._pulse_overlap_grid(target, thetas, phis)
-                want = _reference_overlap_grid(target, thetas, phis)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-                assert np.argmax(got) == np.argmax(want)
-
-
 class TestFitPulse:
-    def test_objective_goes_through_module_distance(self, monkeypatch):
-        # each objective evaluation is one call of the float core
-        # pulses._distance, looked up on the module at each call, so that a
-        # tracer can count evaluations by wrapping it
-        calls = []
-        inner = pulses._distance
-
-        def counting(a, b, dim):
-            calls.append(1)
-            return inner(a, b, dim)
-
-        monkeypatch.setattr(pulses, "_distance", counting)
-        target = 1j * single_pulse_unitary(PulseSpec(2.3, 0.4))
-        _, residual = fit_pulse(target)
-        assert residual < 1e-8
-        assert len(calls) >= 100
-
-    @pytest.mark.parametrize("target", [
-        IDEAL_H, 1j * single_pulse_unitary(PulseSpec(2.3, 0.4))], ids=["hadamard", "reachable"])
-    def test_objective_runs_only_inside_the_refinement(self, monkeypatch, target):
-        # fit_pulse returns the refinement's point and value as they are, so
-        # every objective call is one the simplex makes
-        distances, refined, results = [], [], []
-        distance, nelder_mead = pulses._distance, _simplex.nelder_mead
-
-        def counted_distance(a, b, dim):
-            distances.append(1)
-            return distance(a, b, dim)
-
-        def counted_refinement(func, x0, **options):
-            def objective(x):
-                refined.append(1)
-                return func(x)
-            results.append(nelder_mead(objective, x0, **options))
-            return results[-1]
-
-        monkeypatch.setattr(pulses, "_distance", counted_distance)
-        monkeypatch.setattr(_simplex, "nelder_mead", counted_refinement)
-        spec, residual = fit_pulse(target)
-        (x, fx), = results
-        assert len(distances) == len(refined) > 0
-        assert residual == fx
-        assert (spec.rabi_angle, spec.phase) == (x[0] % math.tau, x[1] % math.tau)
-
     def test_in_model_target(self):
         target = single_pulse_unitary(PulseSpec(math.pi / 5, 1.0))
         _, residual = fit_pulse(target)
@@ -374,21 +295,103 @@ class TestFitPulse:
             _, residual = fit_pulse(target)
             assert residual < 1e-8
 
+    def test_optimal_against_a_phase_grid(self):
+        # no point of a 4096-phase grid, each phase at its best rabi angle,
+        # fits better; the residual is the distance of the returned pulse
+        targets = _fit_oracle_targets()
+        assert len(targets) >= 2000
+        for target in targets:
+            spec, residual = fit_pulse(target)
+            assert type(residual) is float
+            assert residual <= _grid_oracle_distance(target) + 1e-12, target
+            want = gate_distance(single_pulse_unitary(spec), target)
+            assert residual.hex() == want.hex(), target
+
+    def test_canonical_range(self):
+        # U(theta + pi, phi) = U(pi - theta, phi + pi) = -U(theta, phi), so
+        # these ranges hold one pulse of each pair that differs by a sign
+        for target in _fit_oracle_targets():
+            spec, _ = fit_pulse(target)
+            assert 0.0 <= spec.rabi_angle <= math.pi / 2, target
+            assert 0.0 <= spec.phase < math.tau, target
+
+    def test_global_phase_leaves_the_residual(self):
+        rng = np.random.default_rng(71)
+        targets = _fit_oracle_targets()
+        for target, alpha in zip(targets, rng.uniform(-7, 7, len(targets))):
+            _, residual = fit_pulse(target)
+            _, turned = fit_pulse(np.exp(1j * alpha) * target)
+            assert abs(turned - residual) <= 1e-15, (target, alpha)
+
+    def test_signed_zeros_give_one_fit(self):
+        # t00 conj(t11) of this H lies on arg's branch cut, with either
+        # signed zero as its imaginary part
+        h = 1 / SQRT2
+        fits = {fit_pulse(np.array([[h, h], [h, complex(-h, z)]])) for z in (0.0, -0.0)}
+        assert len(fits) == 1
+
     def test_fits_keep_their_bits(self):
-        # the digest was taken before fit_pulse's objective moved onto Python
-        # floats and its first pass onto one grid row, with the 32-row first
-        # pass and the objective built from PulseSpec, single_pulse_unitary
-        # and gate_distance: neither change may move a bit of any fit. The
-        # start rests on np.sin and np.exp of the overlap grid, so without
-        # numpy's AVX2 loops a tie between grid points can turn the other way
-        # and the digest differs there
+        # the digest of the closed form, which reads the same with numpy's
+        # default loops, with its AVX2 loops off and under OpenBLAS's Haswell
+        # kernels: every value comes from math and cmath on Python floats
         fits = []
         for target in _fit_digest_targets():
             spec, residual = fit_pulse(target)
             fits.append((spec.rabi_angle, spec.phase, residual))
         assert len(fits) == 504
         assert hashlib.sha256(np.array(fits).tobytes()).hexdigest() == (
-            "1dbc1e6984613cb0a7b17068049d3274665bd600624862680bda03b25f8a9242")
+            "ee2e0529eb891f7ac2420efbdc351a833bae9b4479667ea917584ad193efbe70")
+
+
+def _grid_oracle_distance(target, phases=4096):
+    """The smallest distance from target to a pulse on a grid of phases,
+    each at the top eigenvector over (sin theta, cos theta) of the real Gram
+    form of |sin(theta) A + cos(theta) B|, the distance evaluated at the
+    optimal global phase directly rather than as sqrt(4 - 2|trace|)."""
+    ph = np.arange(phases) * (math.tau / phases)
+    (t00, t01), (t10, t11) = target
+    a = 1j * (np.exp(1j * ph) * t00 + np.exp(-1j * ph) * t11)
+    b = t01 + t10
+    cross = np.real(a * np.conj(b))
+    th = math.pi / 2 - 0.5 * np.arctan2(2 * cross, np.abs(a) ** 2 - abs(b) ** 2)
+    s, c = np.sin(th), np.cos(th)
+    u = [-1j * np.exp(-1j * ph) * s, c, c, -1j * np.exp(1j * ph) * s]
+    tr = s * a + c * b
+    # where no pulse overlaps the target, every global phase is as good
+    z = np.exp(-1j * np.angle(tr))
+    sq = sum(np.abs(x - z * t) ** 2 for x, t in zip(u, (t00, t01, t10, t11)))
+    return float(np.sqrt(sq).min())
+
+
+def _fit_oracle_targets():
+    """2047 seeded unitary targets: I, X, iX, Y, Z, S, H, the CLI presets
+    at several angles, targets e^{i alpha} [[p, -conj(q)], [q, conj(p)]] with
+    |p| in {0, 1e-12, 1e-6} or with Im q = 0, pulses times a global phase,
+    and Haar-random unitaries."""
+    rng = np.random.default_rng(72)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    targets = [np.eye(2, dtype=complex), x, 1j * x, np.array([[0, -1j], [1j, 0]]),
+               np.diag([1.0 + 0j, -1.0]), np.diag([1.0, 1j]), IDEAL_H,
+               single_pulse_unitary(hadamard_pulse_params())]
+    for phi in [0.0, 0.7, 0.6 * math.pi, math.pi, -2.5] + rng.uniform(-7, 7, 8).tolist():
+        targets.append(np.diag([1.0, cmath.exp(1j * phi)]))
+        targets.append(np.diag([-cmath.exp(-1j * phi), cmath.exp(1j * phi)]))
+        targets.append(single_pulse_unitary(phase_gate_pulse_params(phi)))
+
+    def su2(p, q, alpha):
+        return cmath.exp(1j * alpha) * np.array([[p, -q.conjugate()], [q, p.conjugate()]])
+
+    for r in [0.0, 1e-12, 1e-6]:
+        for beta, gamma, alpha in rng.uniform(-7, 7, (150, 3)).tolist():
+            targets.append(su2(cmath.rect(r, beta),
+                               cmath.rect(math.sqrt(1 - r * r), gamma), alpha))
+    real_q = rng.uniform(-1, 1, 150).tolist()
+    for q, (beta, alpha) in zip(real_q, rng.uniform(-7, 7, (150, 2)).tolist()):
+        targets.append(su2(cmath.rect(math.sqrt(1 - q * q), beta), complex(q), alpha))
+    for alpha, th, ph in rng.uniform(-8, 8, (600, 3)).tolist():
+        targets.append(cmath.exp(1j * alpha) * single_pulse_unitary(PulseSpec(th, ph)))
+    targets += [_haar(rng) for _ in range(800)]
+    return targets
 
 
 def _fit_digest_targets():
@@ -416,257 +419,6 @@ def _fit_digest_targets():
         g = cmath.exp(1j * alpha)
         targets.append([[g * a, -g * b.conjugate()], [g * b, g * a.conjugate()]])
     return [np.array(t, dtype=np.complex128) for t in targets]
-
-
-def _fit_objective(target, monkeypatch):
-    """fit_pulse's objective for ``target``, caught on its way into the
-    refinement, which is skipped."""
-    seen = []
-
-    def catching(func, x0, **options):
-        seen.append(func)
-        return tuple(x0), 0.0
-
-    monkeypatch.setattr(_simplex, "nelder_mead", catching)
-    fit_pulse(target)
-    monkeypatch.undo()
-    (func,) = seen
-    return func
-
-
-class TestFitObjective:
-    """fit_pulse's objective is pure float arithmetic with the bits of
-    gate_distance(single_pulse_unitary(PulseSpec(theta, phi)), target)."""
-
-    SPECIAL = ([0.0, -0.0] + [k * math.pi / 4 for k in range(-8, 9) if k]
-               + [5e-324, 1e-300, 710.0, 1e12, 1e15, -1e15])
-
-    def points(self):
-        rng = np.random.default_rng(61)
-        points = list(itertools.product(self.SPECIAL, self.SPECIAL))
-        # magnitudes from 1e-3 to 1e15, either sign
-        scaled = rng.choice([-1.0, 1.0], (1500, 2)) * 10.0 ** rng.uniform(-3, 15, (1500, 2))
-        return points + [tuple(p) for p in scaled.tolist()]
-
-    def targets(self):
-        rng = np.random.default_rng(62)
-        haar = [_haar(rng) for _ in range(2)]
-        reachable = [
-            np.exp(1j * rng.uniform(0, 6))
-            * single_pulse_unitary(PulseSpec(*rng.uniform(-1, 8, 2)))
-            for _ in range(2)
-        ]
-        phi = rng.uniform(-7, 7)
-        presets = [np.diag([-np.exp(-1j * phi), np.exp(1j * phi)]),
-                   single_pulse_unitary(hadamard_pulse_params())]
-        ties = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
-                IDEAL_H, np.array([[0, -1j], [1j, 0]])]
-        return haar + reachable + presets + ties
-
-    def test_matches_unitary_and_distance_bitwise(self, monkeypatch):
-        points = self.points()
-        assert len(points) >= 2000
-        for target in self.targets():
-            objective = _fit_objective(target, monkeypatch)
-            for th, ph in points:
-                got = objective((th, ph))
-                want = gate_distance(single_pulse_unitary(PulseSpec(th, ph)), target)
-                assert type(got) is float
-                assert got.hex() == want.hex(), (target, th, ph)
-
-    def test_parts_rebuild_single_pulse_unitary(self):
-        for th, ph in self.points():
-            parts = pulses._pulse_parts(th, ph)
-            assert all(type(v) is float for pair in parts for v in pair)
-            want = single_pulse_unitary(PulseSpec(th, ph))
-            assert np.array(parts).tobytes() == want.tobytes(), (th, ph)
-
-    @pytest.mark.parametrize("x", [(math.nan, 0.0), (math.inf, 1.0), (0.5, -math.inf)])
-    def test_non_finite_vertex_raises(self, monkeypatch, x):
-        # a vertex the refinement could reach only through an overflow or a
-        # NaN is refused as PulseSpec refuses it
-        raised = []
-
-        def probing(func, x0, **options):
-            with pytest.raises(ValidationError) as caught:
-                func(x)
-            raised.append(str(caught.value))
-            return tuple(x0), func(tuple(x0))
-
-        monkeypatch.setattr(_simplex, "nelder_mead", probing)
-        fit_pulse(IDEAL_H)
-        with pytest.raises(ValidationError) as spec_error:
-            PulseSpec(*x)
-        assert raised == [str(spec_error.value)] == ["pulse parameters must be finite"]
-
-
-ANGLES = st.floats(0, math.tau)
-FIT_TARGETS = st.one_of(
-    st.integers(0, 2**32 - 1).map(lambda seed: _haar(np.random.default_rng(seed))),
-    st.tuples(ANGLES, ANGLES, ANGLES).map(
-        lambda a: np.exp(1j * a[0]) * single_pulse_unitary(PulseSpec(a[1], a[2]))),
-    ANGLES.map(lambda phi: np.diag([-np.exp(-1j * phi), np.exp(1j * phi)])),
-)
-
-
-def _traced_fit(target):
-    """The grid rows fit_pulse evaluates, as (row indices, values) per call,
-    and the start it hands the refinement."""
-    grids, starts = [], []
-    overlap, nelder_mead = pulses._pulse_overlap_grid, _simplex.nelder_mead
-
-    def recording_grid(t, thetas, phis):
-        assert phis.tobytes() == FIT_GRID.tobytes()
-        rows = np.searchsorted(FIT_GRID, thetas)
-        assert FIT_GRID[rows].tobytes() == thetas.tobytes()
-        grids.append((rows, overlap(t, thetas, phis)))
-        return grids[-1][1]
-
-    def recording_refinement(func, x0, **options):
-        starts.append(x0)
-        return nelder_mead(func, x0, **options)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pulses, "_pulse_overlap_grid", recording_grid)
-        mp.setattr(_simplex, "nelder_mead", recording_refinement)
-        fit_pulse(target)
-    (x0,) = starts
-    return grids, x0
-
-
-class TestRowSearch:
-    """fit_pulse evaluates only the grid rows that can hold the largest
-    overlap, yet starts at the full grid's first argmax."""
-
-    # eye, X and IDEAL_H tie: many grid points share the largest overlap
-    @example(np.eye(2, dtype=complex))
-    @example(np.array([[0, 1], [1, 0]], dtype=complex))
-    @example(IDEAL_H)
-    @given(FIT_TARGETS)
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-    def test_start_is_the_full_grid_argmax(self, target):
-        full = pulses._pulse_overlap_grid(target, FIT_GRID, FIT_GRID)
-        ((top, top_values), (rows, values)), x0 = _traced_fit(target)
-        # the first pass takes one row, the second no more than the 32 the
-        # first pass once took
-        assert len(top) == 1
-        assert len(rows) <= 32
-        # a row has the same bits whichever rows are evaluated beside it
-        assert top_values.tobytes() == full[top].tobytes()
-        assert values.tobytes() == full[rows].tobytes()
-        assert np.all(np.diff(rows) > 0)
-        i, j = np.unravel_index(int(np.argmax(full)), full.shape)
-        assert [float(v).hex() for v in x0] == [FIT_GRID[i].hex(), FIT_GRID[j].hex()]
-        best = top_values.max()
-        skipped = np.setdiff1d(np.arange(len(FIT_GRID)), rows)
-        assert np.all(full[skipped].max(axis=1) + pulses.ROW_BOUND_SLACK < best)
-
-    @pytest.mark.parametrize("target", [
-        IDEAL_H,
-        1j * single_pulse_unitary(PulseSpec(2.3, 0.4)),
-        _haar(np.random.default_rng(19)),
-    ], ids=["hadamard", "reachable", "haar"])
-    def test_few_rows_evaluated(self, target):
-        # a full-grid fit evaluates all 512 rows
-        grids, _ = _traced_fit(target)
-        assert sum(len(rows) for rows, _ in grids) < 64
-
-
-def _rosenbrock(x):
-    return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
-
-
-class TestSimplex:
-    """dotphase._simplex retraces scipy's Nelder-Mead bit for bit."""
-
-    OPTIONS = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
-
-    def assert_matches_scipy(self, func, x0, maxiter=2000):
-        minimize = pytest.importorskip("scipy.optimize").minimize
-        calls = [0]
-
-        def counted(x):
-            calls[0] += 1
-            return func(x)
-
-        options = dict(self.OPTIONS, maxiter=maxiter)
-        want = minimize(counted, np.array(x0, dtype=float), method="Nelder-Mead",
-                        options=options)
-        want_calls, calls[0] = calls[0], 0
-        x, fx = _simplex.nelder_mead(counted, x0, **options)
-        assert [float(v).hex() for v in x] == [float(v).hex() for v in want.x]
-        assert float(fx).hex() == float(want.fun).hex()
-        assert calls[0] == want_calls
-
-    def fit_targets(self):
-        rng = np.random.default_rng(58)
-        presets = [IDEAL_H, single_pulse_unitary(hadamard_pulse_params())]
-        for phi in rng.uniform(-7, 7, 6):
-            presets.append(np.diag([-np.exp(-1j * phi), np.exp(1j * phi)]))
-            presets.append(single_pulse_unitary(phase_gate_pulse_params(phi)))
-        reachable = [
-            np.exp(1j * rng.uniform(0, 6))
-            * single_pulse_unitary(PulseSpec(*rng.uniform(-1, 8, 2)))
-            for _ in range(10)
-        ]
-        haar = [_haar(rng) for _ in range(10)]
-        return presets + reachable + haar
-
-    def test_fit_objective_matches_scipy(self, monkeypatch):
-        # fit_pulse's own objective and start, caught on their way in
-        pytest.importorskip("scipy.optimize")
-        seen = []
-        inner = _simplex.nelder_mead
-
-        def recording(func, x0, **options):
-            seen.append((func, x0))
-            return inner(func, x0, **options)
-
-        monkeypatch.setattr(_simplex, "nelder_mead", recording)
-        targets = self.fit_targets()
-        for target in targets:
-            fit_pulse(target)
-        monkeypatch.undo()
-        assert len(seen) == len(targets)
-        for func, x0 in seen:
-            self.assert_matches_scipy(func, x0)
-
-    @pytest.mark.parametrize("x0", [[0.0, 0.0], [0.0, 1.5], [2.0, 0.0], [-1.2, 1.0]])
-    def test_zero_coordinates_and_rosenbrock(self, x0):
-        self.assert_matches_scipy(_rosenbrock, x0)
-
-    def test_three_parameters(self):
-        def rosenbrock3(x):
-            return _rosenbrock(x[:2]) + _rosenbrock(x[1:])
-
-        self.assert_matches_scipy(rosenbrock3, [0.0, -0.5, 1.5])
-
-    @pytest.mark.parametrize("x0", [[0.5, 0.0], [0.0, 0.0], [-2.0, 3.0]])
-    def test_shrinks(self, x0):
-        self.assert_matches_scipy(lambda x: abs(x[0]) + abs(x[1] - 0.3), x0)
-
-    @pytest.mark.parametrize("x0", [[0.0, 0.0], [1.0, -2.0]])
-    def test_ties(self, x0):
-        # every vertex ties, or whole regions do: the vertex order then rests
-        # on numpy's argsort alone
-        self.assert_matches_scipy(lambda x: 1.0, x0)
-        self.assert_matches_scipy(
-            lambda x: min(3.0, math.floor(4 * abs(x[0])) + math.floor(4 * abs(x[1]))), x0
-        )
-
-    def test_tie_order_comes_from_argsort(self):
-        # the first simplex reads (1, 1, 0, 0); numpy's argsort of four
-        # values may put the second 0 first (it does with AVX-512), where a
-        # stable sort keeps the first
-        self.assert_matches_scipy(
-            lambda x: 0.0 if x[1] >= 0.5 or x[2] >= 0.5 else 1.0, [1.0, 0.49, 0.49]
-        )
-
-    @pytest.mark.parametrize("maxiter", [1, 7])
-    def test_maxiter(self, maxiter):
-        self.assert_matches_scipy(_rosenbrock, [-1.2, 1.0], maxiter=maxiter)
-        self.assert_matches_scipy(lambda x: abs(x[0]) + abs(x[1] - 0.3), [0.5, 0.0],
-                                  maxiter=maxiter)
 
 
 class TestFeasibility:
