@@ -32,9 +32,8 @@ OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
 # Shots per experiment: every shot is a seed, a draw and two entries of the
 # JSON report (about 50 bytes), so a million shots already make ~50 MB.
 MAX_SHOTS = 1_000_000
-# Random sweep phases: each one is a row per m value of the stacks whose
-# distributions qpe.sweep_successes grows level by level, one tree for the m
-# values that fit its budget together, and a row of the report per m value.
+# Random sweep phases: each one is a row per m value of the tree stacks that
+# qpe.sweep_successes grows, all m values a call, and a report row per m value.
 MAX_RANDOM_PHASES = 10_000
 # Raised on each deliberate change to the bits of ``results``, so that a
 # reader can tell a report made before it from one made after; outside

@@ -39,9 +39,9 @@ MAX_REGISTER = 20
 # larger runs take the array pass in shot_seeds.
 SHOT_SEED_LOOP_MAX = 64
 # Readout chances of one tree call in sweep_successes (0.5 MiB of floats):
-# the distributions of up to BATCH_AMPLITUDES >> m phases of a size m alone,
-# or of all the phases of the sizes that share a call, so every level serves
-# them all at once; from m = 16 on each phase runs alone.
+# the distributions of batch_size(*sizes) phases at every register size of
+# the sweep, so every level serves them all at once; one phase a call once
+# the sizes' 2^m sum past it.
 BATCH_AMPLITUDES = 2 ** 16
 # Floats of each array a level of the tree works on at a time
 # (128 KiB): the branches of a larger level are streamed through blocks of
@@ -253,10 +253,11 @@ def exact_distribution(
     return readout_distribution(m, phi, gate_mode)
 
 
-def batch_size(m: int) -> int:
-    """Phases that sweep_successes hands one tree call at register size
-    ``m`` alone."""
-    return max(1, BATCH_AMPLITUDES >> m)
+def batch_size(*sizes: int) -> int:
+    """Phases that sweep_successes hands one tree call that grows the
+    register sizes ``sizes`` together: as many as fit their distributions,
+    P * sum(2^m), in BATCH_AMPLITUDES floats, one at least."""
+    return max(1, BATCH_AMPLITUDES // sum(2 ** m for m in sizes))
 
 
 def tree_distributions(
@@ -270,35 +271,29 @@ def tree_distributions(
     Hadamard, the kicks molecule by molecule, then the phase gates. So of
     several phases the verdict is that of the first failing kick in
     molecule-major order: molecule 1's kicks of every phase, then molecule
-    2's. Callers bound ``len(phis) * 2^m`` (sweep_successes passes at most
-    ``batch_size(m)`` phases a call to a size alone)."""
+    2's. Callers bound ``len(phis) * 2^m``, as sweep_successes does."""
     return _shared_tree([m], phis, gate_mode)[0]
 
 
-def _shared_tree(registers, phis, gate_mode: GateMode) -> list[np.ndarray]:
+def _shared_tree(registers, phis, gate_mode: GateMode, levels=None) -> list[np.ndarray]:
     """``tree_distributions(m, phis, gate_mode)`` of each register size m of
     the ascending, distinct ``registers``, from one tree.
 
     Molecule r is read right after its inverse-QFT Hadamard, since every
     later gate on it is diagonal in its basis. Before that Hadamard, on each
     string of earlier bits (a branch), its |0> and |1> amplitudes are its
-    kick entry times the Hadamard column, times the branch factors: per
-    earlier molecule s, the diagonal of P(-theta) X^b P(theta) X^b chosen by
-    s's bit b, theta = pi / 2^{r-s+1} (the phase gate s puts on itself
-    changes no chance). The Hadamard row then gives the chances p0 and p1
-    of r's bit (``_branch_probabilities``), and the distribution grows by
-    r's bit as its new most significant bit. The branch factors depend on
-    neither the phase nor the register size, and level r + 1's are level
-    r's with a new least significant bit, molecule 1's, whose diagonal has
-    the next smaller angle: each level makes them with one outer product.
+    kick entry times the Hadamard column, times level r's branch factors
+    (``_branch_levels``, or the list of them in ``levels``). The Hadamard
+    row then gives the chances p0 and p1 of r's bit
+    (``_branch_probabilities``), and the distribution grows by r's bit as
+    its new most significant bit.
 
     So level r serves every register with m >= r: the stack's rows are
     (register, phase) pairs in ascending register order, and a register's
-    rows leave it after level m. Molecule r's kick in register m is the
-    phase gate raised to 2^{m-r}, row top - m + r - 1 of the largest
-    register's kicks, which come from one ``_phase_diagonals`` call. The
-    Hadamard, P(+-theta), the unitarity deviations (all by ``_tree_gates``)
-    and the branch factors are built once for all registers.
+    rows leave it after level m. Molecule r's kick in register m is row
+    top - m + r - 1 of the largest register's kicks. The kicks, the
+    Hadamard, P(+-theta) and their unitarity deviations (``_tree_gates``)
+    serve all registers, as do the branch factors.
 
     Every entry comes from the statevector path's own sources, and is the
     same float operations on the same operands as in a tree of its register
@@ -309,44 +304,22 @@ def _shared_tree(registers, phis, gate_mode: GateMode) -> list[np.ndarray]:
     the host's SIMD level or BLAS kernels. The gates are judged in one
     pass, the largest register's kicks molecule-major. Each branch's p0 +
     p1 (``_check_branches``) and each row's sum must be within NORM_TOL of
-    1; a failure names its phase's row in ``phis``, as in a tree of its
-    register alone. A level's branches are streamed through blocks of
-    TREE_BLOCK floats."""
+    1; a failure names its phase's row in ``phis``. A level's branches are
+    streamed through blocks of TREE_BLOCK floats."""
     for m in registers:
         check_register(m)
     if len(phis) == 0:
         return [np.empty((0, 2 ** m)) for m in registers]
     top = registers[-1]
     h, kicks, plus, minus = _tree_gates(top, phis, gate_mode)
-    # the new bit's factor of each level r = 2..top, by bit b and component:
-    # (q0 p0, q1 p1) for b = 0 and (q0 p1, q1 p0) for b = 1, with p = P(theta)
-    # and q = P(-theta)
-    dr, di = np.empty((top - 1, 2, 2)), np.empty((top - 1, 2, 2))
-    for b, swap in enumerate(([0, 1], [1, 0])):
-        dr[:, b], di[:, b] = _mul(minus.real, minus.imag,
-                                  plus.real[:, swap], plus.imag[:, swap])
     # each kick's amplitude of |comp> before its branch factors, its entry
     # times h[comp, 0], times h[c, comp] of Hadamard row c: (top, P, c, comp)
     cr, ci = _mul(kicks.real, kicks.imag, h.real[:, 0], h.imag[:, 0])
     kr, ki = _mul(cr[:, :, None], ci[:, :, None], h.real, h.imag)
-    # level r's branch factors over the bits of molecules 1..r-1, molecule 1's
-    # the least significant, by component: (2, 2^{r-1})
-    fr, fi = np.ones((2, 1)), np.zeros((2, 1))
     growing = list(registers)
     dist = np.ones((len(growing) * len(phis), 1))
     done = []
-    for r in range(1, top + 1):
-        if r > 1:
-            # molecules 2..r-1 take the factors molecules 1..r-2 had a level
-            # before, and molecule 1, the new least significant bit, one at
-            # this level's angle. Written one bit at a time, so that each
-            # product runs along the branches, not along the two bits
-            factors = np.empty((2,) + fr.shape + (2,))
-            for b in (0, 1):
-                br, bi = dr[r - 2, b, :, None], di[r - 2, b, :, None]
-                factors[0, ..., b] = fr * br - fi * bi
-                factors[1, ..., b] = fr * bi + fi * br
-            fr, fi = factors.reshape(2, 2, -1)
+    for r, (fr, fi) in enumerate(levels or _branch_levels(plus, minus), start=1):
         # molecule r's kicks, one row per (register, phase)
         powers = [top - m + r - 1 for m in growing]
         lr, li = kr[powers].reshape(-1, 2, 2), ki[powers].reshape(-1, 2, 2)
@@ -368,23 +341,58 @@ def _shared_tree(registers, phis, gate_mode: GateMode) -> list[np.ndarray]:
     return done
 
 
+def _branch_levels(plus, minus):
+    """Yield the branch factors ``(fr, fi)``, ``(2, 2^{r-1})`` by component,
+    of each level r = 1..top of a tree with the ``_level_gates`` ``plus``
+    and ``minus``. Per earlier molecule s, molecule 1's bit the least
+    significant, the factor is the diagonal of P(-theta) X^b P(theta) X^b
+    chosen by s's bit b, theta = pi / 2^{r-s+1} (the phase gate s puts on
+    itself changes no chance). They depend on neither the phase nor the
+    register size, and level r + 1's are level r's with a new least
+    significant bit at the next smaller angle: one outer product a level."""
+    # the new bit's factor of each level r = 2..top, by bit b and component:
+    # (q0 p0, q1 p1) for b = 0 and (q0 p1, q1 p0) for b = 1, with p = P(theta)
+    # and q = P(-theta)
+    dr, di = np.empty((len(plus), 2, 2)), np.empty((len(plus), 2, 2))
+    for b, swap in enumerate(([0, 1], [1, 0])):
+        dr[:, b], di[:, b] = _mul(minus.real, minus.imag,
+                                  plus.real[:, swap], plus.imag[:, swap])
+    fr, fi = np.ones((2, 1)), np.zeros((2, 1))
+    yield fr, fi
+    for level_r, level_i in zip(dr, di):
+        # molecules 2..r-1 take the factors 1..r-2 had a level before, and
+        # molecule 1, the new least significant bit, one at this level's
+        # angle; one bit at a time, so each product runs along the branches
+        factors = np.empty((2,) + fr.shape + (2,))
+        for b in (0, 1):
+            br, bi = level_r[b, :, None], level_i[b, :, None]
+            factors[0, ..., b] = fr * br - fi * bi
+            factors[1, ..., b] = fr * bi + fi * br
+        fr, fi = factors.reshape(2, 2, -1)
+        yield fr, fi
+
+
 def _tree_gates(m: int, phis, gate_mode: GateMode):
     """The gates of a tree of register size ``m`` over ``phis``: the
     Hadamard, the ``(m, P, 2)`` kick diagonals, molecule 1's first, and the
-    ``(m - 1, 2)`` diagonals of P(theta) and P(-theta) of level r = 2..m,
-    theta = pi / 2^r. Raises the statevector's verdict, in its order, unless
+    ``_level_gates``. Raises the statevector's verdict, in its order, unless
     each gate is unitary."""
     h = _hadamard_gate(gate_mode)
     kicks = _phase_diagonals(phis, gate_mode, _kick_powers(m))
-    thetas = [math.pi / 2 ** r for r in range(2, m + 1)]
-    # from the inverse QFT's own memo, so a pulse-literal sweep builds their
-    # pulses once per process
-    plus, minus = (np.array([_phase_gate(s * t, gate_mode).diagonal() for t in thetas])
-                   .reshape(-1, 2) for s in (1, -1))
+    plus, minus = _level_gates(m, gate_mode)
     sv._require_unitary(sv._unitary_deviation(np.concatenate(
         [h[None], sv._diagonal_gates(kicks).reshape(-1, 2, 2),
          sv._diagonal_gates(plus), sv._diagonal_gates(minus)])))
     return h, kicks, plus, minus
+
+
+def _level_gates(m: int, gate_mode: GateMode):
+    """The ``(m - 1, 2)`` diagonals of P(theta) and P(-theta) of tree level
+    r = 2..m, theta = pi / 2^r, from the inverse QFT's own memo, so a
+    pulse-literal sweep builds their pulses once per process."""
+    thetas = [math.pi / 2 ** r for r in range(2, m + 1)]
+    return tuple(np.array([_phase_gate(s * t, gate_mode).diagonal() for t in thetas])
+                 .reshape(-1, 2) for s in (1, -1))
 
 
 def _mul(ar, ai, br, bi):
@@ -480,51 +488,44 @@ def empirical_successes(m: int, n: int, phis,
 def sweep_successes(m_values, n: int, phis,
                     gate_mode: GateMode = GateMode.IDEAL) -> list[list[float]]:
     """``empirical_successes(m, n, phis, gate_mode)`` of each register size
-    m of ``m_values``, in their order: the one batching of phases, so memory
-    stays bounded however many phases there are. Working from the largest
-    size down, sizes share a tree (``_shared_tree``) while one call holds
-    all the phases of all of them in BATCH_AMPLITUDES floats: the sweep then
-    makes fewer tree calls with the same rows. Any other size runs alone,
-    ``batch_size(m)`` phases a call: a shared call would take fewer of its
-    phases, and each call rebuilds its largest size's branch factors. The
-    groups run in the order of their first size in ``m_values``.
+    m of ``m_values``, in their order: the one batching of phases. Every
+    call grows all the distinct sizes in one tree (``_shared_tree``),
+    ``batch_size(*sizes)`` phases a call, so memory stays bounded however
+    many phases there are. A sweep of more than one call keeps the branch
+    factors of every level (``_branch_levels``) for all its calls, at most
+    2^{top+2} floats (32 MiB at m = 20); one call builds them level by level.
 
-    So every batch is the one a size alone takes, and the verdicts are those
-    of the sizes one at a time, in the order given: of the first batch that
-    fails, and within it of the first kick in molecule-major order. A failing
-    gate of a shared tree, which judged its sizes' kicks at once, takes that
-    verdict from the sizes' gates alone (``_tree_gates``), and no tree runs
-    again."""
+    The verdicts are those of the sizes one at a time, in the order given:
+    of the first batch that fails, and within it of the first kick in
+    molecule-major order. A failing gate of a tree of several sizes takes
+    that verdict from the sizes' gates alone (``_tree_gates``,
+    ``batch_size(m)`` phases a call), and no tree runs again. A branch-drift
+    verdict names its phase's row within the call's batch."""
     _check_accuracy(n)
     for m in m_values:
         if m < n:
             raise DomainError(f"need m >= n, got m={m}, n={n}")
         check_register(m)
-    groups: list[list[int]] = []
-    for m in sorted(set(m_values), reverse=True):
-        if groups and len(phis) * sum(2 ** k for k in [m, *groups[-1]]) <= BATCH_AMPLITUDES:
-            groups[-1].insert(0, m)
-        else:
-            groups.append([m])
-    order = list(m_values)
-    groups.sort(key=lambda group: min(map(order.index, group)))
-    masses: dict[int, list[float]] = {m: [] for m in m_values}
-    for group in groups:
-        # a shared group's phases all fit its largest size's first batch
-        per = batch_size(group[-1])
-        for start in range(0, len(phis), per):
-            batch = phis[start:start + per]
-            try:
-                dists = _shared_tree(group, batch, gate_mode)
-            except ValidationError:
-                if len(group) > 1:
-                    for m in m_values:
-                        alone = batch_size(m)
-                        for first in range(0, len(phis), alone):
-                            _tree_gates(m, phis[first:first + alone], gate_mode)
-                raise
-            for m, rows in zip(group, dists):
-                masses[m] += window_masses(rows, n, batch)
+    sizes = sorted(set(m_values))
+    if not sizes:
+        return []
+    per = batch_size(*sizes)
+    levels = (list(_branch_levels(*_level_gates(sizes[-1], gate_mode)))
+              if len(phis) > per else None)
+    masses: dict[int, list[float]] = {m: [] for m in sizes}
+    for start in range(0, len(phis), per):
+        batch = phis[start:start + per]
+        try:
+            dists = _shared_tree(sizes, batch, gate_mode, levels)
+        except ValidationError:
+            if len(sizes) > 1:
+                for m in m_values:
+                    alone = batch_size(m)
+                    for first in range(0, len(phis), alone):
+                        _tree_gates(m, phis[first:first + alone], gate_mode)
+            raise
+        for m, rows in zip(sizes, dists):
+            masses[m] += window_masses(rows, n, batch)
     return [masses[m] for m in m_values]
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotphase import qpe
 from dotphase import statevector as sv
@@ -375,8 +377,8 @@ def record_trees(monkeypatch):
     calls = []
     shared_tree = qpe._shared_tree
 
-    def recording(registers, phis, mode):
-        dists = shared_tree(registers, phis, mode)
+    def recording(registers, phis, mode, levels=None):
+        dists = shared_tree(registers, phis, mode, levels)
         calls.append((list(registers), list(phis), dists))
         return dists
 
@@ -386,27 +388,27 @@ def record_trees(monkeypatch):
 
 def assert_within_budget(calls):
     # no call holds more than BATCH_AMPLITUDES floats of distributions,
-    # but a single phase of a single register
+    # unless it holds a single phase
     for registers, phis, _ in calls:
         floats = len(phis) * sum(2 ** m for m in registers)
-        assert floats <= qpe.BATCH_AMPLITUDES or (len(phis), len(registers)) == (1, 1)
+        assert floats <= qpe.BATCH_AMPLITUDES or len(phis) == 1
 
 
 class TestSharedTree:
-    """A sweep's register sizes share one tree while one call holds all the
-    phases of all of them within the budget, and any other size runs alone:
-    each register's rows are the bytes its tree alone gives, and each mass
-    is the one empirical_success gives its phase."""
+    """Every tree call of a sweep grows all its distinct register sizes,
+    batch_size(*sizes) phases a call: each register's rows are the bytes its
+    tree alone gives, and each mass is the one empirical_success gives its
+    phase."""
 
     @pytest.mark.parametrize("mode", list(GateMode))
     @pytest.mark.parametrize("m_values, groups", [
         ([7, 3, 5], [[3, 5, 7]]),            # unsorted
         ([6, 4, 6, 2, 4], [[2, 4, 6]]),      # repeated
         ([1, 4, 1, 2], [[1, 2, 4]]),         # with m = 1
-        ([16, 12], [[16], [12]]),            # split by the budget
-        ([12, 5, 12, 16], [[5, 12], [16]]),
-        ([5, 12], [[5], [12]]),              # split by the phase count
-        ([9, 13, 8], [[8, 9], [13]]),
+        ([16, 12], [[12, 16]]),              # one phase a call
+        ([12, 5, 12, 16], [[5, 12, 16]]),
+        ([5, 12], [[5, 12]]),                # batches of 15, 15 and 10
+        ([9, 13, 8], [[8, 9, 13]]),
     ])
     def test_registers_get_their_own_bytes(self, mode, m_values, groups, monkeypatch):
         n = 1
@@ -417,11 +419,10 @@ class TestSharedTree:
         got = qpe.sweep_successes(m_values, n, phis, mode)
         monkeypatch.undo()
         assert_within_budget(calls)
-        # the groups run in the order of their first size, each in the
-        # batches of its largest size alone: a shared group in one call
+        # one group of all the sizes, in batches of batch_size(*sizes)
         want = []
         for group in groups:
-            per = qpe.batch_size(group[-1])
+            per = qpe.batch_size(*group)
             want += [(group, phis[i:i + per]) for i in range(0, len(phis), per)]
         assert [(registers, batch) for registers, batch, _ in calls] == want
         for registers, batch, dists in calls:
@@ -431,6 +432,54 @@ class TestSharedTree:
         assert len(got) == len(m_values)
         for m, masses in zip(m_values, got):
             assert masses == [qpe.empirical_success(m, n, phi, mode) for phi in phis]
+
+    @given(data=st.data(),
+           m_values=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+           mode=st.sampled_from(list(GateMode)))
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    def test_one_rule_for_every_sweep(self, data, m_values, mode):
+        """Every call grows all the distinct sizes, batch_size(*sizes)
+        phases a call, and each size's rows and masses are those it has
+        alone. The sizes are unsorted, repeated and of 1 to 12, and the
+        phases up to three batches but at most 200, both caps for suite
+        time: only sizes whose 2^m sum past 327 make more than one call."""
+        sizes = sorted(set(m_values))
+        per = qpe.batch_size(*sizes)
+        count = data.draw(st.integers(1, min(3 * per, 200)), label="phases")
+        n = data.draw(st.integers(0, sizes[0]), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        phis = [float(p) for p in rng.uniform(0.01, TWO_PI, count)]
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_trees(patch)
+            got = qpe.sweep_successes(m_values, n, phis, mode)
+        assert [(registers, batch) for registers, batch, _ in calls] == [
+            (sizes, phis[i:i + per]) for i in range(0, count, per)]
+        assert_within_budget(calls)
+        for registers, batch, dists in calls:
+            for m, rows in zip(registers, dists):
+                assert rows.tobytes() == qpe.tree_distributions(m, batch, mode).tobytes()
+        for m, masses in zip(m_values, got):
+            assert masses == qpe.empirical_successes(m, n, phis, mode)
+
+    @pytest.mark.parametrize("phis, states", [
+        # one call builds its branch factors level by level and keeps none
+        # after its tree (5.0 here); a caller that kept the last level would
+        # add two arrays
+        ([0.5], 5.5),
+        # a sweep of three calls keeps every level's, 2^{m+2} floats
+        ([0.5, 2.0, 2.7], 10),
+    ])
+    def test_peak_memory_of_m16_sweeps(self, phis, states):
+        # in arrays of 2^m floats, under tracemalloc
+        m = 16
+        qpe.sweep_successes([m], 3, phis)
+        tracemalloc.start()
+        try:
+            qpe.sweep_successes([m], 3, phis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= states * 8 * 2 ** m
 
     def test_branch_check_names_the_row_within_its_register(self, monkeypatch):
         # at molecule 4 the stack holds m = 6's five rows and then m = 8's,
