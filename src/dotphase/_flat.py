@@ -30,9 +30,9 @@ import numpy as np
 # than a block one pass with a pattern of its entries does in 150-250 us at
 # m = 16, against 200-480 us for gathering both slabs. With an entry 1 only
 # one slab moves: gathering it takes 100-130 us from runs of 8 on, against
-# 160-170 us; at runs of 2 and 4 the pattern won by 7 % at m = 16 but lost
-# by 20-30 % on the 12-row stacks of 8 qubits that sweeps once ran, so such
-# gates keep to their slab.
+# 160-170 us; at runs of 2 and 4, on single states, the pattern ranged from
+# 24 % faster to 10 % slower at m = 16 but was 2-62 % slower at m = 12 and
+# within noise at m = 8, so such gates keep to their slab.
 SPLIT_BLOCK = 2 ** 12
 # Entries of each memo: statevector's _gate_plan (per distinct gate) and
 # _layout (per qubit count and axis set), and _column_blocks (per array

@@ -147,6 +147,8 @@ def calibrate_clock(
     for name, value in (("T", T), ("T_ideal", T_ideal), ("eta_percent", eta_percent)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+    if T < 0:
+        raise DomainError(f"duration must be >= 0, got {T}")
     T_total = clock_total_time(T, O, h)
     verdict, eta_prime = calibration_verdict(
         T_total, T_ideal, eta_percent, comparison_mode

@@ -34,9 +34,10 @@ from .pulses import (
 
 MAX_REGISTER = 20
 # Runs of up to this many shots derive their seeds with one shot_seed call
-# per shot (about 13 us each, so under 1 ms a run), which keeps each shot
-# visible to a tracer that wraps shot_seed, as benchmarks/spans.py does;
-# larger runs take the array pass in shot_seeds.
+# per shot, larger runs with the array pass in shot_seeds, which gives the
+# same seeds and is faster from about 10 shots (at 50: about 75 against
+# 360 us). The loop only lets a tracer that wraps shot_seed, as
+# benchmarks/spans.py does, count one call per shot of a small run.
 SHOT_SEED_LOOP_MAX = 64
 # Readout chances of one tree call in sweep_successes (0.5 MiB of floats):
 # the distributions of batch_size(*sizes) phases at every register size of
@@ -475,20 +476,14 @@ def empirical_success(
     m: int, n: int, phi: float, gate_mode: GateMode = GateMode.IDEAL
 ) -> float:
     """Probability mass of readouts within circular distance 1/2^n of phi."""
-    return empirical_successes(m, n, [phi], gate_mode)[0]
-
-
-def empirical_successes(m: int, n: int, phis,
-                        gate_mode: GateMode = GateMode.IDEAL) -> list[float]:
-    """``empirical_success`` of each phase of ``phis``: the one-register
-    case of sweep_successes."""
-    return sweep_successes([m], n, phis, gate_mode)[0]
+    return sweep_successes([m], n, [phi], gate_mode)[0][0]
 
 
 def sweep_successes(m_values, n: int, phis,
                     gate_mode: GateMode = GateMode.IDEAL) -> list[list[float]]:
-    """``empirical_successes(m, n, phis, gate_mode)`` of each register size
-    m of ``m_values``, in their order: the one batching of phases. Every
+    """``empirical_success(m, n, phi, gate_mode)`` of each phase of
+    ``phis``, one list per entry m of ``m_values``, in their order, each
+    list its own: the one batching of phases. Every
     call grows all the distinct sizes in one tree (``_shared_tree``),
     ``batch_size(*sizes)`` phases a call, so memory stays bounded however
     many phases there are. A sweep of more than one call keeps the branch
@@ -526,7 +521,7 @@ def sweep_successes(m_values, n: int, phis,
             raise
         for m, rows in zip(sizes, dists):
             masses[m] += window_masses(rows, n, batch)
-    return [masses[m] for m in m_values]
+    return [list(masses[m]) for m in m_values]
 
 
 def window_mass(probs: np.ndarray, n: int, phi: float) -> float:

@@ -61,6 +61,10 @@ class TestTimeToPhase:
         with pytest.raises(DomainError):
             cal.time_to_phase(1000.0, eo)  # varphi >= 1
 
+    def test_negative_duration(self):
+        with pytest.raises(DomainError, match=r"^duration must be >= 0, got -1\.0$"):
+            cal.time_to_phase(-1.0, unit_rate_params())
+
 
 class TestPhaseToTime:
     def test_offset_point(self):
@@ -166,6 +170,12 @@ class TestVerdict:
         )
         assert record.T_total == pytest.approx(2.0)
         assert record.verdict == Verdict.ACCURATE
+
+    def test_negative_duration(self, monkeypatch):
+        # refused before any arithmetic, not judged as a fast clock
+        monkeypatch.setattr(cal, "clock_total_time", None)
+        with pytest.raises(DomainError, match=r"^duration must be >= 0, got -1\.0$"):
+            cal.calibrate_clock(T=-1.0, O=1, h=1, T_ideal=1.0)
 
 
 class TestLengthEstimate:

@@ -756,6 +756,9 @@ def test_sweep_takes_one_phase_source(capsys, tmp_path, via, values, message):
     assert err == f"error: {message}\n"
 
 
+CLOCK = ["calibrate-clock", "--total-scales", "10", "--elapsed-scales", "9", "--t-ideal", "1"]
+
+
 @pytest.mark.parametrize("args, message", [
     (["estimate", "--m", "3", "--phase", "1.0", "--mode", "bogus"],
      "bad value for 'mode': expected one of ideal, pulse-literal; got 'bogus'"),
@@ -769,8 +772,33 @@ def test_sweep_takes_one_phase_source(capsys, tmp_path, via, values, message):
      "true phase must lie in (0, 2*pi], got 7.0"),
     (["sweep", "--m-values", "5", "--n", "2", "--phases", "nan"],
      "true phase must lie in (0, 2*pi], got nan"),
+    # a --config value here is the text of the file the test writes
+    (["estimate", "--config", "[1, 2]"], "config file must hold a JSON object"),
+    (["sweep", "--m-values", "", "--n", "1", "--random-phases", "3"],
+     "m_values must be nonempty"),
+    (["pulse-fit"], "give exactly one of --preset and --matrix"),
+    (["pulse-fit", "--preset", "hadamard", "--matrix", "1,0,0,0,0,0,1,0"],
+     "give exactly one of --preset and --matrix"),
+    (["pulse-fit", "--preset", "bogus"], "unknown preset 'bogus'"),
+    (["pulse-fit", "--preset", "phase"], "preset 'phase' needs an angle, e.g. phase:0.7"),
+    (["pulse-fit", "--preset", "phase:"], "preset 'phase' needs an angle, e.g. phase:0.7"),
+    (["pulse-fit", "--preset", "phase:nan"], "phi must be finite"),
+    (CLOCK, "give exactly one of --duration and --varphi"),
+    (CLOCK + ["--duration", "1", "--varphi", "0.5"],
+     "give exactly one of --duration and --varphi"),
+    (CLOCK + ["--duration", "-1"], "duration must be >= 0, got -1.0"),
+    (["estimate", "--m", "3", "--phase", "1", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["feasibility", "--omega2", "nan"], "omega2 must be finite"),
+    (["feasibility", "--coherence-time", "-1"], "coherence_time must be positive"),
+    (["feasibility", "--n-qubits", "0"], "qubit count must be >= 1, got 0"),
 ])
-def test_input_rule_messages(capsys, args, message):
+def test_input_rule_messages(capsys, tmp_path, args, message):
+    if "--config" in args:
+        at = args.index("--config") + 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(args[at])
+        args = [*args[:at], str(cfg), *args[at + 1:]]
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"

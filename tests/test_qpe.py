@@ -284,7 +284,7 @@ class TestExactDistribution:
 
 class TestExactDistributions:
     """The distributions of many phases: each phase's row is the bytes of
-    every single-state path, and ``empirical_successes`` hands the tree its
+    every single-state path, and ``sweep_successes`` hands the tree its
     phases in batches, each phase getting the mass it has alone."""
 
     @pytest.mark.parametrize("mode", list(GateMode))
@@ -310,14 +310,14 @@ class TestExactDistributions:
         m, n = 12, 3
         count = qpe.batch_size(m) + 3
         phis = [float(p) for p in np.random.default_rng(60).uniform(0.1, TWO_PI, count)]
-        got = qpe.empirical_successes(m, n, phis, mode)
+        got = qpe.sweep_successes([m], n, phis, mode)[0]
         assert qpe.batch_size(m) * 2 ** m <= qpe.BATCH_AMPLITUDES < count * 2 ** m
         for phi, mass in zip(phis, got):
             alone = qpe.window_mass(qpe.exact_distribution(m, phi, mode), n, phi)
             assert mass == pytest.approx(alone, abs=1e-12), phi
 
     def test_no_phases(self):
-        assert qpe.empirical_successes(4, 2, []) == []
+        assert qpe.sweep_successes([4], 2, [])[0] == []
 
     @pytest.mark.parametrize("m", [0, qpe.MAX_REGISTER + 1])
     def test_register_cap(self, m, monkeypatch):
@@ -330,14 +330,14 @@ class TestExactDistributions:
         assert qpe.batch_size(16) == qpe.batch_size(qpe.MAX_REGISTER) == 1
 
     @pytest.mark.parametrize("mode", list(GateMode))
-    def test_empirical_successes_batches_its_phases(self, mode, monkeypatch):
+    def test_sweep_successes_batches_its_phases(self, mode, monkeypatch):
         # the one batching of phases: no call above BATCH_AMPLITUDES, and
         # each phase's mass is the one it has alone
         m, n = 12, 3
         phis = [float(p) for p in
                 np.random.default_rng(62).uniform(0.1, TWO_PI, qpe.batch_size(m) + 3)]
         calls = record_trees(monkeypatch)
-        got = qpe.empirical_successes(m, n, phis, mode)
+        got = qpe.sweep_successes([m], n, phis, mode)[0]
         assert [registers for registers, _, _ in calls] == [[m], [m]]
         assert sum(len(batch) for _, batch, _ in calls) == len(phis)
         assert_within_budget(calls)
@@ -459,7 +459,7 @@ class TestSharedTree:
             for m, rows in zip(registers, dists):
                 assert rows.tobytes() == qpe.tree_distributions(m, batch, mode).tobytes()
         for m, masses in zip(m_values, got):
-            assert masses == qpe.empirical_successes(m, n, phis, mode)
+            assert masses == qpe.sweep_successes([m], n, phis, mode)[0]
 
     @pytest.mark.parametrize("phis, states", [
         # one call builds its branch factors level by level and keeps none
@@ -503,6 +503,16 @@ class TestSharedTree:
 
     def test_no_phases(self):
         assert qpe.sweep_successes([5, 3], 2, []) == [[], []]
+
+    def test_each_size_asked_for_gets_its_own_list(self):
+        phis = [0.3, 1.1, 2.9]
+        got = qpe.sweep_successes([5, 7, 5], 3, phis)
+        want = [[qpe.empirical_success(m, 3, phi) for phi in phis] for m in (5, 7, 5)]
+        assert got == want
+        assert len({id(masses) for masses in got}) == 3
+        got[0][1] = -1.0
+        got[0].append(2.0)
+        assert got[1:] == want[1:]
 
     def test_register_checks_come_first(self, monkeypatch):
         monkeypatch.setattr(qpe, "_shared_tree", None)  # no tree
