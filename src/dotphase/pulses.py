@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, ValidationError, finite_result
-from .statevector import _unitary_deviation
 
 
 @dataclass(frozen=True)
@@ -120,13 +119,10 @@ def cavity_pulse_unitary(p: PulseSpec) -> np.ndarray:
     |g0> and |e1> are exact fixed points; {|g1>, |e0>} undergo a Rabi
     rotation by the effective angle with laser phase p.phase.
     """
-    th, ph = p.rabi_angle, p.phase
-    s, c = math.sin(th), math.cos(th)
     u = np.eye(4, dtype=np.complex128)
-    u[1, 1] = c
-    u[2, 1] = -1j * np.exp(1j * ph) * s
-    u[1, 2] = -1j * np.exp(-1j * ph) * s
-    u[2, 2] = c
+    # the single pulse's entries with its columns swapped
+    a, c, _, d = (complex(*z) for z in _pulse_parts(p.rabi_angle, p.phase))
+    u[1:3, 1:3] = [[c, a], [d, c]]
     return u
 
 
@@ -215,12 +211,20 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
         raise DimensionError("target must be 2x2")
     if not np.all(np.isfinite(target)):
         raise ValidationError("target has a non-finite entry")
-    dev = _unitary_deviation(target)
-    # written so that a NaN deviation fails too
+    t = target.tolist()
+    dev = 0.0
+    for i in (0, 1):
+        for j in (0, 1):
+            # entry (i, j) of T^H T, summed down the rows as numpy sums it;
+            # math.hypot gives inf where abs() would overflow. An overflow
+            # can leave a NaN off the diagonal, never on it, whose real part
+            # sums squares: max() passes over the NaN, keeping that inf
+            g = t[0][i].conjugate() * t[0][j] + t[1][i].conjugate() * t[1][j]
+            dev = max(dev, math.hypot(g.real - (i == j), g.imag))
     if not dev <= 1e-10:
         raise ValidationError(f"target is not unitary (deviation {dev:.3e})")
 
-    (t00, t01), (t10, t11) = target.tolist()
+    (t00, t01), (t10, t11) = t
     # mod pi, so that a signed zero on arg's branch cut gives the same phase
     phase = (-0.5 * cmath.phase(t00 * t11.conjugate())) % math.pi
     w = cmath.exp(1j * phase)

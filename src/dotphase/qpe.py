@@ -268,11 +268,12 @@ def tree_distributions(
     row per phase, indexed like ``exact_distribution``, in O(2^m) work per
     phase: the one-register case of ``_shared_tree``, the
     measure-as-you-go tree of Griffiths & Niu (PRL 76, 3228, 1996). Its
-    gates are judged as the statevector path judges them, in its order: the
-    Hadamard, the kicks molecule by molecule, then the phase gates. So of
-    several phases the verdict is that of the first failing kick in
-    molecule-major order: molecule 1's kicks of every phase, then molecule
-    2's. Callers bound ``len(phis) * 2^m``, as sweep_successes does."""
+    own judge (``_tree_gates``) gives its gates the statevector path's
+    verdicts, in its order: the Hadamard, the kicks molecule by molecule,
+    then the phase gates. So of several phases the verdict is that of the
+    first failing kick in molecule-major order: molecule 1's kicks of every
+    phase, then molecule 2's. Callers bound ``len(phis) * 2^m``, as
+    sweep_successes does."""
     return _shared_tree([m], phis, gate_mode)[0]
 
 
@@ -303,10 +304,10 @@ def _shared_tree(registers, phis, gate_mode: GateMode, levels=None) -> list[np.n
     and sums on separate real and imaginary arrays, with no BLAS and no
     complex or transcendental ufunc on arrays, so the bits do not depend on
     the host's SIMD level or BLAS kernels. The gates are judged in one
-    pass, the largest register's kicks molecule-major. Each branch's p0 +
-    p1 (``_check_branches``) and each row's sum must be within NORM_TOL of
-    1; a failure names its phase's row in ``phis``. A level's branches are
-    streamed through blocks of TREE_BLOCK floats."""
+    pass (``_tree_gates``), the largest register's kicks molecule-major.
+    Each branch's p0 + p1 and each row's sum must be within NORM_TOL of 1
+    (``_require_ones``); a failure names its phase's row in ``phis``. A
+    level's branches are streamed through blocks of TREE_BLOCK floats."""
     for m in registers:
         check_register(m)
     if len(phis) == 0:
@@ -330,14 +331,15 @@ def _shared_tree(registers, phis, gate_mode: GateMode, levels=None) -> list[np.n
         for start in range(0, fr.shape[1], step):
             cut = slice(start, start + step)
             probs = _branch_probabilities(lr, li, fr[:, cut], fi[:, cut])
-            _check_branches(probs.reshape(len(growing), len(phis), 2, -1), r)
+            sums = (probs[:, 0] + probs[:, 1]).reshape(len(growing), len(phis), -1)
+            _require_ones(sums, f"branch chances of molecule {r} sum to")
             np.multiply(probs, dist[:, None, cut], out=grown[:, :, cut])
         dist = grown.reshape(len(dist), -1)
         if growing[0] == r:
             # the smallest register is complete: its rows leave the stack
             growing.pop(0)
             finished, dist = dist[:len(phis)], dist[len(phis):]
-            sv._require_ones(finished.sum(axis=-1), "probabilities sum to")
+            _require_ones(finished.sum(axis=-1, keepdims=True), "probabilities sum to")
             done.append(finished)
     return done
 
@@ -377,14 +379,24 @@ def _tree_gates(m: int, phis, gate_mode: GateMode):
     """The gates of a tree of register size ``m`` over ``phis``: the
     Hadamard, the ``(m, P, 2)`` kick diagonals, molecule 1's first, and the
     ``_level_gates``. Raises the statevector's verdict, in its order, unless
-    each gate is unitary."""
+    each gate is unitary: the Hadamard's deviation is the statevector's
+    own, and each diagonal's has its bits (``_diagonal_deviation``)."""
     h = _hadamard_gate(gate_mode)
     kicks = _phase_diagonals(phis, gate_mode, _kick_powers(m))
     plus, minus = _level_gates(m, gate_mode)
-    sv._require_unitary(sv._unitary_deviation(np.concatenate(
-        [h[None], sv._diagonal_gates(kicks).reshape(-1, 2, 2),
-         sv._diagonal_gates(plus), sv._diagonal_gates(minus)])))
+    devs = np.concatenate([[sv._unitary_deviation(h)],
+                           *(_diagonal_deviation(d).ravel() for d in (kicks, plus, minus))])
+    # written so that a NaN deviation fails too
+    ok = devs <= sv.UNITARY_TOL
+    if not ok.all():
+        raise ValidationError(f"gate is not unitary (deviation {devs[np.argmin(ok)]:.3e})")
     return h, kicks, plus, minus
+
+
+def _diagonal_deviation(d: np.ndarray) -> np.ndarray:
+    """``statevector._unitary_deviation`` of the gate diag(d) for each
+    diagonal of the ``(..., 2)`` stack ``d``, bit for bit: max |conj(d) d - 1|."""
+    return np.abs(d.conj() * d - 1.0).max(axis=-1)
 
 
 def _level_gates(m: int, gate_mode: GateMode):
@@ -426,19 +438,16 @@ def _branch_probabilities(kr, ki, fr, fi) -> np.ndarray:
     return re
 
 
-def _check_branches(probs: np.ndarray, r: int) -> None:
-    """Raise unless each branch's p0 + p1 of level ``r``'s ``(..., P, 2,
-    B)`` chances ``probs`` is within NORM_TOL of 1, naming the first that is
-    not and its row of the P."""
-    sums = probs[..., 0, :] + probs[..., 1, :]
+def _require_ones(values: np.ndarray, what: str) -> None:
+    """Raise unless each of ``values``, whose axis -2 runs over a tree
+    call's phases, is within NORM_TOL of 1, naming the first that is not,
+    as ``what``, and its phase's row."""
     # written so that a NaN fails too
-    ok = np.abs(sums - 1.0) <= sv.NORM_TOL
+    ok = np.abs(values - 1.0) <= sv.NORM_TOL
     if not ok.all():
-        first = int(np.argmin(ok))
-        row = np.unravel_index(first, ok.shape)[-2]
+        first = np.unravel_index(np.argmin(ok), ok.shape)
         raise NumericalInvariantError(
-            f"branch chances of molecule {r} sum to {sums.flat[first]:.15f} "
-            f"in row {row} of the stack")
+            f"{what} {values[first]:.15f} in row {first[-2]} of the stack")
 
 
 def _readout(state: sv.QuantumState, m: int) -> np.ndarray:

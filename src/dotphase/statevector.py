@@ -103,33 +103,12 @@ class _Plan(NamedTuple):
     diagonal: np.ndarray | None
 
 
-def _unitary_deviation(gates: np.ndarray) -> np.ndarray:
-    """Largest modulus of an entry of g^H g - 1 for each square complex
-    gate g of the ``(..., d, d)`` stack ``gates``, each entry of g^H g
-    summed elementwise down the rows, with no BLAS product, so its bits do
-    not depend on the host's BLAS kernels."""
-    gram = (gates.conj()[..., :, :, None] * gates[..., :, None, :]).sum(axis=-3)
-    return np.abs(gram - np.eye(gates.shape[-1])).max(axis=(-2, -1))
-
-
-def _diagonal_gates(entries: np.ndarray) -> np.ndarray:
-    """The ``(..., 2, 2)`` diagonal gates of the ``(..., 2)`` diagonals
-    ``entries``."""
-    gates = np.zeros(entries.shape + (2,), dtype=np.complex128)
-    gates[..., (0, 1), (0, 1)] = entries
-    return gates
-
-
-def _require_unitary(dev: np.ndarray) -> None:
-    """Raise unless each unitarity deviation in ``dev``, of one gate or of
-    each gate of a stack, is within UNITARY_TOL, naming the first that is
-    not."""
-    # written so that a NaN deviation fails too. One gate's numpy scalar
-    # compares to the np.True_ singleton, tested first: its .all() would
-    # add about 2 us to every gate call
-    ok = dev <= UNITARY_TOL
-    if ok is not np.True_ and not ok.all():
-        raise ValidationError(f"gate is not unitary (deviation {dev.flat[np.argmin(ok)]:.3e})")
+def _unitary_deviation(gate: np.ndarray) -> np.float64:
+    """Largest modulus of an entry of g^H g - 1 for the square complex gate
+    g, each entry of g^H g summed elementwise down the rows, with no BLAS
+    product, so its bits do not depend on the host's BLAS kernels."""
+    gram = (gate.conj()[:, :, None] * gate[:, None, :]).sum(axis=0)
+    return np.abs(gram - np.eye(len(gate))).max()
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
@@ -138,7 +117,7 @@ def _gate_plan(raw: bytes, dim: int) -> _Plan:
     gate whose C-order bytes are ``raw``; read-only, shared by every call
     with the same gate."""
     gate = np.frombuffer(raw, dtype=np.complex128).reshape(dim, dim)
-    dev = _unitary_deviation(gate)
+    dev = float(_unitary_deviation(gate))
     off = gate[~np.eye(dim, dtype=bool)]
     # a gate that would both move a slab and scale it runs dense
     if np.count_nonzero(gate) != dim or np.any((off != 0) & (off != 1)):
@@ -231,18 +210,6 @@ def _check_norm(state: QuantumState) -> QuantumState:
     return state
 
 
-def _require_ones(values: np.ndarray, what: str) -> None:
-    """Raise unless each of ``values``, one per row of a stack or one
-    scalar for a single state, is within NORM_TOL of 1, naming the first
-    that is not, as ``what``, and its row of a stack."""
-    # written so that a NaN fails too
-    ok = np.abs(values - 1.0) <= NORM_TOL
-    if not ok.all():
-        row = int(np.argmin(ok))
-        where = f" in row {row} of the stack" if values.ndim else ""
-        raise NumericalInvariantError(f"{what} {values.flat[row]:.15f}{where}")
-
-
 def _qubit_axis(state: QuantumState, qubit_index: int) -> int:
     if not (1 <= qubit_index <= state.num_qubits):
         raise DimensionError(
@@ -282,7 +249,9 @@ def _apply(
         raise DimensionError(f"expected {dim}x{dim} gate, got shape {gate.shape}")
     # keyed on the gate's values, so a gate edited in place is judged anew
     plan = _gate_plan(gate.tobytes(), dim)
-    _require_unitary(plan.dev)
+    # written so that a NaN deviation fails too
+    if not plan.dev <= UNITARY_TOL:
+        raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
     layout = _layout(state.num_qubits, tuple(axes))
     dense = layout.slabs is None or plan.cycles is None
     out = _output(state.amplitudes, in_place, dense)
@@ -349,7 +318,10 @@ def apply_qubit_cavity(
 def probabilities(state: QuantumState) -> np.ndarray:
     """Born-rule probability for every basis state."""
     probs = np.abs(state.amplitudes) ** 2
-    _require_ones(probs.sum(), "probabilities sum to")
+    total = probs.sum()
+    # written so that a NaN sum fails too
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise NumericalInvariantError(f"probabilities sum to {total:.15f}")
     return probs
 
 

@@ -475,6 +475,16 @@ def test_cli_import_does_not_load_scipy_optimize():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_pulses_import_does_not_load_the_statevector():
+    # pulses judges its fit targets itself: the layer below qpe imports
+    # nothing from the statevector
+    src = os.path.dirname(os.path.dirname(dotphase.__file__))
+    code = ("import sys, dotphase.pulses; "
+            "sys.exit('dotphase.statevector' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_pulse_fit_runs_without_scipy():
     # fit_pulse is closed-form arithmetic on math and cmath: a process in
     # which scipy cannot be imported fits the README's targets and a
@@ -792,6 +802,9 @@ CLOCK = ["calibrate-clock", "--total-scales", "10", "--elapsed-scales", "9", "--
     (["feasibility", "--omega2", "nan"], "omega2 must be finite"),
     (["feasibility", "--coherence-time", "-1"], "coherence_time must be positive"),
     (["feasibility", "--n-qubits", "0"], "qubit count must be >= 1, got 0"),
+    # finite entries whose products in T^H T pass the float range
+    (["pulse-fit", "--matrix", "1.23e154,0,1.23e154,1.23e154,0,0,1,0"],
+     "target is not unitary (deviation inf)"),
 ])
 def test_input_rule_messages(capsys, tmp_path, args, message):
     if "--config" in args:

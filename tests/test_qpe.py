@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
 import math
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,8 +20,19 @@ from dotphase.errors import (
 )
 from dotphase.pulses import phase_gate_pulse_params, single_pulse_unitary
 from dotphase.qpe import GateMode
+from test_statevector import random_stack, random_state, skew_branch
 
 TWO_PI = 2 * math.pi
+
+
+def load_reference():
+    """``benchmarks/reference.py``, the dotphase-free oracles, loaded from
+    its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "reference.py"
+    spec = importlib.util.spec_from_file_location("reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def eq5_state(m, phi):
@@ -78,16 +92,17 @@ class TestPhaseKicks:
         for m in range(1, 15) for mode in GateMode])
     def test_stack_matches_single_phases(self, m, mode):
         # tree_distributions takes the kicks of its stack of phases from
-        # one _phase_diagonals call and judges them as one stack of gates;
-        # each phase's entries there are the ones its own kick writes,
-        # molecule by molecule, and the kick leaves its input unwritten
+        # one _phase_diagonals call and judges them as one stack
+        # (_tree_gates); each phase's entries there are the ones its own
+        # kick writes, molecule by molecule, and the kick leaves its input
+        # unwritten
         rng = np.random.default_rng(70 + m)
         phis = [float(p) for p in TWO_PI - rng.uniform(0.0, TWO_PI, 12)]
         prepared = qpe.prepare_register(m, mode)
         before = prepared.amplitudes.tobytes()
         stacked = qpe._phase_diagonals(phis, mode, qpe._kick_powers(m))
         assert stacked.shape == (m, 12, 2)
-        sv._require_unitary(sv._unitary_deviation(sv._diagonal_gates(stacked)))
+        qpe._tree_gates(m, phis, mode)
         for phi, entries in zip(phis, stacked.transpose(1, 0, 2)):
             want = prepared
             for j, d in enumerate(entries, start=1):
@@ -561,6 +576,18 @@ class TestTreeDistributions:
         assert np.abs(tree - statevector).max() <= 1e-13
 
     @pytest.mark.parametrize("mode", list(GateMode))
+    def test_matches_the_dotphase_free_oracle(self, mode):
+        # benchmarks/reference.py simulates the protocol densely with no
+        # dotphase code, its pulse-literal kicks from exact angles
+        reference = load_reference()
+        rng = np.random.default_rng(85)
+        for m in range(1, reference.DENSE_MAX_M + 1):
+            phis = [float(p) for p in rng.uniform(0.01, TWO_PI, 6)]
+            tree = qpe.tree_distributions(m, phis, mode)
+            dense = [reference.dense_probs(m, phi, mode.value, False) for phi in phis]
+            assert np.abs(tree - dense).max() <= 1e-12, m
+
+    @pytest.mark.parametrize("mode", list(GateMode))
     @pytest.mark.parametrize("m", range(13, 17))
     def test_matches_the_statevector_on_single_phases(self, m, mode):
         for phi in UNITARY_KICK_PHASES[1::2]:
@@ -729,6 +756,97 @@ class TestTreeDistributions:
 
 
 TREE_DIGEST = "d95ed79c650cd46797045bb53984457a8ae5f13d577e7d1c5a73a8bd0b13fd52"
+
+# a fixed table of kick phases; with powers 2^0 to 2^19 it makes pulse-literal
+# kick gates on both sides of UNITARY_TOL
+KICK_PHASES = (0.3, 1.0, 2.0, math.pi, 4.2, 5.9, 2 * math.pi, 1e-3)
+
+
+class TestRowDiagonals:
+    """The tree's judge of its stack of diagonals: each row's deviation has
+    the bits the statevector gives the gate diag(row), and the stack's
+    verdict is the one ``apply_1q`` gives its first failing row alone."""
+
+    @pytest.mark.parametrize("mode", list(GateMode))
+    def test_deviation_matches_gate_plan(self, mode):
+        rows = qpe._phase_diagonals(KICK_PHASES, mode, [2 ** k for k in range(20)])
+        rows = rows.reshape(-1, 2)
+        if mode == GateMode.IDEAL:
+            rows = np.vstack([rows, qpe._phase_gate(math.nan, mode).diagonal()])
+        devs = qpe._diagonal_deviation(rows)
+        plans = np.array([sv._gate_plan(np.diag(d).tobytes(), 2).dev for d in rows])
+        assert devs.tobytes() == plans.tobytes()
+        failing = np.count_nonzero(~(plans <= sv.UNITARY_TOL))
+        assert failing == (28 if mode == GateMode.PULSE_LITERAL else 1)
+
+    @pytest.mark.parametrize("phi, power, mode", [
+        (0.3, 2 ** 14, GateMode.PULSE_LITERAL),
+        (4.2, 2 ** 19, GateMode.PULSE_LITERAL),
+        (math.nan, 1, GateMode.IDEAL)])
+    def test_failing_row_fails_as_apply_1q(self, phi, power, mode):
+        # the failing kick is molecule 1's in a tree of m molecules, between
+        # phases whose kicks pass at every power up to 2^19
+        m = power.bit_length()
+        gate = np.diag(qpe._phase_diagonals([phi], mode, [power])[0, 0])
+        with pytest.raises(ValidationError, match="gate is not unitary") as stacked:
+            qpe._tree_gates(m, [math.pi, TWO_PI, phi, math.pi, TWO_PI], mode)
+        with pytest.raises(ValidationError) as alone:
+            sv.apply_1q(random_state(6, np.random.default_rng(530)), 2, gate)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_drifting_row_stops_the_call(self, monkeypatch):
+        # one branch of row 0 drifts at molecule 1: the tree stops there
+        calls = skew_branch(monkeypatch, nth=1, scale=1 + 1e-8, row=0, branch=0)
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^branch chances of molecule 1 sum to \S+ in row 0 of the stack$"):
+            qpe.tree_distributions(8, [0.3, 1.1, 2.9, 4.0, 5.5])
+        assert calls == [1]
+
+    def test_empty_stack(self):
+        # no phases: no kicks, no gates to judge, no distributions
+        for mode in GateMode:
+            kicks = qpe._phase_diagonals([], mode, qpe._kick_powers(5))
+            assert kicks.shape == (5, 0, 2)
+            assert qpe._diagonal_deviation(kicks).shape == (5, 0)
+            qpe._tree_gates(5, [], mode)
+            assert qpe.tree_distributions(5, [], mode).shape == (0, 32)
+        qpe._require_ones(np.empty((0, 1)), "probabilities sum to")
+
+
+class TestNormCheckOfAStack:
+    """The tree checks all rows of its stack in one ``_require_ones`` pass,
+    each on its own; the message names the first row that drifted, and its
+    row."""
+
+    @staticmethod
+    def stack():
+        return random_stack(10, np.random.default_rng(550), count=12)
+
+    @staticmethod
+    def check(stack):
+        return qpe._require_ones((np.abs(stack) ** 2).sum(axis=-1, keepdims=True),
+                                 "probabilities sum to")
+
+    def test_unit_rows_pass(self):
+        assert self.check(self.stack()) is None
+
+    @pytest.mark.parametrize("row", [0, 6, 11])
+    def test_nan_amplitude_names_its_row(self, row):
+        stack = self.stack()
+        stack[row, 77] = math.nan
+        with pytest.raises(NumericalInvariantError,
+                           match=rf"^probabilities sum to nan in row {row} of the stack$"):
+            self.check(stack)
+
+    @pytest.mark.parametrize("delta", [1e-8, -1e-8])
+    def test_skew_of_the_last_row(self, delta):
+        stack = self.stack()
+        stack[11] *= math.sqrt(1 + delta)
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^probabilities sum to \S+ in row 11 of the stack$") as err:
+            self.check(stack)
+        reported = float(re.search(r" to (\S+)", str(err.value))[1])
+        assert reported == pytest.approx(1 + delta, abs=1e-15)
 
 
 class TestSuccessBound:

@@ -220,7 +220,7 @@ class TestProbabilities:
     def test_stack_names_its_bad_row(self, monkeypatch):
         # the tree's last check, of each row's sum: with the branch checks
         # off, row 2's chances at molecule 1 are 1e-8 too large
-        monkeypatch.setattr(qpe, "_check_branches", lambda probs, r: None)
+        skip_branch_checks(monkeypatch)
         skew_branch(monkeypatch, nth=1, scale=1 + 1e-8, row=2)
         with pytest.raises(NumericalInvariantError,
                            match=r"^probabilities sum to 1\.0000000\d+ in row 2 of the stack$"):
@@ -237,12 +237,20 @@ class TestProbabilities:
         # off and every level's chances drifting
         monkeypatch.setattr(sv, "_check_norm", lambda state: state)
         record_kernels(monkeypatch, scale=1 + 1e-9)
-        monkeypatch.setattr(qpe, "_check_branches", lambda probs, r: None)
+        skip_branch_checks(monkeypatch)
         skew_branch(monkeypatch, nth=None, scale=1 + 1e-9)
         code = cli.main(args)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "probabilities sum to" in captured.err
+
+
+def skip_branch_checks(monkeypatch):
+    """Turn off the tree's check of each branch's p0 + p1, keeping its check
+    of each row's sum."""
+    check = qpe._require_ones
+    monkeypatch.setattr(qpe, "_require_ones", lambda values, what: (
+        None if what.startswith("branch chances") else check(values, what)))
 
 
 class TestSample:
@@ -965,8 +973,7 @@ class TestStack:
     """One state a call, of 1 to 15 factors: every axis and ordered pair
     runs the kernel ``TestKernelDispatch`` names, a dense gate in blocks of
     whole columns, and gives the same bytes in place as into a new array,
-    whatever the BLAS kernel. The stacks that the tree keeps (of phase
-    diagonals, of gates, of row sums) may hold no rows."""
+    whatever the BLAS kernel."""
 
     @pytest.mark.parametrize("factors", range(1, 16))
     def test_rows_match_single_states(self, monkeypatch, factors):
@@ -996,19 +1003,6 @@ class TestStack:
         # and the slab kernel as well
         assert seen == ({"_apply_dense"} if factors <= 2 else
                         {"_apply_dense", "_apply_pattern", "_apply_monomial"})
-
-    def test_empty_stack(self):
-        # no phases: no kicks, no gates to judge, no distributions
-        for mode in qpe.GateMode:
-            kicks = qpe._phase_diagonals([], mode, qpe._kick_powers(5))
-            assert kicks.shape == (5, 0, 2)
-            gates = sv._diagonal_gates(kicks)
-            assert gates.shape == (5, 0, 2, 2)
-            devs = sv._unitary_deviation(gates)
-            assert devs.shape == (5, 0)
-            sv._require_unitary(devs)
-            assert qpe.tree_distributions(5, [], mode).shape == (0, 32)
-        sv._require_ones(np.empty(0), "probabilities sum to")
 
     def test_in_place_overwrites_the_stack(self):
         state = random_state(6, np.random.default_rng(520))
@@ -1107,42 +1101,11 @@ def skew_branch(monkeypatch, nth, scale, row=slice(None), branch=slice(None)):
     return calls
 
 
-# a fixed table of kick phases; with powers 2^0 to 2^19 it makes pulse-literal
-# kick gates on both sides of UNITARY_TOL
-KICK_PHASES = (0.3, 1.0, 2.0, math.pi, 4.2, 5.9, 2 * math.pi, 1e-3)
-
-
 class TestRowDiagonals:
-    """A stack of diagonals, as the tree judges its kicks: ``_diagonal_gates``
-    makes row p the gate ``diag(entries[p])``, the stack's verdict is the one
-    ``apply_1q`` gives its first failing row alone, and each row's gate gives
-    a state the contraction's values through the kernel it dispatches to."""
-
-    @pytest.mark.parametrize("mode", list(qpe.GateMode))
-    def test_deviation_matches_gate_plan(self, mode):
-        diagonals = qpe._phase_diagonals(KICK_PHASES, mode, [2 ** k for k in range(20)])
-        gates = [np.diag(d) for d in diagonals.reshape(-1, 2)]
-        if mode == qpe.GateMode.IDEAL:
-            gates.append(qpe._phase_gate(math.nan, mode))
-        devs = sv._unitary_deviation(np.array(gates))
-        plans = np.array([sv._gate_plan(g.tobytes(), 2).dev for g in gates])
-        assert devs.tobytes() == plans.tobytes()
-        failing = np.count_nonzero(~(plans <= sv.UNITARY_TOL))
-        assert failing == (28 if mode == qpe.GateMode.PULSE_LITERAL else 1)
-
-    @pytest.mark.parametrize("phi, power, mode", [
-        (0.3, 2 ** 14, qpe.GateMode.PULSE_LITERAL),
-        (4.2, 2 ** 19, qpe.GateMode.PULSE_LITERAL),
-        (math.nan, 1, qpe.GateMode.IDEAL)])
-    def test_failing_row_fails_as_apply_1q(self, phi, power, mode):
-        gate = np.diag(qpe._phase_diagonals([phi], mode, [power])[0, 0])
-        fine = qpe._phase_gate(1.0, mode).diagonal()
-        entries = np.array([fine, fine, gate.diagonal(), fine, fine])
-        with pytest.raises(ValidationError, match="gate is not unitary") as stacked:
-            sv._require_unitary(sv._unitary_deviation(sv._diagonal_gates(entries)))
-        with pytest.raises(ValidationError) as alone:
-            sv.apply_1q(random_state(6, np.random.default_rng(530)), 2, gate)
-        assert str(stacked.value) == str(alone.value)
+    """Each row of a stack of diagonals, as the tree keeps its kicks, made a
+    gate diag(row) on the test side, gives a state the contraction's values
+    through the kernel it dispatches to. The tree's judge of such a stack
+    is tested beside the tree, in test_qpe.py."""
 
     @pytest.mark.parametrize("factors", [1, 2, 3, 6, 11, 13, 14])
     def test_rows_match_apply_1q(self, monkeypatch, factors):
@@ -1167,10 +1130,8 @@ class TestRowDiagonals:
             # leaves runs shorter than SPLIT_BLOCK
             without_ones = np.exp(1j * rng.uniform(0, 2 * math.pi, (count, 2)))
             for entries in (with_ones, without_ones):
-                gates = sv._diagonal_gates(entries)
-                sv._require_unitary(sv._unitary_deviation(gates))
-                for amps, gate, d in zip(rows, gates, entries):
-                    assert gate.tobytes() == np.diag(d).tobytes()
+                for amps, d in zip(rows, entries):
+                    gate = np.diag(d)
                     state = sv.QuantumState(amps)
                     for axis in range(factors):
                         calls.clear()
@@ -1193,58 +1154,18 @@ class TestRowDiagonals:
         # a stack of gates is no gate: apply_1q takes one 2x2, as the tree's
         # rows come out of the stack
         state = random_state(4, np.random.default_rng(531))
-        gates = sv._diagonal_gates(np.ones((4, 2)))
+        gates = np.tile(np.eye(2, dtype=np.complex128), (4, 1, 1))
         with pytest.raises(DimensionError, match=r"expected 2x2 gate, got shape \(4, 2, 2\)"):
             sv.apply_1q(state, 1, gates)
         with pytest.raises(DimensionError, match=r"expected 2x2 gate, got shape \(1, 2, 2\)"):
             sv.apply_1q(state, 1, gates[:1])
         assert sv.apply_1q(state, 1, gates[0]).amplitudes.tobytes() == state.amplitudes.tobytes()
 
-    def test_drifting_row_stops_the_call(self, monkeypatch):
-        # one branch of row 0 drifts at molecule 1: the tree stops there
-        calls = skew_branch(monkeypatch, nth=1, scale=1 + 1e-8, row=0, branch=0)
-        with pytest.raises(NumericalInvariantError,
-                           match=r"^branch chances of molecule 1 sum to \S+ in row 0 of the stack$"):
-            qpe.tree_distributions(8, [0.3, 1.1, 2.9, 4.0, 5.5])
-        assert calls == [1]
-
 
 class TestNormCheckOfAStack:
-    """The tree checks all rows of its stack in one ``_require_ones`` pass,
-    each on its own; the message names the first row that drifted, and its
-    row. A single state's norm check names its norm alone."""
-
-    @staticmethod
-    def stack():
-        return random_stack(10, np.random.default_rng(550), count=12)
-
-    @staticmethod
-    def reported(error) -> float:
-        return float(re.search(r" to (\S+)", str(error.value))[1])
-
-    @staticmethod
-    def check(stack):
-        return sv._require_ones((np.abs(stack) ** 2).sum(axis=-1), "probabilities sum to")
-
-    def test_unit_rows_pass(self):
-        assert self.check(self.stack()) is None
-
-    @pytest.mark.parametrize("row", [0, 6, 11])
-    def test_nan_amplitude_names_its_row(self, row):
-        stack = self.stack()
-        stack[row, 77] = math.nan
-        with pytest.raises(NumericalInvariantError,
-                           match=rf"^probabilities sum to nan in row {row} of the stack$"):
-            self.check(stack)
-
-    @pytest.mark.parametrize("delta", [1e-8, -1e-8])
-    def test_skew_of_the_last_row(self, delta):
-        stack = self.stack()
-        stack[11] *= math.sqrt(1 + delta)
-        with pytest.raises(NumericalInvariantError,
-                           match=r"^probabilities sum to \S+ in row 11 of the stack$") as err:
-            self.check(stack)
-        assert self.reported(err) == pytest.approx(1 + delta, abs=1e-15)
+    """A single state's norm check names its norm alone. The tree's check
+    of a stack, which names the first row that drifted, is tested beside the
+    tree, in test_qpe.py."""
 
     @pytest.mark.parametrize("delta", [1e-8, -1e-8])
     def test_single_state_message(self, delta):
@@ -1253,7 +1174,8 @@ class TestNormCheckOfAStack:
         with pytest.raises(NumericalInvariantError,
                            match=r"^state norm drifted to \S+$") as err:
             sv._check_norm(state)
-        assert self.reported(err) == pytest.approx(math.sqrt(1 + delta), abs=1e-15)
+        reported = float(re.search(r" to (\S+)", str(err.value))[1])
+        assert reported == pytest.approx(math.sqrt(1 + delta), abs=1e-15)
 
 
 # pulse-literal phases whose kicks stay unitary up to m = 16 (test_qpe.py's)
