@@ -41,8 +41,12 @@ class ElectroOpticParams:
 
     @property
     def rate(self) -> float:
-        """Phase accumulation rate: varpi * n0^2 * n_vac * r63 * E, rad/s."""
-        return self.varpi * self.n0 ** 2 * self.n_vac * self.r63 * self.e_field
+        """Phase accumulation rate: varpi * n0^2 * n_vac * r63 * E, rad/s;
+        inf past the float range, where n0 ** 2 raises OverflowError."""
+        try:
+            return self.varpi * self.n0 ** 2 * self.n_vac * self.r63 * self.e_field
+        except OverflowError:
+            return math.inf
 
 
 class Verdict(str, Enum):

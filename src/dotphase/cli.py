@@ -9,6 +9,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -20,12 +21,9 @@ import time
 from dataclasses import asdict
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from . import calibration as cal
-from . import pulses, qpe
-from . import statevector as sv
+from . import pulses
 from .errors import NumericalInvariantError, ValidationError
 
 OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
@@ -43,6 +41,12 @@ MAX_RANDOM_PHASES = 10_000
 # residuals and gaps by a few ulp. 4: pulse fits in closed form, which moves
 # pulse-fit angles and residuals to the exact optimum.
 RESULTS_VERSION = 4
+# Float lists of at least this many items go through np.unique, shorter ones
+# through the C encoder, which needs no numpy. Best of 7 on a 2-CPU Xeon: 2
+# floats take 2.2-3.6 us through the C encoder and 16-22 us through np.unique;
+# shot lists of 5 distinct values tie at 32-40 items, and np.unique is 1.5x
+# faster at 64; without repeats the C encoder is faster to about 1000 items.
+UNIQUE_FLOATS_MIN = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,20 +78,18 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def _as_count(value) -> int:
-    n = _as_int(value)
-    if n < 0:
-        raise ValidationError(f"expected a non-negative integer, got {value!r}")
-    return n
-
-
-def _count_upto(cap: int):
+def _count_upto(cap: float = math.inf):
     def coerce(value) -> int:
-        n = _as_count(value)
+        n = _as_int(value)
+        if n < 0:
+            raise ValidationError(f"expected a non-negative integer, got {value!r}")
         if n > cap:
             raise ValidationError(f"expected at most {cap}, got {n}")
         return n
     return coerce
+
+
+_as_count = _count_upto()
 
 
 def _as_float(value) -> float:
@@ -137,7 +139,7 @@ class _Key(NamedTuple):
 # a boolean key), so flag and file values go through the same coercer.
 # Required keys default to _REQUIRED. Unknown file keys are rejected.
 _REQUIRED = object()
-_MODE = _Key(_choice_of(qpe.GateMode), qpe.GateMode.IDEAL.value)
+_MODE = _Key(_choice_of(pulses.GateMode), pulses.GateMode.IDEAL.value)
 _SEED = _Key(_as_count, 0)
 _JSON = _Key(_choice("json"), "json")
 
@@ -259,6 +261,9 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def cmd_estimate(cfg: dict) -> tuple[dict, list]:
+    # numpy and the array layers load only here and in cmd_sweep
+    import numpy as np
+    from . import qpe, statevector as sv
     m, phi, shots = cfg["m"], cfg["phase_rad"], cfg["shots"]
     probs = qpe.readout_distribution(m, phi, qpe.GateMode(cfg["mode"]),
                                      cfg["include_target"])
@@ -271,9 +276,7 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
             readout_bits=[int(b) for b in format(j, f"0{m}b")],
             estimated_phase_rad=phi_hat,
             eta_percent=phi_hat / phi * 100.0,
-            abs_error_turns=float(
-                qpe.circular_distance(phi_hat / math.tau, phi / math.tau)
-            ),
+            abs_error_turns=float(qpe.circular_distance(phi_hat / math.tau, phi / math.tau)),
             max_probability=float(probs[j]),
         )
     else:
@@ -292,6 +295,8 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
 
 
 def cmd_sweep(cfg: dict) -> tuple[dict, list]:
+    import numpy as np
+    from . import qpe
     mode = qpe.GateMode(cfg["mode"])
     n = cfg["n"]
     m_values = cfg["m_values"]
@@ -322,50 +327,48 @@ _PULSE_PRESETS = ("hadamard", "phase", "pulse-hadamard", "pulse-phase")
 
 
 def _resolve_pulse_target(cfg: dict):
-    """Returns (target matrix, prescribed-gap info or None)."""
+    """Returns (target gate, prescribed-gap info or None); each gate is its
+    Python complex entries in C order."""
     preset, matrix = cfg["preset"], cfg["matrix"]
     if (preset is None) == (matrix is None):
         raise ValidationError("give exactly one of --preset and --matrix")
     if matrix is not None:
         if len(matrix) != 8:
             raise ValidationError("matrix needs 8 reals (row-major re,im pairs)")
-        vals = [complex(matrix[k], matrix[k + 1]) for k in range(0, 8, 2)]
-        return np.array(vals, dtype=np.complex128).reshape(2, 2), None
+        return [complex(matrix[k], matrix[k + 1]) for k in range(0, 8, 2)], None
     name, sep, arg = preset.partition(":")
     if name not in _PULSE_PRESETS:
         raise ValidationError(f"unknown preset {preset!r}")
     if sep and name in ("hadamard", "pulse-hadamard"):
         raise ValidationError(f"preset {name!r} takes no angle")
     if name == "hadamard":
-        prescribed = pulses.single_pulse_unitary(pulses.hadamard_pulse_params())
-        return qpe.IDEAL_HADAMARD, ("hadamard", prescribed, qpe.IDEAL_HADAMARD)
+        prescribed = pulses._pulse_parts(pulses.hadamard_pulse_params())
+        return pulses.HADAMARD_ENTRIES, ("hadamard", prescribed, pulses.HADAMARD_ENTRIES)
     if name == "pulse-hadamard":
-        return pulses.single_pulse_unitary(pulses.hadamard_pulse_params()), None
+        return pulses._pulse_parts(pulses.hadamard_pulse_params()), None
     phi = parse_angle(arg) if arg else None
     if phi is None:
         raise ValidationError(f"preset {name!r} needs an angle, e.g. {name}:0.7")
-    prescribed = pulses.single_pulse_unitary(pulses.phase_gate_pulse_params(phi))
+    prescribed = pulses._pulse_parts(pulses.phase_gate_pulse_params(phi))
     if name == "phase":
-        ideal = np.diag([1.0, np.exp(1j * phi)]).astype(np.complex128)
+        # cmath.exp gives the bits of np.exp on a scalar
+        ideal = [1 + 0j, 0j, 0j, cmath.exp(1j * phi)]
         return ideal, (f"phase:{phi:g}", prescribed, ideal)
     return prescribed, None
 
 
 def cmd_pulse_fit(cfg: dict) -> tuple[dict, list]:
     target, gap_info = _resolve_pulse_target(cfg)
-    spec, residual = pulses.fit_pulse(target)
+    spec, residual = pulses.fit_pulse([target[:2], target[2:]])
     results = {
-        "target": [[z.real, z.imag] for z in target.reshape(-1)],
-        "fit": {
-            "rabi_angle_rad": spec.rabi_angle,
-            "phase_rad": spec.phase,
-        },
+        "target": [[z.real, z.imag] for z in target],
+        "fit": {"rabi_angle_rad": spec.rabi_angle, "phase_rad": spec.phase},
         "residual": residual,
     }
     warnings = []
     if gap_info is not None:
         name, prescribed, ideal = gap_info
-        gap = pulses.gate_distance(prescribed, ideal)
+        gap = pulses.gate_distance([prescribed[:2], prescribed[2:]], [ideal[:2], ideal[2:]])
         results["prescribed_pulse_gap"] = gap
         if gap > 1e-9:
             warnings.append(
@@ -376,24 +379,15 @@ def cmd_pulse_fit(cfg: dict) -> tuple[dict, list]:
 
 
 def cmd_calibrate_clock(cfg: dict) -> tuple[dict, list]:
-    eo = cal.ElectroOpticParams(
-        varpi=cfg["varpi"], n0=cfg["n0"], n_vac=cfg["n_vac"],
-        r63=cfg["r63"], e_field=cfg["e_field"], v=cfg["v"], c=cfg["c"],
-    )
+    eo = cal.ElectroOpticParams(**{key: cfg[key] for key in
+                                   ("varpi", "n0", "n_vac", "r63", "e_field", "v", "c")})
     if (cfg["duration_s"] is None) == (cfg["varphi"] is None):
         raise ValidationError("give exactly one of --duration and --varphi")
-    if cfg["varphi"] is not None:
-        T = cal.phase_to_time(cfg["varphi"], eo)
-    else:
-        T = cfg["duration_s"]
+    T = cfg["duration_s"] if cfg["varphi"] is None else cal.phase_to_time(cfg["varphi"], eo)
     record = cal.calibrate_clock(
-        T=T,
-        O=cfg["total_scales"],
-        h=cfg["elapsed_scales"],
-        T_ideal=cfg["t_ideal_s"],
+        T=T, O=cfg["total_scales"], h=cfg["elapsed_scales"], T_ideal=cfg["t_ideal_s"],
         eta_percent=cfg["eta_percent"],
-        comparison_mode=cal.ComparisonMode(cfg["comparison_mode"]),
-    )
+        comparison_mode=cal.ComparisonMode(cfg["comparison_mode"]))
     results = asdict(record)
     results["verdict"] = record.verdict.value
     results["comparison_mode"] = record.comparison_mode.value
@@ -403,21 +397,16 @@ def cmd_calibrate_clock(cfg: dict) -> tuple[dict, list]:
 
 def cmd_feasibility(cfg: dict) -> tuple[dict, list]:
     pp = pulses.PhysicalParams(
-        omega1=cfg["omega1_mev"],
-        omega2=cfg["omega2_mev"],
-        omega_c=cfg["omega_c_mhz"],
-        delta=cfg["delta_mev"],
-        tunneling_t=cfg["tunneling_t_mev"],
+        omega1=cfg["omega1_mev"], omega2=cfg["omega2_mev"], omega_c=cfg["omega_c_mhz"],
+        delta=cfg["delta_mev"], tunneling_t=cfg["tunneling_t_mev"],
         level_split_delta=cfg["level_split_delta_mev"],
-        coherence_time=cfg["coherence_time_s"],
-        single_gate_time=cfg["single_gate_time_s"],
+        coherence_time=cfg["coherence_time_s"], single_gate_time=cfg["single_gate_time_s"],
         two_gate_time=cfg["two_gate_time_s"],
     )
     report = pulses.feasibility_report(pp, cfg["n_qubits"])
     results = {
         "gamma": report.gamma,
-        "omega_eff": {"value": report.omega_eff.value,
-                      "unit": report.omega_eff.unit},
+        "omega_eff": report.omega_eff._asdict(),
         "single_gate_time_s": report.single_gate_time,
         "two_gate_time_s": report.two_gate_time,
         "protocol_time_s": report.protocol_time,
@@ -440,11 +429,9 @@ def _sweep_csv(results: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["m", "n", "phi_rad", "empirical_success", "bound"])
-    for row in results["rows"]:
-        writer.writerow(
-            [row["m"], row["n"], repr(row["phi_rad"]),
-             repr(row["empirical_success"]), repr(row["bound"])]
-        )
+    writer.writerows([row["m"], row["n"], repr(row["phi_rad"]),
+                      repr(row["empirical_success"]), repr(row["bound"])]
+                     for row in results["rows"])
     return buf.getvalue()
 
 
@@ -487,14 +474,16 @@ def _encode(obj, inner: str) -> str:
 
 def _dumps(obj, indent: str = "\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), byte for
-    byte: a list of floats formats each distinct value once, any other
-    container without nested containers is one C-encoder call, and the rest
-    recurse."""
+    byte: a list of at least UNIQUE_FLOATS_MIN floats formats each distinct
+    value once, any other container without nested containers is one
+    C-encoder call, and the rest recurse."""
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return _encode(obj, indent)
     inner = indent + "  "
     values = obj.values() if isinstance(obj, dict) else obj
-    if not isinstance(obj, dict) and set(map(type, obj)) == {float}:
+    if (not isinstance(obj, dict) and len(obj) >= UNIQUE_FLOATS_MIN
+            and set(map(type, obj)) == {float}):
+        import numpy as np
         # the int64 view keeps -0.0 apart from 0.0
         bits, index = np.unique(np.array(obj).view(np.int64), return_inverse=True)
         floats = bits.view(np.float64)

@@ -11,11 +11,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from enum import Enum
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DimensionError, DomainError, ValidationError, finite_result
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# The ideal Hadamard's entries in C order; qpe.IDEAL_HADAMARD is their array.
+HADAMARD_ENTRIES = (complex(1 / math.sqrt(2)),) * 3 + (complex(-1 / math.sqrt(2)),)
+
+
+class GateMode(str, Enum):
+    IDEAL = "ideal"
+    PULSE_LITERAL = "pulse-literal"
 
 
 @dataclass(frozen=True)
@@ -95,22 +105,20 @@ def single_pulse_unitary(p: PulseSpec) -> np.ndarray:
 
     The entries are ``_pulse_parts``'s, put into one array.
     """
-    parts = _pulse_parts(p.rabi_angle, p.phase)
-    return np.array([complex(re, im) for re, im in parts],
-                    dtype=np.complex128).reshape(2, 2)
+    import numpy as np
+    return np.array(_pulse_parts(p), dtype=np.complex128).reshape(2, 2)
 
 
-def _pulse_parts(th: float, ph: float) -> list[tuple[float, float]]:
-    """(re, im) of each entry of single_pulse_unitary, in C order.
+def _pulse_parts(p: PulseSpec) -> list[complex]:
+    """The entries of single_pulse_unitary(p) as Python complex numbers, in C
+    order: this layer's one form of a gate.
 
-    Each entry is a Python scalar (cmath.exp rounds as np.exp does on a
-    scalar, signed zeros included); the real off-diagonal entry cos(theta)
-    has the +0.0 imaginary part that numpy gives a float cast to complex.
+    cmath.exp rounds as np.exp does on a scalar, signed zeros included; the
+    real off-diagonal entry cos(theta) has the +0.0 imaginary part that numpy
+    gives a float cast to complex.
     """
-    s, c = math.sin(th), math.cos(th)
-    a = -1j * cmath.exp(-1j * ph) * s
-    d = -1j * cmath.exp(1j * ph) * s
-    return [(a.real, a.imag), (c, 0.0), (c, 0.0), (d.real, d.imag)]
+    s, c = math.sin(p.rabi_angle), complex(math.cos(p.rabi_angle))
+    return [-1j * cmath.exp(-1j * p.phase) * s, c, c, -1j * cmath.exp(1j * p.phase) * s]
 
 
 def cavity_pulse_unitary(p: PulseSpec) -> np.ndarray:
@@ -119,9 +127,10 @@ def cavity_pulse_unitary(p: PulseSpec) -> np.ndarray:
     |g0> and |e1> are exact fixed points; {|g1>, |e0>} undergo a Rabi
     rotation by the effective angle with laser phase p.phase.
     """
+    import numpy as np
     u = np.eye(4, dtype=np.complex128)
     # the single pulse's entries with its columns swapped
-    a, c, _, d = (complex(*z) for z in _pulse_parts(p.rabi_angle, p.phase))
+    a, c, _, d = _pulse_parts(p)
     u[1:3, 1:3] = [[c, a], [d, c]]
     return u
 
@@ -141,10 +150,11 @@ def phase_gate_pulse_params(phi: float) -> PulseSpec:
     return PulseSpec(rabi_angle=math.pi / 2, phase=phi + math.pi / 2)
 
 
-def gate_distance(a: np.ndarray, b: np.ndarray) -> float:
+def gate_distance(a, b) -> float:
     """Frobenius distance minimized over a global phase.
 
-    sqrt(2*dim - 2*|trace(a^dag b)|); zero iff a = e^{i alpha} b.
+    sqrt(2*dim - 2*|trace(a^dag b)|); zero iff a = e^{i alpha} b. Each gate
+    is a square nested list or array.
 
     Computed on Python floats, one entry at a time in C order: the trace
     from float products and sums on real and imaginary parts, its modulus
@@ -153,25 +163,30 @@ def gate_distance(a: np.ndarray, b: np.ndarray) -> float:
     depend on the host's BLAS kernel or SIMD level, and on a 2x2 gate this
     costs less than numpy's per-call overhead would.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"incompatible shapes {a.shape}, {b.shape}")
-    return _distance(_parts(a), _parts(b), a.shape[0])
+    (xa, shape_a), (xb, shape_b) = _entries(a), _entries(b)
+    if shape_a != shape_b or not (xa and xb):
+        raise DimensionError(f"incompatible shapes {shape_a}, {shape_b}")
+    return _distance(xa, xb, shape_a[0])
 
 
-def _parts(a: np.ndarray) -> list[tuple[float, float]]:
-    """(re, im) of each entry of a complex array, in C order."""
-    return [(x.real, x.imag) for x in a.ravel().tolist()]
+def _entries(gate) -> tuple[list[complex], tuple[int, ...]]:
+    """A square gate's entries as Python complex numbers in C order (none
+    for any other shape), and its shape, from a nested list or an array."""
+    rows = gate.tolist() if hasattr(gate, "tolist") else gate
+    shape, x = (), rows
+    while isinstance(x, (list, tuple)):
+        shape, x = shape + (len(x),), x[0] if x else None
+    if len(shape) != 2 or any(len(row) != shape[0] for row in rows):
+        return [], shape
+    return [complex(z) for row in rows for z in row], shape
 
 
-def _distance(a: list[tuple[float, float]], b: list[tuple[float, float]],
-              dim: int) -> float:
-    """gate_distance on two dim x dim gates given as (re, im) pairs in C order."""
+def _distance(a: list[complex], b: list[complex], dim: int) -> float:
+    """gate_distance on two dim x dim gates given by their entries in C order."""
     tr_re = tr_im = 0.0
-    for (xr, xi), (yr, yi) in zip(a, b):
-        tr_re += xr * yr + xi * yi
-        tr_im += xr * yi - xi * yr
+    for x, y in zip(a, b):
+        tr_re += x.real * y.real + x.imag * y.imag
+        tr_im += x.real * y.imag - x.imag * y.real
     r = math.hypot(tr_re, tr_im)
     if r < 1e-300:
         return math.sqrt(2.0 * dim)
@@ -179,14 +194,14 @@ def _distance(a: list[tuple[float, float]], b: list[tuple[float, float]],
     # sqrt(2*dim - 2*|tr|) form loses half the significant digits near zero
     z_re, z_im = tr_re / r, -tr_im / r
     sq = 0.0
-    for (xr, xi), (yr, yi) in zip(a, b):
-        d_re = xr - (z_re * yr - z_im * yi)
-        d_im = xi - (z_re * yi + z_im * yr)
+    for x, y in zip(a, b):
+        d_re = x.real - (z_re * y.real - z_im * y.imag)
+        d_im = x.imag - (z_re * y.imag + z_im * y.real)
         sq += d_re * d_re + d_im * d_im
     return math.sqrt(sq)
 
 
-def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
+def fit_pulse(target) -> tuple[PulseSpec, float]:
     """Best single-pulse parameters reproducing ``target`` up to global phase.
 
     For a pulse U(theta, phi), trace(U^dag T) = sin(theta) A + cos(theta) B
@@ -202,16 +217,16 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
     phi0, or phi0 + pi where that makes Re(A conj B) >= 0. Computed on Python
     floats with math and cmath, so the bits do not depend on the host.
 
-    Returns the pulse and its residual, ``gate_distance`` of its
-    ``single_pulse_unitary`` and the target bit for bit, even when the
-    residual is large (no pulse is near Y, whose residual is 2).
+    ``target`` is a 2x2 nested list or array. Returns the pulse and its
+    residual, ``gate_distance`` of its ``single_pulse_unitary`` and the
+    target bit for bit, even when the residual is large (no pulse is near Y,
+    whose residual is 2).
     """
-    target = np.asarray(target, dtype=np.complex128)
-    if target.shape != (2, 2):
+    t, shape = _entries(target)
+    if shape != (2, 2) or not t:
         raise DimensionError("target must be 2x2")
-    if not np.all(np.isfinite(target)):
+    if not all(map(cmath.isfinite, t)):
         raise ValidationError("target has a non-finite entry")
-    t = target.tolist()
     dev = 0.0
     for i in (0, 1):
         for j in (0, 1):
@@ -219,12 +234,12 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
             # math.hypot gives inf where abs() would overflow. An overflow
             # can leave a NaN off the diagonal, never on it, whose real part
             # sums squares: max() passes over the NaN, keeping that inf
-            g = t[0][i].conjugate() * t[0][j] + t[1][i].conjugate() * t[1][j]
+            g = t[i].conjugate() * t[j] + t[2 + i].conjugate() * t[2 + j]
             dev = max(dev, math.hypot(g.real - (i == j), g.imag))
     if not dev <= 1e-10:
         raise ValidationError(f"target is not unitary (deviation {dev:.3e})")
 
-    (t00, t01), (t10, t11) = t
+    t00, t01, t10, t11 = t
     # mod pi, so that a signed zero on arg's branch cut gives the same phase
     phase = (-0.5 * cmath.phase(t00 * t11.conjugate())) % math.pi
     w = cmath.exp(1j * phase)
@@ -236,8 +251,8 @@ def fit_pulse(target: np.ndarray) -> tuple[PulseSpec, float]:
         # phase mod pi can round up to pi itself
         phase = (phase + math.pi) % math.tau
     rabi = math.pi / 2 - 0.5 * math.atan2(2 * abs(cross), abs(a) ** 2 - abs(b) ** 2)
-    return (PulseSpec(rabi, phase),
-            _distance(_pulse_parts(rabi, phase), _parts(target), 2))
+    spec = PulseSpec(rabi, phase)
+    return spec, _distance(_pulse_parts(spec), t, 2)
 
 
 def effective_rabi(pp: PhysicalParams) -> Quantity:

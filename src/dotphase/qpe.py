@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,12 +24,9 @@ from .errors import (
     NumericalInvariantError,
     ValidationError,
 )
-# benchmarks/spans.py patches all three names here, so all stay imported
-from .pulses import (
-    hadamard_pulse_params,
-    phase_gate_pulse_params,
-    single_pulse_unitary,
-)
+# benchmarks/spans.py patches the last three names here, so all stay imported
+from .pulses import (HADAMARD_ENTRIES, GateMode, hadamard_pulse_params,
+                     phase_gate_pulse_params, single_pulse_unitary)
 
 MAX_REGISTER = 20
 # Runs of up to this many shots derive their seeds with one shot_seed call
@@ -50,7 +46,7 @@ BATCH_AMPLITUDES = 2 ** 16
 # few blocks are alive.
 TREE_BLOCK = 2 ** 14
 
-IDEAL_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+IDEAL_HADAMARD = np.array(HADAMARD_ENTRIES, dtype=np.complex128).reshape(2, 2)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
     dtype=np.complex128,
@@ -71,11 +67,6 @@ def check_phase(phi: float) -> float:
     if not (0.0 < phi <= math.tau):
         raise ValidationError(f"true phase must lie in (0, 2*pi], got {phi}")
     return phi
-
-
-class GateMode(str, Enum):
-    IDEAL = "ideal"
-    PULSE_LITERAL = "pulse-literal"
 
 
 @dataclass

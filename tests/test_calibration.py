@@ -93,6 +93,13 @@ class TestPhaseToTime:
         with pytest.raises(ValidationError):
             ElectroOpticParams(varpi=0.0, n0=1.0, n_vac=1.0, r63=1.0, e_field=1.0)
 
+    def test_overflowing_rate(self):
+        # n0 ** 2 raises OverflowError above about 1.34e154, where a product
+        # would give inf: the parameters are refused as any infinite rate is
+        with pytest.raises(DomainError,
+                           match=r"^phase rate must be finite and positive, got inf$"):
+            ElectroOpticParams(varpi=1.0, n0=1e200, n_vac=1.0, r63=1.0, e_field=1.0)
+
     def test_subnormal_rate(self):
         # the rate is positive, so the parameters pass, but the duration it
         # implies overflows

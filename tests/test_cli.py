@@ -522,6 +522,58 @@ def test_pulse_fit_runs_without_scipy():
         assert json.loads(text)["results"] == json.loads(buf.getvalue())["results"]
 
 
+def test_light_subcommands_run_without_numpy():
+    # numpy loads with the array layers, in estimate and sweep only: importing
+    # the CLI and building its parser, every pulse fit, the clock calibration
+    # and the feasibility arithmetic leave it out of sys.modules (and so the
+    # statevector and scipy too), and a process that cannot import numpy
+    # runs them to the same results as this one
+    rng = np.random.default_rng(23)
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    haar = q * (np.diag(r) / np.abs(np.diag(r)))
+    cases = [
+        ["pulse-fit", "--preset", "hadamard"],
+        ["pulse-fit", "--preset", "pulse-hadamard"],
+        ["pulse-fit", "--preset", "phase:0.3turn"],
+        ["pulse-fit", "--preset", "pulse-phase:0.7"],
+        ["pulse-fit", "--matrix", "0.7071067811865476,0,0.7071067811865476,0,"
+         "0.7071067811865476,0,-0.7071067811865476,0"],
+        ["pulse-fit", "--matrix", ",".join(repr(float(v)) for v in haar.view(float).ravel())],
+        ["calibrate-clock", "--duration", "1.0", "--total-scales", "10",
+         "--elapsed-scales", "9", "--t-ideal", "1.0"],
+        ["calibrate-clock", "--varphi", "0.625", "--total-scales", "10",
+         "--elapsed-scales", "9", "--t-ideal", "1.0"],
+        ["feasibility", "--n-qubits", "450"],
+    ]
+    code = ("import io, json, sys\n"
+            "if sys.argv[2] == 'blocked':\n"
+            "    sys.modules['numpy'] = None\n"
+            "from dotphase import cli\n"
+            "cli.build_parser()\n"
+            "out = []\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    out.append([cli.run(args, stdout=buf), buf.getvalue()])\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')\n"
+            "                or m == 'dotphase.statevector')\n"
+            "print(json.dumps({'loaded': loaded, 'runs': out}))\n")
+    src = os.path.dirname(os.path.dirname(dotphase.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for how in ("free", "blocked"):
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(cases), how],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["loaded"] == (["numpy"] if how == "blocked" else []), how
+        assert len(got["runs"]) == len(cases)
+        for args, (status, text) in zip(cases, got["runs"]):
+            assert status == 0, (how, args)
+            buf = io.StringIO()
+            assert cli.run(args, stdout=buf) == 0
+            assert json.loads(text)["results"] == json.loads(buf.getvalue())["results"]
+
+
 @pytest.mark.parametrize("args, digest", GOLDEN_RESULTS)
 def test_results_match_golden_digest(args, digest):
     buf = io.StringIO()
@@ -805,6 +857,9 @@ CLOCK = ["calibrate-clock", "--total-scales", "10", "--elapsed-scales", "9", "--
     # finite entries whose products in T^H T pass the float range
     (["pulse-fit", "--matrix", "1.23e154,0,1.23e154,1.23e154,0,0,1,0"],
      "target is not unitary (deviation inf)"),
+    # n0 ** 2 raises OverflowError past the float range, where * gives inf
+    (["calibrate-clock", "--varphi", "0.5", "--total-scales", "2", "--elapsed-scales", "1",
+      "--t-ideal", "1.0", "--n0", "1e200"], "phase rate must be finite and positive, got inf"),
 ])
 def test_input_rule_messages(capsys, tmp_path, args, message):
     if "--config" in args:
@@ -838,6 +893,44 @@ def test_malformed_config_file_exits_1(capsys, tmp_path):
     code, out, err = run_cli(["estimate", "--config", str(cfg)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "JSON" in err
+
+
+# small base configs (m <= 12, shots <= 2000) that run, each with the one
+# key under test replaced
+HOSTILE_BASE = {
+    "estimate": {"m": 6, "phase_rad": 1.0, "shots": 20, "seed": 3},
+    "sweep": {"m_values": [5, 7], "n": 3, "phases_rad": [1.0, 2.5]},
+    "pulse-fit": {"preset": "hadamard"},
+    "calibrate-clock": {"duration_s": 1.0, "total_scales": 60,
+                        "elapsed_scales": 60, "t_ideal_s": 1.0},
+    "feasibility": {"n_qubits": 4},
+}
+HOSTILE_VALUES = [None, True, -1, 0, 2 ** 64, 1.5, -0.0, 1e308, math.inf, -math.inf,
+                  math.nan, "", "x", "1e400", [], [1], {}]
+
+
+@pytest.mark.parametrize("command", list(cli._SCHEMAS))
+def test_every_config_key_takes_hostile_values(tmp_path, capsys, command):
+    """Each key of the subcommand's schema, in turn, holds each of
+    HOSTILE_VALUES in a --config file over a small base config (m <= 12,
+    shots <= 2000): the run exits 0, 1 or 2 with no exception escaping, and a
+    report that exits 0 holds no NaN or Infinity and replays byte-identically
+    from its own config."""
+    cfg = tmp_path / "cfg.json"
+    for key in cli._SCHEMAS[command][1]:
+        for value in HOSTILE_VALUES:
+            cfg.write_text(json.dumps({**HOSTILE_BASE[command], key: value}))
+            code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+            assert code in (0, 1, 2), (key, value)
+            if code != 0:
+                continue
+            assert "NaN" not in out and "Infinity" not in out, (key, value)
+            report = json.loads(out)
+            cfg.write_text(json.dumps(report["config"]))
+            code, again, err = run_cli([command, "--config", str(cfg)], capsys)
+            assert code == 0, (key, value, err)
+            assert (json.dumps(json.loads(again)["results"], sort_keys=True)
+                    == json.dumps(report["results"], sort_keys=True)), (key, value)
 
 
 def json_dumps(obj) -> str:
@@ -912,6 +1005,14 @@ class TestSerialiser:
         {1: "int", 2.5: "float"}, {"outer": {True: [1], 3: [3], 2.5: [0]}},
         {"outer": {None: [2]}, "leaf": {None: 1}},
         1.5, -0.0, "text", None, 2 ** 100,
+        # either side of the size from which a float list goes through
+        # np.unique, with repeats and both zeros; a shot list of 10 000
+        # estimates; an 8-float --matrix config
+        [0.0, -0.0, 0.5, 0.5] * (cli.UNIQUE_FLOATS_MIN // 4 - 1) + [0.0, -0.0, 0.25],
+        [0.0, -0.0, 0.5, 0.5] * (cli.UNIQUE_FLOATS_MIN // 4),
+        [TWO_PI * k / 4096 for k in np.random.default_rng(3).binomial(4096, 0.3, 10_000).tolist()],
+        [0.7071067811865476, 0.0, 0.7071067811865476, 0.0,
+         0.7071067811865476, 0.0, -0.7071067811865476, -0.0],
     ])
     def test_matches_json_dumps(self, obj):
         assert cli._dumps(obj) == json_dumps(obj)
@@ -935,6 +1036,7 @@ class TestSerialiser:
         lambda x: {"a": [{"b": x}], "c": [1]},
         lambda x: {"a": {x: 1}},
         lambda x: ({"a": (x,)},),
+        lambda x: [0.5] * cli.UNIQUE_FLOATS_MIN + [x],
     ])
     def test_non_finite_raises_naming_the_value(self, bad, wrap):
         with pytest.raises(ValueError, match=f"not JSON compliant: {bad!r}"):

@@ -80,8 +80,8 @@ class TestSinglePulseUnitary:
         # magnitudes from 1e-3 to 1e15, either sign
         scaled = rng.choice([-1.0, 1.0], (1500, 2)) * 10.0 ** rng.uniform(-3, 15, (1500, 2))
         for th, ph in points + [tuple(p) for p in scaled.tolist()]:
-            parts = pulses._pulse_parts(th, ph)
-            assert all(type(v) is float for pair in parts for v in pair)
+            parts = pulses._pulse_parts(PulseSpec(th, ph))
+            assert all(type(z) is complex for z in parts)
             want = single_pulse_unitary(PulseSpec(th, ph))
             assert np.array(parts).tobytes() == want.tobytes(), (th, ph)
 
