@@ -103,9 +103,9 @@ def _phase_diagonals(thetas, mode: GateMode, powers=(1,)) -> np.ndarray:
     Known defect: pulse-literal mode raises the rounded pulse entries to the
     power, so for some phases the gate drifts past UNITARY_TOL from the
     power 2^13 (m = 14) on and the run stops with "gate is not unitary":
-    an estimate at its kick on the statevector, a sweep where the tree
-    judges the same kicks, all its register sizes' from one call with the
-    largest size's powers."""
+    a ``--shots 0`` estimate at its kick on the statevector, a sampled
+    estimate or a sweep where the tree judges the same kicks, a sweep all
+    its register sizes' from one call with the largest size's powers."""
     powers = np.asarray(powers)[:, None]
     if mode == GateMode.IDEAL:
         out = np.ones((len(powers), len(thetas), 2), dtype=np.complex128)
@@ -241,7 +241,8 @@ def exact_distribution(
     """Full readout distribution of the protocol on the statevector, indexed
     by readout integer j, no sampling: ``readout_distribution`` without the
     target molecule. ``tree_distributions`` gives the same distribution to
-    within rounding in O(2^m) work, and ``sweep`` takes its own from it."""
+    within rounding in O(2^m) work, and ``sweep`` and a sampled ``estimate``
+    take theirs from it."""
     return readout_distribution(m, phi, gate_mode)
 
 
@@ -253,24 +254,30 @@ def batch_size(*sizes: int) -> int:
 
 
 def tree_distributions(
-    m: int, phis, gate_mode: GateMode = GateMode.IDEAL
+    m: int, phis, gate_mode: GateMode = GateMode.IDEAL, include_target: bool = False
 ) -> np.ndarray:
-    """Readout distribution of the protocol for each phase of ``phis``, one
-    row per phase, indexed like ``exact_distribution``, in O(2^m) work per
-    phase: the one-register case of ``_shared_tree``, the
-    measure-as-you-go tree of Griffiths & Niu (PRL 76, 3228, 1996). Its
+    """``readout_distribution(m, phi, gate_mode, include_target)`` for each
+    phase of ``phis`` to within rounding, one row per phase, in O(2^m) work
+    per phase: the one-register case of ``_shared_tree``, the
+    measure-as-you-go tree of Griffiths & Niu (PRL 76, 3228, 1996). With
+    ``include_target`` the kicks are ideal, since the target in |1> turns
+    each into an ideal controlled phase on its molecule, and the Hadamard
+    and phase gates stay the mode's, as in ``_controlled_kick_state``. Its
     own judge (``_tree_gates``) gives its gates the statevector path's
     verdicts, in its order: the Hadamard, the kicks molecule by molecule,
     then the phase gates. So of several phases the verdict is that of the
     first failing kick in molecule-major order: molecule 1's kicks of every
     phase, then molecule 2's. Callers bound ``len(phis) * 2^m``, as
     sweep_successes does."""
-    return _shared_tree([m], phis, gate_mode)[0]
+    kick_mode = GateMode.IDEAL if include_target else gate_mode
+    return _shared_tree([m], phis, gate_mode, kick_mode=kick_mode)[0]
 
 
-def _shared_tree(registers, phis, gate_mode: GateMode, levels=None) -> list[np.ndarray]:
+def _shared_tree(registers, phis, gate_mode: GateMode, levels=None,
+                 kick_mode: GateMode | None = None) -> list[np.ndarray]:
     """``tree_distributions(m, phis, gate_mode)`` of each register size m of
-    the ascending, distinct ``registers``, from one tree.
+    the ascending, distinct ``registers``, from one tree, its kicks those of
+    ``kick_mode`` (by default ``gate_mode``).
 
     Molecule r is read right after its inverse-QFT Hadamard, since every
     later gate on it is diagonal in its basis. Before that Hadamard, on each
@@ -304,7 +311,7 @@ def _shared_tree(registers, phis, gate_mode: GateMode, levels=None) -> list[np.n
     if len(phis) == 0:
         return [np.empty((0, 2 ** m)) for m in registers]
     top = registers[-1]
-    h, kicks, plus, minus = _tree_gates(top, phis, gate_mode)
+    h, kicks, plus, minus = _tree_gates(top, phis, gate_mode, kick_mode)
     # each kick's amplitude of |comp> before its branch factors, its entry
     # times h[comp, 0], times h[c, comp] of Hadamard row c: (top, P, c, comp)
     cr, ci = _mul(kicks.real, kicks.imag, h.real[:, 0], h.imag[:, 0])
@@ -366,14 +373,15 @@ def _branch_levels(plus, minus):
         yield fr, fi
 
 
-def _tree_gates(m: int, phis, gate_mode: GateMode):
+def _tree_gates(m: int, phis, gate_mode: GateMode, kick_mode: GateMode | None = None):
     """The gates of a tree of register size ``m`` over ``phis``: the
-    Hadamard, the ``(m, P, 2)`` kick diagonals, molecule 1's first, and the
-    ``_level_gates``. Raises the statevector's verdict, in its order, unless
-    each gate is unitary: the Hadamard's deviation is the statevector's
-    own, and each diagonal's has its bits (``_diagonal_deviation``)."""
+    Hadamard, the ``(m, P, 2)`` kick diagonals of ``kick_mode`` (by default
+    ``gate_mode``), molecule 1's first, and the ``_level_gates``. Raises
+    the statevector's verdict, in its order, unless each gate is unitary:
+    the Hadamard's deviation is the statevector's own, and each diagonal's
+    has its bits (``_diagonal_deviation``)."""
     h = _hadamard_gate(gate_mode)
-    kicks = _phase_diagonals(phis, gate_mode, _kick_powers(m))
+    kicks = _phase_diagonals(phis, kick_mode or gate_mode, _kick_powers(m))
     plus, minus = _level_gates(m, gate_mode)
     devs = np.concatenate([[sv._unitary_deviation(h)],
                            *(_diagonal_deviation(d).ravel() for d in (kicks, plus, minus))])

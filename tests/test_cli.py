@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -345,11 +346,28 @@ class TestExitCodes:
     def test_pulse_literal_m16_unitarity_defect(self, capsys):
         # the known pulse-literal defect: qpe._phase_diagonals raises the
         # rounded pulse entries to the kick's power, and from 2^15 on the
-        # kick drifts past the unitarity tolerance
-        code, out, err = run_cli(["estimate", "--m", "16", "--mode", "pulse-literal",
-                                  "--phase", "0.3", "--shots", "0"], capsys)
-        assert code == 1 and out == ""
-        assert "gate is not unitary" in err
+        # kick drifts past the unitarity tolerance; the tree that a sampled
+        # run draws from gives the statevector's verdict
+        for shots in ("0", "100"):
+            code, out, err = run_cli(["estimate", "--m", "16", "--mode", "pulse-literal",
+                                      "--phase", "0.3", "--shots", shots], capsys)
+            assert code == 1 and out == ""
+            assert err == "error: gate is not unitary (deviation 2.980e-12)\n", shots
+
+    def test_branch_drift_in_a_sampled_run_exits_2(self, capsys, monkeypatch):
+        branch_probabilities = qpe._branch_probabilities
+
+        def skewed(*args):
+            probs = branch_probabilities(*args)
+            probs[0, :, -1] *= 1 + 1e-9
+            return probs
+
+        monkeypatch.setattr(qpe, "_branch_probabilities", skewed)
+        code, out, err = run_cli(["estimate", "--m", "6", "--phase", "1.0",
+                                  "--shots", "10"], capsys)
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"numerical invariant violated: branch chances of "
+                            r"molecule 1 sum to 1\.0000000\d+ in row 0 of the stack\n", err)
 
     def test_non_unitary_kick_in_a_sweep_exits_1(self, capsys, monkeypatch):
         # one of 12 random phases gets a non-unitary kick diagonal; the other
@@ -424,10 +442,10 @@ GOLDEN_RESULTS = [
      "dffa6b37f5c5920ef60bec35579a8a7115cc293f552e5eb24e3e993afb219517"),
     (["estimate", "--m", "8", "--phase", "1.1", "--shots", "300", "--seed", "3",
       "--full-distribution"],
-     "690ab4b4df2209722f2cf66ab97e208dd6d9860a64377dd6747eedfe7a4b9f20"),
+     "8fc40615945581a43ae118968ad4e84ada3725e916906033ff53f1112c1af1eb"),
     (["estimate", "--m", "5", "--phase", "2.0", "--shots", "50", "--seed", "11",
       "--include-target", "--full-distribution"],
-     "406e580971fcc28515acd8e3e07d78c4d9b8551ccefa04726fbab66c8ad3af19"),
+     "65430ad0e0d35f61bedbf6e06072e9dc8665cacaea2dbfadbc497741b3d380cf"),
     (["sweep", "--m-values", "5,7", "--n", "3", "--random-phases", "4", "--seed", "2"],
      "108a02f74d17c40e75c2cdde4806d955c6098593803d1e1de29a3e193212e0c3"),
     (["sweep", "--m-values", "6", "--n", "2", "--phases", "0.1,0.3turn,2.5rad"],
@@ -860,6 +878,16 @@ CLOCK = ["calibrate-clock", "--total-scales", "10", "--elapsed-scales", "9", "--
     # n0 ** 2 raises OverflowError past the float range, where * gives inf
     (["calibrate-clock", "--varphi", "0.5", "--total-scales", "2", "--elapsed-scales", "1",
       "--t-ideal", "1.0", "--n0", "1e200"], "phase rate must be finite and positive, got inf"),
+    # a sampled run, whose distribution comes from the tree, checks its input
+    # as a --shots 0 run on the statevector does (args2 above for a phase of
+    # 7), the register first
+    *[(["estimate", "--m", m, "--phase", phase, "--shots", shots], message)
+      for m, phase, message in [
+          ("21", "1.0", "m must be in [1, 20], got 21"),
+          ("3", "nan", "true phase must lie in (0, 2*pi], got nan"),
+          ("3", "7", "true phase must lie in (0, 2*pi], got 7.0"),
+          ("21", "7", "m must be in [1, 20], got 21")]
+      for shots in ("0", "10")],
 ])
 def test_input_rule_messages(capsys, tmp_path, args, message):
     if "--config" in args:
@@ -973,7 +1001,7 @@ def test_every_report_names_its_versions(monkeypatch, args):
     report, _ = report_of(args, monkeypatch)
     assert report["versions"] == {"artifact": dotphase.__version__,
                                   "results": cli.RESULTS_VERSION}
-    assert cli.RESULTS_VERSION == 4
+    assert cli.RESULTS_VERSION == 5
 
 
 class TestSerialiser:

@@ -576,16 +576,46 @@ class TestTreeDistributions:
         assert np.abs(tree - statevector).max() <= 1e-13
 
     @pytest.mark.parametrize("mode", list(GateMode))
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_the_statevector_with_the_target(self, m, mode):
+        # the explicit target molecule in |1> makes every kick an ideal
+        # controlled phase, whatever the mode of the other gates
+        phis = [float(p) for p in np.random.default_rng(60 + m).uniform(0.01, TWO_PI, 4)]
+        tree = qpe.tree_distributions(m, phis, mode, include_target=True)
+        statevector = [qpe.readout_distribution(m, phi, mode, include_target=True)
+                       for phi in phis]
+        assert np.abs(tree - statevector).max() <= 1e-13
+
+    @pytest.mark.parametrize("mode", list(GateMode))
     def test_matches_the_dotphase_free_oracle(self, mode):
         # benchmarks/reference.py simulates the protocol densely with no
-        # dotphase code, its pulse-literal kicks from exact angles
+        # dotphase code, its pulse-literal kicks from exact angles and its
+        # target molecule, when included, an explicit last qubit
         reference = load_reference()
         rng = np.random.default_rng(85)
         for m in range(1, reference.DENSE_MAX_M + 1):
             phis = [float(p) for p in rng.uniform(0.01, TWO_PI, 6)]
-            tree = qpe.tree_distributions(m, phis, mode)
-            dense = [reference.dense_probs(m, phi, mode.value, False) for phi in phis]
-            assert np.abs(tree - dense).max() <= 1e-12, m
+            for include_target in (False, True):
+                tree = qpe.tree_distributions(m, phis, mode, include_target)
+                dense = [reference.dense_probs(m, phi, mode.value, include_target)
+                         for phi in phis]
+                assert np.abs(tree - dense).max() <= 1e-12, (m, include_target)
+
+    @pytest.mark.parametrize("include_target", [False, True])
+    @pytest.mark.parametrize("mode", list(GateMode))
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_draws_match_the_statevector(self, m, mode, include_target):
+        # a sampled estimate draws from the tree: every shot of a run lands
+        # where it lands on the statevector's distribution
+        rng = np.random.default_rng(40 + m)
+        phis = ([float(p) for p in rng.uniform(0.01, TWO_PI, 2)]
+                if m < 14 or include_target or mode == GateMode.IDEAL
+                else list(UNITARY_KICK_PHASES[:2]))
+        for seed, phi in enumerate(phis, start=m):
+            seeds = qpe.shot_seeds(seed, 2000)
+            tree = qpe.tree_distributions(m, [phi], mode, include_target)[0]
+            statevector = qpe.readout_distribution(m, phi, mode, include_target)
+            assert sv.sample(tree, seeds).tolist() == sv.sample(statevector, seeds).tolist()
 
     @pytest.mark.parametrize("mode", list(GateMode))
     @pytest.mark.parametrize("m", range(13, 17))
