@@ -273,7 +273,7 @@ def tree_distributions(
     return _shared_tree([m], phis, gate_mode, kick_mode=kick_mode)[0]
 
 
-def _shared_tree(registers, phis, gate_mode: GateMode, levels=None,
+def _shared_tree(registers, phis, gate_mode: GateMode,
                  kick_mode: GateMode | None = None) -> list[np.ndarray]:
     """``tree_distributions(m, phis, gate_mode)`` of each register size m of
     the ascending, distinct ``registers``, from one tree, its kicks those of
@@ -283,17 +283,16 @@ def _shared_tree(registers, phis, gate_mode: GateMode, levels=None,
     later gate on it is diagonal in its basis. Before that Hadamard, on each
     string of earlier bits (a branch), its |0> and |1> amplitudes are its
     kick entry times the Hadamard column, times level r's branch factors
-    (``_branch_levels``, or the list of them in ``levels``). The Hadamard
-    row then gives the chances p0 and p1 of r's bit
-    (``_branch_probabilities``), and the distribution grows by r's bit as
-    its new most significant bit.
+    (``_branch_factors``). The Hadamard row then gives the chances p0 and p1
+    of r's bit (``_branch_probabilities``), and the distribution grows by
+    r's bit as its new most significant bit.
 
     So level r serves every register with m >= r: the stack's rows are
     (register, phase) pairs in ascending register order, and a register's
     rows leave it after level m. Molecule r's kick in register m is row
     top - m + r - 1 of the largest register's kicks. The kicks, the
     Hadamard, P(+-theta) and their unitarity deviations (``_tree_gates``)
-    serve all registers, as do the branch factors.
+    serve all registers, as do the branch factors, which every call shares.
 
     Every entry comes from the statevector path's own sources, and is the
     same float operations on the same operands as in a tree of its register
@@ -302,16 +301,17 @@ def _shared_tree(registers, phis, gate_mode: GateMode, levels=None,
     and sums on separate real and imaginary arrays, with no BLAS and no
     complex or transcendental ufunc on arrays, so the bits do not depend on
     the host's SIMD level or BLAS kernels. The gates are judged in one
-    pass (``_tree_gates``), the largest register's kicks molecule-major.
-    Each branch's p0 + p1 and each row's sum must be within NORM_TOL of 1
-    (``_require_ones``); a failure names its phase's row in ``phis``. A
-    level's branches are streamed through blocks of TREE_BLOCK floats."""
+    pass (``_tree_gates``), the largest register's kicks molecule-major,
+    before any branch factor is built. Each branch's p0 + p1 and each row's
+    sum must be within NORM_TOL of 1 (``_require_ones``); a failure names
+    its phase's row in ``phis``. A level's branches are streamed through
+    blocks of TREE_BLOCK floats."""
     for m in registers:
         check_register(m)
     if len(phis) == 0:
         return [np.empty((0, 2 ** m)) for m in registers]
     top = registers[-1]
-    h, kicks, plus, minus = _tree_gates(top, phis, gate_mode, kick_mode)
+    h, kicks = _tree_gates(top, phis, gate_mode, kick_mode)
     # each kick's amplitude of |comp> before its branch factors, its entry
     # times h[comp, 0], times h[c, comp] of Hadamard row c: (top, P, c, comp)
     cr, ci = _mul(kicks.real, kicks.imag, h.real[:, 0], h.imag[:, 0])
@@ -319,7 +319,8 @@ def _shared_tree(registers, phis, gate_mode: GateMode, levels=None,
     growing = list(registers)
     dist = np.ones((len(growing) * len(phis), 1))
     done = []
-    for r, (fr, fi) in enumerate(levels or _branch_levels(plus, minus), start=1):
+    for r in range(1, top + 1):
+        fr, fi = _branch_factors(r, gate_mode)
         # molecule r's kicks, one row per (register, phase)
         powers = [top - m + r - 1 for m in growing]
         lr, li = kr[powers].reshape(-1, 2, 2), ki[powers].reshape(-1, 2, 2)
@@ -342,44 +343,46 @@ def _shared_tree(registers, phis, gate_mode: GateMode, levels=None,
     return done
 
 
-def _branch_levels(plus, minus):
-    """Yield the branch factors ``(fr, fi)``, ``(2, 2^{r-1})`` by component,
-    of each level r = 1..top of a tree with the ``_level_gates`` ``plus``
-    and ``minus``. Per earlier molecule s, molecule 1's bit the least
+@functools.cache
+def _branch_factors(r: int, gate_mode: GateMode):
+    """The branch factors ``(fr, fi)``, ``(2, 2^{r-1})`` by component, of
+    tree level r. Per earlier molecule s, molecule 1's bit the least
     significant, the factor is the diagonal of P(-theta) X^b P(theta) X^b
     chosen by s's bit b, theta = pi / 2^{r-s+1} (the phase gate s puts on
     itself changes no chance). They depend on neither the phase nor the
-    register size, and level r + 1's are level r's with a new least
-    significant bit at the next smaller angle: one outer product a level."""
-    # the new bit's factor of each level r = 2..top, by bit b and component:
-    # (q0 p0, q1 p1) for b = 0 and (q0 p1, q1 p0) for b = 1, with p = P(theta)
-    # and q = P(-theta)
-    dr, di = np.empty((len(plus), 2, 2)), np.empty((len(plus), 2, 2))
-    for b, swap in enumerate(([0, 1], [1, 0])):
-        dr[:, b], di[:, b] = _mul(minus.real, minus.imag,
-                                  plus.real[:, swap], plus.imag[:, swap])
-    fr, fi = np.ones((2, 1)), np.zeros((2, 1))
-    yield fr, fi
-    for level_r, level_i in zip(dr, di):
-        # molecules 2..r-1 take the factors 1..r-2 had a level before, and
-        # molecule 1, the new least significant bit, one at this level's
-        # angle; one bit at a time, so each product runs along the branches
+    register size, and level r's are level r - 1's with a new least
+    significant bit at angle pi / 2^r, whose P(+-theta) is the last row of
+    ``_level_gates(r, gate_mode)``: one outer product a level.
+
+    Memoised: every tree call of the process shares them, at most 2^{m+2}
+    floats per mode for levels 1..m (32 MiB at m = 20), so they are
+    read-only."""
+    if r == 1:
+        fr, fi = np.ones((2, 1)), np.zeros((2, 1))
+    else:
+        fr, fi = _branch_factors(r - 1, gate_mode)
+        plus, minus = (gates[-1] for gates in _level_gates(r, gate_mode))
+        # molecules 2..r-1 keep level r - 1's factors, and molecule 1, the
+        # new least significant bit, takes (q0 p0, q1 p1) for b = 0 and
+        # (q0 p1, q1 p0) for b = 1, p = P(theta) and q = P(-theta); one bit
+        # at a time, so each product runs along the branches
         factors = np.empty((2,) + fr.shape + (2,))
-        for b in (0, 1):
-            br, bi = level_r[b, :, None], level_i[b, :, None]
-            factors[0, ..., b] = fr * br - fi * bi
-            factors[1, ..., b] = fr * bi + fi * br
+        for b, swap in enumerate(([0, 1], [1, 0])):
+            br, bi = _mul(minus.real, minus.imag, plus.real[swap], plus.imag[swap])
+            factors[0, ..., b] = fr * br[:, None] - fi * bi[:, None]
+            factors[1, ..., b] = fr * bi[:, None] + fi * br[:, None]
         fr, fi = factors.reshape(2, 2, -1)
-        yield fr, fi
+    fr.flags.writeable = fi.flags.writeable = False
+    return fr, fi
 
 
 def _tree_gates(m: int, phis, gate_mode: GateMode, kick_mode: GateMode | None = None):
-    """The gates of a tree of register size ``m`` over ``phis``: the
-    Hadamard, the ``(m, P, 2)`` kick diagonals of ``kick_mode`` (by default
-    ``gate_mode``), molecule 1's first, and the ``_level_gates``. Raises
-    the statevector's verdict, in its order, unless each gate is unitary:
-    the Hadamard's deviation is the statevector's own, and each diagonal's
-    has its bits (``_diagonal_deviation``)."""
+    """The Hadamard and the ``(m, P, 2)`` kick diagonals of ``kick_mode``
+    (by default ``gate_mode``), molecule 1's first, of a tree of register
+    size ``m`` over ``phis``. Raises the statevector's verdict, in its
+    order, unless each of them and each ``_level_gates`` diagonal is
+    unitary: the Hadamard's deviation is the statevector's own, and each
+    diagonal's has its bits (``_diagonal_deviation``)."""
     h = _hadamard_gate(gate_mode)
     kicks = _phase_diagonals(phis, kick_mode or gate_mode, _kick_powers(m))
     plus, minus = _level_gates(m, gate_mode)
@@ -389,7 +392,7 @@ def _tree_gates(m: int, phis, gate_mode: GateMode, kick_mode: GateMode | None = 
     ok = devs <= sv.UNITARY_TOL
     if not ok.all():
         raise ValidationError(f"gate is not unitary (deviation {devs[np.argmin(ok)]:.3e})")
-    return h, kicks, plus, minus
+    return h, kicks
 
 
 def _diagonal_deviation(d: np.ndarray) -> np.ndarray:
@@ -491,12 +494,10 @@ def sweep_successes(m_values, n: int, phis,
                     gate_mode: GateMode = GateMode.IDEAL) -> list[list[float]]:
     """``empirical_success(m, n, phi, gate_mode)`` of each phase of
     ``phis``, one list per entry m of ``m_values``, in their order, each
-    list its own: the one batching of phases. Every
-    call grows all the distinct sizes in one tree (``_shared_tree``),
-    ``batch_size(*sizes)`` phases a call, so memory stays bounded however
-    many phases there are. A sweep of more than one call keeps the branch
-    factors of every level (``_branch_levels``) for all its calls, at most
-    2^{top+2} floats (32 MiB at m = 20); one call builds them level by level.
+    list its own: the one batching of phases. Every call grows all the
+    distinct sizes in one tree (``_shared_tree``), ``batch_size(*sizes)``
+    phases a call, so its distributions stay bounded however many phases
+    there are.
 
     The verdicts are those of the sizes one at a time, in the order given:
     of the first batch that fails, and within it of the first kick in
@@ -513,13 +514,11 @@ def sweep_successes(m_values, n: int, phis,
     if not sizes:
         return []
     per = batch_size(*sizes)
-    levels = (list(_branch_levels(*_level_gates(sizes[-1], gate_mode)))
-              if len(phis) > per else None)
     masses: dict[int, list[float]] = {m: [] for m in sizes}
     for start in range(0, len(phis), per):
         batch = phis[start:start + per]
         try:
-            dists = _shared_tree(sizes, batch, gate_mode, levels)
+            dists = _shared_tree(sizes, batch, gate_mode)
         except ValidationError:
             if len(sizes) > 1:
                 for m in m_values:

@@ -392,13 +392,23 @@ def record_trees(monkeypatch):
     calls = []
     shared_tree = qpe._shared_tree
 
-    def recording(registers, phis, mode, levels=None):
-        dists = shared_tree(registers, phis, mode, levels)
+    def recording(registers, phis, mode):
+        dists = shared_tree(registers, phis, mode)
         calls.append((list(registers), list(phis), dists))
         return dists
 
     monkeypatch.setattr(qpe, "_shared_tree", recording)
     return calls
+
+
+def peak_arrays(call, m):
+    """Peak memory of ``call()`` under tracemalloc, in arrays of 2^m floats."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8 * 2 ** m)
+    finally:
+        tracemalloc.stop()
 
 
 def assert_within_budget(calls):
@@ -477,24 +487,28 @@ class TestSharedTree:
             assert masses == qpe.sweep_successes([m], n, phis, mode)[0]
 
     @pytest.mark.parametrize("phis, states", [
-        # one call builds its branch factors level by level and keeps none
-        # after its tree (5.0 here); a caller that kept the last level would
-        # add two arrays
+        # the branch factors of every level are cached by the sweep before,
+        # so a call builds none: one call reads 5.0 here, and a copy of the
+        # last level's factors would add two arrays
         ([0.5], 5.5),
-        # a sweep of three calls keeps every level's, 2^{m+2} floats
+        # three calls read no more than one
         ([0.5, 2.0, 2.7], 10),
+        ([0.5, 2.0, 2.7], 5.5),
     ])
     def test_peak_memory_of_m16_sweeps(self, phis, states):
-        # in arrays of 2^m floats, under tracemalloc
+        # in arrays of 2^m floats, under tracemalloc, with a warm cache
         m = 16
         qpe.sweep_successes([m], 3, phis)
-        tracemalloc.start()
-        try:
-            qpe.sweep_successes([m], 3, phis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= states * 8 * 2 ** m
+        assert peak_arrays(lambda: qpe.sweep_successes([m], 3, phis), m) <= states
+
+    @pytest.mark.parametrize("phis", [[0.5], [0.5, 2.0, 2.7]])
+    def test_peak_memory_of_m16_sweeps_from_a_cold_cache(self, phis):
+        # the first sweep of a process builds and keeps the branch factors
+        # of every level, 2^{m+2} floats: both read 9.0 here
+        m = 16
+        qpe.sweep_successes([m], 3, phis)
+        qpe._branch_factors.cache_clear()
+        assert peak_arrays(lambda: qpe.sweep_successes([m], 3, phis), m) <= 10
 
     def test_branch_check_names_the_row_within_its_register(self, monkeypatch):
         # at molecule 4 the stack holds m = 6's five rows and then m = 8's,
@@ -620,9 +634,12 @@ class TestTreeDistributions:
     @pytest.mark.parametrize("mode", list(GateMode))
     @pytest.mark.parametrize("m", range(13, 17))
     def test_matches_the_statevector_on_single_phases(self, m, mode):
+        # with the target too, in the body so that the ids stay
         for phi in UNITARY_KICK_PHASES[1::2]:
-            tree = qpe.tree_distributions(m, [phi], mode)[0]
-            assert np.abs(tree - qpe.exact_distribution(m, phi, mode)).max() <= 1e-13
+            for include_target in (False, True):
+                tree = qpe.tree_distributions(m, [phi], mode, include_target)[0]
+                statevector = qpe.readout_distribution(m, phi, mode, include_target)
+                assert np.abs(tree - statevector).max() <= 1e-13, (phi, include_target)
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_representable_phases_are_certain(self, m):
@@ -723,8 +740,10 @@ class TestTreeDistributions:
                 return diagonals
 
             monkeypatch.setattr(qpe, "_phase_diagonals", bent)
-        # the statevector's phase gates are memoised
+        # the statevector's phase gates are memoised, and so are the branch
+        # factors built from them: neither may keep a bent gate
         qpe._phase_gate.cache_clear()
+        qpe._branch_factors.cache_clear()
         try:
             with pytest.raises(ValidationError, match="gate is not unitary") as tree:
                 qpe.tree_distributions(5, [0.3, 2.0])
@@ -732,20 +751,45 @@ class TestTreeDistributions:
                 qpe.exact_distribution(5, 0.3)
         finally:
             qpe._phase_gate.cache_clear()
+            qpe._branch_factors.cache_clear()
         assert str(tree.value) == str(statevector.value)
 
     def test_peak_memory_of_one_m16_phase(self):
-        # at most six arrays of 2^m floats: the statevector's
-        # exact_distribution peaks above that
+        # at most six arrays of 2^m floats once the branch factors are
+        # cached (2.6 here): the statevector's exact_distribution peaks at
+        # 6.3
         m = 16
         qpe.tree_distributions(m, [2.0])
-        tracemalloc.start()
-        try:
-            qpe.tree_distributions(m, [2.0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 8 * 2 ** m
+        assert peak_arrays(lambda: qpe.tree_distributions(m, [2.0]), m) <= 6
+
+    def test_peak_memory_of_one_m16_phase_from_a_cold_cache(self):
+        # the first tree of a process also builds and keeps the branch
+        # factors of every level, 2^{m+2} floats (6.7 here)
+        m = 16
+        qpe.tree_distributions(m, [2.0])
+        qpe._branch_factors.cache_clear()
+        assert peak_arrays(lambda: qpe.tree_distributions(m, [2.0]), m) <= 10
+
+    @pytest.mark.parametrize("mode", list(GateMode))
+    def test_branch_factors_are_built_once_per_level(self, mode):
+        # levels 1..12 of one mode miss once each, however many trees ask
+        qpe._branch_factors.cache_clear()
+        phis = [0.5, 2.7]
+        first = qpe.tree_distributions(12, phis, mode)
+        assert qpe.tree_distributions(12, phis, mode).tobytes() == first.tobytes()
+        assert qpe._branch_factors.cache_info().misses == 12
+        # every tree shares them, so none may write into them
+        fr, fi = qpe._branch_factors(12, mode)
+        for factor in (fr, fi):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 2.0
+        # a level built on the way to a larger register gives a smaller one
+        # the bytes a cleared cache gives it
+        qpe._branch_factors.cache_clear()
+        cold = qpe.tree_distributions(5, phis, mode)
+        qpe._branch_factors.cache_clear()
+        qpe.tree_distributions(14, phis[:1], mode)
+        assert qpe.tree_distributions(5, phis, mode).tobytes() == cold.tobytes()
 
     def test_branch_check_names_the_row(self, monkeypatch):
         original = qpe._branch_probabilities
