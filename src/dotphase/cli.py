@@ -30,8 +30,9 @@ OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
 # Shots per experiment: every shot is a seed, a draw and two entries of the
 # JSON report (about 50 bytes), so a million shots already make ~50 MB.
 MAX_SHOTS = 1_000_000
-# Random sweep phases: each one is a row per m value of the tree stacks that
-# qpe.sweep_successes grows, all m values a call, and a report row per m value.
+# Sweep phases, drawn or listed: each one is a row per m value of the tree
+# stacks that qpe.sweep_successes grows, all m values a call, and a report
+# row per m value.
 MAX_RANDOM_PHASES = 10_000
 # Raised on each deliberate change to the bits of ``results``, so that a
 # reader can tell a report made before it from one made after; outside
@@ -41,8 +42,9 @@ MAX_RANDOM_PHASES = 10_000
 # residuals and gaps by a few ulp. 4: pulse fits in closed form, which moves
 # pulse-fit angles and residuals to the exact optimum. 5: sampled estimates
 # draw from the tree, which moves their --full-distribution lists by a few
-# ulp; no draw moved in the runs checked.
-RESULTS_VERSION = 5
+# ulp; no draw moved in the runs checked. 6: the tree's chances are A +
+# Re(B g), which moves sweep masses and those lists by a few ulp.
+RESULTS_VERSION = 6
 # Float lists of at least this many items go through np.unique, shorter ones
 # through the C encoder, which needs no numpy. Best of 7 on a 2-CPU Xeon: 2
 # floats take 2.2-3.6 us through the C encoder and 16-22 us through np.unique;
@@ -120,11 +122,14 @@ def _choice_of(enum):
     return _choice(*(member.value for member in enum))
 
 
-def _list_of(coerce):
-    """A JSON list, or a comma-separated string whose empty items are skipped."""
+def _list_of(coerce, cap: float = math.inf):
+    """A JSON list, or a comma-separated string whose empty items are
+    skipped, of at most ``cap`` items."""
     def parse(value) -> list:
         if not isinstance(value, list):
             value = [x for x in str(value).split(",") if x.strip() != ""]
+        if len(value) > cap:
+            raise ValidationError(f"expected at most {cap} items, got {len(value)}")
         return [coerce(x) for x in value]
     return parse
 
@@ -160,7 +165,7 @@ _SCHEMAS = {
     "sweep": ("tabulate empirical success against the bound", {
         "m_values": _Key(_list_of(_as_int), _REQUIRED, help="comma list, e.g. 5,6,7"),
         "n": _Key(_as_count, _REQUIRED),
-        "phases_rad": _Key(_list_of(parse_angle), None, "--phases",
+        "phases_rad": _Key(_list_of(parse_angle, MAX_RANDOM_PHASES), None, "--phases",
                            "comma list of angles (radians/'rad'/'turn')"),
         "random_phases": _Key(_count_upto(MAX_RANDOM_PHASES), None,
                               help="draw this many uniform phases instead of a list"),

@@ -45,6 +45,11 @@ BATCH_AMPLITUDES = 2 ** 16
 # this size, so that beside the distribution and the branch factors only a
 # few blocks are alive.
 TREE_BLOCK = 2 ** 14
+# Entries of a batch from which window_masses sums arcs instead of masking
+# the circle: on a 2-CPU Xeon the two tie at 2^9 to 2^11 entries for 1 to
+# 36 rows; 12 rows at n = 3 take 59 us by the mask and 67 by the arcs at
+# m = 5, 339 and 70 at m = 10.
+WINDOW_ARC_MIN = 2 ** 10
 
 IDEAL_HADAMARD = np.array(HADAMARD_ENTRIES, dtype=np.complex128).reshape(2, 2)
 CNOT = np.array(
@@ -280,12 +285,14 @@ def _shared_tree(registers, phis, gate_mode: GateMode,
     ``kick_mode`` (by default ``gate_mode``).
 
     Molecule r is read right after its inverse-QFT Hadamard, since every
-    later gate on it is diagonal in its basis. Before that Hadamard, on each
-    string of earlier bits (a branch), its |0> and |1> amplitudes are its
-    kick entry times the Hadamard column, times level r's branch factors
-    (``_branch_factors``). The Hadamard row then gives the chances p0 and p1
-    of r's bit (``_branch_probabilities``), and the distribution grows by
-    r's bit as its new most significant bit.
+    later gate on it is diagonal in its basis. On each string of earlier
+    bits (a branch), its amplitudes there are k_c0 f0 + k_c1 f1 for Hadamard
+    row c: k is the kick entry times the Hadamard column and row, f0 and f1
+    the unit phases the earlier bits put on |0> and |1>. So the chance of
+    bit c is A_c + Re(B_c g), A_c = |k_c0|^2 + |k_c1|^2 and B_c = 2 k_c0
+    conj(k_c1) per (phase, molecule), g = f0 conj(f1) the branch factor
+    (``_branch_factors``). The chances (``_branch_probabilities``) grow the
+    distribution by r's bit as its new most significant bit.
 
     So level r serves every register with m >= r: the stack's rows are
     (register, phase) pairs in ascending register order, and a register's
@@ -302,10 +309,11 @@ def _shared_tree(registers, phis, gate_mode: GateMode,
     complex or transcendental ufunc on arrays, so the bits do not depend on
     the host's SIMD level or BLAS kernels. The gates are judged in one
     pass (``_tree_gates``), the largest register's kicks molecule-major,
-    before any branch factor is built. Each branch's p0 + p1 and each row's
-    sum must be within NORM_TOL of 1 (``_require_ones``); a failure names
-    its phase's row in ``phis``. A level's branches are streamed through
-    blocks of TREE_BLOCK floats."""
+    before any branch factor is built. Each row's sum must be within
+    NORM_TOL of 1 (``_require_ones``); a failure names its phase's row in
+    ``phis``. A branch's p0 + p1 would not see a drifting g, since B_0 +
+    B_1 = 0, so ``_branch_factors`` judges |g|. A level's branches are
+    streamed through blocks of TREE_BLOCK floats."""
     for m in registers:
         check_register(m)
     if len(phis) == 0:
@@ -316,22 +324,26 @@ def _shared_tree(registers, phis, gate_mode: GateMode,
     # times h[comp, 0], times h[c, comp] of Hadamard row c: (top, P, c, comp)
     cr, ci = _mul(kicks.real, kicks.imag, h.real[:, 0], h.imag[:, 0])
     kr, ki = _mul(cr[:, :, None], ci[:, :, None], h.real, h.imag)
+    # A_c, Re B_c and Im B_c of each (molecule, phase, c), one array
+    terms = np.empty((3,) + kr.shape[:-1])
+    terms[0] = kr[..., 0] * kr[..., 0] + ki[..., 0] * ki[..., 0]
+    terms[0] += kr[..., 1] * kr[..., 1] + ki[..., 1] * ki[..., 1]
+    terms[1:] = _mul(kr[..., 0], ki[..., 0], kr[..., 1], -ki[..., 1])
+    terms[1:] *= 2.0
     growing = list(registers)
     dist = np.ones((len(growing) * len(phis), 1))
     done = []
     for r in range(1, top + 1):
-        fr, fi = _branch_factors(r, gate_mode)
-        # molecule r's kicks, one row per (register, phase)
+        gr, gi = _branch_factors(r, gate_mode)
+        # molecule r's terms, one row per (register, phase)
         powers = [top - m + r - 1 for m in growing]
-        lr, li = kr[powers].reshape(-1, 2, 2), ki[powers].reshape(-1, 2, 2)
-        grown = np.empty((len(dist), 2, fr.shape[1]))
+        a, br, bi = terms[:, powers].reshape(3, -1, 2, 1)
+        grown = np.empty((len(dist), 2, len(gr)))
         # r's bit is the distribution's new most significant bit
         step = max(1, TREE_BLOCK // (2 * len(dist)))
-        for start in range(0, fr.shape[1], step):
+        for start in range(0, len(gr), step):
             cut = slice(start, start + step)
-            probs = _branch_probabilities(lr, li, fr[:, cut], fi[:, cut])
-            sums = (probs[:, 0] + probs[:, 1]).reshape(len(growing), len(phis), -1)
-            _require_ones(sums, f"branch chances of molecule {r} sum to")
+            probs = _branch_probabilities(a, br, bi, gr[cut], gi[cut])
             np.multiply(probs, dist[:, None, cut], out=grown[:, :, cut])
         dist = grown.reshape(len(dist), -1)
         if growing[0] == r:
@@ -345,35 +357,37 @@ def _shared_tree(registers, phis, gate_mode: GateMode,
 
 @functools.cache
 def _branch_factors(r: int, gate_mode: GateMode):
-    """The branch factors ``(fr, fi)``, ``(2, 2^{r-1})`` by component, of
-    tree level r. Per earlier molecule s, molecule 1's bit the least
-    significant, the factor is the diagonal of P(-theta) X^b P(theta) X^b
-    chosen by s's bit b, theta = pi / 2^{r-s+1} (the phase gate s puts on
-    itself changes no chance). They depend on neither the phase nor the
-    register size, and level r's are level r - 1's with a new least
-    significant bit at angle pi / 2^r, whose P(+-theta) is the last row of
-    ``_level_gates(r, gate_mode)``: one outer product a level.
+    """``(gr, gi)``, the branch factors g = f0 conj(f1) of tree level r,
+    one per branch. Per earlier molecule s, molecule 1's bit the least
+    significant, f is the diagonal of P(-theta) X^b P(theta) X^b chosen by
+    s's bit b, theta = pi / 2^{r-s+1} (the phase gate s puts on itself
+    changes no chance). They depend on neither the phase nor the register
+    size, and level r's are level r - 1's with a new least significant bit
+    at angle pi / 2^r, whose P(+-theta) is the last row of
+    ``_level_gates(r, gate_mode)``: one outer product a level. Each |g|^2
+    must be within NORM_TOL of 1.
 
-    Memoised: every tree call of the process shares them, at most 2^{m+2}
-    floats per mode for levels 1..m (32 MiB at m = 20), so they are
-    read-only."""
+    Memoised: every tree call shares them, 2^{m+1} floats per mode for
+    levels 1..m (16 MiB at m = 20), so they are read-only."""
     if r == 1:
-        fr, fi = np.ones((2, 1)), np.zeros((2, 1))
+        gr, gi = np.ones(1), np.zeros(1)
     else:
-        fr, fi = _branch_factors(r - 1, gate_mode)
         plus, minus = (gates[-1] for gates in _level_gates(r, gate_mode))
-        # molecules 2..r-1 keep level r - 1's factors, and molecule 1, the
-        # new least significant bit, takes (q0 p0, q1 p1) for b = 0 and
-        # (q0 p1, q1 p0) for b = 1, p = P(theta) and q = P(-theta); one bit
-        # at a time, so each product runs along the branches
-        factors = np.empty((2,) + fr.shape + (2,))
-        for b, swap in enumerate(([0, 1], [1, 0])):
-            br, bi = _mul(minus.real, minus.imag, plus.real[swap], plus.imag[swap])
-            factors[0, ..., b] = fr * br[:, None] - fi * bi[:, None]
-            factors[1, ..., b] = fr * bi[:, None] + fi * br[:, None]
-        fr, fi = factors.reshape(2, 2, -1)
-    fr.flags.writeable = fi.flags.writeable = False
-    return fr, fi
+        # the new bit b puts q0 p_b on f0 and q1 p_{1-b} on f1, p = P(theta)
+        # and q = P(-theta), so g gains (q0 p_b) conj(q1 p_{1-b})
+        xr, xi = _mul(minus.real[0], minus.imag[0], plus.real, plus.imag)
+        yr, yi = _mul(minus.real[1], minus.imag[1], plus.real[::-1], plus.imag[::-1])
+        wr, wi = _mul(xr, xi, yr, -yi)
+        gr, gi = _branch_factors(r - 1, gate_mode)
+        gr, gi = (part.reshape(-1) for part in _mul(gr[:, None], gi[:, None], wr, wi))
+    squares = gr * gr + gi * gi
+    # written so that a NaN fails too
+    ok = np.abs(squares - 1.0) <= sv.NORM_TOL
+    if not ok.all():
+        raise NumericalInvariantError(
+            f"branch factor of molecule {r} has |g|^2 = {squares[np.argmin(ok)]:.15f}")
+    gr.flags.writeable = gi.flags.writeable = False
+    return gr, gi
 
 
 def _tree_gates(m: int, phis, gate_mode: GateMode, kick_mode: GateMode | None = None):
@@ -417,27 +431,14 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _branch_probabilities(kr, ki, fr, fi) -> np.ndarray:
-    """Chances ``(P, c, B)`` of bit c of one level's molecule on each of its
-    B branches, for constants ``kr + i ki`` of shape ``(P, c, comp)`` and
-    branch factors ``fr + i fi`` of shape ``(comp, B)``: branch j of
-    Hadamard row c has amplitude sum over comp of k[c, comp] * f[comp, j],
-    summed in place: two arrays of ``P * 2 * B`` floats and one product at
-    a time."""
-    k0r, k0i, k1r, k1i = (part[:, :, comp, None] for comp in (0, 1)
-                          for part in (kr, ki))
-    re = k0r * fr[0]
-    re -= k0i * fi[0]
-    re += k1r * fr[1]
-    re -= k1i * fi[1]
-    im = k0r * fi[0]
-    im += k0i * fr[0]
-    im += k1r * fi[1]
-    im += k1i * fr[1]
-    re *= re
-    im *= im
-    re += im
-    return re
+def _branch_probabilities(a, br, bi, gr, gi) -> np.ndarray:
+    """Chances ``(P, c, B)``, A_c + Re(B_c g), for terms ``a``, ``br + i
+    bi`` of shape ``(P, c, 1)`` and branch factors ``gr + i gi`` of shape
+    ``(B,)``, clamped at 0, below which a chance of 0 can round."""
+    probs = br * gr
+    probs -= bi * gi
+    probs += a
+    return np.maximum(probs, 0.0, out=probs)
 
 
 def _require_ones(values: np.ndarray, what: str) -> None:
@@ -503,7 +504,7 @@ def sweep_successes(m_values, n: int, phis,
     of the first batch that fails, and within it of the first kick in
     molecule-major order. A failing gate of a tree of several sizes takes
     that verdict from the sizes' gates alone (``_tree_gates``,
-    ``batch_size(m)`` phases a call), and no tree runs again. A branch-drift
+    ``batch_size(m)`` phases a call), and no tree runs again. A row-sum
     verdict names its phase's row within the call's batch."""
     _check_accuracy(n)
     for m in m_values:
@@ -540,14 +541,31 @@ def window_mass(probs: np.ndarray, n: int, phi: float) -> float:
 
 
 def window_masses(rows: np.ndarray, n: int, phis) -> list[float]:
-    """``window_mass`` of each row of ``rows``, one per phase of ``phis``.
-    Every row's circular distances come from one broadcast over the batch,
-    each the same elementwise operations as window_mass's, so every mask
-    and every sum keeps window_mass's bits."""
+    """``window_mass`` of each row of ``rows``, one per phase of ``phis``,
+    bit for bit. For n >= 2, WINDOW_ARC_MIN entries and finite phases, a
+    window is the arc from floor(x) - 2^{m-n} + 1 to ceil(x) + 2^{m-n} - 1,
+    x = frac * 2^m, less each end that window_mass's test leaves out;
+    rounding moves no other index in or out. Its slices, in the mask's
+    order, keep the mask's sum. Otherwise one broadcast of window_mass's
+    distances."""
     size = rows.shape[1]
     fracs = (np.asarray(phis, dtype=np.float64) / math.tau) % 1.0
-    inside = circular_distance(np.arange(size) / size, fracs[:, None]) < 0.5 ** n
-    return [float(row[mask].sum()) for row, mask in zip(rows, inside)]
+    if n <= 1 or rows.size < WINDOW_ARC_MIN or not np.isfinite(fracs).all():
+        inside = circular_distance(np.arange(size) / size, fracs[:, None]) < 0.5 ** n
+        return [float(row[mask].sum()) for row, mask in zip(rows, inside)]
+    x = fracs * size
+    half = size >> n
+    ends = np.stack((np.floor(x) - (half - 1), np.ceil(x) + (half - 1)), axis=1)
+    inside = circular_distance((ends % size) / size, fracs[:, None]) < 0.5 ** n
+    # an end left out moves the arc's first index up or its last one down
+    ends += np.where(inside, 0.0, [1.0, -1.0])
+    masses = []
+    for row, (first, last) in zip(rows, ends.tolist()):
+        a = int(first) % size
+        b = a + int(last - first) + 1
+        arc = row[a:b] if b <= size else np.concatenate((row[:b - size], row[a:]))
+        masses.append(float(arc.sum()))
+    return masses
 
 
 def kick_equivalence_check(m: int, phi: float) -> float:

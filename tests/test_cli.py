@@ -14,6 +14,7 @@ import pytest
 import dotphase
 from dotphase import cli, qpe
 from dotphase.errors import NumericalInvariantError
+from test_statevector import drift_factors
 
 TWO_PI = 2 * math.pi
 
@@ -67,6 +68,16 @@ class TestEstimate:
         assert len(estimates) == 100
         assert all(e == pytest.approx(TWO_PI * 0.625) for e in estimates)
         assert run_json(args, capsys)["results"] == report["results"]
+
+    @pytest.mark.parametrize("turns, outcome", [("0.625", "5"), ("0.375", "3")])
+    def test_sampled_run_at_a_grid_phase(self, capsys, turns, outcome):
+        # representable at m = 3, so every chance but one is 0 and none may
+        # round below it, as unclamped ones do at 0.375 turn: a negative
+        # chance stops the sampler
+        report = run_json(["estimate", "--m", "3", "--phase", turns + "turn",
+                           "--shots", "100", "--full-distribution"], capsys)
+        assert min(report["results"]["distribution"]) >= 0
+        assert report["results"]["counts"] == {outcome: 100}
 
     def test_phase_out_of_range(self, capsys):
         code, _, err = run_cli(["estimate", "--m", "3", "--phase", "7.0"], capsys)
@@ -355,19 +366,14 @@ class TestExitCodes:
             assert err == "error: gate is not unitary (deviation 2.980e-12)\n", shots
 
     def test_branch_drift_in_a_sampled_run_exits_2(self, capsys, monkeypatch):
-        branch_probabilities = qpe._branch_probabilities
-
-        def skewed(*args):
-            probs = branch_probabilities(*args)
-            probs[0, :, -1] *= 1 + 1e-9
-            return probs
-
-        monkeypatch.setattr(qpe, "_branch_probabilities", skewed)
+        # level 3's branch factors drift by 1e-9, and level 4's, built from
+        # them, fail their check of |g|^2
+        drift_factors(monkeypatch, level=3, scale=1 + 1e-9)
         code, out, err = run_cli(["estimate", "--m", "6", "--phase", "1.0",
                                   "--shots", "10"], capsys)
         assert code == 2 and out == ""
-        assert re.fullmatch(r"numerical invariant violated: branch chances of "
-                            r"molecule 1 sum to 1\.0000000\d+ in row 0 of the stack\n", err)
+        assert re.fullmatch(r"numerical invariant violated: branch factor of "
+                            r"molecule 4 has \|g\|\^2 = 1\.0000000\d+\n", err)
 
     def test_non_unitary_kick_in_a_sweep_exits_1(self, capsys, monkeypatch):
         # one of 12 random phases gets a non-unitary kick diagonal; the other
@@ -442,14 +448,14 @@ GOLDEN_RESULTS = [
      "dffa6b37f5c5920ef60bec35579a8a7115cc293f552e5eb24e3e993afb219517"),
     (["estimate", "--m", "8", "--phase", "1.1", "--shots", "300", "--seed", "3",
       "--full-distribution"],
-     "8fc40615945581a43ae118968ad4e84ada3725e916906033ff53f1112c1af1eb"),
+     "00cb5281366d07242b1c98d08384b8ffd81a815449ae953a3d28dcb4a8cbb98f"),
     (["estimate", "--m", "5", "--phase", "2.0", "--shots", "50", "--seed", "11",
       "--include-target", "--full-distribution"],
-     "65430ad0e0d35f61bedbf6e06072e9dc8665cacaea2dbfadbc497741b3d380cf"),
+     "1d7c675e5878c8ecf6f9e3b63bad6c24867d8146e9c35e1a5deae3fa0c09f838"),
     (["sweep", "--m-values", "5,7", "--n", "3", "--random-phases", "4", "--seed", "2"],
-     "108a02f74d17c40e75c2cdde4806d955c6098593803d1e1de29a3e193212e0c3"),
+     "0ae063d96edd1e8ec928b101784d404accfb0f764e954ce4b7861aa2846f3319"),
     (["sweep", "--m-values", "6", "--n", "2", "--phases", "0.1,0.3turn,2.5rad"],
-     "885cde5266d989ab002d89e5d6313c68edb03a9277ce23001dae564bde323f5f"),
+     "3780d047a7135222fcad1b13101bf1028430578e4b9d0ee07fee3326b0d75d33"),
     # pulse-literal mode: diagonal pulse phase gates and pulse Hadamards
     (["estimate", "--m", "6", "--phase", "0.3", "--shots", "0",
       "--mode", "pulse-literal"],
@@ -465,7 +471,7 @@ GOLDEN_RESULTS = [
      "0f295f63f07acb2db2c96eedc16a0a3635cd0af431c03793df185a58ab6d1f2b"),
     (["sweep", "--m-values", "5,8", "--n", "3", "--random-phases", "4", "--seed", "2",
       "--mode", "pulse-literal"],
-     "5a4c826598d9cd8d62f6d50decb7978df0a6b9d564115457e3077ec631042ed7"),
+     "b596338b39bf7c279096997799630edd9cf3766e9763359b4ed5774deb9190fd"),
     # pulse fits: the closed-form optimum, ties on the phase's branch cut and
     # Y's zero overlap among them
     (["pulse-fit", "--preset", "hadamard"],
@@ -888,6 +894,10 @@ CLOCK = ["calibrate-clock", "--total-scales", "10", "--elapsed-scales", "9", "--
           ("3", "7", "true phase must lie in (0, 2*pi], got 7.0"),
           ("21", "7", "m must be in [1, 20], got 21")]
       for shots in ("0", "10")],
+    # an explicit phase list shares --random-phases' cap
+    (["sweep", "--config", json.dumps({"m_values": [5], "n": 2,
+                                       "phases_rad": [1.0] * (cli.MAX_RANDOM_PHASES + 1)})],
+     "bad value for 'phases_rad': expected at most 10000 items, got 10001"),
 ])
 def test_input_rule_messages(capsys, tmp_path, args, message):
     if "--config" in args:
@@ -913,6 +923,34 @@ def test_counts_above_their_cap_exit_1(capsys, command, flags, key):
     code, out, err = run_cli([command] + flags, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_phase_list_cap(capsys, tmp_path, monkeypatch, how):
+    # a list of MAX_RANDOM_PHASES phases reaches the sweep; one more exits 1
+    # before any tree work
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(qpe, "sweep_successes", reached)
+    cfg = tmp_path / "cfg.json"
+
+    def args(count):
+        phases = [1.0 + k / count for k in range(count)]
+        if how == "flag":
+            return ["sweep", "--m-values", "5", "--n", "3",
+                    "--phases", ",".join(map(repr, phases))]
+        cfg.write_text(json.dumps({"m_values": [5], "n": 3, "phases_rad": phases}))
+        return ["sweep", "--config", str(cfg)]
+
+    with pytest.raises(Reached):
+        cli.run(args(cli.MAX_RANDOM_PHASES))
+    code, out, err = run_cli(args(cli.MAX_RANDOM_PHASES + 1), capsys)
+    assert code == 1 and out == ""
+    assert err == "error: bad value for 'phases_rad': expected at most 10000 items, got 10001\n"
 
 
 def test_malformed_config_file_exits_1(capsys, tmp_path):
@@ -1001,7 +1039,7 @@ def test_every_report_names_its_versions(monkeypatch, args):
     report, _ = report_of(args, monkeypatch)
     assert report["versions"] == {"artifact": dotphase.__version__,
                                   "results": cli.RESULTS_VERSION}
-    assert cli.RESULTS_VERSION == 5
+    assert cli.RESULTS_VERSION == 6
 
 
 class TestSerialiser:

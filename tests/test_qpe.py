@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dotphase import qpe
@@ -20,7 +20,7 @@ from dotphase.errors import (
 )
 from dotphase.pulses import phase_gate_pulse_params, single_pulse_unitary
 from dotphase.qpe import GateMode
-from test_statevector import random_stack, random_state, skew_branch
+from test_statevector import drift_factors, random_stack, random_state, skew_branch
 
 TWO_PI = 2 * math.pi
 
@@ -297,6 +297,28 @@ class TestExactDistribution:
         assert (dist >= -1e-15).all()
 
 
+@st.composite
+def windows(draw):
+    """(m, n, phases, seed) for m = 1..16 and n <= m: phases on the grid
+    2*pi*j/2^m, an ulp either side of it and halfway between, next to 0 and
+    to 2*pi, and anywhere in (0, 2*pi]."""
+    m = draw(st.integers(1, 16))
+    n = draw(st.integers(0, m))
+    size = 2 ** m
+
+    def phase():
+        grid = TWO_PI * draw(st.integers(0, size)) / size
+        return draw(st.sampled_from([
+            grid, math.nextafter(grid, 0.0), math.nextafter(grid, 7.0),
+            grid + math.pi / size,
+            draw(st.floats(5e-324, 1e-9)),
+            draw(st.floats(TWO_PI - 1e-9, TWO_PI)),
+            draw(st.floats(5e-324, TWO_PI))]))
+
+    phis = [phase() for _ in range(draw(st.integers(1, 8)))]
+    return m, n, phis, draw(st.integers(0, 2 ** 32))
+
+
 class TestExactDistributions:
     """The distributions of many phases: each phase's row is the bytes of
     every single-state path, and ``sweep_successes`` hands the tree its
@@ -380,6 +402,24 @@ class TestExactDistributions:
             got = qpe.window_masses(rows, n, phis)
             want = [qpe.window_mass(probs, n, phi) for phi, probs in zip(phis, rows)]
             assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @given(case=windows())
+    @example(case=(2, 2, [TWO_PI * 0.25, TWO_PI * 0.375, TWO_PI], 0))
+    @example(case=(2, 1, [TWO_PI * 0.125, math.nextafter(TWO_PI, 0.0)], 1))
+    @example(case=(16, 0, [5e-324, TWO_PI * 0.5], 2))
+    @example(case=(12, 3, [1.0, math.nan], 3))
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_window_arcs_keep_window_mass_bits(self, case):
+        # the arcs against the mask, forced by the smallest threshold, and
+        # the one window_masses picks: the same bits as window_mass's
+        m, n, phis, seed = case
+        rows = np.random.default_rng(seed).random((len(phis), 2 ** m))
+        want = [qpe.window_mass(probs, n, phi) for phi, probs in zip(phis, rows)]
+        for arc_min in (1, qpe.WINDOW_ARC_MIN):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qpe, "WINDOW_ARC_MIN", arc_min)
+                got = qpe.window_masses(rows, n, phis)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), arc_min
 
 
 # pulse-literal phases whose kicks stay unitary up to m = 16
@@ -488,8 +528,8 @@ class TestSharedTree:
 
     @pytest.mark.parametrize("phis, states", [
         # the branch factors of every level are cached by the sweep before,
-        # so a call builds none: one call reads 5.0 here, and a copy of the
-        # last level's factors would add two arrays
+        # so a call builds none: one call reads 2.3 here, and a copy of the
+        # last level's factors would add one array
         ([0.5], 5.5),
         # three calls read no more than one
         ([0.5, 2.0, 2.7], 10),
@@ -504,7 +544,7 @@ class TestSharedTree:
     @pytest.mark.parametrize("phis", [[0.5], [0.5, 2.0, 2.7]])
     def test_peak_memory_of_m16_sweeps_from_a_cold_cache(self, phis):
         # the first sweep of a process builds and keeps the branch factors
-        # of every level, 2^{m+2} floats: both read 9.0 here
+        # of every level, 2^{m+1} floats: they read 4.3 and 5.3 here
         m = 16
         qpe.sweep_successes([m], 3, phis)
         qpe._branch_factors.cache_clear()
@@ -512,7 +552,8 @@ class TestSharedTree:
 
     def test_branch_check_names_the_row_within_its_register(self, monkeypatch):
         # at molecule 4 the stack holds m = 6's five rows and then m = 8's,
-        # so its row 7 is row 2 of m = 8
+        # so its row 7 is row 2 of m = 8, whose check of each row's sum
+        # names it once m = 8 is complete
         original = qpe._branch_probabilities
         levels = []
 
@@ -520,15 +561,15 @@ class TestSharedTree:
             probs = original(*args)
             levels.append(len(levels) + 1)
             if len(levels) == 4:
-                probs[7, :, 0] *= 1 + 1e-9
+                probs[7] *= 1 + 1e-9
             return probs
 
         monkeypatch.setattr(qpe, "_branch_probabilities", skewed)
         with pytest.raises(NumericalInvariantError,
-                           match=r"^branch chances of molecule 4 sum to 1\.0000000\d+ "
+                           match=r"^probabilities sum to 1\.0000000\d+ "
                                  r"in row 2 of the stack$"):
             qpe.sweep_successes([8, 6], 3, [0.3, 1.1, 2.9, 4.0, 5.5])
-        assert levels == [1, 2, 3, 4]
+        assert levels == list(range(1, 9))
 
     def test_no_phases(self):
         assert qpe.sweep_successes([5, 3], 2, []) == [[], []]
@@ -756,7 +797,7 @@ class TestTreeDistributions:
 
     def test_peak_memory_of_one_m16_phase(self):
         # at most six arrays of 2^m floats once the branch factors are
-        # cached (2.6 here): the statevector's exact_distribution peaks at
+        # cached (2.3 here): the statevector's exact_distribution peaks at
         # 6.3
         m = 16
         qpe.tree_distributions(m, [2.0])
@@ -764,7 +805,7 @@ class TestTreeDistributions:
 
     def test_peak_memory_of_one_m16_phase_from_a_cold_cache(self):
         # the first tree of a process also builds and keeps the branch
-        # factors of every level, 2^{m+2} floats (6.7 here)
+        # factors of every level, 2^{m+1} floats (4.3 here)
         m = 16
         qpe.tree_distributions(m, [2.0])
         qpe._branch_factors.cache_clear()
@@ -778,11 +819,14 @@ class TestTreeDistributions:
         first = qpe.tree_distributions(12, phis, mode)
         assert qpe.tree_distributions(12, phis, mode).tobytes() == first.tobytes()
         assert qpe._branch_factors.cache_info().misses == 12
+        # one g a branch: levels 1..12 keep fewer than 2^13 floats
+        levels = [qpe._branch_factors(r, mode) for r in range(1, 13)]
+        assert sum(part.size for level in levels for part in level) < 2 ** 13
         # every tree shares them, so none may write into them
-        fr, fi = qpe._branch_factors(12, mode)
-        for factor in (fr, fi):
+        gr, gi = levels[-1]
+        for factor in (gr, gi):
             with pytest.raises(ValueError, match="read-only"):
-                factor[0, 0] = 2.0
+                factor[0] = 2.0
         # a level built on the way to a larger register gives a smaller one
         # the bytes a cleared cache gives it
         qpe._branch_factors.cache_clear()
@@ -792,6 +836,8 @@ class TestTreeDistributions:
         assert qpe.tree_distributions(5, phis, mode).tobytes() == cold.tobytes()
 
     def test_branch_check_names_the_row(self, monkeypatch):
+        # the last branch of row 2 drifts at every level, so its whole row
+        # at molecule 1; the check of each row's sum names it
         original = qpe._branch_probabilities
 
         def skewed(*args):
@@ -801,9 +847,37 @@ class TestTreeDistributions:
 
         monkeypatch.setattr(qpe, "_branch_probabilities", skewed)
         with pytest.raises(NumericalInvariantError,
-                           match=r"^branch chances of molecule 1 sum to 1\.0000000\d+ "
+                           match=r"^probabilities sum to 1\.0000000\d+ "
                                  r"in row 2 of the stack$"):
             qpe.tree_distributions(5, [0.3, 1.1, 2.9, 4.0], GateMode.IDEAL)
+
+    @pytest.mark.parametrize("scale", [1 + 1e-9, math.nan])
+    @pytest.mark.parametrize("mode", list(GateMode))
+    def test_branch_factor_drift_stops_the_tree(self, mode, scale, monkeypatch):
+        # level 3's branch factors drift: no row's sum sees it, since B_0 +
+        # B_1 vanishes, but level 4's check of |g|^2 stops the tree before
+        # its chances
+        drift_factors(monkeypatch, level=3, scale=scale)
+        calls = skew_branch(monkeypatch, nth=None, scale=1.0)
+        with pytest.raises(NumericalInvariantError,
+                           match=r"^branch factor of molecule 4 has "
+                                 r"\|g\|\^2 = (1\.000000002\d+|nan)$"):
+            qpe.tree_distributions(8, [0.3, 1.1], mode)
+        assert calls == [1, 2, 3]
+
+    @pytest.mark.parametrize("include_target", [False, True])
+    @pytest.mark.parametrize("mode", list(GateMode))
+    def test_no_negative_chance_at_grid_phases(self, mode, include_target):
+        # at a representable phase 2*pi*j/2^m most chances are exactly 0,
+        # and A + Re(B g) rounds many of them to about -1e-16 (1.2 million
+        # entries over m = 1..12 in ideal mode), which the kernel clamps
+        for m in range(1, 13):
+            phis = [TWO_PI * j / 2 ** m for j in range(1, 2 ** m + 1)]
+            per = qpe.batch_size(m)
+            for start in range(0, len(phis), per):
+                rows = qpe.tree_distributions(m, phis[start:start + per], mode,
+                                              include_target)
+                assert rows.min() >= 0, (m, start)
 
     def test_no_phases(self):
         assert qpe.tree_distributions(4, []).shape == (0, 16)
@@ -829,7 +903,7 @@ class TestTreeDistributions:
         assert digest.hexdigest() == TREE_DIGEST
 
 
-TREE_DIGEST = "d95ed79c650cd46797045bb53984457a8ae5f13d577e7d1c5a73a8bd0b13fd52"
+TREE_DIGEST = "c72d9148bb87c9395f2a14011d28fce6c42ae8a6e18769b66f703cb928d2a717"
 
 # a fixed table of kick phases; with powers 2^0 to 2^19 it makes pulse-literal
 # kick gates on both sides of UNITARY_TOL
@@ -869,12 +943,13 @@ class TestRowDiagonals:
         assert str(stacked.value) == str(alone.value)
 
     def test_drifting_row_stops_the_call(self, monkeypatch):
-        # one branch of row 0 drifts at molecule 1: the tree stops there
+        # the one branch of row 0 drifts at molecule 1: the tree stops when
+        # its register is complete, at the check of each row's sum
         calls = skew_branch(monkeypatch, nth=1, scale=1 + 1e-8, row=0, branch=0)
         with pytest.raises(NumericalInvariantError,
-                           match=r"^branch chances of molecule 1 sum to \S+ in row 0 of the stack$"):
+                           match=r"^probabilities sum to \S+ in row 0 of the stack$"):
             qpe.tree_distributions(8, [0.3, 1.1, 2.9, 4.0, 5.5])
-        assert calls == [1]
+        assert calls == list(range(1, 9))
 
     def test_empty_stack(self):
         # no phases: no kicks, no gates to judge, no distributions

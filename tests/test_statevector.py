@@ -218,9 +218,8 @@ class TestProbabilities:
             sv.probabilities(state)
 
     def test_stack_names_its_bad_row(self, monkeypatch):
-        # the tree's last check, of each row's sum: with the branch checks
-        # off, row 2's chances at molecule 1 are 1e-8 too large
-        skip_branch_checks(monkeypatch)
+        # the tree's check of each row's sum: row 2's chances at molecule 1
+        # are 1e-8 too large
         skew_branch(monkeypatch, nth=1, scale=1 + 1e-8, row=2)
         with pytest.raises(NumericalInvariantError,
                            match=r"^probabilities sum to 1\.0000000\d+ in row 2 of the stack$"):
@@ -230,27 +229,18 @@ class TestProbabilities:
         ["estimate", "--m", "8", "--phase", "0.3", "--shots", "0"],
         ["sweep", "--m-values", "6", "--n", "3", "--random-phases", "5", "--seed", "4"]])
     def test_drift_past_the_norm_check_exits_2(self, monkeypatch, capsys, args):
-        # with the check after each step off, a drift leaves the check of
-        # each row's sum to stop the run: an estimate's statevector, a single
+        # a drift that no check after a step sees leaves the check of each
+        # row's sum to stop the run: an estimate's statevector, a single
         # state, has its norm check after each gate off and drifting kernels;
-        # a sweep's tree, a stack, has its check of each branch's p0 + p1
-        # off and every level's chances drifting
+        # a sweep's tree, a stack, has every level's chances drifting, which
+        # only that check sees
         monkeypatch.setattr(sv, "_check_norm", lambda state: state)
         record_kernels(monkeypatch, scale=1 + 1e-9)
-        skip_branch_checks(monkeypatch)
         skew_branch(monkeypatch, nth=None, scale=1 + 1e-9)
         code = cli.main(args)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "probabilities sum to" in captured.err
-
-
-def skip_branch_checks(monkeypatch):
-    """Turn off the tree's check of each branch's p0 + p1, keeping its check
-    of each row's sum."""
-    check = qpe._require_ones
-    monkeypatch.setattr(qpe, "_require_ones", lambda values, what: (
-        None if what.startswith("branch chances") else check(values, what)))
 
 
 class TestSample:
@@ -1069,24 +1059,26 @@ class TestStackNormCheck:
         assert len(calls) == 3
 
     def test_sweep_exits_2(self, monkeypatch, capsys):
-        # a sweep's stack is its tree's: one branch of row 3 at molecule 4
-        # drifts by 1e-9, and that level's check of each branch names it
-        calls = skew_branch(monkeypatch, nth=4, scale=1 + 1e-9, row=3, branch=5)
+        # a sweep's stack is its tree's: the chances of row 3, m = 6's row 3,
+        # drift by 1e-9 at molecule 4, and the check of each row's sum names
+        # it once m = 6 is complete
+        calls = skew_branch(monkeypatch, nth=4, scale=1 + 1e-9, row=3)
         code = cli.main(["sweep", "--m-values", "6,8", "--n", "3",
                          "--random-phases", "5", "--seed", "4"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        found = re.search(r"branch chances of molecule 4 sum to (\S+) in row 3 "
-                          r"of the stack$", captured.err)
+        found = re.search(r"probabilities sum to (\S+) in row 3 of the stack$",
+                          captured.err)
         assert found and float(found[1]) == pytest.approx(1 + 1e-9, abs=1e-13)
-        assert len(calls) == 4
+        assert len(calls) == 6
 
 
 def skew_branch(monkeypatch, nth, scale, row=slice(None), branch=slice(None)):
     """Wrap ``qpe._branch_probabilities`` so that on its ``nth`` call (on
     every call for ``nth=None``) it scales p0 and p1 of ``branch`` of
-    ``row`` (by default of every branch of every row) by ``scale``.
-    Returns the list of its calls."""
+    ``row`` (by default of every branch of every row) by ``scale``: a
+    drift that only the check of each row's sum sees, since the chances
+    are not checked per branch. Returns the list of its calls."""
     calls = []
     original = qpe._branch_probabilities
 
@@ -1099,6 +1091,21 @@ def skew_branch(monkeypatch, nth, scale, row=slice(None), branch=slice(None)):
 
     monkeypatch.setattr(qpe, "_branch_probabilities", skewed)
     return calls
+
+
+def drift_factors(monkeypatch, level, scale):
+    """Clear the cache of ``qpe._branch_factors`` and wrap it so that level
+    ``level``'s branch factors g come out scaled by ``scale``, to the tree
+    and to the build of level ``level + 1`` alike, whose check of |g|^2
+    then fails."""
+    factors = qpe._branch_factors
+    factors.cache_clear()
+
+    def drifting(r, mode):
+        gr, gi = factors(r, mode)
+        return (gr * scale, gi * scale) if r == level else (gr, gi)
+
+    monkeypatch.setattr(qpe, "_branch_factors", drifting)
 
 
 class TestRowDiagonals:
