@@ -7,8 +7,8 @@ arithmetic over a whole batch of seeds, the two values shot sampling needs:
 
 - ``SeedSequence(entropy).generate_state(n_words)`` for a column of entropy
   words per seed (``generate_state``);
-- the first ``np.random.default_rng(seed).random()`` per seed
-  (``first_uniforms``).
+- the first ``np.random.default_rng(seed).random()`` per seed of one
+  entropy word, as every shot seed is (``first_uniforms``).
 
 Every value lives in a uint32 or uint64 array, where numpy wraps products
 silently; the constants stay Python ints, so no numpy scalar overflows.
@@ -81,23 +81,12 @@ def generate_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return _hash(out, _hash_consts(INIT_B, MULT_B, n_words))
 
 
-def int_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Little-endian uint32 words of non-negative integers, one column each,
-    and how many words each integer has (at least one, as numpy counts);
-    ``values`` is an integer or object array."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iuO":
-        raise TypeError(f"seeds must be integers, got dtype {values.dtype}")
-    if np.any(values < 0):
+def int_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of the non-negative int ``value``, at least
+    one, as ``SeedSequence`` splits an int entropy."""
+    if value < 0:
         raise ValueError("expected non-negative integer")
-    rows = [values & MASK32]
-    lengths = np.ones(values.shape, dtype=np.int64)
-    rest = values >> 32
-    while np.any(rest):
-        rows.append(rest & MASK32)
-        lengths += rest != 0
-        rest = rest >> 32
-    return np.array(rows, dtype=np.uint64).astype(np.uint32), lengths
+    return [value >> shift & MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
@@ -138,14 +127,9 @@ def _pcg64_first_uniform(words: np.ndarray) -> np.ndarray:
     return (x >> 11).astype(np.float64) * 2.0**-53
 
 
-def first_uniforms(seeds) -> np.ndarray:
-    """``np.random.default_rng(s).random()`` for every non-negative int seed."""
-    words, lengths = int_words(seeds)
-    # zero words pad a seed up to the pool size without changing it, but a
-    # longer seed mixes each extra word in: one pass per such length
-    lengths = np.maximum(lengths, POOL_SIZE)
-    out = np.empty(len(lengths))
-    for length in np.unique(lengths):
-        cols = lengths == length
-        out[cols] = _pcg64_first_uniform(generate_state(words[:length, cols], 8))
-    return out
+def first_uniforms(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(s).random()`` for every seed of the unsigned
+    integer array ``seeds``, each below 2^32."""
+    if seeds.dtype.kind != "u" or np.any(seeds > MASK32):
+        raise TypeError("seeds must be unsigned integers below 2**32")
+    return _pcg64_first_uniform(generate_state(seeds.astype(np.uint32)[None], 8))

@@ -30,6 +30,8 @@ OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
 # Shots per experiment: every shot is a seed, a draw and two entries of the
 # JSON report (about 50 bytes), so a million shots already make ~50 MB.
 MAX_SHOTS = 1_000_000
+# 128 bits, as fresh SeedSequence entropy; each shot's entropy repeats it
+MAX_SEED = 2 ** 128 - 1
 # Sweep phases, drawn or listed: each one is a row per m value of the tree
 # stacks that qpe.sweep_successes grows, all m values a call, and a report
 # row per m value.
@@ -147,7 +149,7 @@ class _Key(NamedTuple):
 # Required keys default to _REQUIRED. Unknown file keys are rejected.
 _REQUIRED = object()
 _MODE = _Key(_choice_of(pulses.GateMode), pulses.GateMode.IDEAL.value)
-_SEED = _Key(_as_count, 0)
+_SEED = _Key(_count_upto(MAX_SEED), 0)
 _JSON = _Key(_choice("json"), "json")
 
 _SCHEMAS = {
@@ -293,7 +295,7 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
         qpe.check_register(m)
         qpe.check_phase(phi)
         probs = qpe.tree_distributions(m, [phi], mode, include_target)[0]
-        draws = sv.sample(probs, qpe.shot_seeds(cfg["seed"], shots))
+        draws = sv.sample_uniforms(probs, qpe.shot_uniforms(cfg["seed"], shots))
         estimates = math.tau * draws / 2 ** m
         outcomes, counts = np.unique(draws, return_counts=True)
         results.update(

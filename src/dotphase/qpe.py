@@ -29,11 +29,11 @@ from .pulses import (HADAMARD_ENTRIES, GateMode, hadamard_pulse_params,
                      phase_gate_pulse_params, single_pulse_unitary)
 
 MAX_REGISTER = 20
-# Runs of up to this many shots derive their seeds with one shot_seed call
-# per shot, larger runs with the array pass in shot_seeds, which gives the
-# same seeds and is faster from about 10 shots (at 50: about 75 against
-# 360 us). The loop only lets a tracer that wraps shot_seed, as
-# benchmarks/spans.py does, count one call per shot of a small run.
+# Runs of up to this many shots take one shot_seed call per shot, larger
+# runs shot_uniforms' array pass, which gives the same seeds. No crossover:
+# the array pass wins from about 10 shots (at 50: about 75 against 360 us).
+# The loop is kept only so that a tracer that wraps shot_seed, as
+# benchmarks/spans.py does, counts one call per shot of a small run.
 SHOT_SEED_LOOP_MAX = 64
 # Readout chances of one tree call in sweep_successes (0.5 MiB of floats):
 # the distributions of batch_size(*sizes) phases at every register size of
@@ -599,17 +599,19 @@ def shot_seed(seed: int, shot_index: int) -> int:
     return int(np.random.SeedSequence([seed, shot_index]).generate_state(1)[0])
 
 
-def shot_seeds(seed: int, n: int) -> np.ndarray:
-    """``shot_seed(seed, i)`` for i = 0..n-1, as a uint32 array.
+def shot_uniforms(seed: int, n: int) -> np.ndarray:
+    """Shot i's uniform, the first ``default_rng(shot_seed(seed, i)).random()``,
+    for i = 0..n-1.
 
     Above SHOT_SEED_LOOP_MAX shots the seeds come from one array pass over
-    the entropy words ``[seed words..., i]`` of every shot."""
+    the entropy words ``[seed words..., i]``; the uniforms always do."""
     if n <= SHOT_SEED_LOOP_MAX:
-        return np.array([shot_seed(seed, i) for i in range(n)], dtype=np.uint32)
-    seed_words, _ = _pcg.int_words(np.array([seed], dtype=object))
-    entropy = np.concatenate([np.repeat(seed_words, n, axis=1),
-                              np.arange(n, dtype=np.uint32)[None]])
-    return _pcg.generate_state(entropy, 1)[0]
+        seeds = np.array([shot_seed(seed, i) for i in range(n)], dtype=np.uint32)
+    else:
+        entropy = np.array([*_pcg.int_words(seed), 0], dtype=np.uint32).repeat(n).reshape(-1, n)
+        entropy[-1] = np.arange(n)
+        seeds = _pcg.generate_state(entropy, 1)[0]
+    return _pcg.first_uniforms(seeds)
 
 
 def run_final_state(m: int, phi: float, gate_mode: GateMode = GateMode.IDEAL,

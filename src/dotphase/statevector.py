@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _flat, _pcg
+from . import _flat
 from ._flat import PLAN_CACHE, SPLIT_BLOCK
 from .errors import (
     CapacityError,
@@ -24,10 +24,6 @@ MAX_QUBITS = 24
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-12
 GENERATOR_ID = "numpy-pcg64"
-# Below this many seeds, sample draws through numpy's own Generator, one
-# default_rng(seed).random() (about 18 us) per seed; the array pass costs
-# about 0.2 ms even for one seed, so it wins from about 11-16 seeds on.
-SAMPLE_BATCH_MIN = 16
 
 
 @dataclass
@@ -334,14 +330,13 @@ def register_probabilities(state: QuantumState, m: int) -> np.ndarray:
     return probs.reshape(2 ** m, -1).sum(axis=-1)
 
 
-def sample(probs: np.ndarray, seeds) -> np.ndarray:
-    """One outcome index per seed, drawn from ``probs`` after normalising it.
+def sample_uniforms(probs: np.ndarray, uniforms) -> np.ndarray:
+    """The outcome index of each uniform in [0, 1), drawn from ``probs``
+    after normalising it.
 
-    Each draw is the first uniform of a fresh PCG64 stream for its seed,
-    looked up in a CDF built once: the same index, bit for bit, that numpy's
-    ``Generator.choice`` draws with ``p=probs / probs.sum()`` for that seed.
-    A batch of ``SAMPLE_BATCH_MIN`` seeds or more takes all its uniforms in
-    one array pass (``_pcg.first_uniforms``), which reproduces numpy's.
+    Each uniform is looked up in a CDF built once: the same index, bit for
+    bit, that numpy's ``Generator.choice`` draws with ``p=probs /
+    probs.sum()`` from a generator whose next ``random()`` is that uniform.
     """
     probs = np.asarray(probs, dtype=np.float64)
     total = probs.sum()
@@ -350,21 +345,19 @@ def sample(probs: np.ndarray, seeds) -> np.ndarray:
         raise NumericalInvariantError(f"cannot sample: bad probabilities (sum {total})")
     cdf = np.cumsum(probs / total)
     cdf /= cdf[-1]
-    if len(seeds) >= SAMPLE_BATCH_MIN:
-        draws = _pcg.first_uniforms(seeds)
-    else:
-        draws = [np.random.default_rng(seed).random() for seed in seeds]
-    return np.searchsorted(cdf, draws, side="right")
+    return np.searchsorted(cdf, uniforms, side="right")
 
 
 def measure_all(state: QuantumState, seed: int) -> MeasurementRecord:
     """Measure every qubit, collapsing the state onto one basis state.
 
-    The outcome is drawn from the Born-rule probabilities with a seeded
-    PCG64 stream, so identical seeds give identical records.
+    The outcome is drawn from the Born-rule probabilities with the first
+    uniform of a seeded PCG64 stream, so identical seeds give identical
+    records.
     """
     m = state.num_qubits
-    outcome = int(sample(probabilities(state), [seed])[0])
+    uniform = np.random.default_rng(seed).random()
+    outcome = int(sample_uniforms(probabilities(state), [uniform])[0])
     bits = tuple((outcome >> (m - 1 - i)) & 1 for i in range(m))
 
     collapsed_amps = np.zeros_like(state.amplitudes)

@@ -898,6 +898,9 @@ CLOCK = ["calibrate-clock", "--total-scales", "10", "--elapsed-scales", "9", "--
     (["sweep", "--config", json.dumps({"m_values": [5], "n": 2,
                                        "phases_rad": [1.0] * (cli.MAX_RANDOM_PHASES + 1)})],
      "bad value for 'phases_rad': expected at most 10000 items, got 10001"),
+    (["estimate", "--m", "3", "--phase", "1.0", "--seed", str(2 ** 128)],
+     "bad value for 'seed': expected at most 340282366920938463463374607431768211455, "
+     "got 340282366920938463463374607431768211456"),
 ])
 def test_input_rule_messages(capsys, tmp_path, args, message):
     if "--config" in args:
@@ -951,6 +954,36 @@ def test_phase_list_cap(capsys, tmp_path, monkeypatch, how):
     code, out, err = run_cli(args(cli.MAX_RANDOM_PHASES + 1), capsys)
     assert code == 1 and out == ""
     assert err == "error: bad value for 'phases_rad': expected at most 10000 items, got 10001\n"
+
+
+# the seed cap holds for estimate and sweep alike; above it, a run exits 1
+# before the work each command starts, which the test patches to raise
+SEEDED = {"estimate": ["estimate", "--m", "6", "--phase", "1.0", "--shots", "100"],
+          "sweep": ["sweep", "--m-values", "5", "--n", "3", "--random-phases", "3"]}
+
+
+@pytest.mark.parametrize("command", list(SEEDED))
+def test_seed_at_its_cap_runs(capsys, command):
+    report = run_json(SEEDED[command] + ["--seed", str(cli.MAX_SEED)], capsys)
+    assert cli.MAX_SEED == 2 ** 128 - 1 and report["config"]["seed"] == cli.MAX_SEED
+
+
+@pytest.mark.parametrize("command", list(SEEDED))
+def test_seed_above_its_cap_starts_nothing(capsys, monkeypatch, command):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(qpe, "shot_uniforms", reached)
+    monkeypatch.setattr(qpe, "sweep_successes", reached)
+    with pytest.raises(Reached):
+        cli.run(SEEDED[command] + ["--seed", str(cli.MAX_SEED)])
+    code, out, err = run_cli(SEEDED[command] + ["--seed", str(cli.MAX_SEED + 1)], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"error: bad value for 'seed': expected at most {cli.MAX_SEED}, "
+                   f"got {cli.MAX_SEED + 1}\n")
 
 
 def test_malformed_config_file_exits_1(capsys, tmp_path):

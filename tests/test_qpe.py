@@ -667,10 +667,11 @@ class TestTreeDistributions:
                 if m < 14 or include_target or mode == GateMode.IDEAL
                 else list(UNITARY_KICK_PHASES[:2]))
         for seed, phi in enumerate(phis, start=m):
-            seeds = qpe.shot_seeds(seed, 2000)
+            uniforms = qpe.shot_uniforms(seed, 2000)
             tree = qpe.tree_distributions(m, [phi], mode, include_target)[0]
             statevector = qpe.readout_distribution(m, phi, mode, include_target)
-            assert sv.sample(tree, seeds).tolist() == sv.sample(statevector, seeds).tolist()
+            assert (sv.sample_uniforms(tree, uniforms).tolist()
+                    == sv.sample_uniforms(statevector, uniforms).tolist())
 
     @pytest.mark.parametrize("mode", list(GateMode))
     @pytest.mark.parametrize("m", range(13, 17))
@@ -1100,11 +1101,24 @@ class TestConfigAndSeeds:
         assert seeds == [qpe.shot_seed(42, i) for i in range(100)]
         assert qpe.shot_seed(42, 0) != qpe.shot_seed(43, 0)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 130 + 7])
+    # one to five words; 2 ** 128 - 1 is the CLI's cap (cli.MAX_SEED)
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 130 + 7,
+                                      2 ** 96, 2 ** 128 - 1])
     def test_shot_seeds_match_shot_seed(self, seed):
-        loop = [qpe.shot_seed(seed, i) for i in range(3000)]
-        for n in (1, qpe.SHOT_SEED_LOOP_MAX, qpe.SHOT_SEED_LOOP_MAX + 1, 3000):
-            assert qpe.shot_seeds(seed, n).tolist() == loop[:n]
+        # the loop's seeds and the array pass's, through numpy's own Generator
+        oracle = [np.random.default_rng(qpe.shot_seed(seed, i)).random() for i in range(3000)]
+        for n in (0, 1, qpe.SHOT_SEED_LOOP_MAX, qpe.SHOT_SEED_LOOP_MAX + 1, 3000):
+            assert qpe.shot_uniforms(seed, n).tolist() == oracle[:n]
+
+    @pytest.mark.parametrize("seed", [3, 2 ** 64 + 3, 2 ** 128 - 1])
+    def test_first_shots_do_not_depend_on_the_shot_count(self, seed):
+        for k, n in ((qpe.SHOT_SEED_LOOP_MAX, qpe.SHOT_SEED_LOOP_MAX + 1), (1000, 4000)):
+            assert qpe.shot_uniforms(seed, n)[:k].tolist() == qpe.shot_uniforms(seed, k).tolist()
+
+    @pytest.mark.parametrize("n", [1, qpe.SHOT_SEED_LOOP_MAX + 1])
+    def test_negative_seed_raises(self, n):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            qpe.shot_uniforms(-1, n)
 
     def test_include_target_qubit_same_distribution(self):
         phi = 1.37

@@ -251,26 +251,20 @@ class TestSample:
             p = raw / raw.sum()
             seeds = [int(s) for s in rng.integers(0, 2 ** 63, size=40)]
             oracle = [np.random.default_rng(s).choice(len(p), p=p) for s in seeds]
-            assert sv.sample(p, seeds).tolist() == oracle
-
-    @pytest.mark.parametrize(
-        "n", [sv.SAMPLE_BATCH_MIN - 1, sv.SAMPLE_BATCH_MIN, sv.SAMPLE_BATCH_MIN + 1]
-    )
-    def test_same_draws_either_side_of_the_batch_constant(self, n):
-        p = np.random.default_rng(n).random(64)
-        seeds = [7, 2 ** 32 + 5, 2 ** 130 + 7] + list(range(100, 100 + n - 3))
-        oracle = [np.random.default_rng(s).choice(len(p), p=p / p.sum()) for s in seeds]
-        assert sv.sample(p, seeds).tolist() == oracle
-        assert sv.sample(p, np.array(seeds[3:], dtype=np.uint32)).tolist() == oracle[3:]
-        alone = [int(sv.sample(p, [s])[0]) for s in seeds]
-        assert alone == oracle
+            uniforms = [np.random.default_rng(s).random() for s in seeds]
+            assert sv.sample_uniforms(p, uniforms).tolist() == oracle
+        # seeds of one, two and five words, each drawn alone
+        p = np.random.default_rng(64).random(64)
+        for s in (7, 2 ** 32 + 5, 2 ** 130 + 7):
+            oracle = np.random.default_rng(s).choice(len(p), p=p / p.sum())
+            assert sv.sample_uniforms(p, [np.random.default_rng(s).random()]).tolist() == [oracle]
 
     @pytest.mark.parametrize(
         "probs", [[0.5, math.nan], [1.5, -0.5], [0.0, 0.0], [math.inf, 0.0]]
     )
     def test_rejects_invalid_probabilities(self, probs):
         with pytest.raises(NumericalInvariantError):
-            sv.sample(np.array(probs), [0])
+            sv.sample_uniforms(np.array(probs), [0.5])
 
 
 class TestNorm:
@@ -338,14 +332,25 @@ class TestArrayPass:
         assert _pcg.first_uniforms(seeds).tolist() == oracle
 
     def test_seeds_of_every_length_in_one_batch(self):
+        # a run seed of any length splits into the words SeedSequence mixes;
+        # with a shot index below them, one batch gives every shot's seed
         seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 + 3, 2 ** 96 + 1,
                  2 ** 128 - 1, 2 ** 128, 2 ** 130 + 7, 2 ** 200 + 11, 2 ** 130 + 8]
-        oracle = [np.random.default_rng(s).random() for s in seeds]
-        assert _pcg.first_uniforms(np.array(seeds, dtype=object)).tolist() == oracle
+        for s in seeds:
+            words = _pcg.int_words(s)
+            assert (np.random.SeedSequence(words).generate_state(8).tolist()
+                    == np.random.SeedSequence(s).generate_state(8).tolist())
+            entropy = np.array([[w] * 5 for w in words] + [list(range(5))], dtype=np.uint32)
+            assert _pcg.generate_state(entropy, 1)[0].tolist() == [
+                np.random.SeedSequence([s, i]).generate_state(1)[0] for i in range(5)]
 
     def test_rejects_what_numpy_rejects(self):
         with pytest.raises(ValueError):
-            _pcg.first_uniforms(np.array([3, -1]))
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError):
+            _pcg.int_words(-1)
+        with pytest.raises(TypeError):
+            np.random.default_rng(1.5)
         with pytest.raises(TypeError):
             _pcg.first_uniforms(np.array([1.5]))
 
@@ -371,6 +376,15 @@ class TestMeasureAll:
             sv.measure_all(state, seed).bits[0] for seed in range(100_000)
         )
         assert abs(ones / 100_000 - 0.5) < 0.01
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_outcome_matches_generator_choice(self, m):
+        state = random_state(m, np.random.default_rng(90 + m))
+        p = sv.probabilities(state)
+        for seed in (0, 5, 2 ** 32 + 5, 2 ** 130 + 7):
+            bits = sv.measure_all(state, seed).bits
+            oracle = np.random.default_rng(seed).choice(2 ** m, p=p)
+            assert int("".join(map(str, bits)), 2) == oracle
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(4)
