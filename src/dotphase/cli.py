@@ -47,12 +47,6 @@ MAX_RANDOM_PHASES = 10_000
 # ulp; no draw moved in the runs checked. 6: the tree's chances are A +
 # Re(B g), which moves sweep masses and those lists by a few ulp.
 RESULTS_VERSION = 6
-# Float lists of at least this many items go through np.unique, shorter ones
-# through the C encoder, which needs no numpy. Best of 7 on a 2-CPU Xeon: 2
-# floats take 2.2-3.6 us through the C encoder and 16-22 us through np.unique;
-# shot lists of 5 distinct values tie at 32-40 items, and np.unique is 1.5x
-# faster at 64; without repeats the C encoder is faster to about 1000 items.
-UNIQUE_FLOATS_MIN = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -269,6 +263,16 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
+class _PerShot(list):
+    """Each shot's value, ``values[i]`` for each index ``i`` in ``picks``: a
+    plain list of floats to every reader, which keeps ``values`` (an object
+    array of those same floats) and ``picks`` for _dumps."""
+
+    def __init__(self, values, picks):
+        self.values, self.picks = values.astype(object), picks
+        super().__init__(self.values[picks].tolist())
+
+
 def cmd_estimate(cfg: dict) -> tuple[dict, list]:
     # numpy and the array layers load only here and in cmd_sweep
     import numpy as np
@@ -296,16 +300,18 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
         qpe.check_phase(phi)
         probs = qpe.tree_distributions(m, [phi], mode, include_target)[0]
         draws = sv.sample_uniforms(probs, qpe.shot_uniforms(cfg["seed"], shots))
-        estimates = math.tau * draws / 2 ** m
         outcomes, counts = np.unique(draws, return_counts=True)
+        picks = np.searchsorted(outcomes, draws)
+        # the per-draw arithmetic, once per distinct outcome
+        estimates = math.tau * outcomes / 2 ** m
         results.update(
             shots=shots,
-            estimates_rad=estimates.tolist(),
-            eta_percent=(estimates / phi * 100.0).tolist(),
+            estimates_rad=_PerShot(estimates, picks),
+            eta_percent=_PerShot(estimates / phi * 100.0, picks),
             counts=dict(zip(map(str, outcomes.tolist()), counts.tolist())),
         )
     if cfg["full_distribution"] or (2 ** m <= 4096 and shots == 0):
-        results["distribution"] = [float(p) for p in probs]
+        results["distribution"] = probs.tolist()
     return results, []
 
 
@@ -489,27 +495,22 @@ def _encode(obj, inner: str) -> str:
 
 def _dumps(obj, indent: str = "\n") -> str:
     """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), byte for
-    byte: a list of at least UNIQUE_FLOATS_MIN floats formats each distinct
-    value once, any other container without nested containers is one
-    C-encoder call, and the rest recurse."""
+    byte: a per-shot list formats each distinct value once, any other flat
+    container is one C-encoder call, and nested ones recurse."""
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return _encode(obj, indent)
     inner = indent + "  "
+    sep = "," + inner
+    # an f-string copies a long text once, where each + copies it again
+    if isinstance(obj, _PerShot):
+        # distinct texts from one encoder call, in an object array, picked per shot
+        texts = obj.values.copy()
+        texts[:] = _encode(obj.values.tolist(), inner)[1:-1].split(sep)
+        return f"[{inner}{sep.join(texts[obj.picks].tolist())}{indent}]"
     values = obj.values() if isinstance(obj, dict) else obj
-    if (not isinstance(obj, dict) and len(obj) >= UNIQUE_FLOATS_MIN
-            and set(map(type, obj)) == {float}):
-        import numpy as np
-        # the int64 view keeps -0.0 apart from 0.0
-        bits, index = np.unique(np.array(obj).view(np.int64), return_inverse=True)
-        floats = bits.view(np.float64)
-        if not np.isfinite(floats).all():
-            _encode(obj, inner)  # raises, naming the value
-        texts = list(map(float.__repr__, floats.tolist()))
-        return ("[" + inner + ("," + inner).join(map(texts.__getitem__, index.tolist()))
-                + indent + "]")
     if not any(isinstance(v, (dict, list, tuple)) for v in values):
         text = _encode(obj, inner)
-        return text[0] + inner + text[1:-1] + indent + text[-1]
+        return f"{text[0]}{inner}{text[1:-1]}{indent}{text[-1]}"
     if isinstance(obj, dict):
         parts = []
         for key, value in sorted(obj.items()):
@@ -521,10 +522,9 @@ def _dumps(obj, indent: str = "\n") -> str:
             else:
                 raise TypeError(f"keys must be str, int, float, bool or None, "
                                 f"not {type(key).__name__}")
-            parts.append(text + ": " + _dumps(value, inner))
-        return "{" + inner + ("," + inner).join(parts) + indent + "}"
-    return ("[" + inner + ("," + inner).join(_dumps(v, inner) for v in obj)
-            + indent + "]")
+            parts.append(f"{text}: {_dumps(value, inner)}")
+        return f"{{{inner}{sep.join(parts)}{indent}}}"
+    return f"[{inner}{sep.join(_dumps(v, inner) for v in obj)}{indent}]"
 
 
 def run(argv=None, stdout=None) -> int:

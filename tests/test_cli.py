@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dotphase
-from dotphase import cli, qpe
+from dotphase import cli, qpe, statevector as sv
 from dotphase.errors import NumericalInvariantError
 from test_statevector import drift_factors
 
@@ -1104,14 +1104,15 @@ class TestSerialiser:
         {1: "int", 2.5: "float"}, {"outer": {True: [1], 3: [3], 2.5: [0]}},
         {"outer": {None: [2]}, "leaf": {None: 1}},
         1.5, -0.0, "text", None, 2 ** 100,
-        # either side of the size from which a float list goes through
-        # np.unique, with repeats and both zeros; a shot list of 10 000
-        # estimates; an 8-float --matrix config
-        [0.0, -0.0, 0.5, 0.5] * (cli.UNIQUE_FLOATS_MIN // 4 - 1) + [0.0, -0.0, 0.25],
-        [0.0, -0.0, 0.5, 0.5] * (cli.UNIQUE_FLOATS_MIN // 4),
+        # long float lists through the C encoder: 63, 64 and 65 items with
+        # repeats and both zeros; a shot list of 10 000 estimates; an
+        # 8-float --matrix config
+        [0.0, -0.0, 0.5, 0.5] * 15 + [0.0, -0.0, 0.25],
+        [0.0, -0.0, 0.5, 0.5] * 16,
         [TWO_PI * k / 4096 for k in np.random.default_rng(3).binomial(4096, 0.3, 10_000).tolist()],
         [0.7071067811865476, 0.0, 0.7071067811865476, 0.0,
          0.7071067811865476, 0.0, -0.7071067811865476, -0.0],
+        [0.0, -0.0, 0.5, 0.5] * 16 + [-0.0],
     ])
     def test_matches_json_dumps(self, obj):
         assert cli._dumps(obj) == json_dumps(obj)
@@ -1135,7 +1136,7 @@ class TestSerialiser:
         lambda x: {"a": [{"b": x}], "c": [1]},
         lambda x: {"a": {x: 1}},
         lambda x: ({"a": (x,)},),
-        lambda x: [0.5] * cli.UNIQUE_FLOATS_MIN + [x],
+        lambda x: [0.5] * 64 + [x],
     ])
     def test_non_finite_raises_naming_the_value(self, bad, wrap):
         with pytest.raises(ValueError, match=f"not JSON compliant: {bad!r}"):
@@ -1155,6 +1156,55 @@ class TestSerialiser:
                 cli._dumps({"a": [1, math.nan]})
         finally:
             cli._encoder.cache_clear()
+
+
+class TestPerShotWriter:
+    """A sampled run's estimates_rad and eta_percent: plain float lists of
+    the per-draw arithmetic's bits, written from the distinct outcomes."""
+
+    RUNS = [
+        ["--m", "5", "--phase", "2.0", "--shots", "1", "--seed", "4"],
+        ["--m", "6", "--phase", "0.3", "--shots", "2", "--mode", "pulse-literal",
+         "--include-target"],
+        ["--m", "8", "--phase", "0.3turn", "--shots", "64", "--seed", "9",
+         "--full-distribution"],
+        ["--m", "7", "--phase", "5.0", "--shots", "65", "--seed", "2",
+         "--mode", "pulse-literal", "--include-target", "--full-distribution"],
+        ["--m", "12", "--phase", "0.3", "--shots", "4000", "--seed", "5"],
+        ["--m", "10", "--phase", "1.1", "--shots", "100000", "--seed", "3",
+         "--include-target"],
+    ]
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_matches_json_dumps_and_the_draws(self, monkeypatch, run):
+        report, text = report_of(["estimate"] + run, monkeypatch)
+        want = json_dumps(report)
+        # compared first: pytest's diff of two long texts would take minutes
+        same = cli._dumps(report) == want and text == want + "\n"
+        assert same
+        cfg, results = report["config"], report["results"]
+        m, phi, shots = cfg["m"], cfg["phase_rad"], cfg["shots"]
+        probs = qpe.tree_distributions(m, [phi], qpe.GateMode(cfg["mode"]),
+                                       cfg["include_target"])[0]
+        draws = sv.sample_uniforms(probs, qpe.shot_uniforms(cfg["seed"], shots))
+        estimates = math.tau * draws / 2 ** m
+        for key, expected in [("estimates_rad", estimates),
+                              ("eta_percent", estimates / phi * 100.0)]:
+            got = results[key]
+            assert len(got) == shots
+            assert list(map(float.hex, got)) == list(map(float.hex, expected.tolist()))
+            assert isinstance(got, list) and all(type(v) is float for v in got)
+            # the shots hold the distinct float objects, not one float each
+            assert {id(v) for v in got} == {id(v) for v in got.values}
+            assert json.loads(json.dumps(got)) == got
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_raises_naming_it(self, bad):
+        per_shot = cli._PerShot(np.array([1.0, bad]), np.array([0, 1, 1, 0]))
+        assert list(map(repr, per_shot)) == ["1.0", repr(bad), repr(bad), "1.0"]
+        for obj in [per_shot, {"results": {"estimates_rad": per_shot}}]:
+            with pytest.raises(ValueError, match=f"not JSON compliant: {bad!r}"):
+                cli._dumps(obj)
 
 
 class TestParserReuse:
