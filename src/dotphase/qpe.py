@@ -267,13 +267,13 @@ def tree_distributions(
     measure-as-you-go tree of Griffiths & Niu (PRL 76, 3228, 1996). With
     ``include_target`` the kicks are ideal, since the target in |1> turns
     each into an ideal controlled phase on its molecule, and the Hadamard
-    and phase gates stay the mode's, as in ``_controlled_kick_state``. Its
-    own judge (``_tree_gates``) gives its gates the statevector path's
-    verdicts, in its order: the Hadamard, the kicks molecule by molecule,
-    then the phase gates. So of several phases the verdict is that of the
-    first failing kick in molecule-major order: molecule 1's kicks of every
-    phase, then molecule 2's. Callers bound ``len(phis) * 2^m``, as
-    sweep_successes does."""
+    and phase gates stay the mode's, as in ``_controlled_kick_state``. It
+    gives its gates the statevector path's verdicts, in its order: the
+    Hadamard and the kicks molecule by molecule (``_tree_gates``), then
+    each level's P(+-theta) (``_branch_factors``). So of several phases
+    the verdict is that of the first failing kick in molecule-major order:
+    molecule 1's kicks of every phase, then molecule 2's. Callers bound
+    ``len(phis) * 2^m``, as sweep_successes does."""
     kick_mode = GateMode.IDEAL if include_target else gate_mode
     return _shared_tree([m], phis, gate_mode, kick_mode=kick_mode)[0]
 
@@ -298,8 +298,8 @@ def _shared_tree(registers, phis, gate_mode: GateMode,
     (register, phase) pairs in ascending register order, and a register's
     rows leave it after level m. Molecule r's kick in register m is row
     top - m + r - 1 of the largest register's kicks. The kicks, the
-    Hadamard, P(+-theta) and their unitarity deviations (``_tree_gates``)
-    serve all registers, as do the branch factors, which every call shares.
+    Hadamard and their unitarity deviations (``_tree_gates``) serve all
+    registers, as do the branch factors, which every call shares.
 
     Every entry comes from the statevector path's own sources, and is the
     same float operations on the same operands as in a tree of its register
@@ -307,9 +307,9 @@ def _shared_tree(registers, phis, gate_mode: GateMode,
     gives it alone. Each complex product is written out as float products
     and sums on separate real and imaginary arrays, with no BLAS and no
     complex or transcendental ufunc on arrays, so the bits do not depend on
-    the host's SIMD level or BLAS kernels. The gates are judged in one
-    pass (``_tree_gates``), the largest register's kicks molecule-major,
-    before any branch factor is built. Each row's sum must be within
+    the host's SIMD level or BLAS kernels. ``_tree_gates`` judges the
+    Hadamard and the kicks, molecule-major, and ``_branch_factors`` each
+    level's P(+-theta) when first reached. Each row's sum must be within
     NORM_TOL of 1 (``_require_ones``); a failure names its phase's row in
     ``phis``. A branch's p0 + p1 would not see a drifting g, since B_0 +
     B_1 = 0, so ``_branch_factors`` judges |g|. A level's branches are
@@ -363,22 +363,24 @@ def _branch_factors(r: int, gate_mode: GateMode):
     s's bit b, theta = pi / 2^{r-s+1} (the phase gate s puts on itself
     changes no chance). They depend on neither the phase nor the register
     size, and level r's are level r - 1's with a new least significant bit
-    at angle pi / 2^r, whose P(+-theta) is the last row of
-    ``_level_gates(r, gate_mode)``: one outer product a level. Each |g|^2
-    must be within NORM_TOL of 1.
+    at angle theta = pi / 2^r: one outer product a level. Its P(-theta) and
+    P(theta) (``_phase_gate``) are judged here, after level r - 1's, in the
+    order the inverse QFT first applies them. Each |g|^2 must be within
+    NORM_TOL of 1.
 
     Memoised: every tree call shares them, 2^{m+1} floats per mode for
     levels 1..m (16 MiB at m = 20), so they are read-only."""
     if r == 1:
         gr, gi = np.ones(1), np.zeros(1)
     else:
-        plus, minus = (gates[-1] for gates in _level_gates(r, gate_mode))
+        gr, gi = _branch_factors(r - 1, gate_mode)
+        minus, plus = (_phase_gate(s * math.pi / 2 ** r, gate_mode).diagonal() for s in (-1, 1))
+        _require_unitary(_diagonal_deviation(np.array([minus, plus])))
         # the new bit b puts q0 p_b on f0 and q1 p_{1-b} on f1, p = P(theta)
         # and q = P(-theta), so g gains (q0 p_b) conj(q1 p_{1-b})
         xr, xi = _mul(minus.real[0], minus.imag[0], plus.real, plus.imag)
         yr, yi = _mul(minus.real[1], minus.imag[1], plus.real[::-1], plus.imag[::-1])
         wr, wi = _mul(xr, xi, yr, -yi)
-        gr, gi = _branch_factors(r - 1, gate_mode)
         gr, gi = (part.reshape(-1) for part in _mul(gr[:, None], gi[:, None], wr, wi))
     squares = gr * gr + gi * gi
     # written so that a NaN fails too
@@ -394,34 +396,27 @@ def _tree_gates(m: int, phis, gate_mode: GateMode, kick_mode: GateMode | None = 
     """The Hadamard and the ``(m, P, 2)`` kick diagonals of ``kick_mode``
     (by default ``gate_mode``), molecule 1's first, of a tree of register
     size ``m`` over ``phis``. Raises the statevector's verdict, in its
-    order, unless each of them and each ``_level_gates`` diagonal is
-    unitary: the Hadamard's deviation is the statevector's own, and each
-    diagonal's has its bits (``_diagonal_deviation``)."""
+    order, unless each of them is unitary: the Hadamard's deviation is the
+    statevector's own, and each kick's has its bits
+    (``_diagonal_deviation``); ``_branch_factors`` judges the phase gates."""
     h = _hadamard_gate(gate_mode)
     kicks = _phase_diagonals(phis, kick_mode or gate_mode, _kick_powers(m))
-    plus, minus = _level_gates(m, gate_mode)
-    devs = np.concatenate([[sv._unitary_deviation(h)],
-                           *(_diagonal_deviation(d).ravel() for d in (kicks, plus, minus))])
+    _require_unitary(np.append(sv._unitary_deviation(h), _diagonal_deviation(kicks)))
+    return h, kicks
+
+
+def _require_unitary(devs: np.ndarray) -> None:
+    """Raise the statevector's verdict on the first of ``devs`` past UNITARY_TOL."""
     # written so that a NaN deviation fails too
     ok = devs <= sv.UNITARY_TOL
     if not ok.all():
         raise ValidationError(f"gate is not unitary (deviation {devs[np.argmin(ok)]:.3e})")
-    return h, kicks
 
 
 def _diagonal_deviation(d: np.ndarray) -> np.ndarray:
     """``statevector._unitary_deviation`` of the gate diag(d) for each
     diagonal of the ``(..., 2)`` stack ``d``, bit for bit: max |conj(d) d - 1|."""
     return np.abs(d.conj() * d - 1.0).max(axis=-1)
-
-
-def _level_gates(m: int, gate_mode: GateMode):
-    """The ``(m - 1, 2)`` diagonals of P(theta) and P(-theta) of tree level
-    r = 2..m, theta = pi / 2^r, from the inverse QFT's own memo, so a
-    pulse-literal sweep builds their pulses once per process."""
-    thetas = [math.pi / 2 ** r for r in range(2, m + 1)]
-    return tuple(np.array([_phase_gate(s * t, gate_mode).diagonal() for t in thetas])
-                 .reshape(-1, 2) for s in (1, -1))
 
 
 def _mul(ar, ai, br, bi):
@@ -503,9 +498,9 @@ def sweep_successes(m_values, n: int, phis,
     The verdicts are those of the sizes one at a time, in the order given:
     of the first batch that fails, and within it of the first kick in
     molecule-major order. A failing gate of a tree of several sizes takes
-    that verdict from the sizes' gates alone (``_tree_gates``,
-    ``batch_size(m)`` phases a call), and no tree runs again. A row-sum
-    verdict names its phase's row within the call's batch."""
+    that verdict from the sizes' gates alone (``_tree_gates``, then
+    ``_branch_factors``, ``batch_size(m)`` phases a call), and no tree runs
+    again. A row-sum verdict names its phase's row within the call's batch."""
     _check_accuracy(n)
     for m in m_values:
         if m < n:
@@ -526,6 +521,7 @@ def sweep_successes(m_values, n: int, phis,
                     alone = batch_size(m)
                     for first in range(0, len(phis), alone):
                         _tree_gates(m, phis[first:first + alone], gate_mode)
+                        _branch_factors(m, gate_mode)
             raise
         for m, rows in zip(sizes, dists):
             masses[m] += window_masses(rows, n, batch)

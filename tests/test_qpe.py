@@ -614,6 +614,35 @@ class TestSharedTree:
         with pytest.raises(ValidationError,
                            match=r"^gate is not unitary \(deviation 1\.250e\+00\)$"):
             qpe.sweep_successes([5, 8, 12], 3, phis)
+        # P(pi/8), level 3's, and the kick of power 2^5, which only m = 6
+        # has, are broken: the shared tree of m = 4 and 6 meets the kick
+        # first, but m = 4 alone fails at its level 3, so the verdict is
+        # P(pi/8)'s, again with no tree grown. The phase gates are memoised,
+        # and so are the branch factors built from them: neither may keep a
+        # bent gate
+        monkeypatch.undo()
+
+        def bent(thetas, mode, powers=(1,)):
+            diagonals = phase_diagonals(thetas, mode, powers)
+            diagonals[:, np.asarray(thetas) == math.pi / 8] = [1.0, 1.5]
+            diagonals[np.asarray(powers) == 2 ** 5] = [1.0, 1.25]
+            return diagonals
+
+        qpe._phase_gate.cache_clear()
+        qpe._branch_factors.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qpe, "_phase_diagonals", bent)
+                with pytest.raises(ValidationError) as alone:
+                    qpe.sweep_successes([4], 3, [0.3, 2.0])
+                patch.setattr(qpe, "_branch_probabilities", None)
+                with pytest.raises(ValidationError) as shared:
+                    qpe.sweep_successes([4, 6], 3, [0.3, 2.0])
+        finally:
+            qpe._phase_gate.cache_clear()
+            qpe._branch_factors.cache_clear()
+        assert str(shared.value) == str(alone.value)
+        assert str(alone.value) == "gate is not unitary (deviation 1.250e+00)"
 
 
 class TestTreeDistributions:
@@ -769,16 +798,21 @@ class TestTreeDistributions:
         assert str(tree.value) == str(statevector.value)
         assert str(tree.value) == "gate is not unitary (deviation 5.625e-01)"
 
-    @pytest.mark.parametrize("broken", ["hadamard", "phase gate"])
+    @pytest.mark.parametrize("broken", ["hadamard", "phase gate", "two phase gates"])
     def test_other_gates_get_the_statevector_verdict(self, broken, monkeypatch):
         if broken == "hadamard":
             monkeypatch.setattr(qpe, "_hadamard_gate", lambda mode: 1.25 * qpe.IDEAL_HADAMARD)
         else:
             phase_diagonals = qpe._phase_diagonals
+            # the inverse QFT applies P(-pi/4) before P(pi/8), so the
+            # verdict of two bent phase gates is P(-pi/4)'s
+            bends = ({math.pi / 8: [1.0, 1.5]} if broken == "phase gate"
+                     else {-math.pi / 4: [1.0, 1.5], math.pi / 8: [1.0, 1.25]})
 
             def bent(thetas, mode, powers=(1,)):
                 diagonals = phase_diagonals(thetas, mode, powers)
-                diagonals[:, np.asarray(thetas) == math.pi / 8] = [1.0, 1.5]
+                for theta, entries in bends.items():
+                    diagonals[:, np.asarray(thetas) == theta] = entries
                 return diagonals
 
             monkeypatch.setattr(qpe, "_phase_diagonals", bent)
@@ -795,6 +829,66 @@ class TestTreeDistributions:
             qpe._phase_gate.cache_clear()
             qpe._branch_factors.cache_clear()
         assert str(tree.value) == str(statevector.value)
+
+    @given(data=st.data(), m=st.integers(1, 7), mode=st.sampled_from(list(GateMode)),
+           include_target=st.booleans(), phi=st.floats(1.0, TWO_PI))
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_bent_gates_get_the_statevector_verdict(self, data, m, mode, include_target,
+                                                   phi):
+        """1 to 3 of the Hadamard, the kicks and the phase gates P(+-pi/2^k)
+        are bent, each to its own deviation: the tree gives the
+        statevector's verdict, and without the target so does a sweep of m
+        alone, and a sweep of m and up to two more sizes gives the first
+        verdict of its sizes alone. The phases start at 1, above every
+        phase gate's angle, so that no kick is bent as a phase gate."""
+        gates = (["hadamard"] + [("kick", 2 ** k) for k in range(m)]
+                 + [("phase", s * math.pi / 2 ** k) for k in range(2, m + 1) for s in (-1, 1)])
+        bent = data.draw(st.lists(st.sampled_from(gates), min_size=1, max_size=3,
+                                  unique=True), label="bent")
+        m_values = [m] + data.draw(st.lists(st.integers(1, 7), max_size=2), label="sizes")
+        scales = {gate: 1.25 + 0.25 * i for i, gate in enumerate(bent)}
+        phase_diagonals, hadamard_gate = qpe._phase_diagonals, qpe._hadamard_gate
+
+        def bent_diagonals(thetas, mode, powers=(1,)):
+            diagonals = phase_diagonals(thetas, mode, powers)
+            powers, thetas = np.asarray(powers)[:, None], np.asarray(thetas)
+            for gate, scale in scales.items():
+                if gate != "hadamard":
+                    kind, value = gate
+                    where = ((powers == value) & (thetas == phi) if kind == "kick"
+                             else (powers == 1) & (thetas == value))
+                    diagonals[where] = [1.0, scale]
+            return diagonals
+
+        def verdict(run):
+            try:
+                run()
+            except ValidationError as exc:
+                return str(exc)
+            return None
+
+        # the phase gates are memoised, and so are the branch factors built
+        # from them: neither may keep a gate of another example
+        qpe._phase_gate.cache_clear()
+        qpe._branch_factors.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qpe, "_phase_diagonals", bent_diagonals)
+                if "hadamard" in scales:
+                    patch.setattr(qpe, "_hadamard_gate",
+                                  lambda mode: scales["hadamard"] * hadamard_gate(mode))
+                want = verdict(lambda: qpe.readout_distribution(m, phi, mode, include_target))
+                assert verdict(lambda: qpe.tree_distributions(
+                    m, [phi], mode, include_target)) == want
+                if not include_target:
+                    alone = [verdict(lambda: qpe.sweep_successes([size], 0, [phi], mode))
+                             for size in m_values]
+                    assert alone[0] == want
+                    first = next((v for v in alone if v is not None), None)
+                    assert verdict(lambda: qpe.sweep_successes(m_values, 0, [phi], mode)) == first
+        finally:
+            qpe._phase_gate.cache_clear()
+            qpe._branch_factors.cache_clear()
 
     def test_peak_memory_of_one_m16_phase(self):
         # at most six arrays of 2^m floats once the branch factors are

@@ -24,3 +24,23 @@ def test_node_ids_in_the_workflow_resolve():
             assert found.__name__.startswith("Test"), node
         else:
             assert callable(found) and found.__name__.startswith("test_"), node
+
+
+def test_the_step_without_avx2_runs_every_digest_but_the_statevectors():
+    # without numpy's AVX2 loops the `estimate --shots 0` digests fail
+    # through the statevector's probabilities (ROADMAP item 3), so that
+    # step names every other digest by its index: a digest added or
+    # reordered must change its list
+    from test_cli import GOLDEN_RESULTS
+
+    def statevector_run(args):
+        shots = args[args.index("--shots") + 1] if "--shots" in args else "0"
+        return args[0] == "estimate" and int(shots) == 0
+
+    text = WORKFLOW.read_text()
+    step = text[text.index('NPY_DISABLE_CPU_FEATURES="X86_V3'):]
+    selected = re.search(r'-k "([^"]*)"', step)[1]
+    indices = [int(n) for n in re.findall(r"args(\d+)-", selected)]
+    assert selected == " or ".join(f"args{n}-" for n in indices)
+    assert set(indices) == {i for i, (args, _) in enumerate(GOLDEN_RESULTS)
+                            if not statevector_run(args)}
