@@ -34,18 +34,6 @@ import numpy as np
 # 24 % faster to 10 % slower at m = 16 but was 2-62 % slower at m = 12 and
 # within noise at m = 8, so such gates keep to their slab.
 SPLIT_BLOCK = 2 ** 12
-# Entries of each memo: statevector's _gate_plan (per distinct gate) and
-# _layout (per qubit count and axis set), and _column_blocks (per array
-# shape and block size). One estimate of the shots workload (m = 10-12)
-# makes 255 gate calls with 30 distinct gates on 55 layouts, and a round of
-# nine makes 2787 calls with 123 gates on 199 layouts, so every memo keeps
-# them. A 24-call exact-large round (estimates at m = 15-17) makes 11617
-# gate calls with 358 distinct gates on 409 layouts, so the memos refill:
-# its 529 layout and 624 block-index builds take about 24 ms against about
-# 3.6 s for the round, and all the round leaves allocated, the three memos
-# among it, is about 0.4 MiB. The bound keeps a run that makes many distinct gates (random phases, pulse
-# fits) from growing the process.
-PLAN_CACHE = 256
 
 
 @functools.cache
@@ -149,14 +137,14 @@ def _apply_dense(src: np.ndarray, out: np.ndarray, layout, gate: np.ndarray) -> 
     return out
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE)
+@functools.cache
 def _column_blocks(shape: tuple, cols: int) -> tuple:
     """Indices that cut an array of axes ``shape`` into C-order blocks of
     at most ``cols`` elements: a range of the outermost axis that does not
     fit whole, or of the first axis where every other axis does, and an
     int on each axis before it, so that every block is an array, never a
-    scalar. Memoised: building them took a fifth of a gate on 2^10
-    amplitudes."""
+    scalar. Memoised, on keys as few as ``statevector._layout``'s: building
+    them took a fifth of a gate on 2^10 amplitudes."""
     inner = 1
     for axis in range(len(shape) - 1, -1, -1):
         if inner * shape[axis] > cols or axis == 0:

@@ -15,7 +15,7 @@ silently; the constants stay Python ints, so no numpy scalar overflows.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+import functools
 
 import numpy as np
 
@@ -28,7 +28,7 @@ MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     """The running hash constant before each of ``count`` hashes, and after
     the last, as a (count + 1, 1) uint32 column."""

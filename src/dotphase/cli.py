@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from . import calibration as cal
 from . import pulses
-from .errors import NumericalInvariantError, ValidationError
+from .errors import NumericalInvariantError, ValidationError, finite_result
 
 OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
 # Shots per experiment: every shot is a seed, a draw and two entries of the
@@ -290,7 +290,7 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
             readout_integer=j,
             readout_bits=[int(b) for b in format(j, f"0{m}b")],
             estimated_phase_rad=phi_hat,
-            eta_percent=phi_hat / phi * 100.0,
+            eta_percent=finite_result("eta_percent", lambda: phi_hat / phi * 100.0),
             abs_error_turns=float(qpe.circular_distance(phi_hat / math.tau, phi / math.tau)),
             max_probability=float(probs[j]),
         )
@@ -300,10 +300,11 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
         qpe.check_phase(phi)
         probs = qpe.tree_distributions(m, [phi], mode, include_target)[0]
         draws = sv.sample_uniforms(probs, qpe.shot_uniforms(cfg["seed"], shots))
-        outcomes, counts = np.unique(draws, return_counts=True)
-        picks = np.searchsorted(outcomes, draws)
+        outcomes, picks, counts = np.unique(draws, return_inverse=True, return_counts=True)
         # the per-draw arithmetic, once per distinct outcome
         estimates = math.tau * outcomes / 2 ** m
+        # the largest estimate's eta, in floats: if finite, so is every shot's
+        finite_result("eta_percent", lambda: float(estimates[-1]) / phi * 100.0)
         results.update(
             shots=shots,
             estimates_rad=_PerShot(estimates, picks),

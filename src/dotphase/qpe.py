@@ -121,12 +121,12 @@ def _phase_diagonals(thetas, mode: GateMode, powers=(1,)) -> np.ndarray:
     return np.power(base, powers[..., None])
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.cache
 def _phase_gate(theta: float, mode: GateMode) -> np.ndarray:
     """theta phase gate of the inverse QFT.
 
-    Memoised: the inverse QFT asks for the same few angles again and again.
-    Every caller shares the cached array, so it is read-only."""
+    Memoised: the inverse QFT asks for the same few angles, +-pi/2^k, again
+    and again. Every caller shares the cached array, so it is read-only."""
     gate = np.diag(_phase_diagonals([theta], mode)[0, 0])
     gate.flags.writeable = False
     return gate
@@ -275,14 +275,14 @@ def tree_distributions(
     molecule 1's kicks of every phase, then molecule 2's. Callers bound
     ``len(phis) * 2^m``, as sweep_successes does."""
     kick_mode = GateMode.IDEAL if include_target else gate_mode
-    return _shared_tree([m], phis, gate_mode, kick_mode=kick_mode)[0]
+    return _shared_tree([m], phis, gate_mode, kick_mode)[0]
 
 
 def _shared_tree(registers, phis, gate_mode: GateMode,
-                 kick_mode: GateMode | None = None) -> list[np.ndarray]:
+                 kick_mode: GateMode) -> list[np.ndarray]:
     """``tree_distributions(m, phis, gate_mode)`` of each register size m of
     the ascending, distinct ``registers``, from one tree, its kicks those of
-    ``kick_mode`` (by default ``gate_mode``).
+    ``kick_mode``.
 
     Molecule r is read right after its inverse-QFT Hadamard, since every
     later gate on it is diagonal in its basis. On each string of earlier
@@ -350,7 +350,7 @@ def _shared_tree(registers, phis, gate_mode: GateMode,
             # the smallest register is complete: its rows leave the stack
             growing.pop(0)
             finished, dist = dist[:len(phis)], dist[len(phis):]
-            _require_ones(finished.sum(axis=-1, keepdims=True), "probabilities sum to")
+            _require_ones(finished.sum(axis=-1, keepdims=True))
             done.append(finished)
     return done
 
@@ -392,15 +392,15 @@ def _branch_factors(r: int, gate_mode: GateMode):
     return gr, gi
 
 
-def _tree_gates(m: int, phis, gate_mode: GateMode, kick_mode: GateMode | None = None):
-    """The Hadamard and the ``(m, P, 2)`` kick diagonals of ``kick_mode``
-    (by default ``gate_mode``), molecule 1's first, of a tree of register
-    size ``m`` over ``phis``. Raises the statevector's verdict, in its
+def _tree_gates(m: int, phis, gate_mode: GateMode, kick_mode: GateMode):
+    """The Hadamard of ``gate_mode`` and the ``(m, P, 2)`` kick diagonals of
+    ``kick_mode``, molecule 1's first, of a tree of register size ``m`` over
+    ``phis``. Raises the statevector's verdict, in its
     order, unless each of them is unitary: the Hadamard's deviation is the
     statevector's own, and each kick's has its bits
     (``_diagonal_deviation``); ``_branch_factors`` judges the phase gates."""
     h = _hadamard_gate(gate_mode)
-    kicks = _phase_diagonals(phis, kick_mode or gate_mode, _kick_powers(m))
+    kicks = _phase_diagonals(phis, kick_mode, _kick_powers(m))
     _require_unitary(np.append(sv._unitary_deviation(h), _diagonal_deviation(kicks)))
     return h, kicks
 
@@ -436,16 +436,16 @@ def _branch_probabilities(a, br, bi, gr, gi) -> np.ndarray:
     return np.maximum(probs, 0.0, out=probs)
 
 
-def _require_ones(values: np.ndarray, what: str) -> None:
-    """Raise unless each of ``values``, whose axis -2 runs over a tree
-    call's phases, is within NORM_TOL of 1, naming the first that is not,
-    as ``what``, and its phase's row."""
+def _require_ones(values: np.ndarray) -> None:
+    """Raise unless each of ``values``, the row sums of a tree call's
+    distributions whose axis -2 runs over its phases, is within NORM_TOL of
+    1, naming the first sum that is not and its phase's row."""
     # written so that a NaN fails too
     ok = np.abs(values - 1.0) <= sv.NORM_TOL
     if not ok.all():
         first = np.unravel_index(np.argmin(ok), ok.shape)
         raise NumericalInvariantError(
-            f"{what} {values[first]:.15f} in row {first[-2]} of the stack")
+            f"probabilities sum to {values[first]:.15f} in row {first[-2]} of the stack")
 
 
 def _readout(state: sv.QuantumState, m: int) -> np.ndarray:
@@ -514,13 +514,13 @@ def sweep_successes(m_values, n: int, phis,
     for start in range(0, len(phis), per):
         batch = phis[start:start + per]
         try:
-            dists = _shared_tree(sizes, batch, gate_mode)
+            dists = _shared_tree(sizes, batch, gate_mode, gate_mode)
         except ValidationError:
             if len(sizes) > 1:
                 for m in m_values:
                     alone = batch_size(m)
                     for first in range(0, len(phis), alone):
-                        _tree_gates(m, phis[first:first + alone], gate_mode)
+                        _tree_gates(m, phis[first:first + alone], gate_mode, gate_mode)
                         _branch_factors(m, gate_mode)
             raise
         for m, rows in zip(sizes, dists):

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _flat
-from ._flat import PLAN_CACHE, SPLIT_BLOCK
+from ._flat import SPLIT_BLOCK
 from .errors import (
     CapacityError,
     DimensionError,
@@ -107,6 +107,13 @@ def _unitary_deviation(gate: np.ndarray) -> np.float64:
     return np.abs(gram - np.eye(len(gate))).max()
 
 
+# Entries of _gate_plan, the one bounded memo: its key is a gate's bytes, and
+# every call brings new kicks. A warm exact-large round (24 estimates at m =
+# 15-17) makes 294 new plans and 11 323 hits; the bound keeps a run of many
+# distinct gates (random phases, pulse fits) from growing the process.
+PLAN_CACHE = 256
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _gate_plan(raw: bytes, dim: int) -> _Plan:
     """Unitarity deviation and kernel plan of the ``dim`` x ``dim`` complex
@@ -166,10 +173,10 @@ class _Layout(NamedTuple):
     cols: int
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE)
+@functools.cache
 def _layout(ndim: int, axes: tuple) -> _Layout:
-    """Read-only layout of a gate on the factors ``axes`` of a
-    ``(2,) * ndim`` tensor, shared by every call with the same key."""
+    """Read-only layout of a gate on the factors ``axes`` of a ``(2,) * ndim``
+    tensor, shared by every call with the same key: n^2 keys on n qubits."""
     k = len(axes)
     ends = sorted(axes)
     run = 2 ** (ndim - 1 - ends[-1])

@@ -1,15 +1,20 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dotphase
 from dotphase import cli, qpe, statevector as sv
@@ -650,6 +655,10 @@ class TestRejectedInputs:
             (["calibrate-clock", "--varphi", "0.5", "--total-scales", "1",
               "--elapsed-scales", "1", "--t-ideal", "1.0", "--varpi", "1e-160",
               "--r63", "1e-160"], "duration"),
+            (["estimate", "--m", "1", "--phase", "1e-309", "--mode", "pulse-literal"],
+             "eta_percent"),
+            (["estimate", "--m", "1", "--phase", "1e-309", "--mode", "pulse-literal",
+              "--shots", "10"], "eta_percent"),
         ],
     )
     def test_arithmetic_past_the_float_range_exits_1(self, capsys, args, what):
@@ -1030,6 +1039,88 @@ def test_every_config_key_takes_hostile_values(tmp_path, capsys, command):
             assert code == 0, (key, value, err)
             assert (json.dumps(json.loads(again)["results"], sort_keys=True)
                     == json.dumps(report["results"], sort_keys=True)), (key, value)
+
+
+PHASES = st.one_of(st.floats(0.0, TWO_PI),
+                   st.floats(0.0, 1.0).map(lambda t: f"{t!r}turn"),
+                   st.floats(0.0, TWO_PI).map(lambda r: f"{r!r}rad"))
+MODES = st.sampled_from([mode.value for mode in qpe.GateMode])
+SEEDS = st.integers(0, cli.MAX_SEED)
+# valid configs: m at most 12 (in a sweep at least n + 2, which the bound
+# needs), shots at most 2000 and phases at most 20; the json format only, so
+# that every report carries its config. A sweep takes its phases from a list
+# or draws them
+SWEEP_VALUES = {
+    "m_values": st.lists(st.integers(3, 12), min_size=1, max_size=3),
+    "n": st.integers(0, 1),
+    "mode": MODES,
+    "seed": SEEDS,
+    "format": st.just("json"),
+}
+VALID_CONFIGS = {
+    "estimate": st.fixed_dictionaries({
+        "m": st.integers(1, 12),
+        "phase_rad": PHASES,
+        "mode": MODES,
+        "shots": st.integers(0, 2000),
+        "seed": SEEDS,
+        "include_target": st.booleans(),
+        "full_distribution": st.booleans(),
+        "format": st.just("json"),
+    }),
+    "sweep": st.one_of(
+        st.fixed_dictionaries({**SWEEP_VALUES, "random_phases": st.none(),
+                               "phases_rad": st.lists(PHASES, min_size=1, max_size=20)}),
+        st.fixed_dictionaries({**SWEEP_VALUES, "phases_rad": st.none(),
+                               "random_phases": st.integers(1, 20)})),
+}
+
+
+@st.composite
+def mixed_configs(draw, command):
+    """A valid config of ``command`` with up to two keys holding
+    HOSTILE_VALUES and up to two keys left out."""
+    cfg = draw(VALID_CONFIGS[command])
+    keys = st.sampled_from(sorted(cfg))
+    cfg.update(draw(st.dictionaries(keys, st.sampled_from(HOSTILE_VALUES), max_size=2)))
+    for key in draw(st.sets(keys, max_size=2)):
+        del cfg[key]
+    return cfg
+
+
+def main_output(args) -> tuple[int, str, str]:
+    """``cli.main(args)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", list(VALID_CONFIGS))
+@given(data=st.data())
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+def test_mixed_config_files_exit_0_and_replay_or_exit_1(command, data):
+    """An ``estimate`` or ``sweep`` config file whose keys mix valid
+    values, HOSTILE_VALUES and left-out keys either exits 0 with a report
+    free of NaN and Infinity whose results replay byte-identically from its
+    own config, or exits 1 with nothing on stdout. m is capped at 12,
+    shots at 2000 and phases at 20 to keep the suite fast, and the format
+    is json, the one that echoes the config."""
+    cfg = data.draw(mixed_configs(command), label="config")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = main_output([command, "--config", str(path)])
+        if code != 0:
+            assert code == 1 and out == "", err
+            return
+        assert "NaN" not in out and "Infinity" not in out
+        report = json.loads(out)
+        path.write_text(json.dumps(report["config"]))
+        code, again, err = main_output([command, "--config", str(path)])
+    assert code == 0, err
+    assert (json.dumps(json.loads(again)["results"], sort_keys=True)
+            == json.dumps(report["results"], sort_keys=True))
 
 
 def json_dumps(obj) -> str:

@@ -645,11 +645,16 @@ class TestColumnBlocks:
             assert (type(index[0]) is int
                     or (type(index[0]) is slice and len(index) == 1)), index
 
-    def test_memo_stays_bounded(self):
-        for rows in range(1, 2 * sv.PLAN_CACHE):
-            _flat._column_blocks((rows, 8), 16)
-        info = _flat._column_blocks.cache_info()
-        assert info.currsize <= info.maxsize == sv.PLAN_CACHE
+    def test_memo_keeps_every_shape(self):
+        # 511 shapes, more than a memo of 256 entries keeps: a second pass
+        # builds none of them again
+        def cut_every_shape():
+            for rows in range(1, 512):
+                _flat._column_blocks((rows, 8), 16)
+            return _flat._column_blocks.cache_info().misses
+
+        misses = cut_every_shape()
+        assert cut_every_shape() == misses
 
 
 class TestInPlace:
@@ -795,7 +800,8 @@ class TestInPlace:
 class TestGatePlanMemo:
     """The unitarity verdict and kernel plan are memoised on the gate's
     bytes: a gate edited in place is judged again, a rejected gate stays
-    rejected, and the memo stays bounded."""
+    rejected, and the memo stays bounded. The layout memo, whose keys are
+    few, keeps every axis set."""
 
     def test_gate_edited_in_place_is_checked_again(self):
         gate = np.diag([1, np.exp(0.7j)])
@@ -818,13 +824,19 @@ class TestGatePlanMemo:
             state = sv.apply_1q(state, 2, np.diag([1, np.exp(1j * theta)]))
         info = sv._gate_plan.cache_info()
         assert info.currsize <= info.maxsize == sv.PLAN_CACHE
-        # 330 ordered pairs on 2-10 qubits: more axis sets than the bound
-        for m in range(2, 11):
-            state = sv.new_state(m)
-            for pair in itertools.permutations(range(1, m + 1), 2):
-                state = sv.apply_2q(state, *pair, CNOT)
-        info = sv._layout.cache_info()
-        assert info.currsize <= info.maxsize == sv.PLAN_CACHE
+
+    def test_layout_memo_keeps_every_axis_set(self):
+        # 330 ordered pairs on 2-10 qubits, more axis sets than a memo of
+        # 256 entries keeps: a second pass builds none of them again
+        def cnot_on_every_pair():
+            for m in range(2, 11):
+                state = sv.new_state(m)
+                for pair in itertools.permutations(range(1, m + 1), 2):
+                    state = sv.apply_2q(state, *pair, CNOT)
+            return sv._layout.cache_info().misses
+
+        misses = cnot_on_every_pair()
+        assert cnot_on_every_pair() == misses
 
 
 def record_kernels(monkeypatch, scale=1.0):

@@ -1,7 +1,12 @@
-"""The CI workflow selects tests by node id; each id must still name one."""
+"""The CI workflow selects tests by node id; each id must still name one.
+And the suite's pytest settings let a failing test report itself."""
 import importlib
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
@@ -44,3 +49,30 @@ def test_the_step_without_avx2_runs_every_digest_but_the_statevectors():
     assert selected == " or ".join(f"args{n}-" for n in indices)
     assert set(indices) == {i for i, (args, _) in enumerate(GOLDEN_RESULTS)
                             if not statevector_run(args)}
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@given(st.integers())
+@settings(derandomize=True, database=None)
+def test_fails(n):
+    assert n < 10
+"""
+
+
+def test_a_failing_hypothesis_test_reports_its_example(tmp_path):
+    # on a failure Hypothesis imports libcst, whose import warns through
+    # mypy_extensions; under the suite's settings that warning must not
+    # turn the report into an INTERNALERROR (exit 3)
+    pytest.importorskip("libcst")
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), str(tmp_path / "test_fails.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out
