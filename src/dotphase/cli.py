@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from . import calibration as cal
 from . import pulses
-from .errors import NumericalInvariantError, ValidationError, finite_result
+from .errors import NumericalInvariantError, ValidationError
 
 OUTPUT_DIR_ENV = "DOTPHASE_OUTPUT_DIR"
 # Shots per experiment: every shot is a seed, a draw and two entries of the
@@ -285,12 +285,12 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
         # statevector gate calls of an m = 16 --shots 0 run (ROADMAP item 1a)
         probs = qpe.readout_distribution(m, phi, mode, include_target)
         j = int(np.argmax(probs))
-        phi_hat = math.tau * j / 2 ** m
+        phi_hat, eta = (float(part[0]) for part in qpe.readout_estimates(np.array([j]), m, phi))
         results.update(
             readout_integer=j,
             readout_bits=[int(b) for b in format(j, f"0{m}b")],
             estimated_phase_rad=phi_hat,
-            eta_percent=finite_result("eta_percent", lambda: phi_hat / phi * 100.0),
+            eta_percent=eta,
             abs_error_turns=float(qpe.circular_distance(phi_hat / math.tau, phi / math.tau)),
             max_probability=float(probs[j]),
         )
@@ -302,13 +302,11 @@ def cmd_estimate(cfg: dict) -> tuple[dict, list]:
         draws = sv.sample_uniforms(probs, qpe.shot_uniforms(cfg["seed"], shots))
         outcomes, picks, counts = np.unique(draws, return_inverse=True, return_counts=True)
         # the per-draw arithmetic, once per distinct outcome
-        estimates = math.tau * outcomes / 2 ** m
-        # the largest estimate's eta, in floats: if finite, so is every shot's
-        finite_result("eta_percent", lambda: float(estimates[-1]) / phi * 100.0)
+        estimates, etas = qpe.readout_estimates(outcomes, m, phi)
         results.update(
             shots=shots,
             estimates_rad=_PerShot(estimates, picks),
-            eta_percent=_PerShot(estimates / phi * 100.0, picks),
+            eta_percent=_PerShot(etas, picks),
             counts=dict(zip(map(str, outcomes.tolist()), counts.tolist())),
         )
     if cfg["full_distribution"] or (2 ** m <= 4096 and shots == 0):

@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     NumericalInvariantError,
     ValidationError,
+    finite_result,
 )
 # benchmarks/spans.py patches the last three names here, so all stay imported
 from .pulses import (HADAMARD_ENTRIES, GateMode, hadamard_pulse_params,
@@ -45,11 +46,6 @@ BATCH_AMPLITUDES = 2 ** 16
 # this size, so that beside the distribution and the branch factors only a
 # few blocks are alive.
 TREE_BLOCK = 2 ** 14
-# Entries of a batch from which window_masses sums arcs instead of masking
-# the circle: on a 2-CPU Xeon the two tie at 2^9 to 2^11 entries for 1 to
-# 36 rows; 12 rows at n = 3 take 59 us by the mask and 67 by the arcs at
-# m = 5, 339 and 70 at m = 10.
-WINDOW_ARC_MIN = 2 ** 10
 
 IDEAL_HADAMARD = np.array(HADAMARD_ENTRIES, dtype=np.complex128).reshape(2, 2)
 CNOT = np.array(
@@ -222,14 +218,18 @@ def inverse_qft(
 
 def estimate_from_bits(register_bits: tuple, true_phase: float) -> PhaseEstimate:
     """Turn register-order detector bits into a phase estimate."""
-    readout = tuple(reversed(register_bits))
-    frac = sum(b / 2 ** (i + 1) for i, b in enumerate(readout))
-    phi_hat = math.tau * frac
-    return PhaseEstimate(
-        bits=readout,
-        estimated_phase=phi_hat,
-        eta_percent=phi_hat / true_phase * 100.0,
-    )
+    j = sum(int(b) << i for i, b in enumerate(register_bits))
+    estimates, etas = readout_estimates(np.array([j]), len(register_bits), true_phase)
+    return PhaseEstimate(tuple(reversed(register_bits)), float(estimates[0]), float(etas[0]))
+
+
+def readout_estimates(readouts: np.ndarray, m: int, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The estimates 2*pi*j/2^m of the ascending readout integers j and
+    their etas, estimate / phi * 100. The largest eta is judged first, in
+    Python floats, so no array arithmetic overflows."""
+    estimates = math.tau * readouts / 2 ** m
+    finite_result("eta_percent", lambda: float(estimates[-1]) / phi * 100.0)
+    return estimates, estimates / phi * 100.0
 
 
 def measure_and_estimate(
@@ -531,6 +531,7 @@ def sweep_successes(m_values, n: int, phis,
 def window_mass(probs: np.ndarray, n: int, phi: float) -> float:
     """Mass of the readout distribution ``probs`` (over 2^m outcomes) within
     circular distance 1/2^n of phi."""
+    _check_accuracy(n)
     size = len(probs)
     d = circular_distance(np.arange(size) / size, (phi / math.tau) % 1.0)
     return float(probs[d < 0.5 ** n].sum())
@@ -538,19 +539,18 @@ def window_mass(probs: np.ndarray, n: int, phi: float) -> float:
 
 def window_masses(rows: np.ndarray, n: int, phis) -> list[float]:
     """``window_mass`` of each row of ``rows``, one per phase of ``phis``,
-    bit for bit. For n >= 2, WINDOW_ARC_MIN entries and finite phases, a
-    window is the arc from floor(x) - 2^{m-n} + 1 to ceil(x) + 2^{m-n} - 1,
-    x = frac * 2^m, less each end that window_mass's test leaves out;
-    rounding moves no other index in or out. Its slices, in the mask's
-    order, keep the mask's sum. Otherwise one broadcast of window_mass's
-    distances."""
+    bit for bit: the arc from floor(x) - h + 1 to ceil(x) + h - 1, x = frac
+    * 2^m and h = 2^{m-n} (1 for n > m), less each end window_mass leaves
+    out, clamped to the circle; rounding moves no other index. Its slices,
+    in the mask's order, keep the mask's sum. A non-finite phase sends its
+    batch row by row through window_mass."""
+    _check_accuracy(n)
     size = rows.shape[1]
     fracs = (np.asarray(phis, dtype=np.float64) / math.tau) % 1.0
-    if n <= 1 or rows.size < WINDOW_ARC_MIN or not np.isfinite(fracs).all():
-        inside = circular_distance(np.arange(size) / size, fracs[:, None]) < 0.5 ** n
-        return [float(row[mask].sum()) for row, mask in zip(rows, inside)]
+    if not np.isfinite(fracs).all():
+        return [window_mass(row, n, phi) for row, phi in zip(rows, phis)]
     x = fracs * size
-    half = size >> n
+    half = max(size >> n, 1)
     ends = np.stack((np.floor(x) - (half - 1), np.ceil(x) + (half - 1)), axis=1)
     inside = circular_distance((ends % size) / size, fracs[:, None]) < 0.5 ** n
     # an end left out moves the arc's first index up or its last one down
@@ -558,7 +558,7 @@ def window_masses(rows: np.ndarray, n: int, phis) -> list[float]:
     masses = []
     for row, (first, last) in zip(rows, ends.tolist()):
         a = int(first) % size
-        b = a + int(last - first) + 1
+        b = a + min(int(last - first) + 1, size)
         arc = row[a:b] if b <= size else np.concatenate((row[:b - size], row[a:]))
         masses.append(float(arc.sum()))
     return masses

@@ -273,6 +273,20 @@ class TestMeasureAndEstimate:
         assert estimate.estimated_phase == 0.0
         assert estimate.eta_percent == 0.0
 
+    def test_estimates_keep_their_bits(self):
+        # the one estimate rule gives the binary fraction's bits, as floats
+        for bits, phi in (((1, 0, 1), TWO_PI * 0.625), ((0, 0, 0), 1.0)):
+            estimate = qpe.estimate_from_bits(bits, phi)
+            frac = sum(b / 2 ** (i + 1) for i, b in enumerate(reversed(bits)))
+            assert type(estimate.estimated_phase) is type(estimate.eta_percent) is float
+            assert estimate.estimated_phase.hex() == (TWO_PI * frac).hex()
+            assert estimate.eta_percent.hex() == (TWO_PI * frac / phi * 100.0).hex()
+
+    @pytest.mark.parametrize("phi", [1e-309, 0.0])
+    def test_eta_without_finite_value(self, phi):
+        with pytest.raises(DomainError, match="eta_percent"):
+            qpe.estimate_from_bits((1,), phi)
+
 
 class TestExactDistribution:
     def test_representable(self):
@@ -299,11 +313,11 @@ class TestExactDistribution:
 
 @st.composite
 def windows(draw):
-    """(m, n, phases, seed) for m = 1..16 and n <= m: phases on the grid
+    """(m, n, phases, seed) for m = 1..16 and n <= m + 2: phases on the grid
     2*pi*j/2^m, an ulp either side of it and halfway between, next to 0 and
     to 2*pi, and anywhere in (0, 2*pi]."""
     m = draw(st.integers(1, 16))
-    n = draw(st.integers(0, m))
+    n = draw(st.integers(0, m + 2))
     size = 2 ** m
 
     def phase():
@@ -408,18 +422,27 @@ class TestExactDistributions:
     @example(case=(2, 1, [TWO_PI * 0.125, math.nextafter(TWO_PI, 0.0)], 1))
     @example(case=(16, 0, [5e-324, TWO_PI * 0.5], 2))
     @example(case=(12, 3, [1.0, math.nan], 3))
+    # whole-circle windows: x an integer, the arc clamped to the circle, and
+    # n = 1, the antipode left out
+    @example(case=(3, 0, [TWO_PI * 0.25, 1.0], 4))
+    @example(case=(3, 1, [TWO_PI * 0.625, TWO_PI * 0.25], 5))
+    # windows narrower than the grid: one readout or none
+    @example(case=(3, 5, [TWO_PI * 0.25, 1.0, math.nextafter(TWO_PI * 0.25, 0.0)], 6))
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     def test_window_arcs_keep_window_mass_bits(self, case):
-        # the arcs against the mask, forced by the smallest threshold, and
-        # the one window_masses picks: the same bits as window_mass's
+        # the arcs of window_masses: the same bits as window_mass's mask
         m, n, phis, seed = case
         rows = np.random.default_rng(seed).random((len(phis), 2 ** m))
         want = [qpe.window_mass(probs, n, phi) for phi, probs in zip(phis, rows)]
-        for arc_min in (1, qpe.WINDOW_ARC_MIN):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(qpe, "WINDOW_ARC_MIN", arc_min)
-                got = qpe.window_masses(rows, n, phis)
-            assert np.array(got).tobytes() == np.array(want).tobytes(), arc_min
+        got = qpe.window_masses(rows, n, phis)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_window_functions_reject_negative_accuracy(self):
+        rows = qpe.tree_distributions(4, [1.0, 2.0])
+        with pytest.raises(DomainError, match="n >= 0"):
+            qpe.window_mass(rows[0], -1, 1.0)
+        with pytest.raises(DomainError, match="n >= 0"):
+            qpe.window_masses(rows, -1, [1.0, 2.0])
 
 
 # pulse-literal phases whose kicks stay unitary up to m = 16
