@@ -84,8 +84,6 @@ def generate_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
 def int_words(value: int) -> list[int]:
     """Little-endian 32-bit words of the non-negative int ``value``, at least
     one, as ``SeedSequence`` splits an int entropy."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
     return [value >> shift & MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
@@ -130,6 +128,4 @@ def _pcg64_first_uniform(words: np.ndarray) -> np.ndarray:
 def first_uniforms(seeds: np.ndarray) -> np.ndarray:
     """``np.random.default_rng(s).random()`` for every seed of the unsigned
     integer array ``seeds``, each below 2^32."""
-    if seeds.dtype.kind != "u" or np.any(seeds > MASK32):
-        raise TypeError("seeds must be unsigned integers below 2**32")
     return _pcg64_first_uniform(generate_state(seeds.astype(np.uint32)[None], 8))

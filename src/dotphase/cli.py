@@ -492,38 +492,42 @@ def _encode(obj, inner: str) -> str:
         raise
 
 
-def _dumps(obj, indent: str = "\n") -> str:
+def _dumps(obj, indent: str = "\n", out: list | None = None) -> str | None:
     """json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), byte for
-    byte: a per-shot list formats each distinct value once, any other flat
+    byte, joined once from the pieces each level appends to ``out``: a
+    per-shot list formats each distinct value once, any other flat
     container is one C-encoder call, and nested ones recurse."""
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return _encode(obj, indent)
+    if out is None:
+        out = []
+        _dumps(obj, indent, out)
+        return "".join(out)
     inner = indent + "  "
     sep = "," + inner
-    # an f-string copies a long text once, where each + copies it again
-    if isinstance(obj, _PerShot):
+    is_dict = isinstance(obj, dict)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        out.append(_encode(obj, indent))
+    elif isinstance(obj, _PerShot):
         # distinct texts from one encoder call, in an object array, picked per shot
         texts = obj.values.copy()
         texts[:] = _encode(obj.values.tolist(), inner)[1:-1].split(sep)
-        return f"[{inner}{sep.join(texts[obj.picks].tolist())}{indent}]"
-    values = obj.values() if isinstance(obj, dict) else obj
-    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        out += "[", inner, sep.join(texts[obj.picks].tolist()), indent, "]"
+    elif not any(isinstance(v, (dict, list, tuple)) for v in (obj.values() if is_dict else obj)):
         text = _encode(obj, inner)
-        return f"{text[0]}{inner}{text[1:-1]}{indent}{text[-1]}"
-    if isinstance(obj, dict):
-        parts = []
-        for key, value in sorted(obj.items()):
-            if isinstance(key, str):
-                text = _encode(key, inner)
-            elif isinstance(key, (int, float)) or key is None:
-                # json writes such a key as the string of its JSON text
-                text = '"' + _encode(key, inner) + '"'
-            else:
-                raise TypeError(f"keys must be str, int, float, bool or None, "
-                                f"not {type(key).__name__}")
-            parts.append(f"{text}: {_dumps(value, inner)}")
-        return f"{{{inner}{sep.join(parts)}{indent}}}"
-    return f"[{inner}{sep.join(_dumps(v, inner) for v in obj)}{indent}]"
+        out += text[0], inner, text[1:-1], indent, text[-1]
+    else:
+        out.append("{" if is_dict else "[")
+        for i, item in enumerate(sorted(obj.items()) if is_dict else obj):
+            out.append(sep if i else inner)
+            if is_dict:
+                key, item = item
+                if not isinstance(key, (str, int, float)) and key is not None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                # json writes any other key as the string of its JSON text
+                quote = "" if isinstance(key, str) else '"'
+                out += quote, _encode(key, inner), quote, ": "
+            _dumps(item, inner, out)
+        out += indent, "}" if is_dict else "]"
 
 
 def run(argv=None, stdout=None) -> int:
@@ -543,18 +547,18 @@ def run(argv=None, stdout=None) -> int:
     # the last gate before output: a non-finite number is an internal fault,
     # and would not be valid JSON either
     try:
-        text = _dumps(report) + "\n"
+        pieces = [_dumps(report), "\n"]
     except ValueError as exc:
         raise NumericalInvariantError(f"non-finite number in the report: {exc}") from None
     if cfg["format"] == "csv":
-        text = _sweep_csv(results)
+        pieces = [_sweep_csv(results)]
     path = _output_path(getattr(args, "output", None))
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         print(path, file=stdout)
     else:
-        stdout.write(text)
+        stdout.writelines(pieces)
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +219,8 @@ def inverse_qft(
 
 def estimate_from_bits(register_bits: tuple, true_phase: float) -> PhaseEstimate:
     """Turn register-order detector bits into a phase estimate."""
+    if not set(register_bits) <= {0, 1}:
+        raise ValidationError(f"register bits must be 0 or 1, got {tuple(register_bits)}")
     j = sum(int(b) << i for i, b in enumerate(register_bits))
     estimates, etas = readout_estimates(np.array([j]), len(register_bits), true_phase)
     return PhaseEstimate(tuple(reversed(register_bits)), float(estimates[0]), float(etas[0]))
@@ -236,8 +239,8 @@ def measure_and_estimate(
     state: sv.QuantumState, m: int, true_phase: float, seed: int
 ) -> PhaseEstimate:
     """Measure molecules 1..m and read the result out in reversed order."""
-    record = sv.measure_all(state, seed)
-    return estimate_from_bits(record.bits, true_phase)
+    # a state that carries the target molecule has one bit more, its last
+    return estimate_from_bits(sv.measure_all(state, seed).bits[:m], true_phase)
 
 
 def exact_distribution(
@@ -597,10 +600,12 @@ def shot_seed(seed: int, shot_index: int) -> int:
 
 def shot_uniforms(seed: int, n: int) -> np.ndarray:
     """Shot i's uniform, the first ``default_rng(shot_seed(seed, i)).random()``,
-    for i = 0..n-1.
+    for i = 0..n-1. The run seed is checked here, for both paths.
 
     Above SHOT_SEED_LOOP_MAX shots the seeds come from one array pass over
     the entropy words ``[seed words..., i]``; the uniforms always do."""
+    if (seed := operator.index(seed)) < 0:
+        raise ValueError("expected non-negative integer")
     if n <= SHOT_SEED_LOOP_MAX:
         seeds = np.array([shot_seed(seed, i) for i in range(n)], dtype=np.uint32)
     else:

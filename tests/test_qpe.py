@@ -287,6 +287,20 @@ class TestMeasureAndEstimate:
         with pytest.raises(DomainError, match="eta_percent"):
             qpe.estimate_from_bits((1,), phi)
 
+    def test_reads_molecules_1_to_m_only(self):
+        # the target molecule m + 1 is measured too, but is no readout bit
+        m, phi = 4, TWO_PI * 5 / 16
+        state = qpe.run_final_state(m, phi, include_target=True)
+        estimate = qpe.measure_and_estimate(state, m, phi, seed=0)
+        assert estimate.bits == (0, 1, 0, 1)
+        assert estimate.estimated_phase == phi
+        assert estimate.eta_percent == 100.0
+
+    @pytest.mark.parametrize("bits", [(2,), (1, 0, -1), (0, 1, 3)])
+    def test_rejects_bits_other_than_0_and_1(self, bits):
+        with pytest.raises(ValidationError, match="^register bits must be 0 or 1, got "):
+            qpe.estimate_from_bits(bits, 1.0)
+
 
 class TestExactDistribution:
     def test_representable(self):

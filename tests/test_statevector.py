@@ -345,14 +345,17 @@ class TestArrayPass:
                 np.random.SeedSequence([s, i]).generate_state(1)[0] for i in range(5)]
 
     def test_rejects_what_numpy_rejects(self):
+        # _pcg checks nothing: the run seed is checked where it enters, in
+        # qpe.shot_uniforms, alike on the per-shot loop and the array pass
         with pytest.raises(ValueError):
             np.random.SeedSequence(-1)
-        with pytest.raises(ValueError):
-            _pcg.int_words(-1)
         with pytest.raises(TypeError):
             np.random.default_rng(1.5)
-        with pytest.raises(TypeError):
-            _pcg.first_uniforms(np.array([1.5]))
+        for n in (3, qpe.SHOT_SEED_LOOP_MAX + 36):
+            with pytest.raises(ValueError, match="^expected non-negative integer$"):
+                qpe.shot_uniforms(-1, n)
+            with pytest.raises(TypeError):
+                qpe.shot_uniforms(1.5, n)
 
 
 class TestMeasureAll:
