@@ -21,6 +21,7 @@ from . import statevector as sv
 from .errors import (
     BoundUndefinedError,
     CapacityError,
+    DimensionError,
     DomainError,
     NumericalInvariantError,
     ValidationError,
@@ -104,10 +105,9 @@ def _phase_diagonals(thetas, mode: GateMode, powers=(1,)) -> np.ndarray:
 
     Known defect: pulse-literal mode raises the rounded pulse entries to the
     power, so for some phases the gate drifts past UNITARY_TOL from the
-    power 2^13 (m = 14) on and the run stops with "gate is not unitary":
-    a ``--shots 0`` estimate at its kick on the statevector, a sampled
-    estimate or a sweep where the tree judges the same kicks, a sweep all
-    its register sizes' from one call with the largest size's powers."""
+    power 2^13 (m = 14) on and the run stops with "gate is not unitary": a
+    ``--shots 0`` estimate at that kick on the statevector, a sampled
+    estimate or a sweep at the first such kick of the tree, which it names."""
     powers = np.asarray(powers)[:, None]
     if mode == GateMode.IDEAL:
         out = np.ones((len(powers), len(thetas), 2), dtype=np.complex128)
@@ -218,7 +218,9 @@ def inverse_qft(
 
 
 def estimate_from_bits(register_bits: tuple, true_phase: float) -> PhaseEstimate:
-    """Turn register-order detector bits into a phase estimate."""
+    """Turn register-order detector bits, one at least, into a phase estimate."""
+    if not register_bits:
+        raise ValidationError("need at least one register bit")
     if not set(register_bits) <= {0, 1}:
         raise ValidationError(f"register bits must be 0 or 1, got {tuple(register_bits)}")
     j = sum(int(b) << i for i, b in enumerate(register_bits))
@@ -238,7 +240,10 @@ def readout_estimates(readouts: np.ndarray, m: int, phi: float) -> tuple[np.ndar
 def measure_and_estimate(
     state: sv.QuantumState, m: int, true_phase: float, seed: int
 ) -> PhaseEstimate:
-    """Measure molecules 1..m and read the result out in reversed order."""
+    """Measure molecules 1..m of ``state``, a register of m molecules or
+    more, and read the result out in reversed order."""
+    if check_register(m) > state.num_qubits:
+        raise DimensionError(f"register size {m} out of range 1..{state.num_qubits}")
     # a state that carries the target molecule has one bit more, its last
     return estimate_from_bits(sv.measure_all(state, seed).bits[:m], true_phase)
 
@@ -271,11 +276,9 @@ def tree_distributions(
     ``include_target`` the kicks are ideal, since the target in |1> turns
     each into an ideal controlled phase on its molecule, and the Hadamard
     and phase gates stay the mode's, as in ``_controlled_kick_state``. It
-    gives its gates the statevector path's verdicts, in its order: the
-    Hadamard and the kicks molecule by molecule (``_tree_gates``), then
-    each level's P(+-theta) (``_branch_factors``). So of several phases
-    the verdict is that of the first failing kick in molecule-major order:
-    molecule 1's kicks of every phase, then molecule 2's. Callers bound
+    judges its gates in the statevector path's order, so of one phase its
+    verdict is the statevector's text followed by the gate's name; of
+    several, the kicks are judged molecule-major. Callers bound
     ``len(phis) * 2^m``, as sweep_successes does."""
     kick_mode = GateMode.IDEAL if include_target else gate_mode
     return _shared_tree([m], phis, gate_mode, kick_mode)[0]
@@ -300,9 +303,9 @@ def _shared_tree(registers, phis, gate_mode: GateMode,
     So level r serves every register with m >= r: the stack's rows are
     (register, phase) pairs in ascending register order, and a register's
     rows leave it after level m. Molecule r's kick in register m is row
-    top - m + r - 1 of the largest register's kicks. The kicks, the
-    Hadamard and their unitarity deviations (``_tree_gates``) serve all
-    registers, as do the branch factors, which every call shares.
+    top - m + r - 1 of the largest register's kicks. The kicks and the
+    Hadamard (``_tree_gates``) serve all registers, as do the branch
+    factors, which every call shares.
 
     Every entry comes from the statevector path's own sources, and is the
     same float operations on the same operands as in a tree of its register
@@ -311,8 +314,9 @@ def _shared_tree(registers, phis, gate_mode: GateMode,
     and sums on separate real and imaginary arrays, with no BLAS and no
     complex or transcendental ufunc on arrays, so the bits do not depend on
     the host's SIMD level or BLAS kernels. ``_tree_gates`` judges the
-    Hadamard and the kicks, molecule-major, and ``_branch_factors`` each
-    level's P(+-theta) when first reached. Each row's sum must be within
+    Hadamard and the kicks, and ``_branch_factors`` each level's P(+-theta)
+    when first reached, so a verdict names the first failing gate of the
+    largest register's tree. Each row's sum must be within
     NORM_TOL of 1 (``_require_ones``); a failure names its phase's row in
     ``phis``. A branch's p0 + p1 would not see a drifting g, since B_0 +
     B_1 = 0, so ``_branch_factors`` judges |g|. A level's branches are
@@ -378,7 +382,8 @@ def _branch_factors(r: int, gate_mode: GateMode):
     else:
         gr, gi = _branch_factors(r - 1, gate_mode)
         minus, plus = (_phase_gate(s * math.pi / 2 ** r, gate_mode).diagonal() for s in (-1, 1))
-        _require_unitary(_diagonal_deviation(np.array([minus, plus])))
+        _require_unitary(_diagonal_deviation(np.array([minus, plus])),
+                         lambda i: f"P({'-+'[i]}pi/2^{r})")
         # the new bit b puts q0 p_b on f0 and q1 p_{1-b} on f1, p = P(theta)
         # and q = P(-theta), so g gains (q0 p_b) conj(q1 p_{1-b})
         xr, xi = _mul(minus.real[0], minus.imag[0], plus.real, plus.imag)
@@ -398,22 +403,27 @@ def _branch_factors(r: int, gate_mode: GateMode):
 def _tree_gates(m: int, phis, gate_mode: GateMode, kick_mode: GateMode):
     """The Hadamard of ``gate_mode`` and the ``(m, P, 2)`` kick diagonals of
     ``kick_mode``, molecule 1's first, of a tree of register size ``m`` over
-    ``phis``. Raises the statevector's verdict, in its
-    order, unless each of them is unitary: the Hadamard's deviation is the
-    statevector's own, and each kick's has its bits
-    (``_diagonal_deviation``); ``_branch_factors`` judges the phase gates."""
+    ``phis``, once each is unitary: the Hadamard's deviation is the
+    statevector's own and each kick's has its bits (``_diagonal_deviation``).
+    The Hadamard is judged first, then the kicks molecule-major, each named
+    by its power and phase; ``_branch_factors`` judges the phase gates."""
     h = _hadamard_gate(gate_mode)
     kicks = _phase_diagonals(phis, kick_mode, _kick_powers(m))
-    _require_unitary(np.append(sv._unitary_deviation(h), _diagonal_deviation(kicks)))
+    _require_unitary(sv._unitary_deviation(h), lambda: "Hadamard")
+    _require_unitary(_diagonal_deviation(kicks),
+                     lambda j, p: f"kick of power 2^{m - 1 - j} at phi = {float(phis[p])!r}")
     return h, kicks
 
 
-def _require_unitary(devs: np.ndarray) -> None:
-    """Raise the statevector's verdict on the first of ``devs`` past UNITARY_TOL."""
+def _require_unitary(devs: np.ndarray, name) -> None:
+    """Raise the statevector's verdict on the first of ``devs`` past
+    UNITARY_TOL, followed by ``name(*i)``, the name of the gate at index i."""
     # written so that a NaN deviation fails too
     ok = devs <= sv.UNITARY_TOL
     if not ok.all():
-        raise ValidationError(f"gate is not unitary (deviation {devs[np.argmin(ok)]:.3e})")
+        first = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValidationError(
+            f"gate is not unitary (deviation {devs[first]:.3e}): {name(*first)}")
 
 
 def _diagonal_deviation(d: np.ndarray) -> np.ndarray:
@@ -496,14 +506,8 @@ def sweep_successes(m_values, n: int, phis,
     list its own: the one batching of phases. Every call grows all the
     distinct sizes in one tree (``_shared_tree``), ``batch_size(*sizes)``
     phases a call, so its distributions stay bounded however many phases
-    there are.
-
-    The verdicts are those of the sizes one at a time, in the order given:
-    of the first batch that fails, and within it of the first kick in
-    molecule-major order. A failing gate of a tree of several sizes takes
-    that verdict from the sizes' gates alone (``_tree_gates``, then
-    ``_branch_factors``, ``batch_size(m)`` phases a call), and no tree runs
-    again. A row-sum verdict names its phase's row within the call's batch."""
+    there are. A verdict is that of the first failing batch's tree, and a
+    row-sum verdict names its phase's row within that batch."""
     _check_accuracy(n)
     for m in m_values:
         if m < n:
@@ -516,17 +520,7 @@ def sweep_successes(m_values, n: int, phis,
     masses: dict[int, list[float]] = {m: [] for m in sizes}
     for start in range(0, len(phis), per):
         batch = phis[start:start + per]
-        try:
-            dists = _shared_tree(sizes, batch, gate_mode, gate_mode)
-        except ValidationError:
-            if len(sizes) > 1:
-                for m in m_values:
-                    alone = batch_size(m)
-                    for first in range(0, len(phis), alone):
-                        _tree_gates(m, phis[first:first + alone], gate_mode, gate_mode)
-                        _branch_factors(m, gate_mode)
-            raise
-        for m, rows in zip(sizes, dists):
+        for m, rows in zip(sizes, _shared_tree(sizes, batch, gate_mode, gate_mode)):
             masses[m] += window_masses(rows, n, batch)
     return [list(masses[m]) for m in m_values]
 

@@ -363,12 +363,13 @@ class TestExitCodes:
         # the known pulse-literal defect: qpe._phase_diagonals raises the
         # rounded pulse entries to the kick's power, and from 2^15 on the
         # kick drifts past the unitarity tolerance; the tree that a sampled
-        # run draws from gives the statevector's verdict
-        for shots in ("0", "100"):
+        # run draws from gives the statevector's verdict and names the kick
+        verdict = "error: gate is not unitary (deviation 2.980e-12)"
+        for shots, name in (("0", ""), ("100", ": kick of power 2^15 at phi = 0.3")):
             code, out, err = run_cli(["estimate", "--m", "16", "--mode", "pulse-literal",
                                       "--phase", "0.3", "--shots", shots], capsys)
             assert code == 1 and out == ""
-            assert err == "error: gate is not unitary (deviation 2.980e-12)\n", shots
+            assert err == f"{verdict}{name}\n", shots
 
     def test_branch_drift_in_a_sampled_run_exits_2(self, capsys, monkeypatch):
         # level 3's branch factors drift by 1e-9, and level 4's, built from
@@ -397,20 +398,20 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "gate is not unitary (deviation 1.250e+00)" in err
 
-    @pytest.mark.parametrize("m_values, deviation", [("5,8", "1.250e+00"),
-                                                     ("8,5", "5.625e-01")])
-    def test_sweep_names_its_first_registers_kick(self, capsys, monkeypatch,
-                                                  m_values, deviation):
+    @pytest.mark.parametrize("m_values", ["5,8", "8,5"])
+    def test_sweep_names_its_largest_registers_first_kick(self, capsys, monkeypatch,
+                                                          m_values):
         # the kick of power 2^3 (molecule 2 at m = 5, molecule 5 at m = 8) and
         # that of power 2^7 (molecule 1 at m = 8 only) are broken, each with
-        # its own deviation: the verdict is the first register's as given
+        # its own deviation: both sizes share one tree, whose kicks are
+        # m = 8's, so in either order the verdict names m = 8's molecule 1
         break_kicks(monkeypatch, {(2 ** 3, None): [1.0, 1.5],
                                   (2 ** 7, None): [1.0, 1.25]})
         code, out, err = run_cli(["sweep", "--m-values", m_values, "--n", "3",
                                   "--phases", "1.0,2.0"], capsys)
         assert code == 1 and out == ""
-        assert err == ("error: gate is not unitary (deviation "
-                       f"{deviation})\n")
+        assert err == ("error: gate is not unitary (deviation 5.625e-01): "
+                       "kick of power 2^7 at phi = 1.0\n")
 
     def test_sweep_names_its_first_batchs_kick(self, capsys, monkeypatch):
         # 40 phases at m = 11 run in batches of 32 and 8: the first batch
@@ -423,7 +424,8 @@ class TestExitCodes:
         code, out, err = run_cli(["sweep", "--m-values", "11", "--n", "3",
                                   "--random-phases", "40", "--seed", "6"], capsys)
         assert code == 1 and out == ""
-        assert err == "error: gate is not unitary (deviation 1.250e+00)\n"
+        assert err == ("error: gate is not unitary (deviation 1.250e+00): "
+                       f"kick of power 2^9 at phi = {float(phis[3])!r}\n")
 
     def test_non_finite_result_exits_2(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._HANDLERS, "feasibility",

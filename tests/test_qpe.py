@@ -14,6 +14,8 @@ from dotphase import qpe
 from dotphase import statevector as sv
 from dotphase.errors import (
     BoundUndefinedError,
+    CapacityError,
+    DimensionError,
     DomainError,
     NumericalInvariantError,
     ValidationError,
@@ -301,6 +303,22 @@ class TestMeasureAndEstimate:
         with pytest.raises(ValidationError, match="^register bits must be 0 or 1, got "):
             qpe.estimate_from_bits(bits, 1.0)
 
+    def test_rejects_no_bits(self):
+        # no bits would read out as the estimate 0.0
+        with pytest.raises(ValidationError, match="^need at least one register bit$"):
+            qpe.estimate_from_bits((), 1.0)
+
+    @pytest.mark.parametrize("m, error, message", [
+        (0, CapacityError, r"^m must be in \[1, 20\], got 0$"),
+        (qpe.MAX_REGISTER + 1, CapacityError, r"^m must be in \[1, 20\], got 21$"),
+        (4, DimensionError, r"^register size 4 out of range 1\.\.3$")],
+        ids=["none", "past the cap", "past the state"])
+    def test_rejects_a_register_the_state_does_not_hold(self, m, error, message):
+        # a 3-molecule state: m = 4 would read out 3 bits as a 4-bit estimate
+        state = qpe.run_final_state(3, TWO_PI * 5 / 8)
+        with pytest.raises(error, match=message):
+            qpe.measure_and_estimate(state, m, 1.0, seed=0)
+
 
 class TestExactDistribution:
     def test_representable(self):
@@ -461,6 +479,20 @@ class TestExactDistributions:
 
 # pulse-literal phases whose kicks stay unitary up to m = 16
 UNITARY_KICK_PHASES = (0.5, 2.0, 2.7, 5.5)
+
+
+def record_qubits(monkeypatch):
+    """Wrap ``sv.apply_1q`` so that each call appends its qubit index.
+    Returns the list of indices."""
+    qubits = []
+    apply_1q = sv.apply_1q
+
+    def recorded(state, qubit_index, gate, **kwargs):
+        qubits.append(qubit_index)
+        return apply_1q(state, qubit_index, gate, **kwargs)
+
+    monkeypatch.setattr(sv, "apply_1q", recorded)
+    return qubits
 
 
 def record_trees(monkeypatch):
@@ -628,64 +660,32 @@ class TestSharedTree:
         with pytest.raises(DomainError, match="need m >= n, got m=3, n=4"):
             qpe.sweep_successes([5, 3], 4, [1.0])
 
-    def test_a_shared_gate_failure_gets_the_verdict_of_the_sizes_alone(self, monkeypatch):
-        # 20 phases: m = 5 and 8 share one call, which runs first, and m = 12
-        # runs alone. The kick of power 2^7 (m = 8's molecule 1, m = 12's
-        # molecule 5) and that of power 2^10 (m = 12's molecule 2) are
-        # broken: the shared tree meets 2^7 first, but m = 5 passes alone and
-        # m = 12 comes before m = 8, so the verdict is 2^10's. No tree grows
-        phis = [float(p) for p in np.random.default_rng(64).uniform(0.01, TWO_PI, 20)]
+    def test_a_shared_gate_failure_names_the_largest_sizes_kick(self, monkeypatch):
+        # the kick of power 2^3 (m = 5's molecule 2, m = 8's molecule 5) and
+        # that of power 2^7 (m = 8's molecule 1) are broken, each with its
+        # own deviation. Both sizes share one tree, whose kicks are m = 8's,
+        # so in either order the verdict names 2^7 of the first phase, and
+        # no tree grows
         phase_diagonals = qpe._phase_diagonals
 
         def broken(thetas, mode, powers=(1,)):
             diagonals = phase_diagonals(thetas, mode, powers)
-            diagonals[np.asarray(powers) == 2 ** 7] = [1.0, 1.5]
-            diagonals[np.asarray(powers) == 2 ** 10] = [1.0, 1.25]
+            diagonals[np.asarray(powers) == 2 ** 3] = [1.0, 1.5]
+            diagonals[np.asarray(powers) == 2 ** 7] = [1.0, 1.25]
             return diagonals
 
         monkeypatch.setattr(qpe, "_phase_diagonals", broken)
         monkeypatch.setattr(qpe, "_branch_probabilities", None)
-        with pytest.raises(ValidationError,
-                           match=r"^gate is not unitary \(deviation 5\.625e-01\)$"):
-            qpe.sweep_successes([5, 12, 8], 3, phis)
-        with pytest.raises(ValidationError,
-                           match=r"^gate is not unitary \(deviation 1\.250e\+00\)$"):
-            qpe.sweep_successes([5, 8, 12], 3, phis)
-        # P(pi/8), level 3's, and the kick of power 2^5, which only m = 6
-        # has, are broken: the shared tree of m = 4 and 6 meets the kick
-        # first, but m = 4 alone fails at its level 3, so the verdict is
-        # P(pi/8)'s, again with no tree grown. The phase gates are memoised,
-        # and so are the branch factors built from them: neither may keep a
-        # bent gate
-        monkeypatch.undo()
-
-        def bent(thetas, mode, powers=(1,)):
-            diagonals = phase_diagonals(thetas, mode, powers)
-            diagonals[:, np.asarray(thetas) == math.pi / 8] = [1.0, 1.5]
-            diagonals[np.asarray(powers) == 2 ** 5] = [1.0, 1.25]
-            return diagonals
-
-        qpe._phase_gate.cache_clear()
-        qpe._branch_factors.cache_clear()
-        try:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(qpe, "_phase_diagonals", bent)
-                with pytest.raises(ValidationError) as alone:
-                    qpe.sweep_successes([4], 3, [0.3, 2.0])
-                patch.setattr(qpe, "_branch_probabilities", None)
-                with pytest.raises(ValidationError) as shared:
-                    qpe.sweep_successes([4, 6], 3, [0.3, 2.0])
-        finally:
-            qpe._phase_gate.cache_clear()
-            qpe._branch_factors.cache_clear()
-        assert str(shared.value) == str(alone.value)
-        assert str(alone.value) == "gate is not unitary (deviation 1.250e+00)"
+        for m_values in ([5, 8], [8, 5]):
+            with pytest.raises(ValidationError, match=r"^gate is not unitary \(deviation "
+                               r"5\.625e-01\): kick of power 2\^7 at phi = 1\.0$"):
+                qpe.sweep_successes(m_values, 3, [1.0, 2.0])
 
 
 class TestTreeDistributions:
     """The measure-as-you-go tree gives the statevector's distributions to
-    within rounding, its verdict on every gate, and each row the bytes its
-    phase alone gets."""
+    within rounding, its verdict on every gate followed by the gate's name,
+    and each row the bytes its phase alone gets."""
 
     @pytest.mark.parametrize("mode", list(GateMode))
     @pytest.mark.parametrize("m", range(1, 13))
@@ -775,16 +775,19 @@ class TestTreeDistributions:
 
     @pytest.mark.parametrize("m", range(13, 17))
     @pytest.mark.parametrize("phi", [0.8271428571428572, 1.0067455141626498])
-    def test_kick_defect_gets_the_statevector_verdict(self, m, phi):
+    def test_kick_defect_gets_the_statevector_verdict(self, m, phi, monkeypatch):
         # the pulse-literal kick defect (qpe._phase_diagonals) stops both
-        # paths at the same kick with the same deviation, or neither
+        # paths at the same kick with the same deviation, or neither, and
+        # the tree names the kick
         mode = GateMode.PULSE_LITERAL
+        qubits = record_qubits(monkeypatch)
         try:
             expected = qpe.exact_distribution(m, phi, mode)
         except ValidationError as exc:
             with pytest.raises(ValidationError) as raised:
                 qpe.tree_distributions(m, [phi], mode)
-            assert str(raised.value) == str(exc)
+            # the last gate call is the failing kick, on its molecule
+            assert str(raised.value) == f"{exc}: kick of power 2^{m - qubits[-1]} at phi = {phi!r}"
         else:
             tree = qpe.tree_distributions(m, [phi], mode)[0]
             assert np.abs(tree - expected).max() <= 1e-13
@@ -792,26 +795,25 @@ class TestTreeDistributions:
     def test_verdict_names_the_first_failing_kick(self, monkeypatch):
         # the tree judges a stack's kicks molecule-major, so its verdict is
         # the statevector's on the phase whose failing kick has the lowest
-        # molecule, the first such phase of the stack on a tie
+        # molecule, the first such phase of the stack on a tie, and names
+        # that kick
         stack = [0.3, 0.8271428571428572, 1.0067455141626498]
         mode = GateMode.PULSE_LITERAL
         with pytest.raises(ValidationError) as tree:
             qpe.tree_distributions(16, stack, mode)
-        qubits = []
-        apply_1q = sv.apply_1q
-
-        def recorded(state, qubit_index, gate, **kwargs):
-            qubits.append(qubit_index)
-            return apply_1q(state, qubit_index, gate, **kwargs)
-
-        monkeypatch.setattr(sv, "apply_1q", recorded)
+        qubits = record_qubits(monkeypatch)
         verdicts = []
         for row, phi in enumerate(stack):
             with pytest.raises(ValidationError) as statevector:
                 qpe.exact_distribution(16, phi, mode)
             # the last gate call is the failing kick, on its molecule
             verdicts.append((qubits[-1], row, str(statevector.value)))
-        assert str(tree.value) == min(verdicts)[2]
+        qubit, row, verdict = min(verdicts)
+        assert str(tree.value) == f"{verdict}: kick of power 2^{16 - qubit} at phi = {stack[row]!r}"
+        # a NaN phase fails every kick, molecule 1's first
+        with pytest.raises(ValidationError) as nan:
+            qpe.empirical_success(3, 1, math.nan)
+        assert str(nan.value) == "gate is not unitary (deviation nan): kick of power 2^2 at phi = nan"
 
     def test_verdict_is_molecule_major(self, monkeypatch):
         # phase 0's kick fails at molecule 2 only and phase 1's at molecule 1
@@ -832,11 +834,13 @@ class TestTreeDistributions:
             qpe.tree_distributions(m, phis)
         with pytest.raises(ValidationError) as statevector:
             qpe.exact_distribution(m, phis[1])
-        assert str(tree.value) == str(statevector.value)
-        assert str(tree.value) == "gate is not unitary (deviation 5.625e-01)"
+        assert str(statevector.value) == "gate is not unitary (deviation 5.625e-01)"
+        assert str(tree.value) == f"{statevector.value}: kick of power 2^5 at phi = 2.1"
 
     @pytest.mark.parametrize("broken", ["hadamard", "phase gate", "two phase gates"])
     def test_other_gates_get_the_statevector_verdict(self, broken, monkeypatch):
+        name = {"hadamard": "Hadamard", "phase gate": "P(+pi/2^3)",
+                "two phase gates": "P(-pi/2^2)"}[broken]
         if broken == "hadamard":
             monkeypatch.setattr(qpe, "_hadamard_gate", lambda mode: 1.25 * qpe.IDEAL_HADAMARD)
         else:
@@ -865,7 +869,7 @@ class TestTreeDistributions:
         finally:
             qpe._phase_gate.cache_clear()
             qpe._branch_factors.cache_clear()
-        assert str(tree.value) == str(statevector.value)
+        assert str(tree.value) == f"{statevector.value}: {name}"
 
     @given(data=st.data(), m=st.integers(1, 7), mode=st.sampled_from(list(GateMode)),
            include_target=st.booleans(), phi=st.floats(1.0, TWO_PI))
@@ -874,13 +878,17 @@ class TestTreeDistributions:
                                                    phi):
         """1 to 3 of the Hadamard, the kicks and the phase gates P(+-pi/2^k)
         are bent, each to its own deviation: the tree gives the
-        statevector's verdict, and without the target so does a sweep of m
-        alone, and a sweep of m and up to two more sizes gives the first
-        verdict of its sizes alone. The phases start at 1, above every
-        phase gate's angle, so that no kick is bent as a phase gate."""
-        gates = (["hadamard"] + [("kick", 2 ** k) for k in range(m)]
-                 + [("phase", s * math.pi / 2 ** k) for k in range(2, m + 1) for s in (-1, 1)])
-        bent = data.draw(st.lists(st.sampled_from(gates), min_size=1, max_size=3,
+        statevector's verdict followed by the name of the gate with that
+        deviation, and without the target so does a sweep of m alone, and
+        a sweep of m and up to two more sizes gives the verdict of its
+        largest size's tree. The phases start at 1, above every phase
+        gate's angle, so that no kick is bent as a phase gate."""
+        # each gate and the name the tree gives it
+        names = {"hadamard": "Hadamard"}
+        names.update({("kick", k): f"kick of power 2^{k} at phi = {phi!r}" for k in range(m)})
+        names.update({("phase", s, k): f"P({'-+'[s > 0]}pi/2^{k})"
+                      for k in range(2, m + 1) for s in (-1, 1)})
+        bent = data.draw(st.lists(st.sampled_from(list(names)), min_size=1, max_size=3,
                                   unique=True), label="bent")
         m_values = [m] + data.draw(st.lists(st.integers(1, 7), max_size=2), label="sizes")
         scales = {gate: 1.25 + 0.25 * i for i, gate in enumerate(bent)}
@@ -891,9 +899,8 @@ class TestTreeDistributions:
             powers, thetas = np.asarray(powers)[:, None], np.asarray(thetas)
             for gate, scale in scales.items():
                 if gate != "hadamard":
-                    kind, value = gate
-                    where = ((powers == value) & (thetas == phi) if kind == "kick"
-                             else (powers == 1) & (thetas == value))
+                    where = ((powers == 2 ** gate[1]) & (thetas == phi) if gate[0] == "kick"
+                             else (powers == 1) & (thetas == gate[1] * math.pi / 2 ** gate[2]))
                     diagonals[where] = [1.0, scale]
             return diagonals
 
@@ -915,14 +922,16 @@ class TestTreeDistributions:
                     patch.setattr(qpe, "_hadamard_gate",
                                   lambda mode: scales["hadamard"] * hadamard_gate(mode))
                 want = verdict(lambda: qpe.readout_distribution(m, phi, mode, include_target))
-                assert verdict(lambda: qpe.tree_distributions(
-                    m, [phi], mode, include_target)) == want
+                # a bent gate of deviation s^2 - 1 is the one of scale s
+                deviation = float(re.fullmatch(r"gate is not unitary \(deviation (\S+)\)",
+                                               want).group(1))
+                first = min(scales, key=lambda gate: abs(scales[gate] ** 2 - 1 - deviation))
+                tree = verdict(lambda: qpe.tree_distributions(m, [phi], mode, include_target))
+                assert tree == f"{want}: {names[first]}"
                 if not include_target:
-                    alone = [verdict(lambda: qpe.sweep_successes([size], 0, [phi], mode))
-                             for size in m_values]
-                    assert alone[0] == want
-                    first = next((v for v in alone if v is not None), None)
-                    assert verdict(lambda: qpe.sweep_successes(m_values, 0, [phi], mode)) == first
+                    assert verdict(lambda: qpe.sweep_successes([m], 0, [phi], mode)) == tree
+                    largest = verdict(lambda: qpe.tree_distributions(max(m_values), [phi], mode))
+                    assert verdict(lambda: qpe.sweep_successes(m_values, 0, [phi], mode)) == largest
         finally:
             qpe._phase_gate.cache_clear()
             qpe._branch_factors.cache_clear()
@@ -1045,7 +1054,8 @@ KICK_PHASES = (0.3, 1.0, 2.0, math.pi, 4.2, 5.9, 2 * math.pi, 1e-3)
 class TestRowDiagonals:
     """The tree's judge of its stack of diagonals: each row's deviation has
     the bits the statevector gives the gate diag(row), and the stack's
-    verdict is the one ``apply_1q`` gives its first failing row alone."""
+    verdict is the one ``apply_1q`` gives its first failing row alone,
+    followed by that kick's name."""
 
     @pytest.mark.parametrize("mode", list(GateMode))
     def test_deviation_matches_gate_plan(self, mode):
@@ -1072,7 +1082,7 @@ class TestRowDiagonals:
             qpe._tree_gates(m, [math.pi, TWO_PI, phi, math.pi, TWO_PI], mode, mode)
         with pytest.raises(ValidationError) as alone:
             sv.apply_1q(random_state(6, np.random.default_rng(530)), 2, gate)
-        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value) == f"{alone.value}: kick of power 2^{m - 1} at phi = {phi!r}"
 
     def test_drifting_row_stops_the_call(self, monkeypatch):
         # the one branch of row 0 drifts at molecule 1: the tree stops when
