@@ -79,15 +79,6 @@ class PhaseEstimate:
     eta_percent: float
 
 
-@dataclass(frozen=True)
-class SequenceStep:
-    """One element of the five-gate controlled-phase decomposition."""
-
-    kind: str            # "phase" or "cnot"
-    slot: str | None = None   # "j" (control) or "k" (target) for phase gates
-    angle: float | None = None
-
-
 def _hadamard_gate(mode: GateMode) -> np.ndarray:
     if mode == GateMode.IDEAL:
         return IDEAL_HADAMARD
@@ -157,27 +148,12 @@ def _kick_powers(m: int) -> list[int]:
     return [2 ** (m - j) for j in range(1, m + 1)]
 
 
-def controlled_phase_sequence(theta: float) -> list[SequenceStep]:
-    """Five-gate decomposition whose composite is diag(1, 1, 1, e^{-2i theta}).
-
-    Time order: theta phase gates U(x) = diag(1, e^{ix}) on the control (j)
-    and target (k) slots interleaved with two CNOT(j -> k) gates.
-    """
+def sequence_unitary(theta: float) -> np.ndarray:
+    """4x4 composite of the five-gate sequence on the ordered (j, k) pair
+    for a finite ``theta``: column c is what ``_apply_sequence`` (ideal
+    mode) makes of basis state c of a two-qubit register."""
     if not math.isfinite(theta):
         raise ValidationError("theta must be finite")
-    return [
-        SequenceStep("phase", "j", -theta),
-        SequenceStep("cnot"),
-        SequenceStep("phase", "k", theta),
-        SequenceStep("cnot"),
-        SequenceStep("phase", "k", -theta),
-    ]
-
-
-def sequence_unitary(theta: float) -> np.ndarray:
-    """4x4 composite of the five-gate sequence on the ordered (j, k) pair:
-    column c is what ``_apply_sequence`` (ideal mode) makes of basis state c
-    of a two-qubit register."""
     basis = np.eye(4, dtype=np.complex128)
     return np.column_stack([
         _apply_sequence(sv.QuantumState(basis[c]), 1, 2, theta,
@@ -188,16 +164,16 @@ def sequence_unitary(theta: float) -> np.ndarray:
 def _apply_sequence(
     state: sv.QuantumState, j: int, k: int, theta: float, mode: GateMode
 ) -> sv.QuantumState:
-    """The five gates on the pair (j, k). They may overwrite ``state``,
-    which every caller owns."""
-    for step in controlled_phase_sequence(theta):
-        if step.kind == "cnot":
-            state = sv.apply_2q(state, j, k, CNOT, in_place=True)
-        else:
-            target = j if step.slot == "j" else k
-            state = sv.apply_1q(state, target, _phase_gate(step.angle, mode),
-                                in_place=True)
-    return state
+    """The paper's five gates on the pair (j, k), in time order: P(-theta)
+    on j, CNOT(j -> k), P(theta) on k, CNOT(j -> k), P(-theta) on k, with
+    P(x) = diag(1, e^{ix}) the mode's ``_phase_gate``. They may overwrite
+    ``state``, which every caller owns."""
+    minus, plus = _phase_gate(-theta, mode), _phase_gate(theta, mode)
+    state = sv.apply_1q(state, j, minus, in_place=True)
+    state = sv.apply_2q(state, j, k, CNOT, in_place=True)
+    state = sv.apply_1q(state, k, plus, in_place=True)
+    state = sv.apply_2q(state, j, k, CNOT, in_place=True)
+    return sv.apply_1q(state, k, minus, in_place=True)
 
 
 def inverse_qft(
@@ -503,11 +479,13 @@ def sweep_successes(m_values, n: int, phis,
                     gate_mode: GateMode = GateMode.IDEAL) -> list[list[float]]:
     """``empirical_success(m, n, phi, gate_mode)`` of each phase of
     ``phis``, one list per entry m of ``m_values``, in their order, each
-    list its own: the one batching of phases. Every call grows all the
-    distinct sizes in one tree (``_shared_tree``), ``batch_size(*sizes)``
-    phases a call, so its distributions stay bounded however many phases
-    there are. A verdict is that of the first failing batch's tree, and a
-    row-sum verdict names its phase's row within that batch."""
+    list its own: the one batching of phases. The first phase whose
+    largest kick angle, |phi| 2^(max m - 1), is not finite is rejected
+    before any tree. Every call grows all the distinct sizes in one tree
+    (``_shared_tree``), ``batch_size(*sizes)`` phases a call, so its
+    distributions stay bounded however many phases there are. A verdict is
+    that of the first failing batch's tree, and a row-sum verdict names its
+    phase's row within that batch."""
     _check_accuracy(n)
     for m in m_values:
         if m < n:
@@ -516,6 +494,10 @@ def sweep_successes(m_values, n: int, phis,
     sizes = sorted(set(m_values))
     if not sizes:
         return []
+    for phi in map(float, phis):
+        # Python floats, so an overflow gives inf and no warning
+        if not abs(phi) * 2 ** (sizes[-1] - 1) < math.inf:
+            raise ValidationError(f"phase {phi!r} has no finite kick angle at m = {sizes[-1]}")
     per = batch_size(*sizes)
     masses: dict[int, list[float]] = {m: [] for m in sizes}
     for start in range(0, len(phis), per):
@@ -527,8 +509,10 @@ def sweep_successes(m_values, n: int, phis,
 
 def window_mass(probs: np.ndarray, n: int, phi: float) -> float:
     """Mass of the readout distribution ``probs`` (over 2^m outcomes) within
-    circular distance 1/2^n of phi."""
+    circular distance 1/2^n of phi, a finite phase."""
     _check_accuracy(n)
+    if not math.isfinite(phi):
+        raise ValidationError(f"phase must be finite, got {phi!r}")
     size = len(probs)
     d = circular_distance(np.arange(size) / size, (phi / math.tau) % 1.0)
     return float(probs[d < 0.5 ** n].sum())
@@ -539,13 +523,11 @@ def window_masses(rows: np.ndarray, n: int, phis) -> list[float]:
     bit for bit: the arc from floor(x) - h + 1 to ceil(x) + h - 1, x = frac
     * 2^m and h = 2^{m-n} (1 for n > m), less each end window_mass leaves
     out, clamped to the circle; rounding moves no other index. Its slices,
-    in the mask's order, keep the mask's sum. A non-finite phase sends its
-    batch row by row through window_mass."""
+    in the mask's order, keep the mask's sum. The phases are finite, as
+    sweep_successes checks."""
     _check_accuracy(n)
     size = rows.shape[1]
     fracs = (np.asarray(phis, dtype=np.float64) / math.tau) % 1.0
-    if not np.isfinite(fracs).all():
-        return [window_mass(row, n, phi) for row, phi in zip(rows, phis)]
     x = fracs * size
     half = max(size >> n, 1)
     ends = np.stack((np.floor(x) - (half - 1), np.ceil(x) + (half - 1)), axis=1)

@@ -4,6 +4,7 @@ import math
 import pathlib
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,11 +135,31 @@ class TestControlledPhaseSequence:
             expected = np.diag([1, 1, 1, np.exp(-2j * theta)])
             assert np.max(np.abs(u - expected)) < 1e-12
 
-    def test_step_list_shape(self):
-        steps = qpe.controlled_phase_sequence(0.3)
-        assert [s.kind for s in steps] == ["phase", "cnot", "phase", "cnot", "phase"]
-        assert [s.slot for s in steps] == ["j", None, "k", None, "k"]
-        assert steps[0].angle == -0.3
+    def test_five_gate_calls(self, monkeypatch):
+        # P(-theta) on j, CNOT(j -> k), P(theta) on k, CNOT(j -> k) and
+        # P(-theta) on k, each written in place
+        calls = []
+
+        def recorder(apply):
+            def recorded(state, *args, **kwargs):
+                calls.append((args[:-1], args[-1].tobytes(), kwargs))
+                return apply(state, *args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(sv, "apply_1q", recorder(sv.apply_1q))
+        monkeypatch.setattr(sv, "apply_2q", recorder(sv.apply_2q))
+        cnot = qpe.CNOT.tobytes()
+        for mode in GateMode:
+            calls.clear()
+            qpe._apply_sequence(sv.new_state(6), 2, 5, 0.3, mode)
+            minus, plus = (qpe._phase_gate(t, mode).tobytes() for t in (-0.3, 0.3))
+            assert calls == [(qubits, gate, {"in_place": True}) for qubits, gate in [
+                ((2,), minus), ((2, 5), cnot), ((5,), plus), ((2, 5), cnot), ((5,), minus)]]
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_theta(self, theta):
+        with pytest.raises(ValidationError, match="^theta must be finite$"):
+            qpe.sequence_unitary(theta)
 
 
 class TestInverseQft:
@@ -453,7 +474,6 @@ class TestExactDistributions:
     @example(case=(2, 2, [TWO_PI * 0.25, TWO_PI * 0.375, TWO_PI], 0))
     @example(case=(2, 1, [TWO_PI * 0.125, math.nextafter(TWO_PI, 0.0)], 1))
     @example(case=(16, 0, [5e-324, TWO_PI * 0.5], 2))
-    @example(case=(12, 3, [1.0, math.nan], 3))
     # whole-circle windows: x an integer, the arc clamped to the circle, and
     # n = 1, the antipode left out
     @example(case=(3, 0, [TWO_PI * 0.25, 1.0], 4))
@@ -468,6 +488,11 @@ class TestExactDistributions:
         want = [qpe.window_mass(probs, n, phi) for phi, probs in zip(phis, rows)]
         got = qpe.window_masses(rows, n, phis)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_window_mass_rejects_a_non_finite_phase(self, phi):
+        with pytest.raises(ValidationError, match="phase must be finite"):
+            qpe.window_mass(np.full(8, 0.125), 1, phi)
 
     def test_window_functions_reject_negative_accuracy(self):
         rows = qpe.tree_distributions(4, [1.0, 2.0])
@@ -812,7 +837,7 @@ class TestTreeDistributions:
         assert str(tree.value) == f"{verdict}: kick of power 2^{16 - qubit} at phi = {stack[row]!r}"
         # a NaN phase fails every kick, molecule 1's first
         with pytest.raises(ValidationError) as nan:
-            qpe.empirical_success(3, 1, math.nan)
+            qpe.tree_distributions(3, [math.nan])
         assert str(nan.value) == "gate is not unitary (deviation nan): kick of power 2^2 at phi = nan"
 
     def test_verdict_is_molecule_major(self, monkeypatch):
@@ -1168,6 +1193,23 @@ class TestEmpiricalSuccess:
 
     def test_zero_accuracy_bits(self):
         assert qpe.empirical_success(4, 0, 1.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, 1e308])
+    def test_rejects_a_phase_without_finite_kicks(self, phi):
+        # before any tree and with no numpy warning: 1e308 * 2^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                qpe.empirical_success(3, 1, phi)
+        assert str(err.value) == f"phase {phi!r} has no finite kick angle at m = 3"
+
+    def test_largest_size_decides_a_phase(self):
+        # 1e306 * 2^2 is finite, 1e306 * 2^11 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 <= qpe.sweep_successes([3], 1, [1e306])[0][0] <= 1.0
+            with pytest.raises(ValidationError, match=r"^phase 1e\+306 has no finite kick angle at m = 12$"):
+                qpe.sweep_successes([3, 12], 1, [1e306])
 
     def test_beats_bound(self):
         rng = np.random.default_rng(22)
