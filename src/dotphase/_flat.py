@@ -22,9 +22,9 @@ import numpy as np
 # this long are scaled in place in pieces of it, shorter runs are gathered
 # into a buffer of this size, the pattern pass works on blocks of it and a
 # dense gate on blocks of SPLIT_BLOCK / 2^k columns. A gate allocates at
-# most three blocks besides the new state it writes where it may not
-# overwrite the old. At m = 16 (one BLAS thread), blocks of 2^11 took
-# 11-16 % longer, from the numpy calls per block, and 2^13 gained nothing.
+# most three blocks besides the state it writes. At m = 16 (one BLAS
+# thread), blocks of 2^11 took 11-16 % longer, from the numpy calls per
+# block, and 2^13 gained nothing.
 # It is also the pattern pass's crossover: a diagonal one-qubit gate
 # neither of whose entries is 1 scales both slabs, which on runs shorter
 # than a block one pass with a pattern of its entries does in 150-250 us at
@@ -117,24 +117,24 @@ def _apply_pattern(amps: np.ndarray, run: int, diagonal: np.ndarray) -> np.ndarr
     return amps
 
 
-def _apply_dense(src: np.ndarray, out: np.ndarray, layout, gate: np.ndarray) -> np.ndarray:
-    """Any gate, from ``src`` into the C-contiguous ``out`` (maybe ``src``):
-    each block of ``layout.cols`` columns of the matrix ``np.tensordot``
-    multiplies (``_column_blocks``) goes through ``np.dot`` (from a copy
-    where BLAS cannot take its strides) into a buffer, which is copied
-    back. A block holds at least 4 whole columns, or the whole matrix, and
-    BLAS then rounds each column as tensordot does. Returns ``out``."""
+def _apply_dense(amps: np.ndarray, layout, gate: np.ndarray) -> np.ndarray:
+    """Any gate, on the C-contiguous ``amps``: each block of ``layout.cols``
+    columns of the matrix ``np.tensordot`` multiplies (``_column_blocks``)
+    goes through ``np.dot`` (from a copy where BLAS cannot take its
+    strides) into a buffer, which is copied back. A block holds at least 4
+    whole columns, or the whole matrix, and BLAS then rounds each column as
+    tensordot does. Returns ``amps``."""
     d = len(gate)
     lead = (slice(None),) * (d.bit_length() - 1)
-    grid, dst = (a.reshape(layout.shape).transpose(layout.order) for a in (src, out))
+    grid = amps.reshape(layout.shape).transpose(layout.order)
     blocks = _column_blocks(grid.shape[len(lead):], layout.cols)
-    work = np.empty(min(src.size, d * layout.cols), dtype=np.complex128)
+    work = np.empty(min(amps.size, d * layout.cols), dtype=np.complex128)
     for index in blocks:
         block = grid[lead + index]
         product = work[:block.size]
         np.dot(gate, block.reshape(d, -1), out=product.reshape(d, -1))
-        np.copyto(dst[lead + index], product.reshape(block.shape))
-    return out
+        block[...] = product.reshape(block.shape)
+    return amps
 
 
 @functools.cache

@@ -125,7 +125,7 @@ def prepare_register(m: int, gate_mode: GateMode = GateMode.IDEAL) -> sv.Quantum
     state = sv.new_state(m)
     h = _hadamard_gate(gate_mode)
     for q in range(1, m + 1):
-        state = sv.apply_1q(state, q, h, in_place=True)
+        state = sv.apply_1q(state, q, h)
     return state
 
 
@@ -135,11 +135,10 @@ def apply_phase_kicks(
     """Write e^{i 2^{m-j} phi} onto molecule j's relative phase, j = 1..m.
 
     The entries of all m kicks come from one ``_phase_diagonals`` call.
-    ``state`` itself is not written: the first kick returns a new state,
-    which the later kicks overwrite."""
+    Every kick writes ``state``, which is returned."""
     kicks = _phase_diagonals([phi], gate_mode, _kick_powers(m))[:, 0]
     for j, entries in enumerate(kicks, start=1):
-        state = sv.apply_1q(state, j, np.diag(entries), in_place=j > 1)
+        state = sv.apply_1q(state, j, np.diag(entries))
     return state
 
 
@@ -166,14 +165,14 @@ def _apply_sequence(
 ) -> sv.QuantumState:
     """The paper's five gates on the pair (j, k), in time order: P(-theta)
     on j, CNOT(j -> k), P(theta) on k, CNOT(j -> k), P(-theta) on k, with
-    P(x) = diag(1, e^{ix}) the mode's ``_phase_gate``. They may overwrite
-    ``state``, which every caller owns."""
+    P(x) = diag(1, e^{ix}) the mode's ``_phase_gate``. Each writes
+    ``state``."""
     minus, plus = _phase_gate(-theta, mode), _phase_gate(theta, mode)
-    state = sv.apply_1q(state, j, minus, in_place=True)
-    state = sv.apply_2q(state, j, k, CNOT, in_place=True)
-    state = sv.apply_1q(state, k, plus, in_place=True)
-    state = sv.apply_2q(state, j, k, CNOT, in_place=True)
-    return sv.apply_1q(state, k, minus, in_place=True)
+    state = sv.apply_1q(state, j, minus)
+    state = sv.apply_2q(state, j, k, CNOT)
+    state = sv.apply_1q(state, k, plus)
+    state = sv.apply_2q(state, j, k, CNOT)
+    return sv.apply_1q(state, k, minus)
 
 
 def inverse_qft(
@@ -181,15 +180,15 @@ def inverse_qft(
 ) -> sv.QuantumState:
     """Inverse-QFT schedule: Hadamard on molecule 1, then for each molecule
     r = 2..m the controlled-phase sequences U_{s,r} (theta = pi / 2^{r-s+1})
-    followed by a Hadamard on r. ``state`` itself is not written: the first
-    Hadamard returns a new state, which every later gate overwrites."""
+    followed by a Hadamard on r. Every gate writes ``state``, which is
+    returned."""
     h = _hadamard_gate(gate_mode)
     state = sv.apply_1q(state, 1, h)
     for r in range(2, m + 1):
         for s in range(1, r):
             state = _apply_sequence(state, s, r, math.pi / 2 ** (r - s + 1),
                                     gate_mode)
-        state = sv.apply_1q(state, r, h, in_place=True)
+        state = sv.apply_1q(state, r, h)
     return state
 
 
@@ -523,11 +522,15 @@ def window_masses(rows: np.ndarray, n: int, phis) -> list[float]:
     bit for bit: the arc from floor(x) - h + 1 to ceil(x) + h - 1, x = frac
     * 2^m and h = 2^{m-n} (1 for n > m), less each end window_mass leaves
     out, clamped to the circle; rounding moves no other index. Its slices,
-    in the mask's order, keep the mask's sum. The phases are finite, as
-    sweep_successes checks."""
+    in the mask's order, keep the mask's sum. The first phase that is not
+    finite is rejected as window_mass rejects it."""
     _check_accuracy(n)
+    phis = np.asarray(phis, dtype=np.float64)
+    finite = np.isfinite(phis)
+    if not finite.all():
+        raise ValidationError(f"phase must be finite, got {float(phis[~finite][0])!r}")
     size = rows.shape[1]
-    fracs = (np.asarray(phis, dtype=np.float64) / math.tau) % 1.0
+    fracs = (phis / math.tau) % 1.0
     x = fracs * size
     half = max(size >> n, 1)
     ends = np.stack((np.floor(x) - (half - 1), np.ceil(x) + (half - 1)), axis=1)
@@ -559,13 +562,12 @@ def _controlled_kick_state(m: int, phi: float, h: np.ndarray) -> sv.QuantumState
     molecule m+1 in |1>, after controlled-phase kicks e^{i 2^{m-j} phi} from
     each molecule j onto the target."""
     flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    # the state is made here, so every gate may overwrite it
-    state = sv.apply_1q(sv.new_state(m + 1), m + 1, flip, in_place=True)
+    state = sv.apply_1q(sv.new_state(m + 1), m + 1, flip)
     for q in range(1, m + 1):
-        state = sv.apply_1q(state, q, h, in_place=True)
+        state = sv.apply_1q(state, q, h)
     kicks = _phase_diagonals([phi], GateMode.IDEAL, _kick_powers(m))[:, 0]
     for j, kick in enumerate(kicks, start=1):
-        state = sv.apply_2q(state, j, m + 1, np.diag([1, 1, *kick]), in_place=True)
+        state = sv.apply_2q(state, j, m + 1, np.diag([1, 1, *kick]))
     return state
 
 

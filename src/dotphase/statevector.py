@@ -34,9 +34,10 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        # every kernel views the amplitudes as 16-byte complex runs; no copy
-        # of complex128 input, so a buffer written in place stays the caller's
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        # every kernel writes the amplitudes as C-contiguous 16-byte complex
+        # runs: a buffer that is not one, or is read-only, is copied here,
+        # once; any other stays the caller's, and every gate writes it
+        self.amplitudes = np.require(self.amplitudes, np.complex128, ["C", "W"])
         if self.amplitudes.ndim != 1:
             raise DimensionError(
                 f"amplitudes must be one state, a 1-D array, got "
@@ -55,7 +56,7 @@ class QuantumState:
     def norm(self) -> float:
         """Euclidean norm, in one pass over the real view of the amplitudes:
         faster than np.vdot."""
-        real = np.ascontiguousarray(self.amplitudes).view(np.float64)
+        real = self.amplitudes.view(np.float64)
         return math.sqrt(np.vecdot(real, real))
 
     def copy(self) -> "QuantumState":
@@ -221,10 +222,9 @@ def _qubit_axis(state: QuantumState, qubit_index: int) -> int:
     return qubit_index - 1
 
 
-def _apply(
-    state: QuantumState, axes: list, gate: np.ndarray, in_place: bool = False
-) -> QuantumState:
-    """Apply a unitary on the tensor factors ``axes`` (its row order).
+def _apply(state: QuantumState, axes: list, gate: np.ndarray) -> QuantumState:
+    """Apply a unitary on the tensor factors ``axes`` (its row order),
+    writing ``state``'s amplitudes, and return ``state``.
 
     A gate that leaves fewer than two other factors, has more than one
     nonzero entry in a row, or has an off-diagonal entry other than 0 and 1
@@ -238,13 +238,13 @@ def _apply(
     untouched, so an ideal phase gate touches half the state; a diagonal
     one-qubit gate neither of whose entries is 1 multiplies the whole state
     by a pattern of them instead (``_apply_pattern``) where its axis leaves
-    runs shorter than SPLIT_BLOCK. Every kernel writes the caller's
-    amplitudes only with ``in_place`` (``_output``), and allocates at most
-    three blocks besides.
+    runs shorter than SPLIT_BLOCK. Every kernel allocates at most three
+    blocks besides the state.
     All give the same bits: BLAS rounds each product once and adds exact
     zeros, as the split products of ``_flat._product`` do. The verdict and the kernels'
     inputs are worked out once per distinct gate (``_gate_plan``) and axis
-    set (``_layout``). The result's norm is checked.
+    set (``_layout``). The result's norm is checked; a gate that fails a
+    check before it runs leaves the state as it was.
     """
     dim = 2 ** len(axes)
     gate = np.asarray(gate, dtype=np.complex128)
@@ -256,51 +256,31 @@ def _apply(
     if not plan.dev <= UNITARY_TOL:
         raise ValidationError(f"gate is not unitary (deviation {plan.dev:.3e})")
     layout = _layout(state.num_qubits, tuple(axes))
-    dense = layout.slabs is None or plan.cycles is None
-    out = _output(state.amplitudes, in_place, dense)
-    if dense:
-        out = _flat._apply_dense(state.amplitudes, out, layout, gate)
+    amps = state.amplitudes
+    if layout.slabs is None or plan.cycles is None:
+        _flat._apply_dense(amps, layout, gate)
     elif plan.diagonal is not None and layout.shape[-1] < SPLIT_BLOCK:
-        out = _flat._apply_pattern(out, layout.shape[-1], plan.diagonal)
+        _flat._apply_pattern(amps, layout.shape[-1], plan.diagonal)
     else:
-        out = _flat._apply_monomial(out, layout, plan.cycles)
-    return _check_norm(QuantumState(out))
+        _flat._apply_monomial(amps, layout, plan.cycles)
+    return _check_norm(state)
 
 
-def _output(amps: np.ndarray, in_place: bool, dense: bool) -> np.ndarray:
-    """The array a kernel writes: ``amps`` under ``in_place`` if C-contiguous
-    and writeable, else a new one, a copy of ``amps`` unless the kernel is
-    dense, which reads ``amps`` itself."""
-    if in_place and amps.flags.carray:
-        return amps
-    return np.empty(amps.shape, dtype=np.complex128) if dense else amps.copy()
-
-
-def apply_1q(
-    state: QuantumState, qubit_index: int, gate: np.ndarray, *, in_place: bool = False
-) -> QuantumState:
-    """Apply a 2x2 unitary to the indexed qubit (1-based).
-
-    With ``in_place`` the gate may overwrite the state's amplitudes, so
-    pass it only for a state no one else holds; either way use the
-    returned state."""
-    return _apply(state, [_qubit_axis(state, qubit_index)], gate, in_place)
+def apply_1q(state: QuantumState, qubit_index: int, gate: np.ndarray) -> QuantumState:
+    """Apply a 2x2 unitary to the indexed qubit (1-based), writing
+    ``state`` and returning it: pass ``state.copy()`` to keep a state."""
+    return _apply(state, [_qubit_axis(state, qubit_index)], gate)
 
 
 def apply_2q(
-    state: QuantumState,
-    control_index: int,
-    target_index: int,
-    gate: np.ndarray,
-    *,
-    in_place: bool = False,
+    state: QuantumState, control_index: int, target_index: int, gate: np.ndarray
 ) -> QuantumState:
-    """Apply a 4x4 unitary to the ordered (control, target) qubit pair;
-    ``in_place`` as in ``apply_1q``."""
+    """Apply a 4x4 unitary to the ordered (control, target) qubit pair,
+    writing ``state`` as ``apply_1q`` does."""
     if control_index == target_index:
         raise DimensionError("control and target must be distinct")
     axes = [_qubit_axis(state, control_index), _qubit_axis(state, target_index)]
-    return _apply(state, axes, gate, in_place)
+    return _apply(state, axes, gate)
 
 
 def apply_qubit_cavity(
@@ -310,7 +290,8 @@ def apply_qubit_cavity(
 
     The cavity, truncated to {0, 1}, is the register's last qubit, so m
     molecules and their cavity are ``new_state(m + 1)``. A call is one gate:
-    it goes to ``_apply`` itself, not through ``apply_2q``."""
+    it goes to ``_apply`` itself, not through ``apply_2q``, and writes
+    ``state`` as ``apply_1q`` does."""
     cavity = state.num_qubits
     if qubit_index == cavity:
         raise DimensionError(f"qubit {qubit_index} is the cavity, the last qubit")

@@ -97,22 +97,19 @@ class TestPhaseKicks:
         # tree_distributions takes the kicks of its stack of phases from
         # one _phase_diagonals call and judges them as one stack
         # (_tree_gates); each phase's entries there are the ones its own
-        # kick writes, molecule by molecule, and the kick leaves its input
-        # unwritten
+        # kick writes, molecule by molecule
         rng = np.random.default_rng(70 + m)
         phis = [float(p) for p in TWO_PI - rng.uniform(0.0, TWO_PI, 12)]
         prepared = qpe.prepare_register(m, mode)
-        before = prepared.amplitudes.tobytes()
         stacked = qpe._phase_diagonals(phis, mode, qpe._kick_powers(m))
         assert stacked.shape == (m, 12, 2)
         qpe._tree_gates(m, phis, mode, mode)
         for phi, entries in zip(phis, stacked.transpose(1, 0, 2)):
-            want = prepared
+            want = prepared.copy()
             for j, d in enumerate(entries, start=1):
                 want = sv.apply_1q(want, j, np.diag(d))
-            kicked = qpe.apply_phase_kicks(prepared, phi, m, mode).amplitudes
+            kicked = qpe.apply_phase_kicks(prepared.copy(), phi, m, mode).amplitudes
             assert kicked.tobytes() == want.amplitudes.tobytes(), phi
-            assert prepared.amplitudes.tobytes() == before
 
 
 class TestControlledPhaseSequence:
@@ -137,13 +134,13 @@ class TestControlledPhaseSequence:
 
     def test_five_gate_calls(self, monkeypatch):
         # P(-theta) on j, CNOT(j -> k), P(theta) on k, CNOT(j -> k) and
-        # P(-theta) on k, each written in place
+        # P(-theta) on k, each a plain gate call
         calls = []
 
         def recorder(apply):
-            def recorded(state, *args, **kwargs):
-                calls.append((args[:-1], args[-1].tobytes(), kwargs))
-                return apply(state, *args, **kwargs)
+            def recorded(state, *args):
+                calls.append((args[:-1], args[-1].tobytes()))
+                return apply(state, *args)
             return recorded
 
         monkeypatch.setattr(sv, "apply_1q", recorder(sv.apply_1q))
@@ -153,8 +150,8 @@ class TestControlledPhaseSequence:
             calls.clear()
             qpe._apply_sequence(sv.new_state(6), 2, 5, 0.3, mode)
             minus, plus = (qpe._phase_gate(t, mode).tobytes() for t in (-0.3, 0.3))
-            assert calls == [(qubits, gate, {"in_place": True}) for qubits, gate in [
-                ((2,), minus), ((2, 5), cnot), ((5,), plus), ((2, 5), cnot), ((5,), minus)]]
+            assert calls == [
+                ((2,), minus), ((2, 5), cnot), ((5,), plus), ((2, 5), cnot), ((5,), minus)]
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_theta(self, theta):
@@ -494,6 +491,14 @@ class TestExactDistributions:
         with pytest.raises(ValidationError, match="phase must be finite"):
             qpe.window_mass(np.full(8, 0.125), 1, phi)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_window_masses_reject_the_first_non_finite_phase(self, phi):
+        # named as window_mass names it, before any arithmetic on it warns
+        rows = np.full((3, 8), 0.125)
+        with pytest.raises(ValidationError, match=rf"^phase must be finite, got {phi!r}$"):
+            qpe.window_masses(rows, 1, [1.0, phi, math.nan])
+
     def test_window_functions_reject_negative_accuracy(self):
         rows = qpe.tree_distributions(4, [1.0, 2.0])
         with pytest.raises(DomainError, match="n >= 0"):
@@ -512,9 +517,9 @@ def record_qubits(monkeypatch):
     qubits = []
     apply_1q = sv.apply_1q
 
-    def recorded(state, qubit_index, gate, **kwargs):
+    def recorded(state, qubit_index, gate):
         qubits.append(qubit_index)
-        return apply_1q(state, qubit_index, gate, **kwargs)
+        return apply_1q(state, qubit_index, gate)
 
     monkeypatch.setattr(sv, "apply_1q", recorded)
     return qubits

@@ -103,7 +103,7 @@ class TestApply1q:
     def test_identity(self):
         rng = np.random.default_rng(0)
         state = random_state(3, rng)
-        out = sv.apply_1q(state, 2, np.eye(2))
+        out = sv.apply_1q(state.copy(), 2, np.eye(2))
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_hadamard_pulse_on_zero(self):
@@ -114,7 +114,7 @@ class TestApply1q:
     def test_self_inverse_twice(self):
         rng = np.random.default_rng(1)
         state = random_state(3, rng)
-        out = sv.apply_1q(sv.apply_1q(state, 1, X), 1, X)
+        out = sv.apply_1q(sv.apply_1q(state.copy(), 1, X), 1, X)
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
     def test_non_unitary_rejected(self):
@@ -137,7 +137,7 @@ class TestApply2q:
     def test_cnot_involution(self):
         rng = np.random.default_rng(2)
         state = random_state(2, rng)
-        out = sv.apply_2q(sv.apply_2q(state, 1, 2, CNOT), 1, 2, CNOT)
+        out = sv.apply_2q(sv.apply_2q(state.copy(), 1, 2, CNOT), 1, 2, CNOT)
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
     def test_diagonal_on_bell(self):
@@ -158,7 +158,7 @@ class TestQubitCavity:
 
     def test_zero_angle_is_identity(self):
         state = sv.new_state(3)
-        out = sv.apply_qubit_cavity(state, 1, cavity_pulse_unitary(PulseSpec(0, 0.3)))
+        out = sv.apply_qubit_cavity(state.copy(), 1, cavity_pulse_unitary(PulseSpec(0, 0.3)))
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_half_pulse_swaps_excitation(self):
@@ -198,9 +198,10 @@ class TestQubitCavity:
         for q in range(1, m + 1):
             for _ in range(2):
                 gate = cavity_pulse_unitary(PulseSpec(*rng.uniform(0, 2 * math.pi, 2)))
-                got = sv.apply_qubit_cavity(state, q, gate).amplitudes
+                got = sv.apply_qubit_cavity(state.copy(), q, gate).amplitudes
                 assert np.array_equal(got, tensordot_apply(state, [q - 1, m], gate)), q
-                assert got.tobytes() == sv.apply_2q(state, q, m + 1, gate).amplitudes.tobytes()
+                again = sv.apply_2q(state.copy(), q, m + 1, gate).amplitudes
+                assert got.tobytes() == again.tobytes()
 
 
 class TestProbabilities:
@@ -280,19 +281,23 @@ class TestNorm:
                 4 * m * np.finfo(np.float64).eps)
 
     def test_non_contiguous_amplitudes(self):
+        # a strided buffer is copied once, at construction, into amplitudes
+        # that the norm views as floats and every gate writes
         rng = np.random.default_rng(12)
         backing = rng.normal(size=2 ** 13) + 1j * rng.normal(size=2 ** 13)
         backing[::2] /= np.linalg.norm(backing[::2])
+        before = backing.tobytes()
         state = sv.QuantumState(backing[::2])
-        with pytest.raises(ValueError):
-            state.amplitudes.view(np.float64)
+        assert state.amplitudes.flags.carray
+        assert not np.shares_memory(state.amplitudes, backing)
         assert abs(state.norm() - 1.0) <= 1e-15
-        contiguous = sv.QuantumState(state.amplitudes.copy())
         for axes, gate in (([0], np.diag([1, 1j])), ([10], np.diag([1, 1j])),
                            ([11], np.diag([1, 1j])),
                            ([3, 9], CNOT), ([5], H)):
-            assert np.array_equal(sv._apply(state, axes, gate).amplitudes,
-                                  sv._apply(contiguous, axes, gate).amplitudes)
+            got = sv._apply(sv.QuantumState(backing[::2]), axes, gate).amplitudes
+            contiguous = sv.QuantumState(backing[::2].copy())
+            assert np.array_equal(got, sv._apply(contiguous, axes, gate).amplitudes)
+        assert backing.tobytes() == before
 
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, complex(0, math.inf),
@@ -423,7 +428,7 @@ class TestOverlap:
 
     def test_orthogonal(self):
         zero = sv.new_state(1)
-        one = sv.apply_1q(zero, 1, X)
+        one = sv.apply_1q(zero.copy(), 1, X)
         assert sv.overlap(zero, one) == pytest.approx(0.0)
 
     def test_dimension_mismatch(self):
@@ -461,7 +466,7 @@ class TestInvariants:
         q = int(rng.integers(1, m + 1))
         u, v = random_unitary(2, rng), random_unitary(2, rng)
         state = random_state(m, rng)
-        stepped = sv.apply_1q(sv.apply_1q(state, q, u), q, v)
+        stepped = sv.apply_1q(sv.apply_1q(state.copy(), q, u), q, v)
         # full-matrix oracle: embed v@u at qubit q's tensor slot
         full = np.eye(1, dtype=complex)
         for pos in range(1, m + 1):
@@ -522,26 +527,18 @@ class TestStructuredKernel:
         one, two = self.gates(rng)
         for name, gate in one.items():
             for axis in range(factors):
-                got = sv._apply(state, [axis], gate).amplitudes
+                got = sv._apply(state.copy(), [axis], gate).amplitudes
                 assert np.array_equal(got, tensordot_apply(state, [axis], gate)), (
                     name, axis)
         paired = range(factors) if factors <= 12 else range(factors - 6, factors)
         for name, gate in two.items():
             for axes in itertools.permutations(paired, 2):
                 expected = tensordot_apply(state, list(axes), gate)
-                got = sv._apply(state, list(axes), gate).amplitudes
+                got = sv._apply(state.copy(), list(axes), gate).amplitudes
                 assert np.array_equal(got, expected), (name, axes)
                 if cavity and axes[1] == factors - 1:
-                    got = sv.apply_qubit_cavity(state, axes[0] + 1, gate).amplitudes
+                    got = sv.apply_qubit_cavity(state.copy(), axes[0] + 1, gate).amplitudes
                     assert np.array_equal(got, expected), (name, axes)
-
-    def test_input_state_untouched(self):
-        rng = np.random.default_rng(9)
-        state = random_state(6, rng)
-        before = state.amplitudes.copy()
-        sv.apply_2q(state, 2, 5, CNOT)
-        sv.apply_1q(state, 4, np.diag([1, 1j]))
-        assert np.array_equal(state.amplitudes, before)
 
     @pytest.mark.parametrize("m", [1, 8])
     @pytest.mark.parametrize(
@@ -575,7 +572,7 @@ class TestStructuredKernel:
                 continue
             for axes in ([*range(k)], [*range(factors - k, factors)]):
                 for name, gate in gates.items():
-                    got = sv._apply(state, axes, gate).amplitudes
+                    got = sv._apply(state.copy(), axes, gate).amplitudes
                     assert np.array_equal(got, tensordot_apply(state, axes, gate)), (
                         name, axes)
 
@@ -661,16 +658,16 @@ class TestColumnBlocks:
 
 
 class TestInPlace:
-    """With ``in_place`` every kernel overwrites the state it is given, and
-    must still equal the contraction bit for bit; the default leaves the
-    caller's amplitudes as they were."""
+    """Every gate writes the state it is given and returns it, and must
+    still equal the contraction bit for bit; ``state.copy()`` keeps a
+    state."""
 
     @staticmethod
     def check(state, axes, gate):
-        work = sv.QuantumState(state.amplitudes.copy())
-        got = sv._apply(work, axes, gate, in_place=True).amplitudes
-        assert np.array_equal(got, tensordot_apply(state, axes, gate)), axes
-        assert np.shares_memory(got, work.amplitudes), axes
+        work = state.copy()
+        got = sv._apply(work, axes, gate)
+        assert got is work, axes
+        assert np.array_equal(got.amplitudes, tensordot_apply(state, axes, gate)), axes
 
     @pytest.mark.parametrize(
         "factors, cavity",
@@ -678,12 +675,10 @@ class TestInPlace:
     )
     def test_matches_tensordot_bit_for_bit(self, factors, cavity):
         # with ``cavity`` the last factor is the cavity, and each two-qubit
-        # gate onto it goes through apply_qubit_cavity as well, which never
-        # overwrites the state it is given
+        # gate onto it goes through apply_qubit_cavity as well
         rng = np.random.default_rng(300 + 2 * factors + cavity)
         amps = rng.normal(size=2 ** factors) + 1j * rng.normal(size=2 ** factors)
         state = sv.QuantumState(amps / np.linalg.norm(amps))
-        before = state.amplitudes.tobytes()
         one, two = TestStructuredKernel.gates(rng)
         two.update(monomial_gates(rng))
         for gate in one.values():
@@ -693,9 +688,8 @@ class TestInPlace:
             for axes in itertools.permutations(range(factors), 2):
                 self.check(state, list(axes), gate)
                 if cavity and axes[1] == factors - 1:
-                    got = sv.apply_qubit_cavity(state, axes[0] + 1, gate).amplitudes
+                    got = sv.apply_qubit_cavity(state.copy(), axes[0] + 1, gate).amplitudes
                     assert np.array_equal(got, tensordot_apply(state, list(axes), gate))
-        assert state.amplitudes.tobytes() == before
 
     @pytest.mark.parametrize("factors", [13, 14, 15])
     def test_blocks_of_large_slabs(self, factors):
@@ -716,6 +710,28 @@ class TestInPlace:
             for axes in itertools.permutations(range(factors), 2):
                 self.check(state, list(axes), gate)
 
+    def test_gates_write_the_state_they_are_given(self):
+        # each gate function, through each kernel it reaches, returns the
+        # state it got, whose amplitudes, the array it was built on, now
+        # hold the gate's result
+        rng = np.random.default_rng(20)
+        cavity = cavity_pulse_unitary(PulseSpec(0.4, 0.3))
+        cases = [
+            (sv.apply_1q, (3,), np.diag([1, 1j]), [2]),
+            (sv.apply_1q, (3,), np.diag([-1, 1j]), [2]),
+            (sv.apply_1q, (3,), H, [2]),
+            (sv.apply_2q, (2, 5), CNOT, [1, 4]),
+            (sv.apply_2q, (5, 2), random_unitary(4, rng), [4, 1]),
+            (sv.apply_qubit_cavity, (2,), CNOT, [1, 5]),
+            (sv.apply_qubit_cavity, (2,), cavity, [1, 5])]
+        for apply, qubits, gate, axes in cases:
+            amps = random_state(6, rng).amplitudes
+            state = sv.QuantumState(amps)
+            expected = tensordot_apply(state, axes, gate)
+            got = apply(state, *qubits, gate)
+            assert got is state and got.amplitudes is amps, (apply, qubits)
+            assert np.array_equal(amps, expected), (apply, qubits)
+
     def test_no_state_sized_temporary(self):
         # a kernel holds at most three blocks of SPLIT_BLOCK amplitudes
         # (192 KiB), which is more than 1/8 of a 16-qubit state, so the
@@ -733,7 +749,7 @@ class TestInPlace:
         cases += [(list(axes), dense) for axes in [(0, 1), (16, 2), (15, 16)]]
         for axes, gate in cases:
             tracemalloc.start()
-            state = sv._apply(state, axes, gate, in_place=True)
+            state = sv._apply(state, axes, gate)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < limit, (axes, peak)
@@ -750,54 +766,39 @@ class TestInPlace:
         tracemalloc.stop()
         assert peak <= 2.5 * state_bytes, peak / state_bytes
 
-    def test_default_leaves_input_bytes(self):
-        rng = np.random.default_rng(16)
-        one, two = TestStructuredKernel.gates(rng)
-        two.update(monomial_gates(rng))
-        for m in (3, 8, 14):
-            state = random_state(m, rng)
-            before = state.amplitudes.tobytes()
-            for gate in one.values():
-                for q in range(1, m + 1):
-                    sv.apply_1q(state, q, gate)
-            for gate in two.values():
-                for pair in [(1, 2), (m, 1), (m - 1, m), (2, m)]:
-                    sv.apply_2q(state, *pair, gate)
-            assert state.amplitudes.tobytes() == before
-
-    @pytest.mark.parametrize("mode", list(qpe.GateMode))
-    @pytest.mark.parametrize("m", [3, 12, 14])
-    def test_protocol_leaves_input_bytes(self, m, mode):
-        state = random_state(m, np.random.default_rng(m))
-        before = state.amplitudes.tobytes()
-        qpe.apply_phase_kicks(state, 2.0, m, mode)
-        qpe.inverse_qft(state, m, mode)
-        assert state.amplitudes.tobytes() == before
+    def test_protocol_writes_one_state(self):
+        # every gate of a run writes the state that new_state made, so the
+        # run holds one state and its kernels' blocks; a gate that wrote a
+        # new state would hold two
+        state_bytes = 2 ** 16 * 16
+        tracemalloc.start()
+        qpe.run_final_state(16, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 1.5 * state_bytes, peak / state_bytes
 
     def test_unowned_buffers_are_copied(self):
-        # a read-only or strided array cannot be overwritten in place, so
-        # in_place falls back to one copy and the input stays as it was
+        # a read-only, strided or integer array is no buffer a kernel can
+        # write, so the state copies it once, at construction, and every
+        # gate writes that copy; the caller's array stays as it was
         amps = random_state(8, np.random.default_rng(17)).amplitudes
         read_only = amps.copy()
         read_only.flags.writeable = False
         strided = np.repeat(amps, 2)[::2]
-        for buf in (read_only, strided):
-            state = sv.QuantumState(buf)
+        integer = np.eye(1, 256, 77, dtype=int)[0]
+        for buf in (read_only, strided, integer):
             before = buf.tobytes()
-            got = sv.apply_1q(state, 3, np.diag([1, 1j]), in_place=True)
-            assert np.array_equal(got.amplitudes,
-                                  tensordot_apply(state, [2], np.diag([1, 1j])))
-            got = sv.apply_2q(state, 2, 8, CNOT, in_place=True)
-            assert np.array_equal(got.amplitudes, tensordot_apply(state, [1, 7], CNOT))
+            state = sv.QuantumState(buf)
+            owned = state.amplitudes
+            assert owned.dtype == np.complex128 and owned.flags.carray
+            assert owned.flags.writeable and not np.shares_memory(owned, buf)
+            expected = tensordot_apply(state, [2], np.diag([1, 1j]))
+            assert sv.apply_1q(state, 3, np.diag([1, 1j])).amplitudes is owned
+            assert np.array_equal(owned, expected)
+            expected = tensordot_apply(state, [1, 7], CNOT)
+            assert sv.apply_2q(state, 2, 8, CNOT).amplitudes is owned
+            assert np.array_equal(owned, expected)
             assert buf.tobytes() == before
-
-    def test_in_place_is_keyword_only(self):
-        # the gate stays the last positional argument of every gate call
-        state = sv.new_state(3)
-        with pytest.raises(TypeError):
-            sv.apply_1q(state, 1, X, True)
-        with pytest.raises(TypeError):
-            sv.apply_2q(state, 1, 2, CNOT, True)
 
 
 class TestGatePlanMemo:
@@ -921,7 +922,7 @@ class TestKernelDispatch:
         calls = record_kernels(monkeypatch)
         state = random_state(6, np.random.default_rng(19))
         axes = [4, 1] if len(gate) == 4 else [2]
-        got = sv._apply(state, axes, gate).amplitudes
+        got = sv._apply(state.copy(), axes, gate).amplitudes
         assert calls == [kernel] == [self.expected(6, axes, gate)]
         assert np.array_equal(got, tensordot_apply(state, axes, gate))
 
@@ -991,15 +992,15 @@ def random_stack(factors, rng, count=5):
 class TestStack:
     """One state a call, of 1 to 15 factors: every axis and ordered pair
     runs the kernel ``TestKernelDispatch`` names, a dense gate in blocks of
-    whole columns, and gives the same bytes in place as into a new array,
-    whatever the BLAS kernel."""
+    whole columns, on the state's own amplitudes, whatever the BLAS
+    kernel."""
 
     @pytest.mark.parametrize("factors", range(1, 16))
     def test_rows_match_single_states(self, monkeypatch, factors):
         calls = record_kernels(monkeypatch)
         rng = np.random.default_rng(500 + factors)
         state = random_state(factors, rng)
-        before = state.amplitudes.tobytes()
+        amps = state.amplitudes
         one, two = structured_gates(rng)
         one["hadamard"], two["dense"] = H, random_unitary(4, rng)
         cases = [([axis], gate) for gate in one.values() for axis in range(factors)]
@@ -1008,27 +1009,14 @@ class TestStack:
         seen = set()
         for axes, gate in cases:
             calls.clear()
-            got = sv._apply(state, axes, gate).amplitudes
+            assert sv._apply(state, axes, gate).amplitudes is amps, axes
             kernel = TestKernelDispatch.expected(factors, axes, gate)
             assert calls == [kernel], (axes, calls)
             seen.add(kernel)
-            assert got.shape == state.amplitudes.shape
-            work = sv.QuantumState(state.amplitudes.copy())
-            again = sv._apply(work, axes, gate, in_place=True).amplitudes
-            assert np.shares_memory(again, work.amplitudes)
-            assert again.tobytes() == got.tobytes(), (axes, kernel)
-        assert state.amplitudes.tobytes() == before
         # the dense fallback at 1 and 2 factors; from 3 on the pattern pass
         # and the slab kernel as well
         assert seen == ({"_apply_dense"} if factors <= 2 else
                         {"_apply_dense", "_apply_pattern", "_apply_monomial"})
-
-    def test_in_place_overwrites_the_stack(self):
-        state = random_state(6, np.random.default_rng(520))
-        before = state.amplitudes.copy()
-        got = sv.apply_1q(state, 3, np.diag([1, 1j]), in_place=True)
-        assert np.shares_memory(got.amplitudes, state.amplitudes)
-        assert not np.array_equal(state.amplitudes, before)
 
     def test_probabilities_per_row(self):
         # each outcome of qubits 1..5 sums the chances of the 4 states of
@@ -1171,15 +1159,10 @@ class TestRowDiagonals:
                     state = sv.QuantumState(amps)
                     for axis in range(factors):
                         calls.clear()
-                        got = sv._apply(state, [axis], gate).amplitudes
+                        got = sv._apply(state.copy(), [axis], gate).amplitudes
                         kernel = TestKernelDispatch.expected(factors, [axis], gate)
                         assert calls == [kernel], (count, axis, d)
                         assert np.array_equal(got, tensordot_apply(state, [axis], gate))
-                        work = amps.copy()
-                        again = sv._apply(sv.QuantumState(work), [axis], gate,
-                                          in_place=True).amplitudes
-                        assert np.shares_memory(again, work)
-                        assert again.tobytes() == got.tobytes(), (count, axis, d)
                         if kernel == "_apply_monomial":
                             for b in np.flatnonzero(d == 1):
                                 slab = (2 ** axis, 2, -1)
@@ -1195,7 +1178,8 @@ class TestRowDiagonals:
             sv.apply_1q(state, 1, gates)
         with pytest.raises(DimensionError, match=r"expected 2x2 gate, got shape \(1, 2, 2\)"):
             sv.apply_1q(state, 1, gates[:1])
-        assert sv.apply_1q(state, 1, gates[0]).amplitudes.tobytes() == state.amplitudes.tobytes()
+        before = state.amplitudes.tobytes()
+        assert sv.apply_1q(state, 1, gates[0]).amplitudes.tobytes() == before
 
 
 class TestNormCheckOfAStack:
